@@ -1,4 +1,4 @@
-"""Hypothesis checkers and evaluators for every certified inequality.
+"""Hypothesis checkers, evaluators and the registry of every certified inequality.
 
 Each bound couples a node-wise hypothesis with an integral inequality.
 Evaluation always runs the matching hypothesis checker first; a failed
@@ -12,25 +12,23 @@ Bound identifiers (part of the scenario file contract):
   multiplicative             MULT_A MULT_B MULT_C KARAMATA
   additive, orthonormal family  THM_3_1 COR_3_2 COR_3_3 COR_3_4 COR_3_5
   complex-plane (d=1)        PROP_4_1 PROP_4_2 PROP_4_3
+
+:data:`BOUNDS` declares each bound once (reference kind, parameters, evaluator);
+parsing, serialization, validation, evaluation, recipes and sweeps read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError
-from .gridfn import GridFunction, ScalarProfile
-from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner, norm
-from .quadrature import (
-    DEFAULT_RULE,
-    bochner_integral,
-    norm_integral,
-    sample_integral,
-    scalar_integral,
-)
+from .errors import DegeneracyError, InputError, ParamError
+from .gridfn import GridFunction, ScalarProfile, require_unit
+from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner
+from .quadrature import DEFAULT_RULE, bochner_integral, norm_integral, sample_integral
 
 THM_2_1 = "THM_2_1"
 COR_2_2 = "COR_2_2"
@@ -50,17 +48,26 @@ PROP_4_1 = "PROP_4_1"
 PROP_4_2 = "PROP_4_2"
 PROP_4_3 = "PROP_4_3"
 
-UNIT_ADDITIVE_BOUNDS = (THM_2_1, COR_2_2, COR_2_3, COR_2_4, COR_2_5)
-MULT_BOUNDS = (MULT_A, MULT_B, MULT_C)
-SCALAR_BOUNDS = (KARAMATA,)
+UNIT_BOUNDS = (THM_2_1, COR_2_2, COR_2_3, COR_2_4, COR_2_5, MULT_A, MULT_B, MULT_C, KARAMATA)
 FAMILY_BOUNDS = (THM_3_1, COR_3_2, COR_3_3, COR_3_4, COR_3_5)
 COMPLEX_BOUNDS = (PROP_4_1, PROP_4_2, PROP_4_3)
-UNIT_BOUNDS = UNIT_ADDITIVE_BOUNDS + MULT_BOUNDS + SCALAR_BOUNDS
 ALL_BOUND_IDS = UNIT_BOUNDS + FAMILY_BOUNDS + COMPLEX_BOUNDS
 
 HOLDS = "holds"
 VIOLATED = "violated"
 HYPOTHESIS_FAILED = "hypothesis_failed"
+
+#: Reference kinds, named by their scenario-file key.
+REF_UNIT = "e"
+REF_FAMILY = "family"
+REF_DIRECTION = "alpha_beta"
+
+#: Parameter kinds; the list kinds hold one entry per family member.
+NUMBER = "number"
+PROFILE = "profile"
+NUMBERS = "numbers"
+PROFILES = "profiles"
+LIST_KINDS = (NUMBERS, PROFILES)
 
 #: Default absolute tolerance on hypothesis residuals.  Generators satisfy
 #: hypotheses exactly up to rounding; a tight tolerance catches construction bugs.
@@ -73,18 +80,56 @@ RHO_GUARD = 1.0 - 1e-9
 _EPS_FLOOR = 32.0 * float(np.finfo(np.float64).eps)
 
 
+# --------------------------------------------------------------------------
+# range rules (each raises InputError); parsing, evaluation, the checkers and
+# the extremal recipes all call these
+
+def require_radius(rho: float) -> None:
+    """A ball radius relative to the unit reference: rho in (0, RHO_GUARD)."""
+    if not 0.0 < rho < 1.0 or rho >= RHO_GUARD:
+        raise InputError(f"radius must lie in (0, 1) and below {RHO_GUARD!r}, got {rho!r}")
+
+
+def require_band(m: float, M: float) -> None:
+    if not 0.0 < m <= M:
+        raise InputError(f"band constants require 0 < m <= M, got m={m!r}, M={M!r}")
+
+
+def require_band_profiles(m_values: np.ndarray, M_values: np.ndarray) -> None:
+    if np.any(M_values < m_values):
+        j = int(np.argmin(M_values - m_values))
+        raise InputError(f"band requires M(t) >= m(t) at every node; violated at node {j}")
+
+
+def require_K(K: float) -> None:
+    if not K >= 1.0:
+        raise InputError(f"scaling constant must satisfy K >= 1, got {K!r}")
+
+
+def require_theta(theta: float) -> None:
+    if not 0.0 < theta < math.pi / 2.0:
+        raise InputError(f"theta must lie in (0, pi/2), got {theta!r}")
+
+
+def require_direction(alpha: float, beta: float) -> None:
+    """The direction e = alpha + i beta needs alpha, beta > 0 and |e| = 1 within 1e-12."""
+    if not (alpha > 0.0 and beta > 0.0):
+        raise InputError(f"direction components must be positive, got ({alpha!r}, {beta!r})")
+    gap = abs(alpha * alpha + beta * beta - 1.0)
+    if not gap <= 1e-12:
+        raise InputError(f"direction must satisfy alpha^2 + beta^2 = 1 (off by {gap:.3e})")
+
+
 def ball_coefficient(rho: float) -> float:
     """rho^2 / (sqrt(1-rho^2) * (1 + sqrt(1-rho^2))) for rho in (0, 1)."""
-    if not 0.0 < rho < 1.0 or rho >= RHO_GUARD:
-        raise InputError(f"rho must lie in (0, 1) and below {RHO_GUARD!r}, got {rho!r}")
+    require_radius(rho)
     root = math.sqrt(1.0 - rho * rho)
     return rho * rho / (root * (1.0 + root))
 
 
 def band_coefficient(m: float, M: float) -> float:
     """(sqrt(M) - sqrt(m))^2 / (2 sqrt(mM)) for 0 < m <= M."""
-    if not 0.0 < m <= M:
-        raise InputError(f"band constants require 0 < m <= M, got m={m!r}, M={M!r}")
+    require_band(m, M)
     return (math.sqrt(M) - math.sqrt(m)) ** 2 / (2.0 * math.sqrt(m * M))
 
 
@@ -92,14 +137,15 @@ def band_gap_integrand(m_values: np.ndarray, M_values: np.ndarray) -> np.ndarray
     """(M - m)^2 / (M + m) node-wise, defined as 0 where M = m = 0."""
     m_values = np.asarray(m_values, dtype=np.float64)
     M_values = np.asarray(M_values, dtype=np.float64)
-    if np.any(M_values < m_values):
-        j = int(np.argmin(M_values - m_values))
-        raise InputError(f"band requires M >= m at every node; violated at node {j}")
+    require_band_profiles(m_values, M_values)
     total = M_values + m_values
     out = np.zeros_like(total)
     np.divide((M_values - m_values) ** 2, total, out=out, where=total > 0.0)
     return out
 
+
+# --------------------------------------------------------------------------
+# hypothesis checkers
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -140,15 +186,26 @@ def _report(condition_id: str, residuals: np.ndarray, tol: float,
 def _require_unit_reference(f: GridFunction, e: HVector, tol: float) -> None:
     if e.field != f.field or e.d != f.d:
         raise InputError("reference vector field/dimension mismatch")
-    gap = abs(norm(e) - 1.0)
-    if gap > tol:
-        raise InputError(f"reference vector must be unit (|norm - 1| = {gap:.3e})")
+    require_unit(e, "reference vector", tol)
 
 
 def _profile_on(f: GridFunction, p: ScalarProfile, name: str) -> np.ndarray:
     if p.grid != f.grid:
         raise InputError(f"{name} profile lives on a different grid")
     return p.values
+
+
+def _ball_residuals(f: GridFunction, center: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """||f(t) - center|| - radius(t)."""
+    return np.linalg.norm(f.values - center[None, :], axis=1) - radius
+
+
+def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
+                         M_vals: np.ndarray) -> np.ndarray:
+    """||f(t) - (M+m)/2 e|| - (M-m)/2."""
+    center = 0.5 * (M_vals + m_vals)
+    dist = np.linalg.norm(f.values - center[:, None] * e[None, :], axis=1)
+    return dist - 0.5 * (M_vals - m_vals)
 
 
 def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
@@ -164,8 +221,7 @@ def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
                            tau_hyp: float = DEFAULT_HYP_TOL,
                            tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| <= K * Re<f(t), e> at every node (multiplicative hypothesis)."""
-    if K < 1.0:
-        raise InputError(f"scaling constant must satisfy K >= 1, got {K!r}")
+    require_K(K)
     _require_unit_reference(f, e, tau_on)
     residuals = f.norms() - K * f.inner_with(e).real
     return _report("dominance_scaled", residuals, tau_hyp)
@@ -176,8 +232,7 @@ def check_ball(f: GridFunction, e: HVector, radius: ScalarProfile,
                tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t) - e|| <= radius(t) at every node."""
     _require_unit_reference(f, e, tau_on)
-    dist = np.linalg.norm(f.values - e.coords[None, :], axis=1)
-    residuals = dist - _profile_on(f, radius, "radius")
+    residuals = _ball_residuals(f, e.coords, _profile_on(f, radius, "radius"))
     return _report("ball", residuals, tau_hyp)
 
 
@@ -195,18 +250,13 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile, M: ScalarProfile,
     _require_unit_reference(f, e, tau_on)
     m_vals = _profile_on(f, m, "m")
     M_vals = _profile_on(f, M, "M")
-    if np.any(M_vals < m_vals):
-        j = int(np.argmin(M_vals - m_vals))
-        raise InputError(f"band requires M(t) >= m(t) at every node; violated at node {j}")
-    p = f.inner_with(e).real
+    require_band_profiles(m_vals, M_vals)
     if form == "inner":
+        p = f.inner_with(e).real
         q = f.norms() ** 2
         residuals = q + m_vals * M_vals - (M_vals + m_vals) * p
         return _report("band_inner", residuals, tau_hyp)
-    center = 0.5 * (M_vals + m_vals)
-    dist = np.linalg.norm(f.values - center[:, None] * e.coords[None, :], axis=1)
-    residuals = dist - 0.5 * (M_vals - m_vals)
-    return _report("band_norm", residuals, tau_hyp)
+    return _report("band_norm", _band_norm_residuals(f, e.coords, m_vals, M_vals), tau_hyp)
 
 
 def _complex_samples(f: GridFunction) -> np.ndarray:
@@ -223,12 +273,10 @@ def check_box_complex(f: GridFunction, alpha: float, beta: float,
     A sufficient condition for the band containment around e = alpha + i beta;
     on success the implied band check is also run and attached as a sub-report.
     """
-    _validate_direction(alpha, beta)
+    require_direction(alpha, beta)
     z = _complex_samples(f)
     m_vals = _profile_on(f, m, "m")
     M_vals = _profile_on(f, M, "M")
-    if np.any(M_vals < m_vals):
-        raise InputError("box requires M(t) >= m(t) at every node")
     x, y = z.real, z.imag
     residuals = np.max(
         np.stack([m_vals * alpha - x, x - M_vals * alpha, m_vals * beta - y, y - M_vals * beta]),
@@ -246,8 +294,7 @@ def check_box_complex(f: GridFunction, alpha: float, beta: float,
 def check_arg(f: GridFunction, theta: float,
               tau_hyp: float = DEFAULT_HYP_TOL) -> HypothesisReport:
     """|arg f(t)| <= theta at every node, theta in (0, pi/2)."""
-    if not 0.0 < theta < math.pi / 2.0:
-        raise InputError(f"theta must lie in (0, pi/2), got {theta!r}")
+    require_theta(theta)
     z = _complex_samples(f)
     if np.any(z == 0.0):
         j = int(np.argmax(z == 0.0))
@@ -256,17 +303,19 @@ def check_arg(f: GridFunction, theta: float,
     return _report("arg_cone", residuals, tau_hyp)
 
 
-def _validate_direction(alpha: float, beta: float) -> None:
-    if alpha <= 0.0 or beta <= 0.0:
-        raise InputError(f"direction components must be positive, got ({alpha!r}, {beta!r})")
-    gap = abs(alpha * alpha + beta * beta - 1.0)
-    if gap > 1e-12:
-        raise InputError(f"direction must satisfy alpha^2 + beta^2 = 1 (off by {gap:.3e})")
+def _family_check(per_index_residuals, condition_id: str, tau_hyp: float) -> HypothesisReport:
+    subs = [_report(f"{condition_id}[{i}]", r, tau_hyp)
+            for i, r in enumerate(per_index_residuals)]
+    combined = np.max(np.stack([s.slack_profile for s in subs]), axis=0)
+    return _report(condition_id, combined, tau_hyp, sub_reports=subs)
 
+
+# --------------------------------------------------------------------------
+# parameters and results
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Parameters for one bound; only the fields its bound_id reads are set."""
+    """Parameters for one bound; ``BOUNDS[bound_id].params`` names the fields it reads."""
 
     k: ScalarProfile | None = None
     rho: float | None = None
@@ -284,17 +333,6 @@ class BoundParams:
     m_profiles: tuple[ScalarProfile, ...] | None = None
     M_profiles: tuple[ScalarProfile, ...] | None = None
     dominance_profiles: tuple[ScalarProfile, ...] | None = None
-    alpha: float | None = None
-    beta: float | None = None
-
-    def require(self, bound_id: str, *names: str) -> list:
-        out = []
-        for name in names:
-            value = getattr(self, name)
-            if value is None:
-                raise InputError(f"{bound_id} needs parameter {name!r}")
-            out.append(value)
-        return out
 
 
 @dataclass(frozen=True)
@@ -312,8 +350,32 @@ class BoundResult:
     diagnostics: dict[str, float] = dc_field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _Integrals:
+# --------------------------------------------------------------------------
+# evaluators: (context, params) -> (hypothesis, lhs, rhs, err, rhs_terms, diagnostics)
+
+@dataclass(frozen=True, eq=False)
+class Reference:
+    """What a bound measures f against: a unit vector ``e`` (kind REF_UNIT), an
+    orthonormal ``family`` (REF_FAMILY) or the direction ``alpha + i beta``
+    (REF_DIRECTION)."""
+
+    kind: str
+    e: HVector | None = None
+    family: OrthonormalFamily | None = None
+    alpha: float | None = None
+    beta: float | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class _Context:
+    """One evaluation's inputs and the integrals every bound shares: ``F`` is
+    the vector integral, ``norm_int`` the integral of the norms."""
+
+    f: GridFunction
+    ref: Reference
+    rule: str
+    tau_hyp: float
+    tau_on: float
     norm_int: float
     norm_int_err: float
     F: HVector
@@ -324,17 +386,326 @@ class _Integrals:
     def defect(self) -> float:
         return self.norm_int - self.F_norm
 
+    def constant(self, value: float) -> ScalarProfile:
+        return ScalarProfile.constant(self.f.grid, value)
 
-def _integrals(f: GridFunction, rule: str) -> _Integrals:
+
+def _ball(c: _Context, e: HVector, p: BoundParams):
+    """The constant-radius ball hypothesis around e and its coefficient."""
+    return check_ball(c.f, e, c.constant(p.rho), c.tau_hyp, c.tau_on), ball_coefficient(p.rho)
+
+
+def _band(c: _Context, e: HVector, p: BoundParams):
+    """The constant band hypothesis around e (inner form) and its coefficient."""
+    hyp = check_band(c.f, e, c.constant(p.m), c.constant(p.M), "inner", c.tau_hyp, c.tau_on)
+    return hyp, band_coefficient(p.m, p.M)
+
+
+def _direction(c: _Context):
+    """e = alpha + i beta, the split projection alpha int Re f + beta int Im f with
+    its error, and the diagnostics comparing it with Re<int f, e>."""
+    alpha, beta = c.ref.alpha, c.ref.beta
+    require_direction(alpha, beta)
+    z = _complex_samples(c.f)
+    e = HVector(COMPLEX, [complex(alpha, beta)])
+    re_int = sample_integral(c.f.grid, z.real, c.rule)
+    im_int = sample_integral(c.f.grid, z.imag, c.rule)
+    split = alpha * re_int.value + beta * im_int.value
+    split_err = alpha * re_int.err_est + beta * im_int.err_est
+    proj = float(inner(c.F, e).real)
+    return e, split, split_err, {"projection": proj, "split_gap": split - proj}
+
+
+def _integral_bound(c: _Context, hyp, s: float, samples, name: str):
+    """defect <= s * int g for node samples g."""
+    g = sample_integral(c.f.grid, samples, c.rule)
+    err = s * g.err_est + c.norm_int_err + c.F_err
+    return hyp, c.defect, s * g.value, err, {name: g.value}, {}
+
+
+def _projection_bound(c: _Context, hyp, coeff: float, proj: float, proj_err: float,
+                      terms: dict, diags: dict):
+    """defect <= coeff * proj for a projection proj of int f onto e."""
+    err = coeff * proj_err + c.norm_int_err + c.F_err
+    return hyp, c.defect, coeff * proj, err, {"coefficient": coeff, **terms}, diags
+
+
+def _unit_projection(c: _Context, p: BoundParams, hypothesis):
+    """COR_2_2 / COR_2_3: the projection is Re<int f, e>; weak form coeff * ||int f||."""
+    hyp, coeff = hypothesis(c, c.ref.e, p)
+    proj = float(inner(c.F, c.ref.e).real)
+    weak = coeff * c.F_norm
+    return _projection_bound(c, hyp, coeff, proj, c.F_err,
+                             {"projection": proj, "weak_rhs": weak},
+                             {"weak_margin": weak - c.defect})
+
+
+def _split_projection(c: _Context, p: BoundParams, hypothesis):
+    """PROP_4_1 / PROP_4_2: the projection onto alpha + i beta, in split form."""
+    e, split, split_err, diags = _direction(c)
+    hyp, coeff = hypothesis(c, e, p)
+    return _projection_bound(c, hyp, coeff, split, split_err, {"split_projection": split}, diags)
+
+
+def _ratio_bound(c: _Context, hyp, factor: float, terms: dict):
+    """factor * int ||f|| <= ||int f||."""
+    err = c.F_err + factor * c.norm_int_err
+    return hyp, factor * c.norm_int, c.F_norm, err, terms, {}
+
+
+def _thm_2_1(c, p):
+    hyp = check_dominance(c.f, c.ref.e, p.k, c.tau_hyp, c.tau_on)
+    return _integral_bound(c, hyp, 1.0, p.k.values, "dominance_integral")
+
+
+def _cor_2_4(c, p):
+    hyp = check_ball(c.f, c.ref.e, p.r, c.tau_hyp, c.tau_on)
+    return _integral_bound(c, hyp, 0.5, p.r.values ** 2, "r_squared_integral")
+
+
+def _cor_2_5(c, p):
+    hyp = check_band(c.f, c.ref.e, p.m_profile, p.M_profile, "norm", c.tau_hyp, c.tau_on)
+    gap = band_gap_integrand(p.m_profile.values, p.M_profile.values)
+    return _integral_bound(c, hyp, 0.25, gap, "band_gap_integral")
+
+
+def _mult_a(c, p):
+    hyp = check_scaled_dominance(c.f, c.ref.e, p.K, c.tau_hyp, c.tau_on)
+    return (hyp, c.norm_int, p.K * c.F_norm, p.K * c.F_err + c.norm_int_err,
+            {"K": p.K, "integral_norm": c.F_norm}, {})
+
+
+def _mult_b(c, p):
+    factor = math.sqrt(1.0 - p.rho * p.rho)
+    return _ratio_bound(c, _ball(c, c.ref.e, p)[0], factor,
+                        {"factor": factor, "integral_norm": c.F_norm})
+
+
+def _mult_c(c, p):
+    # The certified bound is the corrected additive form
+    #   defect <= (sqrt(M)-sqrt(m))^2/(M+m) * int ||f|| dt,
+    # the only additive form derivable from the multiplicative one; the
+    # printed variant with ||int f|| on the right is reported as a
+    # diagnostic, never asserted.
+    m, M = p.m, p.M
+    hyp = _band(c, c.ref.e, p)[0]
+    coeff = (math.sqrt(M) - math.sqrt(m)) ** 2 / (M + m)
+    mult_factor = 2.0 * math.sqrt(m * M) / (M + m)
+    lhs = c.defect
+    printed_rhs = coeff * c.F_norm
+    return (hyp, lhs, coeff * c.norm_int, (1.0 + coeff) * c.norm_int_err + c.F_err,
+            {"coefficient": coeff, "norm_integral": c.norm_int},
+            {
+                "mult_factor": mult_factor,
+                "mult_lhs": mult_factor * c.norm_int,
+                "mult_rhs": c.F_norm,
+                "mult_margin": c.F_norm - mult_factor * c.norm_int,
+                "printed_rhs": printed_rhs,
+                "printed_margin": printed_rhs - lhs,
+            })
+
+
+def _karamata(c, p):
+    hyp = check_arg(c.f, p.theta, c.tau_hyp)
+    factor = math.cos(p.theta)
+    return _ratio_bound(c, hyp, factor, {"cos_theta": factor, "norm_integral": c.norm_int})
+
+
+def _prop_4_3(c, p):
+    _, split, _, diags = _direction(c)
+    hyp = check_box_complex(c.f, c.ref.alpha, c.ref.beta, p.m_profile, p.M_profile, c.tau_hyp)
+    gap = band_gap_integrand(p.m_profile.values, p.M_profile.values)
+    hyp, lhs, rhs, err, terms, _ = _integral_bound(c, hyp, 0.25, gap, "band_gap_integral")
+    return hyp, lhs, rhs, err, {**terms, "split_projection": split}, diags
+
+
+# family bounds: int ||f|| <= ||int f|| / sqrt(n) + extra
+
+def _family_bound(c: _Context, hyp, extra: float, extra_err: float, terms: dict,
+                  diags: dict | None = None):
+    n = c.ref.family.n
+    family_term = c.F_norm / math.sqrt(n)
+    err = c.F_err / math.sqrt(n) + extra_err + c.norm_int_err
+    return (hyp, c.norm_int, family_term + extra, err,
+            {"family_term": family_term, **terms, "extra": extra}, diags or {})
+
+
+def _family_projections(c: _Context) -> np.ndarray:
+    """Re<f(t), e_i> for every node and member as one (N+1, n) product."""
+    return (c.f.values @ np.conjugate(c.ref.family.matrix().T)).real
+
+
+def _integral_extra(c: _Context, hyp, samples, s: float, name: str):
+    """extra = (1 / (s n)) * sum_i int g_i."""
+    parts = [sample_integral(c.f.grid, g, c.rule) for g in samples]
+    scale = s * c.ref.family.n
+    extra = sum(p.value for p in parts) / scale
+    extra_err = sum(p.err_est for p in parts) / scale
+    terms = {f"{name}_{i}": p.value for i, p in enumerate(parts)}
+    return _family_bound(c, hyp, extra, extra_err, terms)
+
+
+def _projection_extra(c: _Context, hyp, coeffs: np.ndarray, diags: dict | None = None):
+    """extra = Re<int f, (1/n) sum_i c_i e_i>; weak form with the rms coefficient."""
+    n = c.ref.family.n
+    direction = (coeffs[:, None] * c.ref.family.matrix()).sum(axis=0) / n
+    extra = float(np.dot(c.F.coords, np.conjugate(direction)).real)
+    extra_err = float(np.linalg.norm(direction)) * c.F_err
+    weak = c.F_norm / math.sqrt(n) * (1.0 + math.sqrt(float(np.mean(coeffs ** 2))))
+    terms = {"projection_extra": extra, "weak_rhs": weak}
+    terms.update((f"coefficient_{i}", float(v)) for i, v in enumerate(coeffs))
+    diags = {"weak_margin": weak - c.norm_int, **(diags or {})}
+    return _family_bound(c, hyp, extra, extra_err, terms, diags)
+
+
+def _thm_3_1(c, p):
+    norms, proj = c.f.norms(), _family_projections(c)
+    residuals = [norms - proj[:, i] - _profile_on(c.f, k, f"M_{i}")
+                 for i, k in enumerate(p.dominance_profiles)]
+    hyp = _family_check(residuals, "dominance_family", c.tau_hyp)
+    return _integral_extra(c, hyp, [k.values for k in p.dominance_profiles], 1.0,
+                           "dominance_integral")
+
+
+def _cor_3_2(c, p):
+    residuals = [_ball_residuals(c.f, e.coords, rho)
+                 for e, rho in zip(c.ref.family.members, p.rhos)]
+    hyp = _family_check(residuals, "ball_family", c.tau_hyp)
+    coeffs = np.array([ball_coefficient(rho) for rho in p.rhos])
+    printed = c.F_norm / math.sqrt(c.ref.family.n) * (1.0 + math.sqrt(float(np.mean(coeffs))))
+    return _projection_extra(c, hyp, coeffs, {"printed_weak_rhs": printed})
+
+
+def _cor_3_3(c, p):
+    q, proj = c.f.norms() ** 2, _family_projections(c)
+    residuals = [q + m * M - (M + m) * proj[:, i] for i, (m, M) in enumerate(zip(p.ms, p.Ms))]
+    hyp = _family_check(residuals, "band_inner_family", c.tau_hyp)
+    return _projection_extra(c, hyp, np.array([band_coefficient(m, M)
+                                               for m, M in zip(p.ms, p.Ms)]))
+
+
+def _cor_3_4(c, p):
+    residuals = [_ball_residuals(c.f, e.coords, _profile_on(c.f, r, f"r_{i}"))
+                 for i, (e, r) in enumerate(zip(c.ref.family.members, p.r_profiles))]
+    hyp = _family_check(residuals, "ball_family", c.tau_hyp)
+    return _integral_extra(c, hyp, [r.values ** 2 for r in p.r_profiles], 2.0,
+                           "r_squared_integral")
+
+
+def _cor_3_5(c, p):
+    bands = list(zip(p.m_profiles, p.M_profiles))
+    residuals = [_band_norm_residuals(c.f, e.coords, _profile_on(c.f, m, f"m_{i}"),
+                                      _profile_on(c.f, M, f"M_{i}"))
+                 for i, (e, (m, M)) in enumerate(zip(c.ref.family.members, bands))]
+    hyp = _family_check(residuals, "band_norm_family", c.tau_hyp)
+    return _integral_extra(c, hyp, [band_gap_integrand(m.values, M.values) for m, M in bands],
+                           4.0, "band_gap_integral")
+
+
+# --------------------------------------------------------------------------
+# the registry
+
+@dataclass(frozen=True)
+class Param:
+    """A scenario-file ``key``, its :class:`BoundParams` ``field`` and ``kind``, and a
+    range ``rule`` on its values (node values for profiles, entry by entry for
+    lists); with ``upper`` set the rule is ``rule(value, upper field's value)``."""
+
+    key: str
+    field: str
+    kind: str
+    rule: Callable | None = None
+    upper: str | None = None
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """A bound's reference kind, parameters and evaluator."""
+
+    reference: str
+    params: tuple[Param, ...]
+    evaluate: Callable
+
+
+_RHO = (Param("rho", "rho", NUMBER, require_radius),)
+_BAND = (Param("m", "m", NUMBER, require_band, upper="M"), Param("M", "M", NUMBER))
+
+BOUNDS: dict[str, BoundSpec] = {
+    THM_2_1: BoundSpec(REF_UNIT, (Param("k", "k", PROFILE),), _thm_2_1),
+    COR_2_2: BoundSpec(REF_UNIT, _RHO, lambda c, p: _unit_projection(c, p, _ball)),
+    COR_2_3: BoundSpec(REF_UNIT, _BAND, lambda c, p: _unit_projection(c, p, _band)),
+    COR_2_4: BoundSpec(REF_UNIT, (Param("r", "r", PROFILE),), _cor_2_4),
+    COR_2_5: BoundSpec(REF_UNIT, (
+        Param("m", "m_profile", PROFILE, require_band_profiles, upper="M_profile"),
+        Param("M", "M_profile", PROFILE)), _cor_2_5),
+    MULT_A: BoundSpec(REF_UNIT, (Param("K", "K", NUMBER, require_K),), _mult_a),
+    MULT_B: BoundSpec(REF_UNIT, _RHO, _mult_b),
+    MULT_C: BoundSpec(REF_UNIT, _BAND, _mult_c),
+    KARAMATA: BoundSpec(REF_DIRECTION, (Param("theta", "theta", NUMBER, require_theta),),
+                        _karamata),
+    THM_3_1: BoundSpec(REF_FAMILY, (Param("M_i", "dominance_profiles", PROFILES),), _thm_3_1),
+    COR_3_2: BoundSpec(REF_FAMILY, (Param("rho_i", "rhos", NUMBERS, require_radius),), _cor_3_2),
+    COR_3_3: BoundSpec(REF_FAMILY, (Param("m_i", "ms", NUMBERS, require_band, upper="Ms"),
+                                    Param("M_i", "Ms", NUMBERS)), _cor_3_3),
+    COR_3_4: BoundSpec(REF_FAMILY, (Param("r_i", "r_profiles", PROFILES),), _cor_3_4),
+    COR_3_5: BoundSpec(REF_FAMILY, (
+        Param("m_i", "m_profiles", PROFILES, require_band_profiles, upper="M_profiles"),
+        Param("M_i", "M_profiles", PROFILES)), _cor_3_5),
+    PROP_4_1: BoundSpec(REF_DIRECTION, _RHO, lambda c, p: _split_projection(c, p, _ball)),
+    PROP_4_2: BoundSpec(REF_DIRECTION, _BAND, lambda c, p: _split_projection(c, p, _band)),
+    PROP_4_3: BoundSpec(REF_DIRECTION, (
+        Param("k", "m_profile", PROFILE, require_band_profiles, upper="M_profile"),
+        Param("K", "M_profile", PROFILE)), _prop_4_3),
+}
+
+
+def validate_params(bound_id: str, params: BoundParams, n: int | None = None) -> None:
+    """Presence, family length ``n`` and range of every parameter of ``bound_id``;
+    a :class:`ParamError` names the offending scenario-file key."""
+    spec = BOUNDS[bound_id]
+    for p in spec.params:
+        value = getattr(params, p.field)
+        if value is None:
+            raise ParamError(p.key, f"{bound_id} needs parameter {p.key!r}")
+        if p.kind in LIST_KINDS and len(value) != n:
+            raise ParamError(p.key, f"needs exactly {n} entries, got {len(value)}")
+    for p in spec.params:
+        if p.rule is None:
+            continue
+        columns = [getattr(params, name) for name in (p.field, p.upper) if name is not None]
+        listed = p.kind in LIST_KINDS
+        for i, row in enumerate(zip(*columns) if listed else [columns]):
+            try:
+                p.rule(*(x.values if isinstance(x, ScalarProfile) else x for x in row))
+            except InputError as exc:
+                raise ParamError(f"{p.key}[{i}]" if listed else p.key, str(exc)) from None
+
+
+def evaluate(f: GridFunction, reference: Reference, params: BoundParams, bound_id: str,
+             rule: str = DEFAULT_RULE, tau_hyp: float = DEFAULT_HYP_TOL,
+             tau_on: float = DEFAULT_ORTHO_TOL) -> BoundResult:
+    """Evaluate any bound; it reads the part of ``reference`` its kind names
+    (KARAMATA reads none).  Bounds with a direction check their unit
+    reference at the default orthonormality tolerance."""
+    spec = BOUNDS.get(bound_id)
+    if spec is None:
+        raise InputError(f"unknown bound id {bound_id!r}")
+    if spec.reference == REF_UNIT and reference.e is None:
+        raise InputError(f"{bound_id} needs a unit reference vector")
+    family = reference.family
+    if spec.reference == REF_FAMILY and (family is None or family.field != f.field
+                                         or family.d != f.d):
+        raise InputError(f"{bound_id} needs a family with the field and dimension of f")
+    if spec.reference == REF_DIRECTION:
+        tau_on = DEFAULT_ORTHO_TOL
+    validate_params(bound_id, params, None if family is None else family.n)
     ni = norm_integral(f, rule)
     bi = bochner_integral(f, rule)
-    return _Integrals(ni.value, ni.err_est, bi.value, bi.err_est,
-                      float(np.linalg.norm(bi.value.coords)))
-
-
-def _finish(bound_id, lhs, rhs, rhs_terms, hyp, err_budget, ints, extra_diags=None):
+    c = _Context(f, reference, rule, tau_hyp, tau_on, ni.value, ni.err_est, bi.value,
+                 bi.err_est, float(np.linalg.norm(bi.value.coords)))
+    hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = spec.evaluate(c, params)
     lhs, rhs = float(lhs), float(rhs)
-    scale = abs(lhs) + abs(rhs) + ints.norm_int + ints.F_norm
+    scale = abs(lhs) + abs(rhs) + c.norm_int + c.F_norm
     err_budget = float(err_budget) + _EPS_FLOOR * scale
     margin = rhs - lhs
     if not hyp.holds:
@@ -344,18 +715,22 @@ def _finish(bound_id, lhs, rhs, rhs_terms, hyp, err_budget, ints, extra_diags=No
     else:
         verdict = VIOLATED
     diagnostics = {
-        "defect": ints.defect,
-        "defect_err": ints.norm_int_err + ints.F_err,
-        "norm_integral": ints.norm_int,
-        "integral_norm": ints.F_norm,
+        "defect": c.defect,
+        "defect_err": c.norm_int_err + c.F_err,
+        "norm_integral": c.norm_int,
+        "integral_norm": c.F_norm,
+        **extra_diags,
     }
-    if extra_diags:
-        diagnostics.update(extra_diags)
     return BoundResult(
         bound_id, lhs, rhs, {k: float(v) for k, v in rhs_terms.items()},
         float(margin), hyp, err_budget, verdict,
         {k: float(v) for k, v in diagnostics.items()},
     )
+
+
+def _require_group(bound_id: str, group: tuple, what: str) -> None:
+    if bound_id not in group:
+        raise InputError(f"{bound_id!r} is not a {what} bound id")
 
 
 def eval_unit_bound(f: GridFunction, e: HVector | None, params: BoundParams, bound_id: str,
@@ -366,130 +741,8 @@ def eval_unit_bound(f: GridFunction, e: HVector | None, params: BoundParams, bou
 
     ``e`` may be None only for KARAMATA, whose hypothesis is argument-based.
     """
-    if bound_id not in UNIT_BOUNDS:
-        raise InputError(f"{bound_id!r} is not a unit-reference bound id")
-    ints = _integrals(f, rule)
-    if bound_id == KARAMATA:
-        theta, = params.require(bound_id, "theta")
-        hyp = check_arg(f, theta, tau_hyp)
-        c = math.cos(theta)
-        lhs = c * ints.norm_int
-        rhs = ints.F_norm
-        err = ints.F_err + c * ints.norm_int_err
-        return _finish(bound_id, lhs, rhs, {"cos_theta": c, "norm_integral": ints.norm_int},
-                       hyp, err, ints)
-
-    if e is None:
-        raise InputError(f"{bound_id} needs a unit reference vector")
-    re_proj = float(inner(ints.F, e).real)
-
-    if bound_id == THM_2_1:
-        k, = params.require(bound_id, "k")
-        hyp = check_dominance(f, e, k, tau_hyp, tau_on)
-        ki = scalar_integral(k, rule)
-        lhs = ints.defect
-        rhs = ki.value
-        err = ki.err_est + ints.norm_int_err + ints.F_err
-        return _finish(bound_id, lhs, rhs, {"dominance_integral": ki.value}, hyp, err, ints)
-
-    if bound_id in (COR_2_2, COR_2_3):
-        if bound_id == COR_2_2:
-            rho, = params.require(bound_id, "rho")
-            c = ball_coefficient(rho)
-            hyp = check_ball(f, e, ScalarProfile.constant(f.grid, rho), tau_hyp, tau_on)
-        else:
-            m, M = params.require(bound_id, "m", "M")
-            c = band_coefficient(m, M)
-            hyp = check_band(f, e, ScalarProfile.constant(f.grid, m),
-                             ScalarProfile.constant(f.grid, M), "inner", tau_hyp, tau_on)
-        lhs = ints.defect
-        rhs = c * re_proj
-        weak_rhs = c * ints.F_norm
-        err = c * ints.F_err + ints.norm_int_err + ints.F_err
-        return _finish(bound_id, lhs, rhs,
-                       {"coefficient": c, "projection": re_proj, "weak_rhs": weak_rhs},
-                       hyp, err, ints, {"weak_margin": weak_rhs - lhs})
-
-    if bound_id == COR_2_4:
-        r, = params.require(bound_id, "r")
-        hyp = check_ball(f, e, r, tau_hyp, tau_on)
-        r2 = sample_integral(f.grid, r.values ** 2, rule)
-        lhs = ints.defect
-        rhs = 0.5 * r2.value
-        err = 0.5 * r2.err_est + ints.norm_int_err + ints.F_err
-        return _finish(bound_id, lhs, rhs, {"r_squared_integral": r2.value}, hyp, err, ints)
-
-    if bound_id == COR_2_5:
-        m, M = params.require(bound_id, "m_profile", "M_profile")
-        hyp = check_band(f, e, m, M, "norm", tau_hyp, tau_on)
-        gap = sample_integral(f.grid, band_gap_integrand(m.values, M.values), rule)
-        lhs = ints.defect
-        rhs = 0.25 * gap.value
-        err = 0.25 * gap.err_est + ints.norm_int_err + ints.F_err
-        return _finish(bound_id, lhs, rhs, {"band_gap_integral": gap.value}, hyp, err, ints)
-
-    if bound_id == MULT_A:
-        K, = params.require(bound_id, "K")
-        hyp = check_scaled_dominance(f, e, K, tau_hyp, tau_on)
-        lhs = ints.norm_int
-        rhs = K * ints.F_norm
-        err = K * ints.F_err + ints.norm_int_err
-        return _finish(bound_id, lhs, rhs, {"K": K, "integral_norm": ints.F_norm},
-                       hyp, err, ints)
-
-    if bound_id == MULT_B:
-        rho, = params.require(bound_id, "rho")
-        ball_coefficient(rho)  # range validation
-        hyp = check_ball(f, e, ScalarProfile.constant(f.grid, rho), tau_hyp, tau_on)
-        factor = math.sqrt(1.0 - rho * rho)
-        lhs = factor * ints.norm_int
-        rhs = ints.F_norm
-        err = ints.F_err + factor * ints.norm_int_err
-        return _finish(bound_id, lhs, rhs, {"factor": factor, "integral_norm": ints.F_norm},
-                       hyp, err, ints)
-
-    # MULT_C: the certified bound is the corrected additive form
-    #   defect <= (sqrt(M)-sqrt(m))^2/(M+m) * int ||f|| dt,
-    # the only additive form derivable from the multiplicative one; the
-    # printed variant with ||int f|| on the right is reported as a
-    # diagnostic, never asserted.
-    m, M = params.require(bound_id, "m", "M")
-    band_coefficient(m, M)  # range validation
-    hyp = check_band(f, e, ScalarProfile.constant(f.grid, m),
-                     ScalarProfile.constant(f.grid, M), "inner", tau_hyp, tau_on)
-    coeff = (math.sqrt(M) - math.sqrt(m)) ** 2 / (M + m)
-    mult_factor = 2.0 * math.sqrt(m * M) / (M + m)
-    lhs = ints.defect
-    rhs = coeff * ints.norm_int
-    err = (1.0 + coeff) * ints.norm_int_err + ints.F_err
-    printed_rhs = coeff * ints.F_norm
-    return _finish(
-        bound_id, lhs, rhs, {"coefficient": coeff, "norm_integral": ints.norm_int},
-        hyp, err, ints,
-        {
-            "mult_factor": mult_factor,
-            "mult_lhs": mult_factor * ints.norm_int,
-            "mult_rhs": ints.F_norm,
-            "mult_margin": ints.F_norm - mult_factor * ints.norm_int,
-            "printed_rhs": printed_rhs,
-            "printed_margin": printed_rhs - lhs,
-        },
-    )
-
-
-def _family_check(f: GridFunction, family: OrthonormalFamily, per_index_residuals,
-                  condition_id: str, tau_hyp: float) -> HypothesisReport:
-    subs = [_report(f"{condition_id}[{i}]", per_index_residuals[i], tau_hyp)
-            for i in range(family.n)]
-    combined = np.max(np.stack([s.slack_profile for s in subs]), axis=0)
-    return _report(condition_id, combined, tau_hyp, sub_reports=subs)
-
-
-def _family_tuple(params_value, n: int, bound_id: str, name: str) -> tuple:
-    value = tuple(params_value)
-    if len(value) != n:
-        raise InputError(f"{bound_id} needs exactly {n} entries for {name!r}, got {len(value)}")
-    return value
+    _require_group(bound_id, UNIT_BOUNDS, "unit-reference")
+    return evaluate(f, Reference(REF_UNIT, e=e), params, bound_id, rule, tau_hyp, tau_on)
 
 
 def eval_family_bound(f: GridFunction, family: OrthonormalFamily, params: BoundParams,
@@ -497,106 +750,9 @@ def eval_family_bound(f: GridFunction, family: OrthonormalFamily, params: BoundP
                       tau_hyp: float = DEFAULT_HYP_TOL,
                       tau_on: float = DEFAULT_ORTHO_TOL) -> BoundResult:
     """Evaluate an orthonormal-family bound: int||f|| <= ||int f||/sqrt(n) + extra."""
-    if bound_id not in FAMILY_BOUNDS:
-        raise InputError(f"{bound_id!r} is not a family bound id")
-    if family.field != f.field or family.d != f.d:
-        raise InputError("family field/dimension mismatch with the grid function")
-    n = family.n
-    ints = _integrals(f, rule)
-    norms = f.norms()
-    proj = (f.values @ np.conjugate(family.matrix().T)).real  # (N+1, n)
-    lhs = ints.norm_int
-    family_term = ints.F_norm / math.sqrt(n)
-    rhs_terms: dict[str, float] = {"family_term": family_term}
-    diags: dict[str, float] = {}
-
-    if bound_id == THM_3_1:
-        profiles = _family_tuple(params.require(bound_id, "dominance_profiles")[0],
-                                 n, bound_id, "dominance_profiles")
-        residuals = [norms - proj[:, i] - _profile_on(f, profiles[i], f"M_{i}")
-                     for i in range(n)]
-        hyp = _family_check(f, family, residuals, "dominance_family", tau_hyp)
-        parts = [scalar_integral(p, rule) for p in profiles]
-        extra = sum(p.value for p in parts) / n
-        extra_err = sum(p.err_est for p in parts) / n
-        for i, part in enumerate(parts):
-            rhs_terms[f"dominance_integral_{i}"] = part.value
-    elif bound_id == COR_3_2:
-        rhos = _family_tuple(params.require(bound_id, "rhos")[0], n, bound_id, "rhos")
-        coeffs = np.array([ball_coefficient(r) for r in rhos])
-        dists = [np.linalg.norm(f.values - family.members[i].coords[None, :], axis=1)
-                 for i in range(n)]
-        residuals = [dists[i] - rhos[i] for i in range(n)]
-        hyp = _family_check(f, family, residuals, "ball_family", tau_hyp)
-        direction = (coeffs[:, None] * family.matrix()).sum(axis=0) / n
-        extra = float(np.dot(ints.F.coords, np.conjugate(direction)).real)
-        extra_err = float(np.linalg.norm(direction)) * ints.F_err
-        weak = family_term * (1.0 + math.sqrt(float(np.mean(coeffs ** 2))))
-        printed_weak = family_term * (1.0 + math.sqrt(float(np.mean(coeffs))))
-        rhs_terms["projection_extra"] = extra
-        rhs_terms["weak_rhs"] = weak
-        diags["weak_margin"] = weak - lhs
-        diags["printed_weak_rhs"] = printed_weak
-        for i, c in enumerate(coeffs):
-            rhs_terms[f"coefficient_{i}"] = float(c)
-    elif bound_id == COR_3_3:
-        ms = _family_tuple(params.require(bound_id, "ms")[0], n, bound_id, "ms")
-        Ms = _family_tuple(params.require(bound_id, "Ms")[0], n, bound_id, "Ms")
-        coeffs = np.array([band_coefficient(ms[i], Ms[i]) for i in range(n)])
-        q = norms ** 2
-        residuals = [q + ms[i] * Ms[i] - (Ms[i] + ms[i]) * proj[:, i] for i in range(n)]
-        hyp = _family_check(f, family, residuals, "band_inner_family", tau_hyp)
-        direction = (coeffs[:, None] * family.matrix()).sum(axis=0) / n
-        extra = float(np.dot(ints.F.coords, np.conjugate(direction)).real)
-        extra_err = float(np.linalg.norm(direction)) * ints.F_err
-        weak = family_term * (1.0 + math.sqrt(float(np.mean(coeffs ** 2))))
-        rhs_terms["projection_extra"] = extra
-        rhs_terms["weak_rhs"] = weak
-        diags["weak_margin"] = weak - lhs
-        for i, c in enumerate(coeffs):
-            rhs_terms[f"coefficient_{i}"] = float(c)
-    elif bound_id == COR_3_4:
-        profiles = _family_tuple(params.require(bound_id, "r_profiles")[0],
-                                 n, bound_id, "r_profiles")
-        dists = [np.linalg.norm(f.values - family.members[i].coords[None, :], axis=1)
-                 for i in range(n)]
-        residuals = [dists[i] - _profile_on(f, profiles[i], f"r_{i}") for i in range(n)]
-        hyp = _family_check(f, family, residuals, "ball_family", tau_hyp)
-        parts = [sample_integral(f.grid, p.values ** 2, rule) for p in profiles]
-        extra = sum(p.value for p in parts) / (2.0 * n)
-        extra_err = sum(p.err_est for p in parts) / (2.0 * n)
-        for i, part in enumerate(parts):
-            rhs_terms[f"r_squared_integral_{i}"] = part.value
-    else:  # COR_3_5
-        m_profiles = _family_tuple(params.require(bound_id, "m_profiles")[0],
-                                   n, bound_id, "m_profiles")
-        M_profiles = _family_tuple(params.require(bound_id, "M_profiles")[0],
-                                   n, bound_id, "M_profiles")
-        residuals = []
-        for i in range(n):
-            m_vals = _profile_on(f, m_profiles[i], f"m_{i}")
-            M_vals = _profile_on(f, M_profiles[i], f"M_{i}")
-            if np.any(M_vals < m_vals):
-                raise InputError(f"band {i} requires M(t) >= m(t) at every node")
-            center = 0.5 * (M_vals + m_vals)
-            dist = np.linalg.norm(
-                f.values - center[:, None] * family.members[i].coords[None, :], axis=1)
-            residuals.append(dist - 0.5 * (M_vals - m_vals))
-        hyp = _family_check(f, family, residuals, "band_norm_family", tau_hyp)
-        parts = [
-            sample_integral(f.grid, band_gap_integrand(m_profiles[i].values,
-                                                       M_profiles[i].values), rule)
-            for i in range(n)
-        ]
-        extra = sum(p.value for p in parts) / (4.0 * n)
-        extra_err = sum(p.err_est for p in parts) / (4.0 * n)
-        for i, part in enumerate(parts):
-            rhs_terms[f"band_gap_integral_{i}"] = part.value
-
-    rhs = family_term + extra
-    rhs_terms["extra"] = extra
-    err = ints.F_err / math.sqrt(n) + extra_err + ints.norm_int_err
-    return _finish(bound_id, lhs, rhs, rhs_terms, hyp, err, ints, diags)
+    _require_group(bound_id, FAMILY_BOUNDS, "family")
+    return evaluate(f, Reference(REF_FAMILY, family=family), params, bound_id, rule, tau_hyp,
+                    tau_on)
 
 
 def eval_complex_bound(f: GridFunction, alpha: float, beta: float, params: BoundParams,
@@ -608,45 +764,6 @@ def eval_complex_bound(f: GridFunction, alpha: float, beta: float, params: Bound
     ``alpha * int Re f + beta * int Im f`` (equal to Re<int f, e> up to
     roundoff; both appear in the result for cross-checking).
     """
-    if prop_id not in COMPLEX_BOUNDS:
-        raise InputError(f"{prop_id!r} is not a complex-plane bound id")
-    _validate_direction(alpha, beta)
-    z = _complex_samples(f)
-    e = HVector(COMPLEX, [complex(alpha, beta)])
-    ints = _integrals(f, rule)
-    re_int = sample_integral(f.grid, z.real, rule)
-    im_int = sample_integral(f.grid, z.imag, rule)
-    split = alpha * re_int.value + beta * im_int.value
-    split_err = alpha * re_int.err_est + beta * im_int.err_est
-    proj = float(inner(ints.F, e).real)
-    lhs = ints.defect
-    diags = {"projection": proj, "split_gap": split - proj}
-
-    if prop_id == PROP_4_1:
-        rho, = params.require(prop_id, "rho")
-        c = ball_coefficient(rho)
-        hyp = check_ball(f, e, ScalarProfile.constant(f.grid, rho), tau_hyp)
-        rhs = c * split
-        err = c * split_err + ints.norm_int_err + ints.F_err
-        return _finish(prop_id, lhs, rhs,
-                       {"coefficient": c, "split_projection": split}, hyp, err, ints, diags)
-
-    if prop_id == PROP_4_2:
-        m, M = params.require(prop_id, "m", "M")
-        c = band_coefficient(m, M)
-        hyp = check_band(f, e, ScalarProfile.constant(f.grid, m),
-                         ScalarProfile.constant(f.grid, M), "inner", tau_hyp)
-        rhs = c * split
-        err = c * split_err + ints.norm_int_err + ints.F_err
-        return _finish(prop_id, lhs, rhs,
-                       {"coefficient": c, "split_projection": split}, hyp, err, ints, diags)
-
-    # PROP_4_3: profile box hypothesis, quarter band-gap bound
-    k, K = params.require(prop_id, "m_profile", "M_profile")
-    hyp = check_box_complex(f, alpha, beta, k, K, tau_hyp)
-    gap = sample_integral(f.grid, band_gap_integrand(k.values, K.values), rule)
-    rhs = 0.25 * gap.value
-    err = 0.25 * gap.err_est + ints.norm_int_err + ints.F_err
-    return _finish(prop_id, lhs, rhs,
-                   {"band_gap_integral": gap.value, "split_projection": split},
-                   hyp, err, ints, diags)
+    _require_group(prop_id, COMPLEX_BOUNDS, "complex-plane")
+    return evaluate(f, Reference(REF_DIRECTION, alpha=alpha, beta=beta), params, prop_id, rule,
+                    tau_hyp)

@@ -32,6 +32,9 @@ from .scenario import (
 )
 from .sweep import sweep, sweep_to_csv
 
+#: Recipe parameters settable with ``extremal --<key>``: every recipe bound's file keys.
+RECIPE_KEYS = tuple(dict.fromkeys(q.key for b in RECIPE_BOUNDS for q in B.BOUNDS[b].params))
+
 
 def _write_report(report: RunReport, out: str | None) -> None:
     if out is None:
@@ -79,12 +82,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _extremal_params(args) -> dict:
-    params = {}
-    for name in ("rho", "m", "M", "k", "r", "alpha"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    return params
+    return {k: getattr(args, k) for k in RECIPE_KEYS + ("alpha",) if getattr(args, k) is not None}
 
 
 def _cmd_extremal(args) -> int:
@@ -151,11 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext = sub.add_parser("extremal", help="build and certify an equality-case scenario")
     p_ext.add_argument("--bound", required=True,
                        choices=sorted(RECIPE_BOUNDS + (B.THM_3_1,)))
-    p_ext.add_argument("--rho", type=float)
-    p_ext.add_argument("--m", type=float)
-    p_ext.add_argument("--M", type=float)
-    p_ext.add_argument("--k", type=float)
-    p_ext.add_argument("--r", type=float)
+    for key in RECIPE_KEYS:
+        p_ext.add_argument(f"--{key}", type=float)
     p_ext.add_argument("--alpha", type=float, help="component along e for the dominance recipe")
     p_ext.add_argument("--c", type=float, default=1.0, help="family amplitude (THM_3_1)")
     p_ext.add_argument("--n-family", type=int, default=2)

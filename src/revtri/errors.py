@@ -39,3 +39,8 @@ class ScenarioError(InputError):
         super().__init__(f"{path}: {message}")
         self.path = path
         self.reason = message
+
+
+class ParamError(ScenarioError):
+    """A bound parameter is missing or out of range; ``path`` is its file key (``[i]`` for
+    an entry of a family list), relative to the bound's ``params``."""

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .bounds import (
+    BOUNDS,
+    PROFILE,
     BoundParams,
     BoundResult,
     COR_2_2,
@@ -28,11 +30,10 @@ from .bounds import (
     COR_2_4,
     COR_2_5,
     HOLDS,
-    RHO_GUARD,
     THM_2_1,
-    THM_3_1,
     ball_coefficient,
     band_coefficient,
+    require_radius,
 )
 from .errors import InputError, StateError
 from .gridfn import FunctionSpec, Grid, GridFunction, ScalarProfile, materialize
@@ -112,8 +113,7 @@ def solve_equality_params(bound_id: str, params: dict[str, float],
 
     if bound_id == COR_2_4:
         r = float(params["r"])
-        if not 0.0 < r < 1.0 or r >= RHO_GUARD:
-            raise InputError(f"COR_2_4 recipe needs constant r in (0, 1), got {r!r}")
+        require_radius(r)
         alpha = 1.0 - r * r / 2.0
         beta = r * math.sqrt(1.0 - r * r / 4.0)
         return ExtremalRecipe(bound_id, alpha, beta, 0.5 * r * r * length, {"r": r}, (a, b))
@@ -136,17 +136,11 @@ def solve_equality_params(bound_id: str, params: dict[str, float],
 
 def recipe_bound_params(recipe: ExtremalRecipe, grid: Grid) -> BoundParams:
     """Bound parameters (constant profiles where needed) matching a recipe."""
-    p = recipe.params
-    if recipe.bound_id == THM_2_1:
-        return BoundParams(k=ScalarProfile.constant(grid, p["k"]))
-    if recipe.bound_id == COR_2_2:
-        return BoundParams(rho=p["rho"])
-    if recipe.bound_id == COR_2_3:
-        return BoundParams(m=p["m"], M=p["M"])
-    if recipe.bound_id == COR_2_4:
-        return BoundParams(r=ScalarProfile.constant(grid, p["r"]))
-    return BoundParams(m_profile=ScalarProfile.constant(grid, p["m"]),
-                       M_profile=ScalarProfile.constant(grid, p["M"]))
+    return BoundParams(**{
+        q.field: ScalarProfile.constant(grid, recipe.params[q.key]) if q.kind == PROFILE
+        else recipe.params[q.key]
+        for q in BOUNDS[recipe.bound_id].params
+    })
 
 
 def build_unit_extremal(recipe: ExtremalRecipe, e: HVector, u: HVector,
@@ -178,13 +172,6 @@ def build_family_extremal(family: OrthonormalFamily, c: ScalarProfile,
     gap = ScalarProfile(grid, c.values * (1.0 - 1.0 / math.sqrt(family.n)))
     profiles = tuple(gap for _ in range(family.n))
     return f, profiles
-
-
-def family_extremal_params(family: OrthonormalFamily, c: ScalarProfile,
-                           grid: Grid) -> BoundParams:
-    """Bound parameters for evaluating the family extremal under THM_3_1."""
-    _, profiles = build_family_extremal(family, c, grid)
-    return BoundParams(dominance_profiles=profiles)
 
 
 def tightness_gap(result: BoundResult) -> float:

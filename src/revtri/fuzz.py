@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .bounds import BoundParams, VIOLATED
 from .errors import InputError
 from .gridfn import FunctionSpec, Grid, ScalarProfile
 from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, orthonormalize
-from .quadrature import DEFAULT_RULE
 from .scenario import (
     BoundEntry,
     REF_DIRECTION,
@@ -37,12 +37,6 @@ from .scenario import (
 
 MAX_HARMONICS = 8
 MAX_COUNTEREXAMPLE_DUMPS = 5
-
-#: Numerical-noise separator: margins below -slack are treated as genuine
-#: counterexamples and dumped with a reproducing scenario.
-def _slack(tolerances: Tolerances, err_budget: float) -> float:
-    return tolerances.slack_for(err_budget)
-
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, order-free stream for one trial (Philox counter block)."""
@@ -128,10 +122,19 @@ def _ball_values(rng, grid, field, d, e, rho_max=0.95):
     return e.coords[None, :] + rho * eta * w, rho
 
 
-def _gen_ball(rng, grid, field, d, n_family):
+def _reference_e(rng, field, d, kind):
+    """A unit reference e and its Reference: random in K^d, or a direction alpha + i beta."""
+    if kind == REF_DIRECTION:
+        alpha, beta = _direction(rng)
+        return HVector(COMPLEX, [complex(alpha, beta)]), Reference(kind, alpha=alpha, beta=beta)
     e = _unit_vector(rng, field, d)
+    return e, Reference(kind, e=e)
+
+
+def _gen_ball(rng, grid, field, d, n_family, kind=REF_UNIT):
+    e, reference = _reference_e(rng, field, d, kind)
     values, rho = _ball_values(rng, grid, field, d, e)
-    return values, Reference(REF_UNIT, e=e), BoundParams(rho=rho)
+    return values, reference, BoundParams(rho=rho)
 
 
 def _gen_ball_profile(rng, grid, field, d, n_family):
@@ -163,12 +166,12 @@ def _disk_values(rng, grid, field, d, e, m, M):
     return center * e.coords[None, :] + radius * eta * w
 
 
-def _gen_band(rng, grid, field, d, n_family):
-    e = _unit_vector(rng, field, d)
+def _gen_band(rng, grid, field, d, n_family, kind=REF_UNIT):
+    e, reference = _reference_e(rng, field, d, kind)
     m = rng.uniform(0.05, 1.5)
     M = m + rng.uniform(0.01, 3.0)
     values = _disk_values(rng, grid, field, d, e, m, M)
-    return values, Reference(REF_UNIT, e=e), BoundParams(m=m, M=M)
+    return values, reference, BoundParams(m=m, M=M)
 
 
 def _gen_band_profiles(rng, grid, field, d, n_family):
@@ -282,22 +285,6 @@ def _gen_family_band_profiles(rng, grid, field, d, n_family):
         m_profiles=tuple(m_profiles), M_profiles=tuple(M_profiles))
 
 
-def _gen_complex_ball(rng, grid, field, d, n_family):
-    alpha, beta = _direction(rng)
-    e = HVector(COMPLEX, [complex(alpha, beta)])
-    values, rho = _ball_values(rng, grid, COMPLEX, 1, e)
-    return values, Reference(REF_DIRECTION, alpha=alpha, beta=beta), BoundParams(rho=rho)
-
-
-def _gen_complex_band(rng, grid, field, d, n_family):
-    alpha, beta = _direction(rng)
-    e = HVector(COMPLEX, [complex(alpha, beta)])
-    m = rng.uniform(0.05, 1.5)
-    M = m + rng.uniform(0.01, 3.0)
-    values = _disk_values(rng, grid, COMPLEX, 1, e, m, M)
-    return values, Reference(REF_DIRECTION, alpha=alpha, beta=beta), BoundParams(m=m, M=M)
-
-
 def _gen_complex_box(rng, grid, field, d, n_family):
     alpha, beta = _direction(rng)
     base_re = _smooth_scalar(rng, grid, 0.3, 2.0)
@@ -325,13 +312,10 @@ GENERATORS = {
     B.COR_3_3: _gen_family_band,
     B.COR_3_4: _gen_family_ball_profiles,
     B.COR_3_5: _gen_family_band_profiles,
-    B.PROP_4_1: _gen_complex_ball,
-    B.PROP_4_2: _gen_complex_band,
+    B.PROP_4_1: partial(_gen_ball, kind=REF_DIRECTION),
+    B.PROP_4_2: partial(_gen_band, kind=REF_DIRECTION),
     B.PROP_4_3: _gen_complex_box,
 }
-
-_FORCED_COMPLEX_D1 = (B.KARAMATA,) + B.COMPLEX_BOUNDS
-
 
 def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
                       field: str = REAL, n_family: int = 3,
@@ -340,7 +324,7 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
     """Deterministic hypothesis-satisfying scenario for (seed, trial)."""
     if bound_id not in GENERATORS:
         raise InputError(f"unknown bound id {bound_id!r}")
-    if bound_id in _FORCED_COMPLEX_D1:
+    if B.BOUNDS[bound_id].reference == REF_DIRECTION:
         field, d = COMPLEX, 1
     if bound_id in B.FAMILY_BOUNDS and n_family > d:
         raise InputError(f"family of {n_family} needs d >= {n_family}")
@@ -423,8 +407,7 @@ def _chain_gap(result) -> float | None:
 
 def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
          n_family: int = 3, interval: tuple[float, float] = (0.0, 1.0),
-         n_panels: int = 512, rule: str = DEFAULT_RULE,
-         keep_reports: bool = False) -> FuzzSummary:
+         n_panels: int = 512, keep_reports: bool = False) -> FuzzSummary:
     """Run ``trials`` hypothesis-by-construction scenarios against one bound."""
     if trials < 1:
         raise InputError("need at least one trial")
@@ -433,7 +416,7 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
     for trial in range(trials):
         scenario = generate_scenario(bound_id, seed, trial, d, field, n_family,
                                      interval, n_panels)
-        report = run(scenario, rule)
+        report = run(scenario)
         result = report.results[0]
         if result.verdict == B.HOLDS:
             summary.holds += 1
@@ -451,8 +434,9 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
             summary.chain_violations += 1
         if "printed_margin" in result.diagnostics:
             summary.printed_form_margins.append(result.diagnostics["printed_margin"])
+        # margins below -slack are genuine counterexamples, not numerical noise
         bad = result.verdict == VIOLATED or (
-            result.margin < -_slack(scenario.tolerances, result.err_budget))
+            result.margin < -scenario.tolerances.slack_for(result.err_budget))
         if bad and len(summary.counterexamples) < MAX_COUNTEREXAMPLE_DUMPS:
             summary.counterexamples.append({
                 "trial": trial,

@@ -61,11 +61,6 @@ class Grid:
     def length(self) -> float:
         return self.b - self.a
 
-    def halved(self) -> "Grid":
-        if self.n_panels % 2 != 0 or self.n_panels < 4:
-            raise InputError("grid too coarse to halve")
-        return Grid(self.a, self.b, self.n_panels // 2)
-
 
 @dataclass(frozen=True, eq=False)
 class ScalarProfile:
@@ -98,10 +93,11 @@ def profile_of(spec, grid: Grid, nonnegative: bool = True) -> ScalarProfile:
     ``spec`` is a number (constant) or a one-key mapping:
     ``{"constant": c}``, ``{"linear": [y0, y1]}``, ``{"sinusoid": [c0, c1, w]}``
     (meaning c0 + c1*sin(w*t)) or ``{"samples": [...]}`` of length N+1.
-    A negative node value is rejected unless ``nonnegative`` is False.
+    A negative node value is rejected unless ``nonnegative`` is False, and a
+    non-finite one always.
     """
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return ScalarProfile.constant(grid, float(spec), nonnegative)
+        spec = {"constant": spec}
     if not isinstance(spec, Mapping) or len(spec) != 1:
         raise InputError(f"profile spec must be a number or a one-key mapping, got {spec!r}")
     kind, args = next(iter(spec.items()))
@@ -118,6 +114,8 @@ def profile_of(spec, grid: Grid, nonnegative: bool = True) -> ScalarProfile:
         values = np.asarray(args, dtype=np.float64)
     else:
         raise InputError(f"unknown profile kind {kind!r}")
+    if not np.isfinite(values).all():
+        raise InputError(f"{kind} profile values must be finite")
     return ScalarProfile(grid, values, nonnegative)
 
 
@@ -244,7 +242,7 @@ class FunctionSpec:
         return cls("complex_curve", {"r": r, "phi": phi})
 
 
-def _require_unit(vec: HVector, name: str, tol: float) -> None:
+def require_unit(vec: HVector, name: str, tol: float) -> None:
     gap = abs(norm(vec) - 1.0)
     if gap > tol:
         raise InputError(f"{name} must be a unit vector (|norm - 1| = {gap:.3e} > {tol:g})")
@@ -282,8 +280,8 @@ def materialize(spec: FunctionSpec, grid: Grid, field: str, d: int,
         alpha, beta = p["alpha"], p["beta"]
         if e.field != field or e.d != d or u.field != field or u.d != d:
             raise InputError("cone vectors must match the scenario field and dimension")
-        _require_unit(e, "cone e", ortho_tol)
-        _require_unit(u, "cone u", ortho_tol)
+        require_unit(e, "cone e", ortho_tol)
+        require_unit(u, "cone u", ortho_tol)
         _require_orthogonal(u, e, "cone u and e", ortho_tol)
         s = _sign_halves(grid)
         values = alpha * e.coords[None, :] + s[:, None] * (beta * u.coords[None, :])
@@ -299,7 +297,7 @@ def materialize(spec: FunctionSpec, grid: Grid, field: str, d: int,
             raise InfeasibilityError("ball_perturbation needs d >= 3 for two orthogonal directions")
         if e.field != field or e.d != d:
             raise InputError("ball_perturbation e must match the scenario field and dimension")
-        _require_unit(e, "ball_perturbation e", ortho_tol)
+        require_unit(e, "ball_perturbation e", ortho_tol)
         u, v = p.get("u"), p.get("v")
         if u is None or v is None:
             u, v = complete_orthonormal((e,), 2)

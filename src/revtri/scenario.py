@@ -24,14 +24,33 @@ from typing import Mapping
 import numpy as np
 
 from . import bounds as B
-from .bounds import BoundParams, BoundResult, HOLDS, HYPOTHESIS_FAILED, VIOLATED
-from .errors import RevtriError, ScenarioError
+from .bounds import (
+    BoundParams,
+    BoundResult,
+    HOLDS,
+    HYPOTHESIS_FAILED,
+    REF_DIRECTION,
+    REF_FAMILY,
+    REF_UNIT,
+    VIOLATED,
+    Reference,
+)
+from .errors import ParamError, RevtriError, ScenarioError
 from .extremal import (
     RECIPE_BOUNDS,
+    build_family_extremal,
     recipe_bound_params,
     solve_equality_params,
 )
-from .gridfn import FunctionSpec, Grid, ScalarProfile, materialize, profile_of
+from .gridfn import (
+    DEFAULT_PANELS,
+    FunctionSpec,
+    Grid,
+    ScalarProfile,
+    materialize,
+    profile_of,
+    require_unit,
+)
 from .hilbert import (
     COMPLEX,
     REAL,
@@ -40,13 +59,9 @@ from .hilbert import (
     basis_vector,
     check_orthonormal,
 )
-from .quadrature import DEFAULT_RULE, DefectEstimate, defect
+from .quadrature import DefectEstimate, defect
 
 TOP_KEYS = ("id", "field", "d", "interval", "N", "function", "reference", "bounds", "tolerances")
-
-REF_UNIT = "e"
-REF_FAMILY = "family"
-REF_DIRECTION = "alpha_beta"
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -64,15 +79,6 @@ class Tolerances:
         if self.bound_slack is not None:
             return self.bound_slack
         return 10.0 * err_budget
-
-
-@dataclass(frozen=True, eq=False)
-class Reference:
-    kind: str
-    e: HVector | None = None
-    family: OrthonormalFamily | None = None
-    alpha: float | None = None
-    beta: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,47 +107,80 @@ def _fail(path: str, message: str):
     raise ScenarioError(path, message)
 
 
-def _get_number(data, path: str, kind=float):
+def _at(path: str, fn, *args):
+    """``fn(*args)``, with a toolkit error reported as a ScenarioError at ``path``."""
+    try:
+        return fn(*args)
+    except RevtriError as exc:
+        _fail(path, str(exc))
+
+
+def _number(data, path: str) -> float:
+    """A JSON number, finite or not; callers check finiteness."""
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         _fail(path, f"expected a number, got {data!r}")
-    return kind(data)
+    return float(data)
+
+
+def _get_number(data, path: str) -> float:
+    value = _number(data, path)
+    if not math.isfinite(value):
+        _fail(path, f"must be finite, got {value!r}")
+    return value
+
+
+def _require_finite(values: np.ndarray, path: str) -> None:
+    if not np.isfinite(values).all():
+        _fail(path, "values must be finite")
 
 
 def _parse_scalar_entry(field: str, entry, path: str) -> complex:
     if field == REAL:
-        return complex(_get_number(entry, path), 0.0)
+        return complex(_number(entry, path), 0.0)
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         _fail(path, f"complex coordinate must be an [re, im] pair, got {entry!r}")
-    return complex(_get_number(entry[0], path + "[0]"), _get_number(entry[1], path + "[1]"))
+    return complex(_number(entry[0], path + "[0]"), _number(entry[1], path + "[1]"))
 
 
-def _parse_vector(field: str, data, d: int, path: str) -> HVector:
+def _parse_coords(field: str, data, d: int, path: str) -> np.ndarray:
     if not isinstance(data, (list, tuple)):
         _fail(path, f"expected a coordinate list, got {data!r}")
     if len(data) != d:
         _fail(path, f"expected {d} coordinates, got {len(data)}")
     coords = [_parse_scalar_entry(field, entry, f"{path}[{i}]") for i, entry in enumerate(data)]
     arr = np.array(coords, dtype=np.complex128)
-    return HVector(field, arr.real if field == REAL else arr)
+    return arr.real if field == REAL else arr
+
+
+def _parse_vector(field: str, data, d: int, path: str) -> HVector:
+    coords = _parse_coords(field, data, d, path)
+    _require_finite(coords, path)
+    return HVector(field, coords)
+
+
+def _parse_vectors(field: str, data, d: int, path: str) -> tuple[HVector, ...]:
+    return _parse_list(data, path, "coordinate lists",
+                       lambda row, q: _parse_vector(field, row, d, q))
 
 
 def _parse_profile(data, grid: Grid, path: str, nonnegative: bool = True) -> ScalarProfile:
-    try:
-        return profile_of(data, grid, nonnegative)
-    except RevtriError as exc:
-        _fail(path, str(exc))
+    return _at(path, profile_of, data, grid, nonnegative)
 
 
-def _parse_profile_list(data, grid: Grid, path: str) -> tuple[ScalarProfile, ...]:
+def _parse_list(data, path: str, what: str, parse) -> tuple:
+    """A nonempty list whose entries are parsed by ``parse(entry, entry_path)``."""
     if not isinstance(data, (list, tuple)) or not data:
-        _fail(path, "expected a nonempty list of profiles")
-    return tuple(_parse_profile(p, grid, f"{path}[{i}]") for i, p in enumerate(data))
+        _fail(path, f"expected a nonempty list of {what}")
+    return tuple(parse(v, f"{path}[{i}]") for i, v in enumerate(data))
 
 
-def _parse_number_list(data, path: str) -> tuple[float, ...]:
-    if not isinstance(data, (list, tuple)) or not data:
-        _fail(path, "expected a nonempty list of numbers")
-    return tuple(_get_number(v, f"{path}[{i}]") for i, v in enumerate(data))
+_PARAM_PARSERS = {
+    B.NUMBER: lambda data, grid, path: _get_number(data, path),
+    B.PROFILE: _parse_profile,
+    B.NUMBERS: lambda data, grid, path: _parse_list(data, path, "numbers", _get_number),
+    B.PROFILES: lambda data, grid, path: _parse_list(
+        data, path, "profiles", lambda p, q: _parse_profile(p, grid, q)),
+}
 
 
 def _check_keys(data: Mapping, allowed, required, path: str) -> None:
@@ -162,8 +201,10 @@ def _parse_function(data, grid: Grid, field: str, d: int, path: str) -> Function
         rows = data["values"]
         if not isinstance(rows, list) or len(rows) != grid.n_nodes:
             _fail(f"{path}.values", f"need {grid.n_nodes} node values")
-        vectors = [_parse_vector(field, row, d, f"{path}.values[{j}]") for j, row in enumerate(rows)]
-        return FunctionSpec.samples(np.stack([v.coords for v in vectors]))
+        values = np.stack([_parse_coords(field, row, d, f"{path}.values[{j}]")
+                           for j, row in enumerate(rows)])
+        _require_finite(values, f"{path}.values")
+        return FunctionSpec.samples(values)
     if variant == "cone":
         _check_keys(data, {"variant", "e", "u", "alpha", "beta"},
                     {"variant", "e", "u", "alpha", "beta"}, path)
@@ -186,13 +227,9 @@ def _parse_function(data, grid: Grid, field: str, d: int, path: str) -> Function
         )
     if variant == "family_symmetric":
         _check_keys(data, {"variant", "family", "c"}, {"variant", "family", "c"}, path)
-        members = data["family"]
-        if not isinstance(members, list) or not members:
-            _fail(f"{path}.family", "expected a nonempty list of coordinate lists")
-        vectors = tuple(_parse_vector(field, row, d, f"{path}.family[{i}]")
-                        for i, row in enumerate(members))
         return FunctionSpec.family_symmetric(
-            vectors, _parse_profile(data["c"], grid, f"{path}.c"))
+            _parse_vectors(field, data["family"], d, f"{path}.family"),
+            _parse_profile(data["c"], grid, f"{path}.c"))
     if variant == "complex_curve":
         _check_keys(data, {"variant", "r", "phi"}, {"variant", "r", "phi"}, path)
         return FunctionSpec.complex_curve(
@@ -209,36 +246,20 @@ def _parse_reference(data, field: str, d: int, tau_on: float, path: str) -> Refe
     kind, value = next(iter(data.items()))
     if kind == REF_UNIT:
         e = _parse_vector(field, value, d, f"{path}.e")
-        gap = abs(float(np.linalg.norm(e.coords)) - 1.0)
-        if gap > tau_on:
-            _fail(f"{path}.e", f"must be a unit vector (|norm - 1| = {gap:.3e})")
+        _at(f"{path}.e", require_unit, e, "e", tau_on)
         return Reference(REF_UNIT, e=e)
     if kind == REF_FAMILY:
-        if not isinstance(value, list) or not value:
-            _fail(f"{path}.family", "expected a nonempty list of coordinate lists")
-        members = tuple(_parse_vector(field, row, d, f"{path}.family[{i}]")
-                        for i, row in enumerate(value))
-        try:
-            family = check_orthonormal(members, tau_on)
-        except RevtriError as exc:
-            _fail(f"{path}.family", str(exc))
-        return Reference(REF_FAMILY, family=family)
+        members = _parse_vectors(field, value, d, f"{path}.family")
+        return Reference(REF_FAMILY, family=_at(f"{path}.family", check_orthonormal, members,
+                                                tau_on))
     if kind == REF_DIRECTION:
-        pair = _parse_number_list(value, f"{path}.alpha_beta")
+        pair = _parse_list(value, f"{path}.alpha_beta", "numbers", _get_number)
         if len(pair) != 2:
             _fail(f"{path}.alpha_beta", "expected [alpha, beta]")
         alpha, beta = pair
-        if alpha <= 0.0 or beta <= 0.0 or abs(alpha * alpha + beta * beta - 1.0) > 1e-12:
-            _fail(f"{path}.alpha_beta",
-                  "needs alpha, beta > 0 with alpha^2 + beta^2 = 1 (within 1e-12)")
+        _at(f"{path}.alpha_beta", B.require_direction, alpha, beta)
         return Reference(REF_DIRECTION, alpha=alpha, beta=beta)
     _fail(path, f"unknown reference kind {kind!r}")
-
-
-def _check_unit_interval(x: float, path: str) -> float:
-    if not 0.0 < x < 1.0 or x >= B.RHO_GUARD:
-        _fail(path, "must lie in (0, 1), strictly below the degeneracy guard")
-    return x
 
 
 def _parse_bound_entry(data, grid: Grid, reference: Reference, field: str, d: int,
@@ -247,101 +268,34 @@ def _parse_bound_entry(data, grid: Grid, reference: Reference, field: str, d: in
         _fail(path, "bound entry must be an object")
     _check_keys(data, {"bound_id", "params"}, {"bound_id", "params"}, path)
     bound_id = data["bound_id"]
-    if bound_id not in B.ALL_BOUND_IDS:
+    spec = B.BOUNDS.get(bound_id)
+    if spec is None:
         _fail(f"{path}.bound_id", f"unknown bound id {bound_id!r}")
     raw = data["params"]
     if not isinstance(raw, Mapping):
         _fail(f"{path}.params", "params must be an object")
+    if reference.kind != spec.reference:
+        _fail(path, f"{bound_id} needs reference kind {spec.reference!r}")
+    if spec.reference == REF_DIRECTION and (field != COMPLEX or d != 1):
+        _fail(path, f"{bound_id} requires field=complex and d=1")
     p = f"{path}.params"
+    keys = {q.key for q in spec.params}
+    _check_keys(raw, keys, keys, p)
+    params = BoundParams(**{q.field: _PARAM_PARSERS[q.kind](raw[q.key], grid, f"{p}.{q.key}")
+                            for q in spec.params})
+    try:
+        B.validate_params(bound_id, params,
+                          reference.family.n if reference.kind == REF_FAMILY else None)
+    except ParamError as exc:
+        _fail(f"{p}.{exc.path}", exc.reason)
+    return BoundEntry(bound_id, params)
 
-    def need(*keys):
-        _check_keys(raw, set(keys), set(keys), p)
 
-    n_family = reference.family.n if reference.family is not None else None
-    if bound_id in B.UNIT_BOUNDS and bound_id != B.KARAMATA and reference.kind != REF_UNIT:
-        _fail(path, f"{bound_id} needs a unit-vector reference ({REF_UNIT!r})")
-    if bound_id in B.FAMILY_BOUNDS and reference.kind != REF_FAMILY:
-        _fail(path, f"{bound_id} needs an orthonormal-family reference ({REF_FAMILY!r})")
-    if bound_id in B.COMPLEX_BOUNDS or bound_id == B.KARAMATA:
-        if reference.kind != REF_DIRECTION:
-            _fail(path, f"{bound_id} needs an {REF_DIRECTION!r} reference")
-        if field != COMPLEX or d != 1:
-            _fail(path, f"{bound_id} requires field=complex and d=1")
-
-    if bound_id == B.THM_2_1:
-        need("k")
-        return BoundEntry(bound_id, BoundParams(k=_parse_profile(raw["k"], grid, f"{p}.k")))
-    if bound_id in (B.COR_2_2, B.MULT_B, B.PROP_4_1):
-        need("rho")
-        rho = _check_unit_interval(_get_number(raw["rho"], f"{p}.rho"), f"{p}.rho")
-        return BoundEntry(bound_id, BoundParams(rho=rho))
-    if bound_id in (B.COR_2_3, B.MULT_C, B.PROP_4_2):
-        need("m", "M")
-        m = _get_number(raw["m"], f"{p}.m")
-        M = _get_number(raw["M"], f"{p}.M")
-        if not 0.0 < m <= M:
-            _fail(p, f"needs 0 < m <= M, got m={m!r}, M={M!r}")
-        return BoundEntry(bound_id, BoundParams(m=m, M=M))
-    if bound_id == B.COR_2_4:
-        need("r")
-        return BoundEntry(bound_id, BoundParams(r=_parse_profile(raw["r"], grid, f"{p}.r")))
-    if bound_id in (B.COR_2_5, B.PROP_4_3):
-        lo_key, hi_key = ("m", "M") if bound_id == B.COR_2_5 else ("k", "K")
-        need(lo_key, hi_key)
-        lo = _parse_profile(raw[lo_key], grid, f"{p}.{lo_key}")
-        hi = _parse_profile(raw[hi_key], grid, f"{p}.{hi_key}")
-        if np.any(hi.values < lo.values):
-            _fail(p, f"needs {hi_key}(t) >= {lo_key}(t) at every node")
-        return BoundEntry(bound_id, BoundParams(m_profile=lo, M_profile=hi))
-    if bound_id == B.MULT_A:
-        need("K")
-        K = _get_number(raw["K"], f"{p}.K")
-        if K < 1.0:
-            _fail(f"{p}.K", f"must satisfy K >= 1, got {K!r}")
-        return BoundEntry(bound_id, BoundParams(K=K))
-    if bound_id == B.KARAMATA:
-        need("theta")
-        theta = _get_number(raw["theta"], f"{p}.theta")
-        if not 0.0 < theta < math.pi / 2.0:
-            _fail(f"{p}.theta", "must lie in (0, pi/2)")
-        return BoundEntry(bound_id, BoundParams(theta=theta))
-
-    # family bounds: list parameters, exactly n entries
-    def check_len(values, name):
-        if len(values) != n_family:
-            _fail(f"{p}.{name}", f"needs exactly {n_family} entries, got {len(values)}")
-        return values
-
-    if bound_id == B.THM_3_1:
-        need("M_i")
-        profiles = check_len(_parse_profile_list(raw["M_i"], grid, f"{p}.M_i"), "M_i")
-        return BoundEntry(bound_id, BoundParams(dominance_profiles=profiles))
-    if bound_id == B.COR_3_2:
-        need("rho_i")
-        rhos = check_len(_parse_number_list(raw["rho_i"], f"{p}.rho_i"), "rho_i")
-        for i, rho in enumerate(rhos):
-            _check_unit_interval(rho, f"{p}.rho_i[{i}]")
-        return BoundEntry(bound_id, BoundParams(rhos=rhos))
-    if bound_id == B.COR_3_3:
-        need("m_i", "M_i")
-        ms = check_len(_parse_number_list(raw["m_i"], f"{p}.m_i"), "m_i")
-        Ms = check_len(_parse_number_list(raw["M_i"], f"{p}.M_i"), "M_i")
-        for i, (m, M) in enumerate(zip(ms, Ms)):
-            if not 0.0 < m <= M:
-                _fail(f"{p}.m_i[{i}]", f"needs 0 < m_i <= M_i, got {m!r}, {M!r}")
-        return BoundEntry(bound_id, BoundParams(ms=ms, Ms=Ms))
-    if bound_id == B.COR_3_4:
-        need("r_i")
-        profiles = check_len(_parse_profile_list(raw["r_i"], grid, f"{p}.r_i"), "r_i")
-        return BoundEntry(bound_id, BoundParams(r_profiles=profiles))
-    # COR_3_5
-    need("m_i", "M_i")
-    m_profiles = check_len(_parse_profile_list(raw["m_i"], grid, f"{p}.m_i"), "m_i")
-    M_profiles = check_len(_parse_profile_list(raw["M_i"], grid, f"{p}.M_i"), "M_i")
-    for i in range(n_family):
-        if np.any(M_profiles[i].values < m_profiles[i].values):
-            _fail(f"{p}.M_i[{i}]", "needs M_i(t) >= m_i(t) at every node")
-    return BoundEntry(bound_id, BoundParams(m_profiles=m_profiles, M_profiles=M_profiles))
+def _get_tolerance(data, path: str) -> float:
+    value = _get_number(data, path)
+    if value < 0.0:
+        _fail(path, f"must be nonnegative, got {value!r}")
+    return value
 
 
 def scenario_from_dict(data, source: str = "scenario") -> Scenario:
@@ -375,30 +329,16 @@ def scenario_from_dict(data, source: str = "scenario") -> Scenario:
     if not isinstance(tol_data, Mapping):
         _fail(f"{source}.tolerances", "must be an object")
     _check_keys(tol_data, {"tau_hyp", "tau_on", "bound_slack"}, set(), f"{source}.tolerances")
-    tolerances = Tolerances(
-        tau_hyp=_get_number(tol_data.get("tau_hyp", B.DEFAULT_HYP_TOL),
-                            f"{source}.tolerances.tau_hyp"),
-        tau_on=_get_number(tol_data.get("tau_on", 1e-10), f"{source}.tolerances.tau_on"),
-        bound_slack=(None if "bound_slack" not in tol_data
-                     else _get_number(tol_data["bound_slack"],
-                                      f"{source}.tolerances.bound_slack")),
-    )
+    tolerances = Tolerances(**{key: _get_tolerance(value, f"{source}.tolerances.{key}")
+                               for key, value in tol_data.items()})
 
     reference = _parse_reference(data["reference"], field, d, tolerances.tau_on,
                                  f"{source}.reference")
     function = _parse_function(data["function"], grid, field, d, f"{source}.function")
-    try:
-        materialize(function, grid, field, d, tolerances.tau_on)
-    except RevtriError as exc:
-        _fail(f"{source}.function", str(exc))
+    _at(f"{source}.function", materialize, function, grid, field, d, tolerances.tau_on)
 
-    raw_bounds = data["bounds"]
-    if not isinstance(raw_bounds, list) or not raw_bounds:
-        _fail(f"{source}.bounds", "expected a nonempty list of bound entries")
-    entries = tuple(
-        _parse_bound_entry(entry, grid, reference, field, d, f"{source}.bounds[{i}]")
-        for i, entry in enumerate(raw_bounds)
-    )
+    entries = _parse_list(data["bounds"], f"{source}.bounds", "bound entries",
+                          lambda entry, q: _parse_bound_entry(entry, grid, reference, field, d, q))
     return Scenario(sid, field, d, grid, function, reference, entries, tolerances)
 
 
@@ -465,34 +405,17 @@ def _function_to_json(spec: FunctionSpec, field: str) -> dict:
             "r": _profile_to_json(p["r"]), "phi": _profile_to_json(p["phi"])}
 
 
+_PARAM_TO_JSON = {
+    B.NUMBER: lambda value: value,
+    B.PROFILE: _profile_to_json,
+    B.NUMBERS: list,
+    B.PROFILES: lambda values: [_profile_to_json(p) for p in values],
+}
+
+
 def _params_to_json(entry: BoundEntry) -> dict:
-    bid, bp = entry.bound_id, entry.params
-    if bid == B.THM_2_1:
-        return {"k": _profile_to_json(bp.k)}
-    if bid in (B.COR_2_2, B.MULT_B, B.PROP_4_1):
-        return {"rho": bp.rho}
-    if bid in (B.COR_2_3, B.MULT_C, B.PROP_4_2):
-        return {"m": bp.m, "M": bp.M}
-    if bid == B.COR_2_4:
-        return {"r": _profile_to_json(bp.r)}
-    if bid == B.COR_2_5:
-        return {"m": _profile_to_json(bp.m_profile), "M": _profile_to_json(bp.M_profile)}
-    if bid == B.PROP_4_3:
-        return {"k": _profile_to_json(bp.m_profile), "K": _profile_to_json(bp.M_profile)}
-    if bid == B.MULT_A:
-        return {"K": bp.K}
-    if bid == B.KARAMATA:
-        return {"theta": bp.theta}
-    if bid == B.THM_3_1:
-        return {"M_i": [_profile_to_json(p) for p in bp.dominance_profiles]}
-    if bid == B.COR_3_2:
-        return {"rho_i": list(bp.rhos)}
-    if bid == B.COR_3_3:
-        return {"m_i": list(bp.ms), "M_i": list(bp.Ms)}
-    if bid == B.COR_3_4:
-        return {"r_i": [_profile_to_json(p) for p in bp.r_profiles]}
-    return {"m_i": [_profile_to_json(p) for p in bp.m_profiles],
-            "M_i": [_profile_to_json(p) for p in bp.M_profiles]}
+    return {q.key: _PARAM_TO_JSON[q.kind](getattr(entry.params, q.field))
+            for q in B.BOUNDS[entry.bound_id].params}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -546,28 +469,20 @@ def _rollup(results) -> str:
     return HOLDS
 
 
-def run(scenario: Scenario, rule: str = DEFAULT_RULE) -> RunReport:
+def run(scenario: Scenario) -> RunReport:
     """Evaluate every bound of a scenario; deterministic for fixed inputs."""
     tol = scenario.tolerances
     f = materialize(scenario.function, scenario.grid, scenario.field, scenario.d, tol.tau_on)
     results = []
     for entry in scenario.bounds:
         try:
-            if entry.bound_id in B.FAMILY_BOUNDS:
-                result = B.eval_family_bound(f, scenario.reference.family, entry.params,
-                                             entry.bound_id, rule, tol.tau_hyp, tol.tau_on)
-            elif entry.bound_id in B.COMPLEX_BOUNDS:
-                result = B.eval_complex_bound(f, scenario.reference.alpha,
-                                              scenario.reference.beta, entry.params,
-                                              entry.bound_id, rule, tol.tau_hyp)
-            else:
-                result = B.eval_unit_bound(f, scenario.reference.e, entry.params,
-                                           entry.bound_id, rule, tol.tau_hyp, tol.tau_on)
+            result = B.evaluate(f, scenario.reference, entry.params, entry.bound_id,
+                                tau_hyp=tol.tau_hyp, tau_on=tol.tau_on)
         except RevtriError as exc:
             exc.args = (f"[{scenario.id}:{entry.bound_id}] {exc.args[0] if exc.args else exc}",)
             raise
         results.append(result)
-    return RunReport(scenario.id, tuple(results), defect(f, rule), _rollup(results),
+    return RunReport(scenario.id, tuple(results), defect(f), _rollup(results),
                      scenario.provenance)
 
 
@@ -650,8 +565,6 @@ def extremal_scenario(bound_id: str, params: dict, d: int = 2, field: str = REAL
                       n_panels: int | None = None,
                       scenario_id: str | None = None) -> Scenario:
     """A scenario realizing equality in one of the recipe bounds."""
-    from .gridfn import DEFAULT_PANELS
-
     if bound_id not in RECIPE_BOUNDS:
         raise ScenarioError("bound_id", f"no extremal recipe for {bound_id!r}")
     if d < 2:
@@ -671,8 +584,6 @@ def family_extremal_scenario(n: int = 2, c=1.0, d: int | None = None, field: str
                              n_panels: int | None = None,
                              scenario_id: str | None = None) -> Scenario:
     """A scenario realizing equality in the family dominance bound."""
-    from .gridfn import DEFAULT_PANELS
-
     d = d or max(n, 2)
     if n > d:
         raise ScenarioError("n", f"family of {n} needs d >= {n}")
@@ -680,8 +591,8 @@ def family_extremal_scenario(n: int = 2, c=1.0, d: int | None = None, field: str
     members = tuple(basis_vector(field, d, i) for i in range(n))
     family = check_orthonormal(members)
     profile = c if isinstance(c, ScalarProfile) else profile_of(c, grid)
-    gap = ScalarProfile(grid, profile.values * (1.0 - 1.0 / math.sqrt(n)))
+    _, gaps = build_family_extremal(family, profile, grid)
     spec = FunctionSpec.family_symmetric(family, profile)
-    entry = BoundEntry(B.THM_3_1, BoundParams(dominance_profiles=tuple(gap for _ in range(n))))
+    entry = BoundEntry(B.THM_3_1, BoundParams(dominance_profiles=gaps))
     sid = scenario_id or f"extremal-family-n{n}"
     return Scenario(sid, field, d, grid, spec, Reference(REF_FAMILY, family=family), (entry,))

@@ -8,18 +8,10 @@ import numpy as np
 
 from . import bounds as B
 from .errors import InputError
-from .extremal import RECIPE_BOUNDS, solve_equality_params
+from .extremal import RECIPE_BOUNDS
 from .scenario import Scenario, extremal_scenario, run
 
-#: Sweepable parameters per recipe bound.
-SWEEP_PARAMS = {
-    B.THM_2_1: ("k",),
-    B.COR_2_2: ("rho",),
-    B.COR_2_3: ("m", "M"),
-    B.COR_2_4: ("r",),
-    B.COR_2_5: ("m", "M"),
-}
-
+#: Recipe parameters of a sweep without a base scenario.
 _BASE_DEFAULTS = {
     B.THM_2_1: {"k": 0.5, "alpha": 1.0},
     B.COR_2_2: {"rho": 0.6},
@@ -43,23 +35,13 @@ class SweepRow:
 
 
 def _base_params(bound_id: str, base: Scenario | None) -> dict:
+    """Recipe parameters; a profile of the base scenario contributes its first node value."""
     params = dict(_BASE_DEFAULTS[bound_id])
-    if base is None:
-        return params
-    for entry in base.bounds:
-        if entry.bound_id != bound_id:
-            continue
-        bp = entry.params
-        if bound_id == B.COR_2_2:
-            params["rho"] = bp.rho
-        elif bound_id in (B.COR_2_3,):
-            params.update(m=bp.m, M=bp.M)
-        elif bound_id == B.COR_2_5:
-            params.update(m=float(bp.m_profile.values[0]), M=float(bp.M_profile.values[0]))
-        elif bound_id == B.COR_2_4:
-            params["r"] = float(bp.r.values[0])
-        else:
-            params["k"] = float(bp.k.values[0])
+    for entry in base.bounds if base is not None else ():
+        if entry.bound_id == bound_id:
+            for q in B.BOUNDS[bound_id].params:
+                value = getattr(entry.params, q.field)
+                params[q.key] = float(value.values[0]) if q.kind == B.PROFILE else value
     return params
 
 
@@ -74,9 +56,9 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
     """
     if bound_id not in RECIPE_BOUNDS:
         raise InputError(f"sweep supports bounds with equality recipes, not {bound_id!r}")
-    if parameter not in SWEEP_PARAMS[bound_id]:
-        raise InputError(
-            f"{bound_id} sweeps over {SWEEP_PARAMS[bound_id]}, not {parameter!r}")
+    keys = tuple(q.key for q in B.BOUNDS[bound_id].params)
+    if parameter not in keys:
+        raise InputError(f"{bound_id} sweeps over {keys}, not {parameter!r}")
     if steps < 1:
         raise InputError("steps must be >= 1")
     values = [float(v) for v in np.linspace(start, stop, steps)]
@@ -88,7 +70,6 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
         params = _base_params(bound_id, base)
         params[parameter] = value
         try:
-            solve_equality_params(bound_id, params, interval)
             ext = extremal_scenario(bound_id, params, interval=interval, n_panels=n_panels,
                                     scenario_id=f"sweep-{bound_id.lower()}-{parameter}")
         except InputError as exc:

@@ -26,9 +26,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneracyError, InputError, ParamError
-from .gridfn import GridFunction, ScalarProfile, require_unit
+from .gridfn import NUMBER, PROFILE, GridFunction, ScalarProfile, require_unit
 from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner
-from .quadrature import DEFAULT_RULE, bochner_integral, norm_integral, sample_integral
+from .quadrature import DEFAULT_RULE, ROUNDOFF, DefectEstimate, defect, sample_integral
 
 THM_2_1 = "THM_2_1"
 COR_2_2 = "COR_2_2"
@@ -62,9 +62,8 @@ REF_UNIT = "e"
 REF_FAMILY = "family"
 REF_DIRECTION = "alpha_beta"
 
-#: Parameter kinds; the list kinds hold one entry per family member.
-NUMBER = "number"
-PROFILE = "profile"
+#: Parameter kinds (``NUMBER`` and ``PROFILE`` come from :mod:`revtri.gridfn`);
+#: the list kinds hold one entry per family member.
 NUMBERS = "numbers"
 PROFILES = "profiles"
 LIST_KINDS = (NUMBERS, PROFILES)
@@ -76,8 +75,6 @@ DEFAULT_HYP_TOL = 1e-9
 #: Upper guard for ball radii: the coefficient blows up as rho -> 1,
 #: so near-degenerate radii are rejected instead of overflowing.
 RHO_GUARD = 1.0 - 1e-9
-
-_EPS_FLOOR = 32.0 * float(np.finfo(np.float64).eps)
 
 
 # --------------------------------------------------------------------------
@@ -368,23 +365,14 @@ class Reference:
 
 @dataclass(frozen=True, eq=False)
 class _Context:
-    """One evaluation's inputs and the integrals every bound shares: ``F`` is
-    the vector integral, ``norm_int`` the integral of the norms."""
+    """One evaluation's inputs; ``est`` holds the integrals every bound shares."""
 
     f: GridFunction
+    est: DefectEstimate
     ref: Reference
     rule: str
     tau_hyp: float
     tau_on: float
-    norm_int: float
-    norm_int_err: float
-    F: HVector
-    F_err: float
-    F_norm: float
-
-    @property
-    def defect(self) -> float:
-        return self.norm_int - self.F_norm
 
     def constant(self, value: float) -> ScalarProfile:
         return ScalarProfile.constant(self.f.grid, value)
@@ -412,32 +400,32 @@ def _direction(c: _Context):
     im_int = sample_integral(c.f.grid, z.imag, c.rule)
     split = alpha * re_int.value + beta * im_int.value
     split_err = alpha * re_int.err_est + beta * im_int.err_est
-    proj = float(inner(c.F, e).real)
+    proj = float(inner(c.est.integral, e).real)
     return e, split, split_err, {"projection": proj, "split_gap": split - proj}
 
 
 def _integral_bound(c: _Context, hyp, s: float, samples, name: str):
     """defect <= s * int g for node samples g."""
     g = sample_integral(c.f.grid, samples, c.rule)
-    err = s * g.err_est + c.norm_int_err + c.F_err
-    return hyp, c.defect, s * g.value, err, {name: g.value}, {}
+    err = s * g.err_est + c.est.norm_integral_err + c.est.integral_err
+    return hyp, c.est.value, s * g.value, err, {name: g.value}, {}
 
 
 def _projection_bound(c: _Context, hyp, coeff: float, proj: float, proj_err: float,
                       terms: dict, diags: dict):
     """defect <= coeff * proj for a projection proj of int f onto e."""
-    err = coeff * proj_err + c.norm_int_err + c.F_err
-    return hyp, c.defect, coeff * proj, err, {"coefficient": coeff, **terms}, diags
+    err = coeff * proj_err + c.est.norm_integral_err + c.est.integral_err
+    return hyp, c.est.value, coeff * proj, err, {"coefficient": coeff, **terms}, diags
 
 
 def _unit_projection(c: _Context, p: BoundParams, hypothesis):
     """COR_2_2 / COR_2_3: the projection is Re<int f, e>; weak form coeff * ||int f||."""
     hyp, coeff = hypothesis(c, c.ref.e, p)
-    proj = float(inner(c.F, c.ref.e).real)
-    weak = coeff * c.F_norm
-    return _projection_bound(c, hyp, coeff, proj, c.F_err,
+    proj = float(inner(c.est.integral, c.ref.e).real)
+    weak = coeff * c.est.integral_norm
+    return _projection_bound(c, hyp, coeff, proj, c.est.integral_err,
                              {"projection": proj, "weak_rhs": weak},
-                             {"weak_margin": weak - c.defect})
+                             {"weak_margin": weak - c.est.value})
 
 
 def _split_projection(c: _Context, p: BoundParams, hypothesis):
@@ -449,8 +437,8 @@ def _split_projection(c: _Context, p: BoundParams, hypothesis):
 
 def _ratio_bound(c: _Context, hyp, factor: float, terms: dict):
     """factor * int ||f|| <= ||int f||."""
-    err = c.F_err + factor * c.norm_int_err
-    return hyp, factor * c.norm_int, c.F_norm, err, terms, {}
+    err = c.est.integral_err + factor * c.est.norm_integral_err
+    return hyp, factor * c.est.norm_integral, c.est.integral_norm, err, terms, {}
 
 
 def _thm_2_1(c, p):
@@ -471,14 +459,16 @@ def _cor_2_5(c, p):
 
 def _mult_a(c, p):
     hyp = check_scaled_dominance(c.f, c.ref.e, p.K, c.tau_hyp, c.tau_on)
-    return (hyp, c.norm_int, p.K * c.F_norm, p.K * c.F_err + c.norm_int_err,
-            {"K": p.K, "integral_norm": c.F_norm}, {})
+    est = c.est
+    return (hyp, est.norm_integral, p.K * est.integral_norm,
+            p.K * est.integral_err + est.norm_integral_err,
+            {"K": p.K, "integral_norm": est.integral_norm}, {})
 
 
 def _mult_b(c, p):
     factor = math.sqrt(1.0 - p.rho * p.rho)
     return _ratio_bound(c, _ball(c, c.ref.e, p)[0], factor,
-                        {"factor": factor, "integral_norm": c.F_norm})
+                        {"factor": factor, "integral_norm": c.est.integral_norm})
 
 
 def _mult_c(c, p):
@@ -487,19 +477,20 @@ def _mult_c(c, p):
     # the only additive form derivable from the multiplicative one; the
     # printed variant with ||int f|| on the right is reported as a
     # diagnostic, never asserted.
-    m, M = p.m, p.M
+    m, M, est = p.m, p.M, c.est
     hyp = _band(c, c.ref.e, p)[0]
     coeff = (math.sqrt(M) - math.sqrt(m)) ** 2 / (M + m)
     mult_factor = 2.0 * math.sqrt(m * M) / (M + m)
-    lhs = c.defect
-    printed_rhs = coeff * c.F_norm
-    return (hyp, lhs, coeff * c.norm_int, (1.0 + coeff) * c.norm_int_err + c.F_err,
-            {"coefficient": coeff, "norm_integral": c.norm_int},
+    lhs = est.value
+    printed_rhs = coeff * est.integral_norm
+    return (hyp, lhs, coeff * est.norm_integral,
+            (1.0 + coeff) * est.norm_integral_err + est.integral_err,
+            {"coefficient": coeff, "norm_integral": est.norm_integral},
             {
                 "mult_factor": mult_factor,
-                "mult_lhs": mult_factor * c.norm_int,
-                "mult_rhs": c.F_norm,
-                "mult_margin": c.F_norm - mult_factor * c.norm_int,
+                "mult_lhs": mult_factor * est.norm_integral,
+                "mult_rhs": est.integral_norm,
+                "mult_margin": est.integral_norm - mult_factor * est.norm_integral,
                 "printed_rhs": printed_rhs,
                 "printed_margin": printed_rhs - lhs,
             })
@@ -508,7 +499,8 @@ def _mult_c(c, p):
 def _karamata(c, p):
     hyp = check_arg(c.f, p.theta, c.tau_hyp)
     factor = math.cos(p.theta)
-    return _ratio_bound(c, hyp, factor, {"cos_theta": factor, "norm_integral": c.norm_int})
+    return _ratio_bound(c, hyp, factor,
+                        {"cos_theta": factor, "norm_integral": c.est.norm_integral})
 
 
 def _prop_4_3(c, p):
@@ -524,9 +516,9 @@ def _prop_4_3(c, p):
 def _family_bound(c: _Context, hyp, extra: float, extra_err: float, terms: dict,
                   diags: dict | None = None):
     n = c.ref.family.n
-    family_term = c.F_norm / math.sqrt(n)
-    err = c.F_err / math.sqrt(n) + extra_err + c.norm_int_err
-    return (hyp, c.norm_int, family_term + extra, err,
+    family_term = c.est.integral_norm / math.sqrt(n)
+    err = c.est.integral_err / math.sqrt(n) + extra_err + c.est.norm_integral_err
+    return (hyp, c.est.norm_integral, family_term + extra, err,
             {"family_term": family_term, **terms, "extra": extra}, diags or {})
 
 
@@ -549,12 +541,12 @@ def _projection_extra(c: _Context, hyp, coeffs: np.ndarray, diags: dict | None =
     """extra = Re<int f, (1/n) sum_i c_i e_i>; weak form with the rms coefficient."""
     n = c.ref.family.n
     direction = (coeffs[:, None] * c.ref.family.matrix()).sum(axis=0) / n
-    extra = float(np.dot(c.F.coords, np.conjugate(direction)).real)
-    extra_err = float(np.linalg.norm(direction)) * c.F_err
-    weak = c.F_norm / math.sqrt(n) * (1.0 + math.sqrt(float(np.mean(coeffs ** 2))))
+    extra = float(np.dot(c.est.integral.coords, np.conjugate(direction)).real)
+    extra_err = float(np.linalg.norm(direction)) * c.est.integral_err
+    weak = c.est.integral_norm / math.sqrt(n) * (1.0 + math.sqrt(float(np.mean(coeffs**2))))
     terms = {"projection_extra": extra, "weak_rhs": weak}
     terms.update((f"coefficient_{i}", float(v)) for i, v in enumerate(coeffs))
-    diags = {"weak_margin": weak - c.norm_int, **(diags or {})}
+    diags = {"weak_margin": weak - c.est.norm_integral, **(diags or {})}
     return _family_bound(c, hyp, extra, extra_err, terms, diags)
 
 
@@ -572,7 +564,8 @@ def _cor_3_2(c, p):
                  for e, rho in zip(c.ref.family.members, p.rhos)]
     hyp = _family_check(residuals, "ball_family", c.tau_hyp)
     coeffs = np.array([ball_coefficient(rho) for rho in p.rhos])
-    printed = c.F_norm / math.sqrt(c.ref.family.n) * (1.0 + math.sqrt(float(np.mean(coeffs))))
+    printed = (c.est.integral_norm / math.sqrt(c.ref.family.n)
+               * (1.0 + math.sqrt(float(np.mean(coeffs)))))
     return _projection_extra(c, hyp, coeffs, {"printed_weak_rhs": printed})
 
 
@@ -681,12 +674,12 @@ def validate_params(bound_id: str, params: BoundParams, n: int | None = None) ->
                 raise ParamError(f"{p.key}[{i}]" if listed else p.key, str(exc)) from None
 
 
-def evaluate(f: GridFunction, reference: Reference, params: BoundParams, bound_id: str,
-             rule: str = DEFAULT_RULE, tau_hyp: float = DEFAULT_HYP_TOL,
+def evaluate(f: GridFunction, est: DefectEstimate, reference: Reference, params: BoundParams,
+             bound_id: str, rule: str = DEFAULT_RULE, tau_hyp: float = DEFAULT_HYP_TOL,
              tau_on: float = DEFAULT_ORTHO_TOL) -> BoundResult:
-    """Evaluate any bound; it reads the part of ``reference`` its kind names
-    (KARAMATA reads none).  Bounds with a direction check their unit
-    reference at the default orthonormality tolerance."""
+    """Evaluate any bound given ``est = defect(f, rule)``, which callers compute once per f.
+    It reads the part of ``reference`` its kind names (KARAMATA reads none).  Bounds with
+    a direction check their unit reference at the default orthonormality tolerance."""
     spec = BOUNDS.get(bound_id)
     if spec is None:
         raise InputError(f"unknown bound id {bound_id!r}")
@@ -699,14 +692,11 @@ def evaluate(f: GridFunction, reference: Reference, params: BoundParams, bound_i
     if spec.reference == REF_DIRECTION:
         tau_on = DEFAULT_ORTHO_TOL
     validate_params(bound_id, params, None if family is None else family.n)
-    ni = norm_integral(f, rule)
-    bi = bochner_integral(f, rule)
-    c = _Context(f, reference, rule, tau_hyp, tau_on, ni.value, ni.err_est, bi.value,
-                 bi.err_est, float(np.linalg.norm(bi.value.coords)))
+    c = _Context(f, est, reference, rule, tau_hyp, tau_on)
     hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = spec.evaluate(c, params)
     lhs, rhs = float(lhs), float(rhs)
-    scale = abs(lhs) + abs(rhs) + c.norm_int + c.F_norm
-    err_budget = float(err_budget) + _EPS_FLOOR * scale
+    scale = abs(lhs) + abs(rhs) + est.norm_integral + est.integral_norm
+    err_budget = float(err_budget) + ROUNDOFF * scale
     margin = rhs - lhs
     if not hyp.holds:
         verdict = HYPOTHESIS_FAILED
@@ -715,10 +705,10 @@ def evaluate(f: GridFunction, reference: Reference, params: BoundParams, bound_i
     else:
         verdict = VIOLATED
     diagnostics = {
-        "defect": c.defect,
-        "defect_err": c.norm_int_err + c.F_err,
-        "norm_integral": c.norm_int,
-        "integral_norm": c.F_norm,
+        "defect": est.value,
+        "defect_err": est.norm_integral_err + est.integral_err,
+        "norm_integral": est.norm_integral,
+        "integral_norm": est.integral_norm,
         **extra_diags,
     }
     return BoundResult(
@@ -742,7 +732,8 @@ def eval_unit_bound(f: GridFunction, e: HVector | None, params: BoundParams, bou
     ``e`` may be None only for KARAMATA, whose hypothesis is argument-based.
     """
     _require_group(bound_id, UNIT_BOUNDS, "unit-reference")
-    return evaluate(f, Reference(REF_UNIT, e=e), params, bound_id, rule, tau_hyp, tau_on)
+    return evaluate(f, defect(f, rule), Reference(REF_UNIT, e=e), params, bound_id, rule,
+                    tau_hyp, tau_on)
 
 
 def eval_family_bound(f: GridFunction, family: OrthonormalFamily, params: BoundParams,
@@ -751,8 +742,8 @@ def eval_family_bound(f: GridFunction, family: OrthonormalFamily, params: BoundP
                       tau_on: float = DEFAULT_ORTHO_TOL) -> BoundResult:
     """Evaluate an orthonormal-family bound: int||f|| <= ||int f||/sqrt(n) + extra."""
     _require_group(bound_id, FAMILY_BOUNDS, "family")
-    return evaluate(f, Reference(REF_FAMILY, family=family), params, bound_id, rule, tau_hyp,
-                    tau_on)
+    return evaluate(f, defect(f, rule), Reference(REF_FAMILY, family=family), params, bound_id,
+                    rule, tau_hyp, tau_on)
 
 
 def eval_complex_bound(f: GridFunction, alpha: float, beta: float, params: BoundParams,
@@ -765,5 +756,5 @@ def eval_complex_bound(f: GridFunction, alpha: float, beta: float, params: Bound
     roundoff; both appear in the result for cross-checking).
     """
     _require_group(prop_id, COMPLEX_BOUNDS, "complex-plane")
-    return evaluate(f, Reference(REF_DIRECTION, alpha=alpha, beta=beta), params, prop_id, rule,
-                    tau_hyp)
+    return evaluate(f, defect(f, rule), Reference(REF_DIRECTION, alpha=alpha, beta=beta), params,
+                    prop_id, rule, tau_hyp)

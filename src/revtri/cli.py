@@ -17,10 +17,10 @@ from .extremal import RECIPE_BOUNDS
 from .fuzz import fuzz
 from .hilbert import COMPLEX, REAL
 from .scenario import (
-    EXIT_HOLDS,
+    EXIT_CODES,
     EXIT_INPUT_ERROR,
-    EXIT_VIOLATED,
     RunReport,
+    _rollup,
     exit_code,
     extremal_scenario,
     family_extremal_scenario,
@@ -74,11 +74,8 @@ def _cmd_fuzz(args) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",
                                   encoding="utf-8")
-    if summary.violated:
-        return EXIT_VIOLATED
-    if summary.hypothesis_failed:
-        return 2
-    return EXIT_HOLDS
+    counts = {B.VIOLATED: summary.violated, B.HYPOTHESIS_FAILED: summary.hypothesis_failed}
+    return EXIT_CODES[_rollup(verdict for verdict, n in counts.items() if n)]
 
 
 def _extremal_params(args) -> dict:
@@ -117,11 +114,7 @@ def _cmd_sweep(args) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
-    if any(r.verdict == B.VIOLATED for r in rows):
-        return EXIT_VIOLATED
-    if any(r.verdict == B.HYPOTHESIS_FAILED for r in rows):
-        return 2
-    return EXIT_HOLDS
+    return EXIT_CODES[_rollup(r.verdict for r in rows)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,12 +3,16 @@
 Almost-everywhere hypotheses are modeled as node-wise conditions: sampled
 data has no null sets, so "at every grid node" is the strongest checkable
 surrogate.  Grids are uniform with an even panel count (Simpson pairing).
+
+:data:`VARIANTS` declares each function variant once; scenario parsing and
+serialization and :func:`materialize` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -29,7 +33,13 @@ from .hilbert import (
 
 DEFAULT_PANELS = 512
 
-FUNCTION_VARIANTS = ("samples", "cone", "ball_perturbation", "family_symmetric", "complex_curve")
+#: Kinds of scenario-file values, shared by function variants and bound parameters.
+NUMBER = "number"
+PROFILE = "profile"
+SIGNED_PROFILE = "signed profile"
+VECTOR = "vector"
+VECTORS = "vectors"
+SAMPLES = "samples"
 
 
 @dataclass(frozen=True)
@@ -165,11 +175,15 @@ class GridFunction:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def node(self, j: int) -> HVector:
-        return HVector(self.field, self.values[j])
-
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
+        """Node norms ||f(t_j)||, computed once per function; the array is read-only."""
+        return self._norms
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        norms = np.linalg.norm(self.values, axis=1)
+        norms.setflags(write=False)
+        return norms
 
     def inner_with(self, e: HVector) -> np.ndarray:
         """Per-node inner products <f(t_j), e> (conjugate-linear in e)."""
@@ -262,6 +276,97 @@ def _sign_halves(grid: Grid) -> np.ndarray:
     return s
 
 
+def _as_profile(grid: Grid, value, name: str, nonnegative: bool = True) -> ScalarProfile:
+    """``value`` as a profile on ``grid``; a profile spec is evaluated there."""
+    if not isinstance(value, ScalarProfile):
+        return profile_of(value, grid, nonnegative)
+    if value.grid != grid:
+        raise InputError(f"{name} profile lives on a different grid")
+    return value
+
+
+def _cone(grid: Grid, field: str, d: int, ortho_tol: float,
+          e: HVector, u: HVector, alpha: float, beta: float) -> GridFunction:
+    if e.field != field or e.d != d or u.field != field or u.d != d:
+        raise InputError("cone vectors must match the scenario field and dimension")
+    require_unit(e, "cone e", ortho_tol)
+    require_unit(u, "cone u", ortho_tol)
+    _require_orthogonal(u, e, "cone u and e", ortho_tol)
+    s = _sign_halves(grid)
+    values = alpha * e.coords[None, :] + s[:, None] * (beta * u.coords[None, :])
+    jumps = None
+    if beta != 0.0:
+        jumps = {grid.n_panels // 2: alpha * e.coords - beta * u.coords}
+    return GridFunction(grid, field, values, jumps)
+
+
+def _ball_perturbation(grid: Grid, field: str, d: int, ortho_tol: float,
+                       e: HVector, rho: float, omega: float,
+                       u: HVector | None, v: HVector | None) -> GridFunction:
+    if d < 3:
+        raise InfeasibilityError("ball_perturbation needs d >= 3 for two orthogonal directions")
+    if e.field != field or e.d != d:
+        raise InputError("ball_perturbation e must match the scenario field and dimension")
+    require_unit(e, "ball_perturbation e", ortho_tol)
+    if u is None or v is None:
+        u, v = complete_orthonormal((e,), 2)
+    report = gram_report((e, u, v), ortho_tol)
+    if not report.ok:
+        raise InputError(
+            f"ball_perturbation directions must be orthonormal with e "
+            f"(worst Gram residual {report.worst_residual:.3e})"
+        )
+    t = grid.nodes()
+    circle = np.cos(omega * t)[:, None] * u.coords[None, :] \
+        + np.sin(omega * t)[:, None] * v.coords[None, :]
+    values = e.coords[None, :] + rho * circle
+    return GridFunction(grid, field, values)
+
+
+def _family_symmetric(grid: Grid, field: str, d: int, ortho_tol: float,
+                      family, c) -> GridFunction:
+    if not isinstance(family, OrthonormalFamily):
+        family = check_orthonormal(tuple(family), ortho_tol)
+    if family.field != field or family.d != d:
+        raise InputError("family must match the scenario field and dimension")
+    c = _as_profile(grid, c, "c")
+    direction = family.sum_vector().coords / np.sqrt(family.n)
+    values = c.values[:, None] * direction[None, :]
+    return GridFunction(grid, field, values)
+
+
+def _complex_curve(grid: Grid, field: str, d: int, ortho_tol: float, r, phi) -> GridFunction:
+    if field != COMPLEX or d != 1:
+        raise InfeasibilityError("complex_curve requires field=complex and d=1")
+    r, phi = _as_profile(grid, r, "r"), _as_profile(grid, phi, "phi", nonnegative=False)
+    values = (r.values * np.exp(1j * phi.values))[:, None]
+    return GridFunction(grid, COMPLEX, values)
+
+
+@dataclass(frozen=True)
+class Variant:
+    """A variant's file ``keys`` (key -> kind), its ``optional`` keys, and
+    ``build(grid, field, d, ortho_tol, **keys)``."""
+
+    keys: dict[str, str]
+    optional: tuple[str, ...]
+    build: Callable[..., GridFunction]
+
+
+VARIANTS: dict[str, Variant] = {
+    "samples": Variant({"values": SAMPLES}, (), lambda grid, field, d, ortho_tol, values:
+                       GridFunction(grid, field, np.asarray(values))),
+    "cone": Variant({"e": VECTOR, "u": VECTOR, "alpha": NUMBER, "beta": NUMBER}, (), _cone),
+    "ball_perturbation": Variant(
+        {"e": VECTOR, "rho": NUMBER, "omega": NUMBER, "u": VECTOR, "v": VECTOR}, ("u", "v"),
+        _ball_perturbation),
+    "family_symmetric": Variant({"family": VECTORS, "c": PROFILE}, (), _family_symmetric),
+    "complex_curve": Variant({"r": PROFILE, "phi": SIGNED_PROFILE}, (), _complex_curve),
+}
+
+FUNCTION_VARIANTS = tuple(VARIANTS)
+
+
 def materialize(spec: FunctionSpec, grid: Grid, field: str, d: int,
                 ortho_tol: float = DEFAULT_ORTHO_TOL) -> GridFunction:
     """Build the grid function described by ``spec`` on ``grid``.
@@ -270,73 +375,4 @@ def materialize(spec: FunctionSpec, grid: Grid, field: str, d: int,
     :class:`InputError` for violated orthogonality requirements and
     :class:`InfeasibilityError` when d is too small for the variant.
     """
-    p = spec.params
-    if spec.variant == "samples":
-        values = np.asarray(p["values"])
-        return GridFunction(grid, field, values)
-
-    if spec.variant == "cone":
-        e, u = p["e"], p["u"]
-        alpha, beta = p["alpha"], p["beta"]
-        if e.field != field or e.d != d or u.field != field or u.d != d:
-            raise InputError("cone vectors must match the scenario field and dimension")
-        require_unit(e, "cone e", ortho_tol)
-        require_unit(u, "cone u", ortho_tol)
-        _require_orthogonal(u, e, "cone u and e", ortho_tol)
-        s = _sign_halves(grid)
-        values = alpha * e.coords[None, :] + s[:, None] * (beta * u.coords[None, :])
-        jumps = None
-        if beta != 0.0:
-            jumps = {grid.n_panels // 2: alpha * e.coords - beta * u.coords}
-        return GridFunction(grid, field, values, jumps)
-
-    if spec.variant == "ball_perturbation":
-        e = p["e"]
-        rho, omega = p["rho"], p["omega"]
-        if d < 3:
-            raise InfeasibilityError("ball_perturbation needs d >= 3 for two orthogonal directions")
-        if e.field != field or e.d != d:
-            raise InputError("ball_perturbation e must match the scenario field and dimension")
-        require_unit(e, "ball_perturbation e", ortho_tol)
-        u, v = p.get("u"), p.get("v")
-        if u is None or v is None:
-            u, v = complete_orthonormal((e,), 2)
-        report = gram_report((e, u, v), ortho_tol)
-        if not report.ok:
-            raise InputError(
-                f"ball_perturbation directions must be orthonormal with e "
-                f"(worst Gram residual {report.worst_residual:.3e})"
-            )
-        t = grid.nodes()
-        circle = np.cos(omega * t)[:, None] * u.coords[None, :] \
-            + np.sin(omega * t)[:, None] * v.coords[None, :]
-        values = e.coords[None, :] + rho * circle
-        return GridFunction(grid, field, values)
-
-    if spec.variant == "family_symmetric":
-        family = p["family"]
-        if not isinstance(family, OrthonormalFamily):
-            family = check_orthonormal(tuple(family), ortho_tol)
-        if family.field != field or family.d != d:
-            raise InputError("family must match the scenario field and dimension")
-        c = p["c"]
-        if not isinstance(c, ScalarProfile):
-            c = profile_of(c, grid)
-        if c.grid != grid:
-            raise InputError("c profile lives on a different grid")
-        direction = family.sum_vector().coords / np.sqrt(family.n)
-        values = c.values[:, None] * direction[None, :]
-        return GridFunction(grid, field, values)
-
-    # complex_curve
-    if field != COMPLEX or d != 1:
-        raise InfeasibilityError("complex_curve requires field=complex and d=1")
-    r, phi = p["r"], p["phi"]
-    if not isinstance(r, ScalarProfile):
-        r = profile_of(r, grid)
-    if not isinstance(phi, ScalarProfile):
-        phi = profile_of(phi, grid, nonnegative=False)
-    if r.grid != grid or phi.grid != grid:
-        raise InputError("complex_curve profiles live on a different grid")
-    values = (r.values * np.exp(1j * phi.values))[:, None]
-    return GridFunction(grid, COMPLEX, values)
+    return VARIANTS[spec.variant].build(grid, field, d, ortho_tol, **spec.params)

@@ -29,6 +29,9 @@ RULES = (MIDPOINT, TRAPEZOID, SIMPSON)
 
 DEFAULT_RULE = SIMPSON
 
+#: Relative roundoff floor added to every error budget (32 machine epsilons).
+ROUNDOFF = 32.0 * float(np.finfo(np.float64).eps)
+
 
 def panel_weights(rule: str, n_panels: int, h: float) -> np.ndarray:
     """Composite weights for ``n_panels`` uniform panels of width ``h``.
@@ -156,16 +159,14 @@ class DefectEstimate:
     norm_integral_err: float
     integral_norm: float
     integral_err: float
+    integral: HVector  # int f dt
 
     def __float__(self) -> float:
         return self.value
 
 
-_ROUNDOFF = 32.0 * float(np.finfo(np.float64).eps)
-
-
 def defect(f: GridFunction, rule: str = DEFAULT_RULE) -> DefectEstimate:
-    """Defect of the continuous triangle inequality for ``f``.
+    """Defect of the continuous triangle inequality for ``f``; evaluation integrates f only here.
 
     Nonnegative up to the combined error bar for every input: the norm is
     1-Lipschitz, so the vector integral's error estimate bounds the error in
@@ -175,7 +176,7 @@ def defect(f: GridFunction, rule: str = DEFAULT_RULE) -> DefectEstimate:
     ni = norm_integral(f, rule)
     bi = bochner_integral(f, rule)
     integral_norm = float(np.linalg.norm(bi.value.coords))
-    roundoff = _ROUNDOFF * (abs(ni.value) + integral_norm)
+    roundoff = ROUNDOFF * (abs(ni.value) + integral_norm)
     return DefectEstimate(
         value=ni.value - integral_norm,
         err_est=ni.err_est + bi.err_est + roundoff,
@@ -183,4 +184,5 @@ def defect(f: GridFunction, rule: str = DEFAULT_RULE) -> DefectEstimate:
         norm_integral_err=ni.err_est,
         integral_norm=integral_norm,
         integral_err=bi.err_est,
+        integral=bi.value,
     )

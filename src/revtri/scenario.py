@@ -35,7 +35,7 @@ from .bounds import (
     VIOLATED,
     Reference,
 )
-from .errors import ParamError, RevtriError, ScenarioError
+from .errors import DegeneracyError, ParamError, RevtriError, ScenarioError
 from .extremal import (
     RECIPE_BOUNDS,
     build_family_extremal,
@@ -44,6 +44,13 @@ from .extremal import (
 )
 from .gridfn import (
     DEFAULT_PANELS,
+    NUMBER,
+    PROFILE,
+    SAMPLES,
+    SIGNED_PROFILE,
+    VARIANTS,
+    VECTOR,
+    VECTORS,
     FunctionSpec,
     Grid,
     ScalarProfile,
@@ -55,7 +62,6 @@ from .hilbert import (
     COMPLEX,
     REAL,
     HVector,
-    OrthonormalFamily,
     basis_vector,
     check_orthonormal,
 )
@@ -67,6 +73,8 @@ EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
 EXIT_HYPOTHESIS_FAILED = 2
 EXIT_INPUT_ERROR = 3
+EXIT_CODES = {HOLDS: EXIT_HOLDS, VIOLATED: EXIT_VIOLATED,
+              HYPOTHESIS_FAILED: EXIT_HYPOTHESIS_FAILED}
 
 
 @dataclass(frozen=True)
@@ -152,21 +160,6 @@ def _parse_coords(field: str, data, d: int, path: str) -> np.ndarray:
     return arr.real if field == REAL else arr
 
 
-def _parse_vector(field: str, data, d: int, path: str) -> HVector:
-    coords = _parse_coords(field, data, d, path)
-    _require_finite(coords, path)
-    return HVector(field, coords)
-
-
-def _parse_vectors(field: str, data, d: int, path: str) -> tuple[HVector, ...]:
-    return _parse_list(data, path, "coordinate lists",
-                       lambda row, q: _parse_vector(field, row, d, q))
-
-
-def _parse_profile(data, grid: Grid, path: str, nonnegative: bool = True) -> ScalarProfile:
-    return _at(path, profile_of, data, grid, nonnegative)
-
-
 def _parse_list(data, path: str, what: str, parse) -> tuple:
     """A nonempty list whose entries are parsed by ``parse(entry, entry_path)``."""
     if not isinstance(data, (list, tuple)) or not data:
@@ -174,13 +167,39 @@ def _parse_list(data, path: str, what: str, parse) -> tuple:
     return tuple(parse(v, f"{path}[{i}]") for i, v in enumerate(data))
 
 
-_PARAM_PARSERS = {
-    B.NUMBER: lambda data, grid, path: _get_number(data, path),
-    B.PROFILE: _parse_profile,
-    B.NUMBERS: lambda data, grid, path: _parse_list(data, path, "numbers", _get_number),
-    B.PROFILES: lambda data, grid, path: _parse_list(
-        data, path, "profiles", lambda p, q: _parse_profile(p, grid, q)),
+def _parse_vector(data, path: str, grid: Grid, field: str, d: int) -> HVector:
+    coords = _parse_coords(field, data, d, path)
+    _require_finite(coords, path)
+    return HVector(field, coords)
+
+
+def _parse_samples(rows, path: str, grid: Grid, field: str, d: int) -> np.ndarray:
+    """N+1 coordinate rows, checked for finiteness once as one array."""
+    if not isinstance(rows, list) or len(rows) != grid.n_nodes:
+        _fail(path, f"need {grid.n_nodes} node values")
+    values = np.stack([_parse_coords(field, row, d, f"{path}[{j}]")
+                       for j, row in enumerate(rows)])
+    _require_finite(values, path)
+    return values
+
+
+#: kind -> parser(data, path, grid, field, d) for the values of a scenario file: the
+#: reference, the function's keys and the bound parameters
+_PARSERS = {
+    NUMBER: lambda data, path, *_: _get_number(data, path),
+    B.NUMBERS: lambda data, path, *_: _parse_list(data, path, "numbers", _get_number),
+    PROFILE: lambda data, path, grid, *_: _at(path, profile_of, data, grid),
+    SIGNED_PROFILE: lambda data, path, grid, *_: _at(path, profile_of, data, grid, False),
+    B.PROFILES: lambda data, path, grid, *_: _parse_list(
+        data, path, "profiles", lambda p, q: _at(q, profile_of, p, grid)),
+    VECTOR: _parse_vector,
+    VECTORS: lambda data, path, *space: _parse_list(
+        data, path, "coordinate lists", lambda row, q: _parse_vector(row, q, *space)),
+    SAMPLES: _parse_samples,
 }
+
+#: reference kind -> the kind of its value
+_REFERENCE_KINDS = {REF_UNIT: VECTOR, REF_FAMILY: VECTORS, REF_DIRECTION: B.NUMBERS}
 
 
 def _check_keys(data: Mapping, allowed, required, path: str) -> None:
@@ -196,70 +215,35 @@ def _parse_function(data, grid: Grid, field: str, d: int, path: str) -> Function
     if not isinstance(data, Mapping):
         _fail(path, "function must be an object")
     variant = data.get("variant")
-    if variant == "samples":
-        _check_keys(data, {"variant", "values"}, {"variant", "values"}, path)
-        rows = data["values"]
-        if not isinstance(rows, list) or len(rows) != grid.n_nodes:
-            _fail(f"{path}.values", f"need {grid.n_nodes} node values")
-        values = np.stack([_parse_coords(field, row, d, f"{path}.values[{j}]")
-                           for j, row in enumerate(rows)])
-        _require_finite(values, f"{path}.values")
-        return FunctionSpec.samples(values)
-    if variant == "cone":
-        _check_keys(data, {"variant", "e", "u", "alpha", "beta"},
-                    {"variant", "e", "u", "alpha", "beta"}, path)
-        return FunctionSpec.cone(
-            _parse_vector(field, data["e"], d, f"{path}.e"),
-            _parse_vector(field, data["u"], d, f"{path}.u"),
-            _get_number(data["alpha"], f"{path}.alpha"),
-            _get_number(data["beta"], f"{path}.beta"),
-        )
-    if variant == "ball_perturbation":
-        _check_keys(data, {"variant", "e", "rho", "omega", "u", "v"},
-                    {"variant", "e", "rho", "omega"}, path)
-        u = _parse_vector(field, data["u"], d, f"{path}.u") if "u" in data else None
-        v = _parse_vector(field, data["v"], d, f"{path}.v") if "v" in data else None
-        return FunctionSpec.ball_perturbation(
-            _parse_vector(field, data["e"], d, f"{path}.e"),
-            _get_number(data["rho"], f"{path}.rho"),
-            _get_number(data["omega"], f"{path}.omega"),
-            u, v,
-        )
-    if variant == "family_symmetric":
-        _check_keys(data, {"variant", "family", "c"}, {"variant", "family", "c"}, path)
-        return FunctionSpec.family_symmetric(
-            _parse_vectors(field, data["family"], d, f"{path}.family"),
-            _parse_profile(data["c"], grid, f"{path}.c"))
-    if variant == "complex_curve":
-        _check_keys(data, {"variant", "r", "phi"}, {"variant", "r", "phi"}, path)
-        return FunctionSpec.complex_curve(
-            _parse_profile(data["r"], grid, f"{path}.r"),
-            _parse_profile(data["phi"], grid, f"{path}.phi", nonnegative=False),
-        )
-    _fail(f"{path}.variant", f"unknown function variant {variant!r}")
+    spec = VARIANTS.get(variant) if isinstance(variant, str) else None
+    if spec is None:
+        _fail(f"{path}.variant", f"unknown function variant {variant!r}")
+    required = set(spec.keys) - set(spec.optional)
+    _check_keys(data, {"variant", *spec.keys}, {"variant", *required}, path)
+    return FunctionSpec(variant, {
+        key: _PARSERS[kind](data[key], f"{path}.{key}", grid, field, d) if key in data else None
+        for key, kind in spec.keys.items()})
 
 
-def _parse_reference(data, field: str, d: int, tau_on: float, path: str) -> Reference:
+def _parse_reference(data, grid: Grid, field: str, d: int, tau_on: float,
+                     path: str) -> Reference:
     if not isinstance(data, Mapping) or len(data) != 1:
         _fail(path, "reference must be an object with exactly one of "
               f"{REF_UNIT!r}, {REF_FAMILY!r}, {REF_DIRECTION!r}")
-    kind, value = next(iter(data.items()))
+    kind, raw = next(iter(data.items()))
+    if kind not in _REFERENCE_KINDS:
+        _fail(path, f"unknown reference kind {kind!r}")
+    where = f"{path}.{kind}"
+    value = _PARSERS[_REFERENCE_KINDS[kind]](raw, where, grid, field, d)
     if kind == REF_UNIT:
-        e = _parse_vector(field, value, d, f"{path}.e")
-        _at(f"{path}.e", require_unit, e, "e", tau_on)
-        return Reference(REF_UNIT, e=e)
+        _at(where, require_unit, value, "e", tau_on)
+        return Reference(REF_UNIT, e=value)
     if kind == REF_FAMILY:
-        members = _parse_vectors(field, value, d, f"{path}.family")
-        return Reference(REF_FAMILY, family=_at(f"{path}.family", check_orthonormal, members,
-                                                tau_on))
-    if kind == REF_DIRECTION:
-        pair = _parse_list(value, f"{path}.alpha_beta", "numbers", _get_number)
-        if len(pair) != 2:
-            _fail(f"{path}.alpha_beta", "expected [alpha, beta]")
-        alpha, beta = pair
-        _at(f"{path}.alpha_beta", B.require_direction, alpha, beta)
-        return Reference(REF_DIRECTION, alpha=alpha, beta=beta)
-    _fail(path, f"unknown reference kind {kind!r}")
+        return Reference(REF_FAMILY, family=_at(where, check_orthonormal, value, tau_on))
+    if len(value) != 2:
+        _fail(where, "expected [alpha, beta]")
+    _at(where, B.require_direction, *value)
+    return Reference(REF_DIRECTION, alpha=value[0], beta=value[1])
 
 
 def _parse_bound_entry(data, grid: Grid, reference: Reference, field: str, d: int,
@@ -281,7 +265,7 @@ def _parse_bound_entry(data, grid: Grid, reference: Reference, field: str, d: in
     p = f"{path}.params"
     keys = {q.key for q in spec.params}
     _check_keys(raw, keys, keys, p)
-    params = BoundParams(**{q.field: _PARAM_PARSERS[q.kind](raw[q.key], grid, f"{p}.{q.key}")
+    params = BoundParams(**{q.field: _PARSERS[q.kind](raw[q.key], f"{p}.{q.key}", grid, field, d)
                             for q in spec.params})
     try:
         B.validate_params(bound_id, params,
@@ -332,7 +316,7 @@ def scenario_from_dict(data, source: str = "scenario") -> Scenario:
     tolerances = Tolerances(**{key: _get_tolerance(value, f"{source}.tolerances.{key}")
                                for key, value in tol_data.items()})
 
-    reference = _parse_reference(data["reference"], field, d, tolerances.tau_on,
+    reference = _parse_reference(data["reference"], grid, field, d, tolerances.tau_on,
                                  f"{source}.reference")
     function = _parse_function(data["function"], grid, field, d, f"{source}.function")
     _at(f"{source}.function", materialize, function, grid, field, d, tolerances.tau_on)
@@ -374,59 +358,38 @@ def _profile_to_json(value) -> object:
     return value
 
 
-def _function_to_json(spec: FunctionSpec, field: str) -> dict:
-    p = spec.params
-    if spec.variant == "samples":
-        rows = np.asarray(p["values"])
-        return {"variant": "samples",
-                "values": [_vector_to_json(field, row) for row in rows]}
-    if spec.variant == "cone":
-        return {"variant": "cone",
-                "e": _vector_to_json(field, p["e"].coords),
-                "u": _vector_to_json(field, p["u"].coords),
-                "alpha": p["alpha"], "beta": p["beta"]}
-    if spec.variant == "ball_perturbation":
-        out = {"variant": "ball_perturbation",
-               "e": _vector_to_json(field, p["e"].coords),
-               "rho": p["rho"], "omega": p["omega"]}
-        if p.get("u") is not None:
-            out["u"] = _vector_to_json(field, p["u"].coords)
-        if p.get("v") is not None:
-            out["v"] = _vector_to_json(field, p["v"].coords)
-        return out
-    if spec.variant == "family_symmetric":
-        members = p["family"]
-        if isinstance(members, OrthonormalFamily):
-            members = members.members
-        return {"variant": "family_symmetric",
-                "family": [_vector_to_json(field, m.coords) for m in members],
-                "c": _profile_to_json(p["c"])}
-    return {"variant": "complex_curve",
-            "r": _profile_to_json(p["r"]), "phi": _profile_to_json(p["phi"])}
-
-
-_PARAM_TO_JSON = {
-    B.NUMBER: lambda value: value,
-    B.PROFILE: _profile_to_json,
-    B.NUMBERS: list,
-    B.PROFILES: lambda values: [_profile_to_json(p) for p in values],
+#: kind -> serializer(value, field), the inverse of ``_PARSERS``
+_TO_JSON = {
+    NUMBER: lambda value, field: value,
+    B.NUMBERS: lambda values, field: list(values),
+    PROFILE: lambda value, field: _profile_to_json(value),
+    SIGNED_PROFILE: lambda value, field: _profile_to_json(value),
+    B.PROFILES: lambda values, field: [_profile_to_json(p) for p in values],
+    VECTOR: lambda value, field: _vector_to_json(field, value.coords),
+    VECTORS: lambda values, field: [_vector_to_json(field, m.coords) for m in values],
+    SAMPLES: lambda rows, field: [_vector_to_json(field, row) for row in np.asarray(rows)],
 }
 
 
-def _params_to_json(entry: BoundEntry) -> dict:
-    return {q.key: _PARAM_TO_JSON[q.kind](getattr(entry.params, q.field))
+def _function_to_json(spec: FunctionSpec, field: str) -> dict:
+    out = {"variant": spec.variant}
+    for key, kind in VARIANTS[spec.variant].keys.items():
+        value = spec.params.get(key)
+        if value is not None:
+            out[key] = _TO_JSON[kind](value, field)
+    return out
+
+
+def _params_to_json(entry: BoundEntry, field: str) -> dict:
+    return {q.key: _TO_JSON[q.kind](getattr(entry.params, q.field), field)
             for q in B.BOUNDS[entry.bound_id].params}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Serialize a scenario back to its file format (reproducing dump)."""
-    if s.reference.kind == REF_UNIT:
-        reference = {"e": _vector_to_json(s.field, s.reference.e.coords)}
-    elif s.reference.kind == REF_FAMILY:
-        reference = {"family": [_vector_to_json(s.field, m.coords)
-                                for m in s.reference.family.members]}
-    else:
-        reference = {"alpha_beta": [s.reference.alpha, s.reference.beta]}
+    ref = s.reference
+    value = {REF_UNIT: ref.e, REF_FAMILY: ref.family, REF_DIRECTION: (ref.alpha, ref.beta)}
+    reference = {ref.kind: _TO_JSON[_REFERENCE_KINDS[ref.kind]](value[ref.kind], s.field)}
     tol: dict = {"tau_hyp": s.tolerances.tau_hyp, "tau_on": s.tolerances.tau_on}
     if s.tolerances.bound_slack is not None:
         tol["bound_slack"] = s.tolerances.bound_slack
@@ -438,7 +401,8 @@ def scenario_to_dict(s: Scenario) -> dict:
         "N": s.grid.n_panels,
         "function": _function_to_json(s.function, s.field),
         "reference": reference,
-        "bounds": [{"bound_id": e.bound_id, "params": _params_to_json(e)} for e in s.bounds],
+        "bounds": [{"bound_id": e.bound_id, "params": _params_to_json(e, s.field)}
+                   for e in s.bounds],
         "tolerances": tol,
     }
 
@@ -460,8 +424,9 @@ class RunReport:
     provenance: dict | None = None
 
 
-def _rollup(results) -> str:
-    verdicts = {r.verdict for r in results}
+def _rollup(verdicts) -> str:
+    """The worst of ``verdicts``: violated, then hypothesis_failed, then holds."""
+    verdicts = set(verdicts)
     if VIOLATED in verdicts:
         return VIOLATED
     if HYPOTHESIS_FAILED in verdicts:
@@ -470,25 +435,33 @@ def _rollup(results) -> str:
 
 
 def run(scenario: Scenario) -> RunReport:
-    """Evaluate every bound of a scenario; deterministic for fixed inputs."""
+    """Evaluate every bound of a scenario; deterministic for fixed inputs.
+
+    The integrals of f are computed once for every bound and the report.  Overflow,
+    invalid operations and division by zero raise :class:`DegeneracyError`."""
     tol = scenario.tolerances
     f = materialize(scenario.function, scenario.grid, scenario.field, scenario.d, tol.tau_on)
-    results = []
-    for entry in scenario.bounds:
-        try:
-            result = B.evaluate(f, scenario.reference, entry.params, entry.bound_id,
-                                tau_hyp=tol.tau_hyp, tau_on=tol.tau_on)
-        except RevtriError as exc:
-            exc.args = (f"[{scenario.id}:{entry.bound_id}] {exc.args[0] if exc.args else exc}",)
-            raise
-        results.append(result)
-    return RunReport(scenario.id, tuple(results), defect(f), _rollup(results),
+    stage = "integrals"
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            est = defect(f)
+            results = []
+            for entry in scenario.bounds:
+                stage = entry.bound_id
+                results.append(B.evaluate(f, est, scenario.reference, entry.params,
+                                          entry.bound_id, tau_hyp=tol.tau_hyp,
+                                          tau_on=tol.tau_on))
+    except FloatingPointError as exc:
+        raise DegeneracyError(f"[{scenario.id}:{stage}] floating-point {exc}") from None
+    except RevtriError as exc:
+        exc.args = (f"[{scenario.id}:{stage}] {exc.args[0] if exc.args else exc}",)
+        raise
+    return RunReport(scenario.id, tuple(results), est, _rollup(r.verdict for r in results),
                      scenario.provenance)
 
 
 def exit_code(report: RunReport) -> int:
-    return {HOLDS: EXIT_HOLDS, VIOLATED: EXIT_VIOLATED,
-            HYPOTHESIS_FAILED: EXIT_HYPOTHESIS_FAILED}[report.rollup]
+    return EXIT_CODES[report.rollup]
 
 
 # --------------------------------------------------------------------------

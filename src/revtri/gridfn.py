@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping
 
 import numpy as np
@@ -97,31 +98,83 @@ class ScalarProfile:
         return cls(grid, np.full(grid.n_nodes, float(value)), nonnegative)
 
 
+#: The Python types a JSON number decodes to; ``bool`` subclasses ``int`` but is not one.
+_JSON_NUMBERS = frozenset({float, int})
+#: The Python types a JSON array decodes to, or a Python caller passes for one.
+_JSON_ARRAYS = frozenset({list, tuple})
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a number a scenario file may hold: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def number_array(data, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``data``, nested lists of JSON numbers, as a float64 array of ``shape``, else None.
+
+    One numpy conversion and C-level passes over the types of the lists and the entries;
+    the type passes reject the bools, strings and None that numpy would convert.  None
+    also for other number types (``np.float64``), other sequences and integers beyond the
+    float range: a caller that accepts or reports those walks the entries itself.
+    """
+    try:
+        arr = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != shape:
+        return None
+    level = [data]
+    for _ in shape:
+        if not set(map(type, level)) <= _JSON_ARRAYS:
+            return None
+        level = list(chain.from_iterable(level))
+    return arr if set(map(type, level)) <= _JSON_NUMBERS else None
+
+
+def _profile_numbers(kind: str, args, shape: tuple[int, ...]) -> np.ndarray:
+    """The numbers of a ``kind`` profile spec as a float64 array of ``shape``, () or (n,).
+
+    Bools and strings are rejected like in a scenario's node samples."""
+    values = number_array(args, shape)
+    if values is not None:
+        return values
+    if shape and (not isinstance(args, (list, tuple)) or len(args) != shape[0]):
+        raise InputError(f"{kind} profile needs a list of {shape[0]} numbers")
+    for i, value in enumerate(args if shape else [args]):
+        if not is_number(value):
+            where = f" entry {i}" if shape else ""
+            raise InputError(f"{kind} profile{where} must be a number, got {value!r}")
+    try:  # numbers of other types (np.float64), or an integer beyond the float range
+        return np.array(args, dtype=np.float64)
+    except OverflowError:
+        raise InputError(f"{kind} profile values must be finite") from None
+
+
 def profile_of(spec, grid: Grid, nonnegative: bool = True) -> ScalarProfile:
     """Evaluate a profile expression node-wise.
 
     ``spec`` is a number (constant) or a one-key mapping:
     ``{"constant": c}``, ``{"linear": [y0, y1]}``, ``{"sinusoid": [c0, c1, w]}``
-    (meaning c0 + c1*sin(w*t)) or ``{"samples": [...]}`` of length N+1.
-    A negative node value is rejected unless ``nonnegative`` is False, and a
-    non-finite one always.
+    (meaning c0 + c1*sin(w*t)) or ``{"samples": [...]}`` of length N+1, holding
+    numbers only (no bools or strings).  A negative node value is rejected unless
+    ``nonnegative`` is False, and a non-finite one always.
     """
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+    if is_number(spec):
         spec = {"constant": spec}
     if not isinstance(spec, Mapping) or len(spec) != 1:
         raise InputError(f"profile spec must be a number or a one-key mapping, got {spec!r}")
     kind, args = next(iter(spec.items()))
     t = grid.nodes()
     if kind == "constant":
-        values = np.full(grid.n_nodes, float(args))
+        values = np.full(grid.n_nodes, _profile_numbers(kind, args, ()).item())
     elif kind == "linear":
-        y0, y1 = (float(v) for v in args)
+        y0, y1 = _profile_numbers(kind, args, (2,)).tolist()
         values = y0 + (y1 - y0) * (t - grid.a) / grid.length
     elif kind == "sinusoid":
-        c0, c1, omega = (float(v) for v in args)
+        c0, c1, omega = _profile_numbers(kind, args, (3,)).tolist()
         values = c0 + c1 * np.sin(omega * t)
     elif kind == "samples":
-        values = np.asarray(args, dtype=np.float64)
+        values = _profile_numbers(kind, args, (grid.n_nodes,))
     else:
         raise InputError(f"unknown profile kind {kind!r}")
     if not np.isfinite(values).all():

@@ -106,6 +106,28 @@ def _halved_samples(values: np.ndarray, jumps):
     return values[::2], half_jumps
 
 
+#: np.linalg.norm squares the entries: a largest magnitude below _HUGE cannot overflow
+#: the sum, and one above _TINY does not underflow its square
+_TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, which squares the entries, without overflow: past the safe
+    range ``x`` is scaled by 2**-k first, k the exponent of its largest magnitude.  The
+    scaling is exact and keeps the layout, and with it the summation order."""
+    x = np.atleast_1d(x)
+    big = abs(x).max()
+    if not (big >= _HUGE or 0.0 < big <= _TINY):  # zero and NaN included
+        return float(np.linalg.norm(x))
+    _, k = np.frexp(big)
+    scaled = np.empty_like(x)
+    if np.iscomplexobj(x):  # np.ldexp takes real arrays only
+        scaled.real, scaled.imag = np.ldexp(x.real, -k), np.ldexp(x.imag, -k)
+    else:
+        np.ldexp(x, -k, out=scaled)
+    return float(np.ldexp(np.linalg.norm(scaled), k))
+
+
 def _integrate(grid: Grid, values: np.ndarray, jumps, rule: str):
     full = _weighted_sum(values, jumps, grid.n_panels, grid.step, rule)
     if grid.n_panels >= 4:
@@ -114,8 +136,7 @@ def _integrate(grid: Grid, values: np.ndarray, jumps, rule: str):
     else:
         # too coarse to halve: compare against the trapezoid evaluation instead
         half = _weighted_sum(values, jumps, grid.n_panels, grid.step, TRAPEZOID)
-    diff = np.atleast_1d(full - half)
-    return full, float(np.linalg.norm(diff))
+    return full, _norm(full - half)
 
 
 def sample_integral(grid: Grid, values, rule: str = DEFAULT_RULE) -> IntegralEstimate:
@@ -175,7 +196,7 @@ def defect(f: GridFunction, rule: str = DEFAULT_RULE) -> DefectEstimate:
     """
     ni = norm_integral(f, rule)
     bi = bochner_integral(f, rule)
-    integral_norm = float(np.linalg.norm(bi.value.coords))
+    integral_norm = _norm(bi.value.coords)
     roundoff = ROUNDOFF * (abs(ni.value) + integral_norm)
     return DefectEstimate(
         value=ni.value - integral_norm,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -53,8 +54,11 @@ from .gridfn import (
     VECTORS,
     FunctionSpec,
     Grid,
+    GridFunction,
     ScalarProfile,
+    is_number,
     materialize,
+    number_array,
     profile_of,
     require_unit,
 )
@@ -107,6 +111,11 @@ class Scenario:
     tolerances: Tolerances = Tolerances()
     provenance: dict | None = None
 
+    @cached_property
+    def f(self) -> GridFunction:
+        """The grid function, materialized once per scenario."""
+        return materialize(self.function, self.grid, self.field, self.d, self.tolerances.tau_on)
+
 
 # --------------------------------------------------------------------------
 # parsing
@@ -125,9 +134,12 @@ def _at(path: str, fn, *args):
 
 def _number(data, path: str) -> float:
     """A JSON number, finite or not; callers check finiteness."""
-    if isinstance(data, bool) or not isinstance(data, (int, float)):
+    if not is_number(data):
         _fail(path, f"expected a number, got {data!r}")
-    return float(data)
+    try:
+        return float(data)
+    except OverflowError:
+        _fail(path, "must be finite, got an integer beyond the float range")
 
 
 def _get_number(data, path: str) -> float:
@@ -150,7 +162,8 @@ def _parse_scalar_entry(field: str, entry, path: str) -> complex:
     return complex(_number(entry[0], path + "[0]"), _number(entry[1], path + "[1]"))
 
 
-def _parse_coords(field: str, data, d: int, path: str) -> np.ndarray:
+def _walk_row(field: str, data, d: int, path: str) -> np.ndarray:
+    """One row of ``d`` coordinates, entry by entry; locates the first malformed entry."""
     if not isinstance(data, (list, tuple)):
         _fail(path, f"expected a coordinate list, got {data!r}")
     if len(data) != d:
@@ -158,6 +171,25 @@ def _parse_coords(field: str, data, d: int, path: str) -> np.ndarray:
     coords = [_parse_scalar_entry(field, entry, f"{path}[{i}]") for i, entry in enumerate(data)]
     arr = np.array(coords, dtype=np.complex128)
     return arr.real if field == REAL else arr
+
+
+def _parse_coords(field: str, data, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """JSON coordinates as one array of ``shape``: a row (d,) or rows (n, d), each
+    coordinate a real number or, for a complex field, an [re, im] pair; checked finite.
+
+    One numpy conversion and one type pass (:func:`number_array`).  Only when they fail
+    does the row walk run, to report the malformed entry or to accept numbers of other
+    types (``np.float64``)."""
+    pairs = number_array(data, shape + ((2,) if field == COMPLEX else ()))
+    if pairs is None:
+        *rows, d = shape
+        values = (np.stack([_walk_row(field, row, d, f"{path}[{j}]") for j, row in enumerate(data)])
+                  if rows else _walk_row(field, data, d, path))
+    else:
+        # the pairs' memory is the complex array's: signed zeros survive, unlike re + 1j*im
+        values = pairs.view(np.complex128).reshape(shape) if field == COMPLEX else pairs
+    _require_finite(values, path)
+    return values
 
 
 def _parse_list(data, path: str, what: str, parse) -> tuple:
@@ -168,19 +200,14 @@ def _parse_list(data, path: str, what: str, parse) -> tuple:
 
 
 def _parse_vector(data, path: str, grid: Grid, field: str, d: int) -> HVector:
-    coords = _parse_coords(field, data, d, path)
-    _require_finite(coords, path)
-    return HVector(field, coords)
+    return HVector(field, _parse_coords(field, data, (d,), path))
 
 
 def _parse_samples(rows, path: str, grid: Grid, field: str, d: int) -> np.ndarray:
-    """N+1 coordinate rows, checked for finiteness once as one array."""
+    """N+1 coordinate rows as one (N+1, d) array."""
     if not isinstance(rows, list) or len(rows) != grid.n_nodes:
         _fail(path, f"need {grid.n_nodes} node values")
-    values = np.stack([_parse_coords(field, row, d, f"{path}[{j}]")
-                       for j, row in enumerate(rows)])
-    _require_finite(values, path)
-    return values
+    return _parse_coords(field, rows, (grid.n_nodes, d), path)
 
 
 #: kind -> parser(data, path, grid, field, d) for the values of a scenario file: the
@@ -319,11 +346,13 @@ def scenario_from_dict(data, source: str = "scenario") -> Scenario:
     reference = _parse_reference(data["reference"], grid, field, d, tolerances.tau_on,
                                  f"{source}.reference")
     function = _parse_function(data["function"], grid, field, d, f"{source}.function")
-    _at(f"{source}.function", materialize, function, grid, field, d, tolerances.tau_on)
+    f = _at(f"{source}.function", materialize, function, grid, field, d, tolerances.tau_on)
 
     entries = _parse_list(data["bounds"], f"{source}.bounds", "bound entries",
                           lambda entry, q: _parse_bound_entry(entry, grid, reference, field, d, q))
-    return Scenario(sid, field, d, grid, function, reference, entries, tolerances)
+    scenario = Scenario(sid, field, d, grid, function, reference, entries, tolerances)
+    vars(scenario)["f"] = f  # fills the cache of Scenario.f: run() reuses the validated f
+    return scenario
 
 
 def load_scenario(path) -> Scenario:
@@ -335,7 +364,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(str(p), f"cannot read file: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over Python's digit limit
         raise ScenarioError(str(p), f"invalid JSON: {exc}") from exc
     return scenario_from_dict(data, source=p.name)
 
@@ -440,7 +469,7 @@ def run(scenario: Scenario) -> RunReport:
     The integrals of f are computed once for every bound and the report.  Overflow,
     invalid operations and division by zero raise :class:`DegeneracyError`."""
     tol = scenario.tolerances
-    f = materialize(scenario.function, scenario.grid, scenario.field, scenario.d, tol.tau_on)
+    f = scenario.f
     stage = "integrals"
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):

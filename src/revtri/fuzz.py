@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import bounds as B
 from .bounds import BoundParams, VIOLATED
 from .errors import InputError
-from .gridfn import FunctionSpec, Grid, ScalarProfile
+from .gridfn import GRID_CACHE, FunctionSpec, Grid, ScalarProfile, grid_nodes
 from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, orthonormalize
 from .scenario import (
     BoundEntry,
@@ -53,17 +53,31 @@ def _coeffs(rng, shape, field):
     return rng.standard_normal(shape)
 
 
-def _trig_path(rng, grid: Grid, d: int, field: str, harmonics: int = MAX_HARMONICS):
-    """Band-limited path (N+1, d): random drift plus <= ``harmonics`` modes."""
-    t = (grid.nodes() - grid.a) / grid.length
-    n_modes = int(rng.integers(1, harmonics + 1))
-    ks = np.arange(1, n_modes + 1)
-    decay = 1.0 / ks
+@lru_cache(maxsize=GRID_CACHE)
+def _trig_table(key: tuple[str, str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi k t at the nodes t of the grid with ``key`` (rescaled to
+    [0, 1]), for k = 1..MAX_HARMONICS: two read-only (N+1, MAX_HARMONICS) arrays.
+
+    C order matters: a path's first ``n_modes`` columns then give the same products,
+    bit for bit, as a table of ``n_modes`` columns."""
+    a, b = float.fromhex(key[0]), float.fromhex(key[1])
+    t = (grid_nodes(key) - a) / (b - a)
+    phases = 2.0 * math.pi * np.outer(t, np.arange(1, MAX_HARMONICS + 1))
+    cos, sin = np.cos(phases), np.sin(phases)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
+
+
+def _trig_path(rng, grid: Grid, d: int, field: str):
+    """Band-limited path (N+1, d): random drift plus <= MAX_HARMONICS modes."""
+    n_modes = int(rng.integers(1, MAX_HARMONICS + 1))
+    decay = 1.0 / np.arange(1, n_modes + 1)
     a = _coeffs(rng, (n_modes, d), field) * decay[:, None]
     b = _coeffs(rng, (n_modes, d), field) * decay[:, None]
     c0 = _coeffs(rng, (d,), field)
-    phases = 2.0 * math.pi * np.outer(t, ks)
-    return c0[None, :] + np.cos(phases) @ a + np.sin(phases) @ b
+    cos, sin = _trig_table(grid.key)
+    return c0[None, :] + cos[:, :n_modes] @ a + sin[:, :n_modes] @ b
 
 
 def _bounded_path(rng, grid: Grid, d: int, field: str):

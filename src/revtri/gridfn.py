@@ -11,7 +11,7 @@ serialization and :func:`materialize` read it.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Callable, Mapping
 
@@ -33,6 +33,10 @@ from .hilbert import (
 )
 
 DEFAULT_PANELS = 512
+
+#: Grids whose grid-only tables (nodes, the fuzz trig basis) are kept, each cache keeping
+#: the most recently used ones.
+GRID_CACHE = 2
 
 #: Kinds of scenario-file values, shared by function variants and bound parameters.
 NUMBER = "number"
@@ -65,12 +69,30 @@ class Grid:
     def n_nodes(self) -> int:
         return self.n_panels + 1
 
+    @property
+    def key(self) -> tuple[str, str, int]:
+        """The exact values (a, b as ``float.hex``, N): the cache key of grid-only tables.
+
+        Grids rebuilt with the same values share it.  Unlike ``==`` it tells a -0.0
+        endpoint from 0.0, which ``np.linspace`` keeps in the nodes."""
+        return float(self.a).hex(), float(self.b).hex(), self.n_panels
+
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.n_panels + 1)
+        """The N+1 nodes, computed once per :attr:`key`; the array is shared and read-only."""
+        return grid_nodes(self.key)
 
     @property
     def length(self) -> float:
         return self.b - self.a
+
+
+@lru_cache(maxsize=GRID_CACHE)
+def grid_nodes(key: tuple[str, str, int]) -> np.ndarray:
+    """The nodes of the grid with :attr:`Grid.key` ``key``, as a read-only array."""
+    a, b, n_panels = key
+    nodes = np.linspace(float.fromhex(a), float.fromhex(b), n_panels + 1)
+    nodes.setflags(write=False)
+    return nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,15 +186,14 @@ def profile_of(spec, grid: Grid, nonnegative: bool = True) -> ScalarProfile:
     if not isinstance(spec, Mapping) or len(spec) != 1:
         raise InputError(f"profile spec must be a number or a one-key mapping, got {spec!r}")
     kind, args = next(iter(spec.items()))
-    t = grid.nodes()
     if kind == "constant":
         values = np.full(grid.n_nodes, _profile_numbers(kind, args, ()).item())
     elif kind == "linear":
         y0, y1 = _profile_numbers(kind, args, (2,)).tolist()
-        values = y0 + (y1 - y0) * (t - grid.a) / grid.length
+        values = y0 + (y1 - y0) * (grid.nodes() - grid.a) / grid.length
     elif kind == "sinusoid":
         c0, c1, omega = _profile_numbers(kind, args, (3,)).tolist()
-        values = c0 + c1 * np.sin(omega * t)
+        values = c0 + c1 * np.sin(omega * grid.nodes())
     elif kind == "samples":
         values = _profile_numbers(kind, args, (grid.n_nodes,))
     else:

@@ -14,6 +14,7 @@ right piece.  Error estimates come from full-grid vs half-grid comparison
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -33,39 +34,50 @@ DEFAULT_RULE = SIMPSON
 ROUNDOFF = 32.0 * float(np.finfo(np.float64).eps)
 
 
+#: Weight vectors kept, the most recently used: a grid with a jump needs about four
+#: (full and half grid, and their pieces).
+WEIGHT_CACHE = 8
+
+
 def panel_weights(rule: str, n_panels: int, h: float) -> np.ndarray:
     """Composite weights for ``n_panels`` uniform panels of width ``h``.
 
     Simpson handles an odd panel count with a 3/8 tail (still exact through
     cubics); midpoint pairs panels and uses their shared center node, falling
     back to trapezoid when the count is odd.  All weights are nonnegative.
+    Computed once per (rule, n_panels, h); the array is shared and read-only.
     """
     if rule not in RULES:
         raise InputError(f"unknown quadrature rule {rule!r}")
     n = int(n_panels)
     if n < 1:
         raise InputError("need at least one panel")
+    return _panel_weights(rule, n, float(h).hex())
+
+
+@lru_cache(maxsize=WEIGHT_CACHE)
+def _panel_weights(rule: str, n: int, h_key: str) -> np.ndarray:
+    # h as float.hex: h = -0.0 and 0.0 compare equal but give different weights
+    h = float.fromhex(h_key)
     if rule == TRAPEZOID or n == 1:
         w = np.full(n + 1, h)
         w[0] = w[-1] = h / 2.0
-        return w
-    if rule == MIDPOINT:
+    elif rule == MIDPOINT:
         if n % 2 != 0:
             return panel_weights(TRAPEZOID, n, h)
         w = np.zeros(n + 1)
         w[1::2] = 2.0 * h
-        return w
-    # Simpson
-    if n % 2 == 0:
+    elif n % 2 == 0:  # Simpson
         w = np.full(n + 1, 2.0 * h / 3.0)
         w[1::2] = 4.0 * h / 3.0
         w[0] = w[-1] = h / 3.0
-        return w
-    if n == 3:
-        return 3.0 * h / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
-    w = np.zeros(n + 1)
-    w[: n - 2] += panel_weights(SIMPSON, n - 3, h)
-    w[n - 3:] += panel_weights(SIMPSON, 3, h)
+    elif n == 3:
+        w = 3.0 * h / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    else:
+        w = np.zeros(n + 1)
+        w[: n - 2] += panel_weights(SIMPSON, n - 3, h)
+        w[n - 3:] += panel_weights(SIMPSON, 3, h)
+    w.setflags(write=False)
     return w
 
 

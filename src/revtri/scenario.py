@@ -372,18 +372,17 @@ def load_scenario(path) -> Scenario:
 # --------------------------------------------------------------------------
 # serialization back to the file format
 
-def _scalar_to_json(field: str, value) -> object:
-    z = complex(value)
-    return z.real if field == REAL else [z.real, z.imag]
-
-
-def _vector_to_json(field: str, coords) -> list:
-    return [_scalar_to_json(field, v) for v in np.asarray(coords)]
+def _coords_to_json(field: str, coords) -> list:
+    """Coordinates of any shape as nested lists of JSON numbers, with one ``tolist()``:
+    floats, or ``[re, im]`` pairs for the complex field.  Taking each entry through
+    complex128 first gives the floats ``complex(v)`` gives for one number."""
+    z = np.asarray(coords, dtype=np.complex128)
+    return (z.real if field == REAL else np.stack([z.real, z.imag], -1)).tolist()
 
 
 def _profile_to_json(value) -> object:
     if isinstance(value, ScalarProfile):
-        return {"samples": [float(v) for v in value.values]}
+        return {"samples": value.values.tolist()}
     return value
 
 
@@ -394,9 +393,9 @@ _TO_JSON = {
     PROFILE: lambda value, field: _profile_to_json(value),
     SIGNED_PROFILE: lambda value, field: _profile_to_json(value),
     B.PROFILES: lambda values, field: [_profile_to_json(p) for p in values],
-    VECTOR: lambda value, field: _vector_to_json(field, value.coords),
-    VECTORS: lambda values, field: [_vector_to_json(field, m.coords) for m in values],
-    SAMPLES: lambda rows, field: [_vector_to_json(field, row) for row in np.asarray(rows)],
+    VECTOR: lambda value, field: _coords_to_json(field, value.coords),
+    VECTORS: lambda values, field: [_coords_to_json(field, m.coords) for m in values],
+    SAMPLES: lambda rows, field: _coords_to_json(field, rows),
 }
 
 
@@ -593,8 +592,11 @@ def family_extremal_scenario(n: int = 2, c=1.0, d: int | None = None, field: str
     members = tuple(basis_vector(field, d, i) for i in range(n))
     family = check_orthonormal(members)
     profile = c if isinstance(c, ScalarProfile) else profile_of(c, grid)
-    _, gaps = build_family_extremal(family, profile, grid)
+    f, gaps = build_family_extremal(family, profile, grid)
     spec = FunctionSpec.family_symmetric(family, profile)
     entry = BoundEntry(B.THM_3_1, BoundParams(dominance_profiles=gaps))
     sid = scenario_id or f"extremal-family-n{n}"
-    return Scenario(sid, field, d, grid, spec, Reference(REF_FAMILY, family=family), (entry,))
+    scenario = Scenario(sid, field, d, grid, spec, Reference(REF_FAMILY, family=family),
+                        (entry,))
+    vars(scenario)["f"] = f  # fills the cache of Scenario.f: run() reuses the built f
+    return scenario

@@ -89,6 +89,7 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
             entries = entries + (ext.bounds[0],)
         swept = Scenario(base.id, base.field, base.d, base.grid, base.function,
                          base.reference, entries, base.tolerances)
+        vars(swept)["f"] = base.f  # the function is unchanged: materialized once per sweep
         result = next(r for r in run(swept).results if r.bound_id == bound_id)
         rows.append(SweepRow(parameter, value, result.lhs, result.rhs, result.margin,
                              gap, result.verdict))

@@ -88,6 +88,48 @@ def test_signed_zeros_survive():
     assert np.signbit(values.imag).tolist() == [[True, True]]
 
 
+# --------------------------------------------------------------------------
+# serialization: one tolist() per array writes what one complex(v) per number wrote
+
+def _one_number_at_a_time(field: str, coords) -> list:
+    """The coordinates through ``complex(v)`` one at a time (the reference)."""
+    arr = np.asarray(coords)
+    if arr.ndim > 1:
+        return [_one_number_at_a_time(field, row) for row in arr]
+    return [complex(v).real if field == REAL else [complex(v).real, complex(v).imag]
+            for v in arr]
+
+
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), field=st.sampled_from([REAL, COMPLEX]), complex_values=st.booleans(),
+       shape=st.one_of(st.tuples(st.integers(1, 6)),
+                       st.tuples(st.integers(1, 6), st.integers(1, 4))))
+def test_coords_serialize_like_one_number_at_a_time(data, field, complex_values, shape):
+    size = int(np.prod(shape))
+    flat = np.array(data.draw(st.lists(_finite, min_size=2 * size, max_size=2 * size)))
+    # pairs taken as complex128 by a view, so a signed zero imaginary part survives
+    values = flat.view(np.complex128).reshape(shape) if complex_values \
+        else flat[:size].reshape(shape)
+    got = S._coords_to_json(field, values)
+    want = _one_number_at_a_time(field, values)
+    assert json.dumps(got) == json.dumps(want)
+    assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+
+
+def test_coords_serialize_ints_as_floats():
+    rows = np.array([[1, -2], [2**53 + 1, 0]])
+    for field in (REAL, COMPLEX):
+        assert json.dumps(S._coords_to_json(field, rows)) == \
+            json.dumps(_one_number_at_a_time(field, rows))
+
+
 @pytest.mark.parametrize("data, shape", [
     ([True, 1.0], (2,)), (["1.5", 1.0], (2,)), ([None, 1.0], (2,)), ([1.0], (2,)),
     ([[1.0, 2.0], [1.0]], (2, 2)), ([range(2)], (1, 2)), ([np.float64(1.0)], (1,)),

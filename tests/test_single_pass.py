@@ -16,7 +16,8 @@ from revtri import quadrature, run
 from revtri.bounds import BOUNDS, REF_UNIT, eval_unit_bound
 from revtri.cli import main
 from revtri.gridfn import materialize
-from revtri.scenario import scenario_from_dict
+from revtri.scenario import family_extremal_scenario, load_scenario, scenario_from_dict
+from revtri.sweep import sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,6 +80,36 @@ def test_run_integrates_f_once(monkeypatch):
     entry = scenario.bounds[0]
     eval_unit_bound(f, scenario.reference.e, entry.params, entry.bound_id, quadrature.SIMPSON)
     assert calls == {"norm_integral": 2, "bochner_integral": 2}
+
+
+def _count_materialize(monkeypatch) -> list:
+    """Patch ``materialize`` wherever a module holds the name; returns the variants built."""
+    calls = []
+    original = materialize
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.variant)
+        return original(spec, *args, **kwargs)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("revtri") and hasattr(module, "materialize"):
+            monkeypatch.setattr(module, "materialize", counting)
+    return calls
+
+
+def test_sweep_materializes_each_function_once(monkeypatch):
+    base = load_scenario(DATA / "cor23_extremal.json")
+    calls = _count_materialize(monkeypatch)
+    rows, warnings = sweep("COR_2_3", "M", 2.0, 5.0, 4, base=base)
+    assert len(rows) == 4 and not warnings
+    # one extremal cone per swept value; the base function is reused, not rebuilt
+    assert calls == ["cone"] * 4
+
+
+def test_family_extremal_materializes_once(monkeypatch):
+    calls = _count_materialize(monkeypatch)
+    report = run(family_extremal_scenario(n=2))
+    assert report.rollup == "holds"
+    assert calls == ["family_symmetric"]
 
 
 def test_node_norms_are_computed_once_and_read_only():

@@ -26,7 +26,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneracyError, InputError, ParamError
-from .gridfn import NUMBER, PROFILE, GridFunction, ScalarProfile, require_unit
+from .gridfn import (
+    NUMBER,
+    PROFILE,
+    GridFunction,
+    ScalarProfile,
+    by_columns,
+    column_norms,
+    require_unit,
+    row_norms,
+)
 from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner
 from .quadrature import DEFAULT_RULE, ROUNDOFF, DefectEstimate, defect, sample_integral
 
@@ -194,14 +203,18 @@ def _profile_on(f: GridFunction, p: ScalarProfile, name: str) -> np.ndarray:
 
 def _ball_residuals(f: GridFunction, center: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """||f(t) - center|| - radius(t)."""
-    return np.linalg.norm(f.values - center[None, :], axis=1) - radius
+    return f.distances(center) - radius
 
 
 def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
                          M_vals: np.ndarray) -> np.ndarray:
-    """||f(t) - (M+m)/2 e|| - (M-m)/2."""
+    """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances taken column by column."""
     center = 0.5 * (M_vals + m_vals)
-    dist = np.linalg.norm(f.values - center[:, None] * e[None, :], axis=1)
+    if by_columns(f.values.shape):
+        dist = column_norms((f.values[:, j] - center * e[j] for j in range(f.d)),
+                            f.values.shape)
+    else:
+        dist = row_norms(f.values - center[:, None] * e[None, :])
     return dist - 0.5 * (M_vals - m_vals)
 
 
@@ -210,7 +223,7 @@ def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
                     tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| - Re<f(t), e> <= k(t) at every node."""
     _require_unit_reference(f, e, tau_on)
-    residuals = f.norms() - f.inner_with(e).real - _profile_on(f, k, "k")
+    residuals = f.norms() - f.projections(e.coords) - _profile_on(f, k, "k")
     return _report("dominance", residuals, tau_hyp)
 
 
@@ -220,7 +233,7 @@ def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
     """||f(t)|| <= K * Re<f(t), e> at every node (multiplicative hypothesis)."""
     require_K(K)
     _require_unit_reference(f, e, tau_on)
-    residuals = f.norms() - K * f.inner_with(e).real
+    residuals = f.norms() - K * f.projections(e.coords)
     return _report("dominance_scaled", residuals, tau_hyp)
 
 
@@ -249,7 +262,7 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile, M: ScalarProfile,
     M_vals = _profile_on(f, M, "M")
     require_band_profiles(m_vals, M_vals)
     if form == "inner":
-        p = f.inner_with(e).real
+        p = f.projections(e.coords)
         q = f.norms() ** 2
         residuals = q + m_vals * M_vals - (M_vals + m_vals) * p
         return _report("band_inner", residuals, tau_hyp)
@@ -391,13 +404,14 @@ def _band(c: _Context, e: HVector, p: BoundParams):
 
 def _direction(c: _Context):
     """e = alpha + i beta, the split projection alpha int Re f + beta int Im f with
-    its error, and the diagnostics comparing it with Re<int f, e>."""
+    its error, and the diagnostics comparing it with Re<int f, e>.  The integrals of
+    Re f and Im f are computed once per f and rule."""
     alpha, beta = c.ref.alpha, c.ref.beta
     require_direction(alpha, beta)
     z = _complex_samples(c.f)
     e = HVector(COMPLEX, [complex(alpha, beta)])
-    re_int = sample_integral(c.f.grid, z.real, c.rule)
-    im_int = sample_integral(c.f.grid, z.imag, c.rule)
+    re_int, im_int = c.f.cached(("part_integrals", c.rule), lambda: (
+        sample_integral(c.f.grid, z.real, c.rule), sample_integral(c.f.grid, z.imag, c.rule)))
     split = alpha * re_int.value + beta * im_int.value
     split_err = alpha * re_int.err_est + beta * im_int.err_est
     proj = float(inner(c.est.integral, e).real)
@@ -524,7 +538,7 @@ def _family_bound(c: _Context, hyp, extra: float, extra_err: float, terms: dict,
 
 def _family_projections(c: _Context) -> np.ndarray:
     """Re<f(t), e_i> for every node and member as one (N+1, n) product."""
-    return (c.f.values @ np.conjugate(c.ref.family.matrix().T)).real
+    return c.f.projections(c.ref.family.matrix())
 
 
 def _integral_extra(c: _Context, hyp, samples, s: float, name: str):

@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as B
 from .bounds import BoundParams, VIOLATED
 from .errors import InputError
-from .gridfn import GRID_CACHE, FunctionSpec, Grid, ScalarProfile, grid_nodes
+from .gridfn import GRID_CACHE, FunctionSpec, Grid, ScalarProfile, grid_nodes, row_norms
 from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, orthonormalize
 from .scenario import (
     BoundEntry,
@@ -83,7 +83,7 @@ def _trig_path(rng, grid: Grid, d: int, field: str):
 def _bounded_path(rng, grid: Grid, d: int, field: str):
     """Path with max node norm exactly 1 (zero path cannot occur)."""
     path = _trig_path(rng, grid, d, field)
-    top = float(np.max(np.linalg.norm(path, axis=1)))
+    top = float(np.max(row_norms(path)))
     return path / top
 
 
@@ -123,7 +123,7 @@ def _samples_profile(grid: Grid, values) -> ScalarProfile:
 def _gen_dominance(rng, grid, field, d, n_family):
     e = _unit_vector(rng, field, d)
     values = rng.uniform(0.5, 2.0) * _trig_path(rng, grid, d, field)
-    gap = np.linalg.norm(values, axis=1) - (values @ np.conjugate(e.coords)).real
+    gap = row_norms(values) - (values @ np.conjugate(e.coords)).real
     slack = rng.uniform(0.0, 0.5)
     k = _samples_profile(grid, np.maximum(gap, 0.0) + slack)
     return values, Reference(REF_UNIT, e=e), BoundParams(k=k)
@@ -156,7 +156,7 @@ def _gen_ball_profile(rng, grid, field, d, n_family):
     amp = rng.uniform(0.1, 1.4)
     w = _bounded_path(rng, grid, d, field)
     values = e.coords[None, :] + amp * w
-    dist = np.linalg.norm(values - e.coords[None, :], axis=1)
+    dist = row_norms(values - e.coords[None, :])
     r = _samples_profile(grid, dist + rng.uniform(0.01, 0.3))
     return values, Reference(REF_UNIT, e=e), BoundParams(r=r)
 
@@ -164,7 +164,7 @@ def _gen_ball_profile(rng, grid, field, d, n_family):
 def _band_constants(rng, values, e_coords):
     """(m, M) with the band condition holding at every node of ``values``."""
     p = (values @ np.conjugate(e_coords)).real
-    q = np.linalg.norm(values, axis=1) ** 2
+    q = row_norms(values) ** 2
     M = (1.0 + rng.uniform(0.05, 0.5)) * float(np.max(q / p))
     cap = float(np.min((M * p - q) / (M - p)))
     m = rng.uniform(0.1, 0.9) * cap
@@ -205,7 +205,7 @@ def _gen_scaled_dominance(rng, grid, field, d, n_family):
     e = _unit_vector(rng, field, d)
     values, _ = _ball_values(rng, grid, field, d, e, rho_max=0.9)
     p = (values @ np.conjugate(e.coords)).real
-    ratio = np.linalg.norm(values, axis=1) / p
+    ratio = row_norms(values) / p
     K = float(np.max(ratio)) * (1.0 + rng.uniform(0.0, 0.5))
     return values, Reference(REF_UNIT, e=e), BoundParams(K=max(K, 1.0))
 
@@ -232,7 +232,7 @@ def _gen_family_dominance(rng, grid, field, d, n_family):
     family = _orthofamily(rng, field, d, n_family)
     values = _symmetric_base(rng, grid, field, d, family,
                              0.5, 1.5, rng.uniform(0.0, 0.5))
-    norms = np.linalg.norm(values, axis=1)
+    norms = row_norms(values)
     proj = (values @ np.conjugate(family.matrix().T)).real
     profiles = tuple(
         _samples_profile(grid, np.maximum(norms - proj[:, i], 0.0) + rng.uniform(0.0, 0.4))
@@ -253,7 +253,7 @@ def _gen_family_ball(rng, grid, field, d, n_family):
     values = (1.0 / math.sqrt(n) + gamma)[:, None] * s_unit[None, :] + eps * w
     rhos = []
     for i in range(n):
-        dist = np.linalg.norm(values - family.members[i].coords[None, :], axis=1)
+        dist = row_norms(values - family.members[i].coords[None, :])
         top = float(np.max(dist))
         rhos.append(top + rng.uniform(0.05, 0.9) * (1.0 - top))
     return values, Reference(REF_FAMILY, family=family), BoundParams(rhos=tuple(rhos))
@@ -277,7 +277,7 @@ def _gen_family_ball_profiles(rng, grid, field, d, n_family):
                              0.5, 1.5, rng.uniform(0.0, 0.5))
     profiles = []
     for i in range(n_family):
-        dist = np.linalg.norm(values - family.members[i].coords[None, :], axis=1)
+        dist = row_norms(values - family.members[i].coords[None, :])
         profiles.append(_samples_profile(grid, dist + rng.uniform(0.01, 0.5)))
     return values, Reference(REF_FAMILY, family=family), BoundParams(r_profiles=tuple(profiles))
 
@@ -286,7 +286,7 @@ def _gen_family_band_profiles(rng, grid, field, d, n_family):
     family = _orthofamily(rng, field, d, n_family)
     amp = rng.uniform(0.02, 0.4 * 0.8 / math.sqrt(n_family))
     values = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
-    q = np.linalg.norm(values, axis=1) ** 2
+    q = row_norms(values) ** 2
     m_profiles, M_profiles = [], []
     for i in range(n_family):
         p = (values @ np.conjugate(family.members[i].coords)).real

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -34,9 +34,17 @@ from .hilbert import (
 
 DEFAULT_PANELS = 512
 
-#: Grids whose grid-only tables (nodes, the fuzz trig basis) are kept, each cache keeping
-#: the most recently used ones.
+T = TypeVar("T")
+
+#: Grids whose grid-only tables (nodes, sinusoid profiles, the fuzz trig basis) are kept,
+#: each cache keeping the most recently used ones.
 GRID_CACHE = 2
+
+#: From this many columns on, ``np.linalg.norm(x, axis=1)`` sums each row pairwise.
+PAIRWISE_COLUMNS = 8
+#: Below this many nodes numpy's loop over each row costs less than one pass per column
+#: (timed at N+1 = 513 and 2049, d = 2..7).
+COLUMN_PASS_NODES = 1024
 
 #: Kinds of scenario-file values, shared by function variants and bound parameters.
 NUMBER = "number"
@@ -93,6 +101,54 @@ def grid_nodes(key: tuple[str, str, int]) -> np.ndarray:
     nodes = np.linspace(float.fromhex(a), float.fromhex(b), n_panels + 1)
     nodes.setflags(write=False)
     return nodes
+
+
+@lru_cache(maxsize=GRID_CACHE)
+def _sin_table(key: tuple[str, str, int], omega_key: str) -> np.ndarray:
+    """sin(omega t) at the nodes t of the grid with ``key``, omega as ``float.hex``;
+    read-only."""
+    table = np.sin(float.fromhex(omega_key) * grid_nodes(key))
+    table.setflags(write=False)
+    return table
+
+
+def by_columns(shape: tuple[int, int]) -> bool:
+    """Whether row norms of an (N+1, d) array of ``shape`` are summed one column at a
+    time (:func:`column_norms`) rather than by ``np.linalg.norm(axis=1)``: for 2 to
+    PAIRWISE_COLUMNS - 1 columns and at least COLUMN_PASS_NODES nodes.  Either gives
+    the same bits."""
+    n, d = shape
+    return 2 <= d < PAIRWISE_COLUMNS and n >= COLUMN_PASS_NODES
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` of an (N+1, d) array, bit for bit.
+
+    Below :data:`PAIRWISE_COLUMNS` numpy sums the squares of a row in column order, in a
+    loop over its d entries; :func:`column_norms` sums them in the same order along the
+    node axis, which is faster on long grids (:func:`by_columns`).  From there on numpy
+    sums pairwise."""
+    if not by_columns(x.shape):
+        return np.linalg.norm(x, axis=1)
+    return column_norms((x[:, j] for j in range(x.shape[1])), x.shape)
+
+
+def column_norms(columns, shape: tuple[int, int]) -> np.ndarray:
+    """The row norms of the ``shape`` (N+1, d) array whose d < :data:`PAIRWISE_COLUMNS`
+    columns ``columns`` yields, as ``np.linalg.norm(axis=1)`` computes them.
+
+    Each column is squared with numpy's formula, ``(c.conj() * c).real`` for complex
+    data and ``c * c`` for real, into one row of a (d, N+1) table, and one reduction
+    along the node axis sums the rows in order: the sums are numpy's bit for bit, and an
+    overflow raises the FloatingPointError numpy raises.  A generator of columns computes
+    each one only when it is squared, so no (N+1, d) array is built."""
+    squares = np.empty(shape[::-1])
+    for row, c in zip(squares, columns):
+        if np.iscomplexobj(c):
+            row[...] = (c.conj() * c).real
+        else:
+            np.multiply(c, c, out=row)
+    return np.sqrt(np.add.reduce(squares, axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +249,7 @@ def profile_of(spec, grid: Grid, nonnegative: bool = True) -> ScalarProfile:
         values = y0 + (y1 - y0) * (grid.nodes() - grid.a) / grid.length
     elif kind == "sinusoid":
         c0, c1, omega = _profile_numbers(kind, args, (3,)).tolist()
-        values = c0 + c1 * np.sin(omega * grid.nodes())
+        values = c0 + c1 * _sin_table(grid.key, float(omega).hex())
     elif kind == "samples":
         values = _profile_numbers(kind, args, (grid.n_nodes,))
     else:
@@ -201,6 +257,11 @@ def profile_of(spec, grid: Grid, nonnegative: bool = True) -> ScalarProfile:
     if not np.isfinite(values).all():
         raise InputError(f"{kind} profile values must be finite")
     return ScalarProfile(grid, values, nonnegative)
+
+
+def _array_key(kind: str, arr: np.ndarray) -> tuple:
+    """A cache key that tells arrays apart by dtype, shape and exact bytes (-0.0 from 0.0)."""
+    return kind, arr.dtype.str, arr.shape, arr.tobytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,6 +272,10 @@ class GridFunction:
     vector at that node, for functions with a jump sitting exactly on a
     node (``values`` holds the function's actual value there, which is
     also the left limit).  Quadrature integrates such data piecewise.
+
+    Node tables that depend on f and a reference (norms, distances to a center,
+    projections onto a reference) are computed once and kept on f: every bound of a
+    run, and every step of a sweep that shares f, reads the same read-only array.
     """
 
     grid: Grid
@@ -249,15 +314,37 @@ class GridFunction:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def norms(self) -> np.ndarray:
-        """Node norms ||f(t_j)||, computed once per function; the array is read-only."""
-        return self._norms
+    def cached(self, key: tuple, compute: Callable[[], T]) -> T:
+        """``compute()``, computed once per ``key`` and kept on f, so it dies with f;
+        an array result is made read-only."""
+        tables = self._tables
+        if key not in tables:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            tables[key] = value
+        return tables[key]
 
     @cached_property
-    def _norms(self) -> np.ndarray:
-        norms = np.linalg.norm(self.values, axis=1)
-        norms.setflags(write=False)
-        return norms
+    def _tables(self) -> dict:
+        return {}
+
+    def norms(self) -> np.ndarray:
+        """Node norms ||f(t_j)||, computed once per function; the array is read-only."""
+        return self.cached(("norms",), lambda: row_norms(self.values))
+
+    def distances(self, center: np.ndarray) -> np.ndarray:
+        """Node distances ||f(t_j) - center||, computed once per center (keyed by its
+        exact bytes); the array is read-only."""
+        return self.cached(_array_key("distances", center),
+                           lambda: row_norms(self.values - center[None, :]))
+
+    def projections(self, refs: np.ndarray) -> np.ndarray:
+        """Re<f(t_j), e> per node for a reference vector ``refs`` = e, or an (N+1, n)
+        table for the n rows e_i of ``refs``; computed once per ``refs`` (keyed by its
+        exact bytes) with one product; the array is read-only."""
+        return self.cached(_array_key("projections", refs), lambda: np.ascontiguousarray(
+            (self.values @ np.conjugate(refs.T)).real))
 
     def inner_with(self, e: HVector) -> np.ndarray:
         """Per-node inner products <f(t_j), e> (conjugate-linear in e)."""

@@ -51,8 +51,9 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
 
     Without a base scenario each row evaluates the bound on its own extremal
     function, so margin and gap coincide; with a base scenario the margin
-    columns come from the base function re-run at the swept parameter while
-    the gap still comes from the extremal recipe.  Returns (rows, warnings).
+    columns come from the base function, evaluated on the swept bound alone at
+    the swept parameter, while the gap still comes from the extremal recipe.
+    Returns (rows, warnings).
     """
     if bound_id not in RECIPE_BOUNDS:
         raise InputError(f"sweep supports bounds with equality recipes, not {bound_id!r}")
@@ -81,16 +82,11 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
             rows.append(SweepRow(parameter, value, ext_result.lhs, ext_result.rhs,
                                  ext_result.margin, gap, ext_result.verdict))
             continue
-        entries = tuple(
-            ext.bounds[0] if entry.bound_id == bound_id else entry
-            for entry in base.bounds
-        )
-        if all(entry.bound_id != bound_id for entry in base.bounds):
-            entries = entries + (ext.bounds[0],)
+        # only the swept bound is evaluated: the other base bounds do not enter the row
         swept = Scenario(base.id, base.field, base.d, base.grid, base.function,
-                         base.reference, entries, base.tolerances)
+                         base.reference, ext.bounds, base.tolerances)
         vars(swept)["f"] = base.f  # the function is unchanged: materialized once per sweep
-        result = next(r for r in run(swept).results if r.bound_id == bound_id)
+        result = run(swept).results[0]
         rows.append(SweepRow(parameter, value, result.lhs, result.rhs, result.margin,
                              gap, result.verdict))
     return rows, warnings

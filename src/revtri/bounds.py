@@ -31,10 +31,8 @@ from .gridfn import (
     PROFILE,
     GridFunction,
     ScalarProfile,
-    by_columns,
     column_norms,
     require_unit,
-    row_norms,
 )
 from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner
 from .quadrature import DEFAULT_RULE, ROUNDOFF, DefectEstimate, defect, sample_integral
@@ -210,11 +208,7 @@ def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
                          M_vals: np.ndarray) -> np.ndarray:
     """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances taken column by column."""
     center = 0.5 * (M_vals + m_vals)
-    if by_columns(f.values.shape):
-        dist = column_norms((f.values[:, j] - center * e[j] for j in range(f.d)),
-                            f.values.shape)
-    else:
-        dist = row_norms(f.values - center[:, None] * e[None, :])
+    dist = column_norms((f.values[:, j] - center * e[j] for j in range(f.d)), f.values.shape)
     return dist - 0.5 * (M_vals - m_vals)
 
 

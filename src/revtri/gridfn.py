@@ -42,9 +42,6 @@ GRID_CACHE = 2
 
 #: From this many columns on, ``np.linalg.norm(x, axis=1)`` sums each row pairwise.
 PAIRWISE_COLUMNS = 8
-#: Below this many nodes numpy's loop over each row costs less than one pass per column
-#: (timed at N+1 = 513 and 2049, d = 2..7).
-COLUMN_PASS_NODES = 1024
 
 #: Kinds of scenario-file values, shared by function variants and bound parameters.
 NUMBER = "number"
@@ -112,39 +109,34 @@ def _sin_table(key: tuple[str, str, int], omega_key: str) -> np.ndarray:
     return table
 
 
-def by_columns(shape: tuple[int, int]) -> bool:
-    """Whether row norms of an (N+1, d) array of ``shape`` are summed one column at a
-    time (:func:`column_norms`) rather than by ``np.linalg.norm(axis=1)``: for 2 to
-    PAIRWISE_COLUMNS - 1 columns and at least COLUMN_PASS_NODES nodes.  Either gives
-    the same bits."""
-    n, d = shape
-    return 2 <= d < PAIRWISE_COLUMNS and n >= COLUMN_PASS_NODES
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(x, axis=1)`` of an (N+1, d) array, bit for bit.
 
     Below :data:`PAIRWISE_COLUMNS` numpy sums the squares of a row in column order, in a
-    loop over its d entries; :func:`column_norms` sums them in the same order along the
-    node axis, which is faster on long grids (:func:`by_columns`).  From there on numpy
-    sums pairwise."""
-    if not by_columns(x.shape):
+    loop over its d entries; for 2 to PAIRWISE_COLUMNS - 1 columns :func:`column_norms`
+    sums them in the same order along the node axis.  One column has nothing to sum,
+    and from PAIRWISE_COLUMNS on numpy sums pairwise: numpy is called."""
+    if not 2 <= x.shape[1] < PAIRWISE_COLUMNS:
         return np.linalg.norm(x, axis=1)
-    return column_norms((x[:, j] for j in range(x.shape[1])), x.shape)
+    return column_norms(x.T, x.shape)
 
 
 def column_norms(columns, shape: tuple[int, int]) -> np.ndarray:
-    """The row norms of the ``shape`` (N+1, d) array whose d < :data:`PAIRWISE_COLUMNS`
-    columns ``columns`` yields, as ``np.linalg.norm(axis=1)`` computes them.
+    """The row norms of the ``shape`` (N+1, d) array whose columns ``columns`` yields,
+    as ``np.linalg.norm(axis=1)`` computes them.
 
-    Each column is squared with numpy's formula, ``(c.conj() * c).real`` for complex
-    data and ``c * c`` for real, into one row of a (d, N+1) table, and one reduction
-    along the node axis sums the rows in order: the sums are numpy's bit for bit, and an
-    overflow raises the FloatingPointError numpy raises.  A generator of columns computes
-    each one only when it is squared, so no (N+1, d) array is built."""
+    For d < :data:`PAIRWISE_COLUMNS` each column is squared with numpy's formula,
+    ``(c.conj() * c).real`` for complex data and ``c * c`` for real, into one row of a
+    (d, N+1) table, and one reduction along the node axis sums the rows in order: the
+    sums are numpy's bit for bit, and an overflow raises the FloatingPointError numpy
+    raises.  A generator of columns computes each one only when it is squared, so no
+    (N+1, d) array is built.  From PAIRWISE_COLUMNS columns on the columns are stacked
+    and numpy is called."""
+    if shape[1] >= PAIRWISE_COLUMNS:
+        return np.linalg.norm(np.column_stack(tuple(columns)), axis=1)
     squares = np.empty(shape[::-1])
     for row, c in zip(squares, columns):
-        if np.iscomplexobj(c):
+        if c.dtype.kind == "c":
             row[...] = (c.conj() * c).real
         else:
             np.multiply(c, c, out=row)
@@ -316,10 +308,19 @@ class GridFunction:
 
     def cached(self, key: tuple, compute: Callable[[], T]) -> T:
         """``compute()``, computed once per ``key`` and kept on f, so it dies with f;
-        an array result is made read-only."""
+        an array result is made read-only.
+
+        Only a result computed without overflow, invalid operation or division by zero
+        is kept.  Otherwise it is computed again under the caller's floating-point
+        settings and not kept, so ``run()``, which raises on these, raises as if no
+        table had been kept, whatever was called on f before."""
         tables = self._tables
         if key not in tables:
-            value = compute()
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    value = compute()
+            except FloatingPointError:
+                return compute()
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             tables[key] = value

@@ -84,8 +84,8 @@ def _extremal_params(args) -> dict:
 
 def _cmd_extremal(args) -> int:
     if args.bound == B.THM_3_1:
-        scenario = family_extremal_scenario(n=args.n_family, c=args.c,
-                                            interval=tuple(args.interval),
+        scenario = family_extremal_scenario(n=args.n_family, c=args.c, d=args.dim,
+                                            field=args.field, interval=tuple(args.interval),
                                             n_panels=args.panels)
     elif args.bound in RECIPE_BOUNDS:
         scenario = extremal_scenario(args.bound, _extremal_params(args),
@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--alpha", type=float, help="component along e for the dominance recipe")
     p_ext.add_argument("--c", type=float, default=1.0, help="family amplitude (THM_3_1)")
     p_ext.add_argument("--n-family", type=int, default=2)
-    p_ext.add_argument("--dim", type=int, default=2)
+    p_ext.add_argument("--dim", type=int, default=None,
+                       help="dimension d (default 2, or max(n-family, 2) for THM_3_1)")
     p_ext.add_argument("--field", choices=(REAL, COMPLEX), default=REAL)
     p_ext.add_argument("--interval", type=float, nargs=2, default=(0.0, 1.0))
     p_ext.add_argument("--panels", type=int, default=None)

@@ -20,7 +20,8 @@ import numpy as np
 from . import bounds as B
 from .bounds import BoundParams, VIOLATED
 from .errors import InputError
-from .gridfn import GRID_CACHE, FunctionSpec, Grid, ScalarProfile, grid_nodes, row_norms
+from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, grid_nodes,
+                     row_norms)
 from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, orthonormalize
 from .scenario import (
     BoundEntry,
@@ -118,22 +119,24 @@ def _samples_profile(grid: Grid, values) -> ScalarProfile:
 
 
 # --------------------------------------------------------------------------
-# per-bound generators; each returns (values, reference, params)
+# per-bound generators; each returns (f, reference, params), the constants read from the
+# node tables of f, which run() then reuses
 
 def _gen_dominance(rng, grid, field, d, n_family):
     e = _unit_vector(rng, field, d)
-    values = rng.uniform(0.5, 2.0) * _trig_path(rng, grid, d, field)
-    gap = row_norms(values) - (values @ np.conjugate(e.coords)).real
+    f = GridFunction(grid, field, rng.uniform(0.5, 2.0) * _trig_path(rng, grid, d, field))
+    gap = f.norms() - f.projections(e.coords)
     slack = rng.uniform(0.0, 0.5)
     k = _samples_profile(grid, np.maximum(gap, 0.0) + slack)
-    return values, Reference(REF_UNIT, e=e), BoundParams(k=k)
+    return f, Reference(REF_UNIT, e=e), BoundParams(k=k)
 
 
-def _ball_values(rng, grid, field, d, e, rho_max=0.95):
+def _ball_function(rng, grid, field, d, e, rho_max=0.95):
+    """(f, rho) with f inside the ball of radius rho around e at every node."""
     rho = rng.uniform(0.05, rho_max)
     eta = rng.uniform(0.2, 0.98)
     w = _bounded_path(rng, grid, d, field)
-    return e.coords[None, :] + rho * eta * w, rho
+    return GridFunction(grid, field, e.coords[None, :] + rho * eta * w), rho
 
 
 def _reference_e(rng, field, d, kind):
@@ -147,45 +150,43 @@ def _reference_e(rng, field, d, kind):
 
 def _gen_ball(rng, grid, field, d, n_family, kind=REF_UNIT):
     e, reference = _reference_e(rng, field, d, kind)
-    values, rho = _ball_values(rng, grid, field, d, e)
-    return values, reference, BoundParams(rho=rho)
+    f, rho = _ball_function(rng, grid, field, d, e)
+    return f, reference, BoundParams(rho=rho)
 
 
 def _gen_ball_profile(rng, grid, field, d, n_family):
     e = _unit_vector(rng, field, d)
     amp = rng.uniform(0.1, 1.4)
     w = _bounded_path(rng, grid, d, field)
-    values = e.coords[None, :] + amp * w
-    dist = row_norms(values - e.coords[None, :])
-    r = _samples_profile(grid, dist + rng.uniform(0.01, 0.3))
-    return values, Reference(REF_UNIT, e=e), BoundParams(r=r)
+    f = GridFunction(grid, field, e.coords[None, :] + amp * w)
+    r = _samples_profile(grid, f.distances(e.coords) + rng.uniform(0.01, 0.3))
+    return f, Reference(REF_UNIT, e=e), BoundParams(r=r)
 
 
-def _band_constants(rng, values, e_coords):
-    """(m, M) with the band condition holding at every node of ``values``."""
-    p = (values @ np.conjugate(e_coords)).real
-    q = row_norms(values) ** 2
+def _band_constants(rng, f, e_coords):
+    """(m, M) with the band condition holding at every node of ``f``."""
+    p = f.projections(e_coords)
+    q = f.norms() ** 2
     M = (1.0 + rng.uniform(0.05, 0.5)) * float(np.max(q / p))
     cap = float(np.min((M * p - q) / (M - p)))
     m = rng.uniform(0.1, 0.9) * cap
     return m, M
 
 
-def _disk_values(rng, grid, field, d, e, m, M):
-    """Node values sampled inside the band disk around ((M+m)/2) e."""
+def _disk_function(rng, grid, field, d, e, m, M):
+    """f with node values sampled inside the band disk around ((M+m)/2) e."""
     center = 0.5 * (M + m)
     radius = 0.5 * (M - m)
     eta = rng.uniform(0.2, 0.98)
     w = _bounded_path(rng, grid, d, field)
-    return center * e.coords[None, :] + radius * eta * w
+    return GridFunction(grid, field, center * e.coords[None, :] + radius * eta * w)
 
 
 def _gen_band(rng, grid, field, d, n_family, kind=REF_UNIT):
     e, reference = _reference_e(rng, field, d, kind)
     m = rng.uniform(0.05, 1.5)
     M = m + rng.uniform(0.01, 3.0)
-    values = _disk_values(rng, grid, field, d, e, m, M)
-    return values, reference, BoundParams(m=m, M=M)
+    return _disk_function(rng, grid, field, d, e, m, M), reference, BoundParams(m=m, M=M)
 
 
 def _gen_band_profiles(rng, grid, field, d, n_family):
@@ -195,19 +196,17 @@ def _gen_band_profiles(rng, grid, field, d, n_family):
     R = c0 * xi
     eta = rng.uniform(0.2, 0.98)
     w = _bounded_path(rng, grid, d, field)
-    values = c0[:, None] * e.coords[None, :] + (R * eta)[:, None] * w
+    f = GridFunction(grid, field, c0[:, None] * e.coords[None, :] + (R * eta)[:, None] * w)
     m = _samples_profile(grid, c0 - R)
     M = _samples_profile(grid, c0 + R)
-    return values, Reference(REF_UNIT, e=e), BoundParams(m_profile=m, M_profile=M)
+    return f, Reference(REF_UNIT, e=e), BoundParams(m_profile=m, M_profile=M)
 
 
 def _gen_scaled_dominance(rng, grid, field, d, n_family):
     e = _unit_vector(rng, field, d)
-    values, _ = _ball_values(rng, grid, field, d, e, rho_max=0.9)
-    p = (values @ np.conjugate(e.coords)).real
-    ratio = row_norms(values) / p
-    K = float(np.max(ratio)) * (1.0 + rng.uniform(0.0, 0.5))
-    return values, Reference(REF_UNIT, e=e), BoundParams(K=max(K, 1.0))
+    f, _ = _ball_function(rng, grid, field, d, e, rho_max=0.9)
+    K = float(np.max(f.norms() / f.projections(e.coords))) * (1.0 + rng.uniform(0.0, 0.5))
+    return f, Reference(REF_UNIT, e=e), BoundParams(K=max(K, 1.0))
 
 
 def _gen_arg_cone(rng, grid, field, d, n_family):
@@ -216,29 +215,27 @@ def _gen_arg_cone(rng, grid, field, d, n_family):
     raw = _trig_path(rng, grid, 1, REAL)[:, 0]
     top = float(np.max(np.abs(raw))) or 1.0
     phi = theta * rng.uniform(0.2, 0.95) * raw / top
-    values = (r * np.exp(1j * phi))[:, None]
+    f = GridFunction(grid, field, (r * np.exp(1j * phi))[:, None])
     alpha, beta = _direction(rng)
-    return values, Reference(REF_DIRECTION, alpha=alpha, beta=beta), BoundParams(theta=theta)
+    return f, Reference(REF_DIRECTION, alpha=alpha, beta=beta), BoundParams(theta=theta)
 
 
 def _symmetric_base(rng, grid, field, d, family, c_lo, c_hi, amp):
     s_unit = family.sum_vector().coords / math.sqrt(family.n)
     c = _smooth_scalar(rng, grid, c_lo, c_hi)
     w = _bounded_path(rng, grid, d, field)
-    return c[:, None] * s_unit[None, :] + amp * w
+    return GridFunction(grid, field, c[:, None] * s_unit[None, :] + amp * w)
 
 
 def _gen_family_dominance(rng, grid, field, d, n_family):
     family = _orthofamily(rng, field, d, n_family)
-    values = _symmetric_base(rng, grid, field, d, family,
-                             0.5, 1.5, rng.uniform(0.0, 0.5))
-    norms = row_norms(values)
-    proj = (values @ np.conjugate(family.matrix().T)).real
+    f = _symmetric_base(rng, grid, field, d, family, 0.5, 1.5, rng.uniform(0.0, 0.5))
+    norms, proj = f.norms(), f.projections(family.matrix())
     profiles = tuple(
         _samples_profile(grid, np.maximum(norms - proj[:, i], 0.0) + rng.uniform(0.0, 0.4))
         for i in range(n_family)
     )
-    return values, Reference(REF_FAMILY, family=family), BoundParams(dominance_profiles=profiles)
+    return f, Reference(REF_FAMILY, family=family), BoundParams(dominance_profiles=profiles)
 
 
 def _gen_family_ball(rng, grid, field, d, n_family):
@@ -250,52 +247,45 @@ def _gen_family_ball(rng, grid, field, d, n_family):
     gamma = rng.uniform(0.0, 0.25 * room) * _smooth_scalar(rng, grid, -1.0, 1.0)
     eps = rng.uniform(0.0, 0.25 * room)
     w = _bounded_path(rng, grid, d, field)
-    values = (1.0 / math.sqrt(n) + gamma)[:, None] * s_unit[None, :] + eps * w
+    f = GridFunction(grid, field,
+                     (1.0 / math.sqrt(n) + gamma)[:, None] * s_unit[None, :] + eps * w)
     rhos = []
-    for i in range(n):
-        dist = row_norms(values - family.members[i].coords[None, :])
-        top = float(np.max(dist))
+    for e in family.members:
+        top = float(np.max(f.distances(e.coords)))
         rhos.append(top + rng.uniform(0.05, 0.9) * (1.0 - top))
-    return values, Reference(REF_FAMILY, family=family), BoundParams(rhos=tuple(rhos))
+    return f, Reference(REF_FAMILY, family=family), BoundParams(rhos=tuple(rhos))
 
 
 def _gen_family_band(rng, grid, field, d, n_family):
     family = _orthofamily(rng, field, d, n_family)
     amp = rng.uniform(0.02, 0.4 * 0.8 / math.sqrt(n_family))
-    values = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
-    ms, Ms = [], []
-    for i in range(n_family):
-        m, M = _band_constants(rng, values, family.members[i].coords)
-        ms.append(m)
-        Ms.append(M)
-    return values, Reference(REF_FAMILY, family=family), BoundParams(ms=tuple(ms), Ms=tuple(Ms))
+    f = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
+    ms, Ms = zip(*(_band_constants(rng, f, e.coords) for e in family.members))
+    return f, Reference(REF_FAMILY, family=family), BoundParams(ms=ms, Ms=Ms)
 
 
 def _gen_family_ball_profiles(rng, grid, field, d, n_family):
     family = _orthofamily(rng, field, d, n_family)
-    values = _symmetric_base(rng, grid, field, d, family,
-                             0.5, 1.5, rng.uniform(0.0, 0.5))
-    profiles = []
-    for i in range(n_family):
-        dist = row_norms(values - family.members[i].coords[None, :])
-        profiles.append(_samples_profile(grid, dist + rng.uniform(0.01, 0.5)))
-    return values, Reference(REF_FAMILY, family=family), BoundParams(r_profiles=tuple(profiles))
+    f = _symmetric_base(rng, grid, field, d, family, 0.5, 1.5, rng.uniform(0.0, 0.5))
+    profiles = [_samples_profile(grid, f.distances(e.coords) + rng.uniform(0.01, 0.5))
+                for e in family.members]
+    return f, Reference(REF_FAMILY, family=family), BoundParams(r_profiles=tuple(profiles))
 
 
 def _gen_family_band_profiles(rng, grid, field, d, n_family):
     family = _orthofamily(rng, field, d, n_family)
     amp = rng.uniform(0.02, 0.4 * 0.8 / math.sqrt(n_family))
-    values = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
-    q = row_norms(values) ** 2
+    f = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
+    q = f.norms() ** 2
     m_profiles, M_profiles = [], []
-    for i in range(n_family):
-        p = (values @ np.conjugate(family.members[i].coords)).real
+    for e in family.members:
+        p = f.projections(e.coords)
         c0 = (1.0 + rng.uniform(0.05, 0.6)) * q / (2.0 * p)
         dist = np.sqrt(np.maximum(q - 2.0 * c0 * p + c0 * c0, 0.0))
         R = dist + rng.uniform(0.05, 0.9) * (c0 - dist)
         m_profiles.append(_samples_profile(grid, c0 - R))
         M_profiles.append(_samples_profile(grid, c0 + R))
-    return values, Reference(REF_FAMILY, family=family), BoundParams(
+    return f, Reference(REF_FAMILY, family=family), BoundParams(
         m_profiles=tuple(m_profiles), M_profiles=tuple(M_profiles))
 
 
@@ -303,11 +293,11 @@ def _gen_complex_box(rng, grid, field, d, n_family):
     alpha, beta = _direction(rng)
     base_re = _smooth_scalar(rng, grid, 0.3, 2.0)
     base_im = _smooth_scalar(rng, grid, 0.3, 2.0)
-    values = (alpha * base_re + 1j * beta * base_im)[:, None]
+    f = GridFunction(grid, field, (alpha * base_re + 1j * beta * base_im)[:, None])
     kappa = rng.uniform(0.02, 0.4)
     k = _samples_profile(grid, np.minimum(base_re, base_im) * (1.0 - kappa))
     K = _samples_profile(grid, np.maximum(base_re, base_im) * (1.0 + kappa))
-    return values, Reference(REF_DIRECTION, alpha=alpha, beta=beta), BoundParams(
+    return f, Reference(REF_DIRECTION, alpha=alpha, beta=beta), BoundParams(
         m_profile=k, M_profile=K)
 
 
@@ -333,18 +323,22 @@ GENERATORS = {
 
 def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
                       field: str = REAL, n_family: int = 3,
-                      interval: tuple[float, float] = (0.0, 1.0),
                       n_panels: int = 512) -> Scenario:
-    """Deterministic hypothesis-satisfying scenario for (seed, trial)."""
+    """Deterministic hypothesis-satisfying scenario for (seed, trial) on [0, 1]."""
     if bound_id not in GENERATORS:
         raise InputError(f"unknown bound id {bound_id!r}")
     if B.BOUNDS[bound_id].reference == REF_DIRECTION:
         field, d = COMPLEX, 1
-    if bound_id in B.FAMILY_BOUNDS and n_family > d:
-        raise InputError(f"family of {n_family} needs d >= {n_family}")
+    if d < 1:
+        raise InputError(f"dimension d must be at least 1, got {d}")
+    if bound_id in B.FAMILY_BOUNDS:
+        if n_family < 1:
+            raise InputError(f"n_family must be at least 1, got {n_family}")
+        if n_family > d:
+            raise InputError(f"family of {n_family} needs d >= {n_family}")
     rng = trial_rng(seed, trial)
-    grid = Grid(interval[0], interval[1], n_panels)
-    values, reference, params = GENERATORS[bound_id](rng, grid, field, d, n_family)
+    grid = Grid(0.0, 1.0, n_panels)
+    f, reference, params = GENERATORS[bound_id](rng, grid, field, d, n_family)
     provenance = {
         "generator": f"fuzz:{bound_id}",
         "seed": int(seed),
@@ -353,15 +347,17 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
         "field": field,
         "n_family": int(n_family) if bound_id in B.FAMILY_BOUNDS else None,
     }
-    return Scenario(
+    scenario = Scenario(
         id=f"fuzz-{bound_id}-s{seed}-t{trial}",
         field=field, d=d, grid=grid,
-        function=FunctionSpec.samples(values),
+        function=FunctionSpec.samples(f.values),
         reference=reference,
         bounds=(BoundEntry(bound_id, params),),
         tolerances=Tolerances(),
         provenance=provenance,
     )
+    vars(scenario)["f"] = f  # fills the cache of Scenario.f: run() reuses the generated f
+    return scenario
 
 
 @dataclass
@@ -420,16 +416,14 @@ def _chain_gap(result) -> float | None:
 
 
 def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
-         n_family: int = 3, interval: tuple[float, float] = (0.0, 1.0),
-         n_panels: int = 512, keep_reports: bool = False) -> FuzzSummary:
+         n_family: int = 3, n_panels: int = 512, keep_reports: bool = False) -> FuzzSummary:
     """Run ``trials`` hypothesis-by-construction scenarios against one bound."""
     if trials < 1:
         raise InputError("need at least one trial")
     summary = FuzzSummary(bound_id, trials, seed,
                           reports=[] if keep_reports else None)
     for trial in range(trials):
-        scenario = generate_scenario(bound_id, seed, trial, d, field, n_family,
-                                     interval, n_panels)
+        scenario = generate_scenario(bound_id, seed, trial, d, field, n_family, n_panels)
         report = run(scenario)
         result = report.results[0]
         if result.verdict == B.HOLDS:

@@ -64,6 +64,7 @@ from .gridfn import (
 )
 from .hilbert import (
     COMPLEX,
+    DEFAULT_ORTHO_TOL,
     REAL,
     HVector,
     basis_vector,
@@ -84,7 +85,7 @@ EXIT_CODES = {HOLDS: EXIT_HOLDS, VIOLATED: EXIT_VIOLATED,
 @dataclass(frozen=True)
 class Tolerances:
     tau_hyp: float = B.DEFAULT_HYP_TOL
-    tau_on: float = 1e-10
+    tau_on: float = DEFAULT_ORTHO_TOL
     bound_slack: float | None = None  # None: 10 x err_budget at judgment time
 
     def slack_for(self, err_budget: float) -> float:
@@ -561,16 +562,17 @@ def report_to_csv(report: RunReport) -> str:
 # --------------------------------------------------------------------------
 # canned scenarios
 
-def extremal_scenario(bound_id: str, params: dict, d: int = 2, field: str = REAL,
+def extremal_scenario(bound_id: str, params: dict, d: int | None = None, field: str = REAL,
                       interval: tuple[float, float] = (0.0, 1.0),
                       n_panels: int | None = None,
                       scenario_id: str | None = None) -> Scenario:
-    """A scenario realizing equality in one of the recipe bounds."""
+    """A scenario realizing equality in one of the recipe bounds; d defaults to 2."""
     if bound_id not in RECIPE_BOUNDS:
         raise ScenarioError("bound_id", f"no extremal recipe for {bound_id!r}")
+    d = 2 if d is None else d
     if d < 2:
         raise ScenarioError("d", "cone extremals need d >= 2")
-    grid = Grid(interval[0], interval[1], n_panels or DEFAULT_PANELS)
+    grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
     recipe = solve_equality_params(bound_id, params, interval)
     e = basis_vector(field, d, 0)
     u = basis_vector(field, d, 1)
@@ -584,11 +586,11 @@ def family_extremal_scenario(n: int = 2, c=1.0, d: int | None = None, field: str
                              interval: tuple[float, float] = (0.0, 1.0),
                              n_panels: int | None = None,
                              scenario_id: str | None = None) -> Scenario:
-    """A scenario realizing equality in the family dominance bound."""
-    d = d or max(n, 2)
+    """A scenario realizing equality in the family dominance bound; d defaults to max(n, 2)."""
+    d = max(n, 2) if d is None else d
     if n > d:
         raise ScenarioError("n", f"family of {n} needs d >= {n}")
-    grid = Grid(interval[0], interval[1], n_panels or DEFAULT_PANELS)
+    grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
     members = tuple(basis_vector(field, d, i) for i in range(n))
     family = check_orthonormal(members)
     profile = c if isinstance(c, ScalarProfile) else profile_of(c, grid)

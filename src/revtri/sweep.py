@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as B
-from .errors import InputError
+from .errors import InputError, RevtriError
 from .extremal import RECIPE_BOUNDS
 from .scenario import Scenario, extremal_scenario, run
 
@@ -30,7 +30,7 @@ class SweepRow:
     lhs: float
     rhs: float
     margin: float
-    extremal_gap: float | None
+    extremal_gap: float
     verdict: str
 
 
@@ -49,11 +49,9 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
           base: Scenario | None = None) -> tuple[list[SweepRow], list[str]]:
     """One row per step over ``parameter``; infeasible values are skipped.
 
-    Without a base scenario each row evaluates the bound on its own extremal
-    function, so margin and gap coincide; with a base scenario the margin
-    columns come from the base function, evaluated on the swept bound alone at
-    the swept parameter, while the gap still comes from the extremal recipe.
-    Returns (rows, warnings).
+    A row's gap is the bound's margin on the step's extremal function, and so is its
+    margin without a base scenario; with one, the margin columns come from the base
+    function on the swept bound alone, one run for all steps.  Returns (rows, warnings).
     """
     if bound_id not in RECIPE_BOUNDS:
         raise InputError(f"sweep supports bounds with equality recipes, not {bound_id!r}")
@@ -62,40 +60,42 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
         raise InputError(f"{bound_id} sweeps over {keys}, not {parameter!r}")
     if steps < 1:
         raise InputError("steps must be >= 1")
-    values = [float(v) for v in np.linspace(start, stop, steps)]
     interval = (base.grid.a, base.grid.b) if base is not None else (0.0, 1.0)
     n_panels = base.grid.n_panels if base is not None else None
-    rows: list[SweepRow] = []
+    fixed = _base_params(bound_id, base)
     warnings: list[str] = []
-    for value in values:
-        params = _base_params(bound_id, base)
-        params[parameter] = value
+    kept = []  # (value, extremal result, swept bound entry) per feasible value
+    for value in np.linspace(start, stop, steps).tolist():
         try:
-            ext = extremal_scenario(bound_id, params, interval=interval, n_panels=n_panels,
+            ext = extremal_scenario(bound_id, {**fixed, parameter: value}, interval=interval,
+                                    n_panels=n_panels,
                                     scenario_id=f"sweep-{bound_id.lower()}-{parameter}")
         except InputError as exc:
             warnings.append(f"{parameter}={value!r} skipped: {exc}")
             continue
-        ext_result = run(ext).results[0]
-        gap = ext_result.margin
-        if base is None:
-            rows.append(SweepRow(parameter, value, ext_result.lhs, ext_result.rhs,
-                                 ext_result.margin, gap, ext_result.verdict))
-            continue
-        # only the swept bound is evaluated: the other base bounds do not enter the row
-        swept = Scenario(base.id, base.field, base.d, base.grid, base.function,
-                         base.reference, ext.bounds, base.tolerances)
-        vars(swept)["f"] = base.f  # the function is unchanged: materialized once per sweep
-        result = run(swept).results[0]
-        rows.append(SweepRow(parameter, value, result.lhs, result.rhs, result.margin,
-                             gap, result.verdict))
+        try:
+            kept.append((value, run(ext).results[0], ext.bounds[0]))
+        except RevtriError:
+            _step_results(base, kept)  # step by step, an earlier base step raised first
+            raise
+    rows = [SweepRow(parameter, value, r.lhs, r.rhs, r.margin, ext.margin, r.verdict)
+            for (value, ext, _), r in zip(kept, _step_results(base, kept))]
     return rows, warnings
+
+
+def _step_results(base: Scenario | None, kept: list) -> tuple:
+    """The extremal results of ``kept``, or one run of the base function on all its entries."""
+    if base is None or not kept:
+        return tuple(ext for _, ext, _ in kept)
+    swept = Scenario(base.id, base.field, base.d, base.grid, base.function, base.reference,
+                     tuple(entry for _, _, entry in kept), base.tolerances)
+    vars(swept)["f"] = base.f  # the function is unchanged: materialized and integrated once
+    return run(swept).results
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        gap = "" if row.extremal_gap is None else repr(row.extremal_gap)
         lines.append(f"{row.parameter},{row.value!r},{row.lhs!r},{row.rhs!r},"
-                     f"{row.margin!r},{gap}")
+                     f"{row.margin!r},{row.extremal_gap!r}")
     return "\n".join(lines) + "\n"

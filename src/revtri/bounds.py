@@ -31,7 +31,7 @@ from .gridfn import (
     PROFILE,
     GridFunction,
     ScalarProfile,
-    column_norms,
+    _node_norms,
     require_unit,
 )
 from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner
@@ -193,22 +193,28 @@ def _require_unit_reference(f: GridFunction, e: HVector, tol: float) -> None:
     require_unit(e, "reference vector", tol)
 
 
-def _profile_on(f: GridFunction, p: ScalarProfile, name: str) -> np.ndarray:
+def _profile_on(f: GridFunction, p: ScalarProfile | float, name: str) -> np.ndarray:
+    """A profile's node values, or a constant as a 0-d array: numpy arithmetic on it
+    gives the node values of the constant profile and raises the same errors."""
+    if not isinstance(p, ScalarProfile):
+        return np.asarray(p, dtype=np.float64)
     if p.grid != f.grid:
         raise InputError(f"{name} profile lives on a different grid")
     return p.values
 
 
-def _ball_residuals(f: GridFunction, center: np.ndarray, radius: np.ndarray) -> np.ndarray:
+def _ball_residuals(f: GridFunction, center: np.ndarray, radius) -> np.ndarray:
     """||f(t) - center|| - radius(t)."""
     return f.distances(center) - radius
 
 
 def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
                          M_vals: np.ndarray) -> np.ndarray:
-    """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances taken column by column."""
-    center = 0.5 * (M_vals + m_vals)
-    dist = column_norms((f.values[:, j] - center * e[j] for j in range(f.d)), f.values.shape)
+    """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances taken a node block at a time."""
+    x = f.values
+    center = np.broadcast_to(0.5 * (M_vals + m_vals), x.shape[:1])
+    dist = _node_norms(lambda j, lo, hi: x[lo:hi, j] - center[lo:hi] * e[j], x.shape,
+                       lambda: x - center[:, None] * e[None, :])
     return dist - 0.5 * (M_vals - m_vals)
 
 
@@ -231,16 +237,17 @@ def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
     return _report("dominance_scaled", residuals, tau_hyp)
 
 
-def check_ball(f: GridFunction, e: HVector, radius: ScalarProfile,
+def check_ball(f: GridFunction, e: HVector, radius: ScalarProfile | float,
                tau_hyp: float = DEFAULT_HYP_TOL,
                tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
-    """||f(t) - e|| <= radius(t) at every node."""
+    """||f(t) - e|| <= radius(t) at every node; a number is a constant radius."""
     _require_unit_reference(f, e, tau_on)
     residuals = _ball_residuals(f, e.coords, _profile_on(f, radius, "radius"))
     return _report("ball", residuals, tau_hyp)
 
 
-def check_band(f: GridFunction, e: HVector, m: ScalarProfile, M: ScalarProfile,
+def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
+               M: ScalarProfile | float,
                form: str = "inner",
                tau_hyp: float = DEFAULT_HYP_TOL,
                tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
@@ -248,6 +255,7 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile, M: ScalarProfile,
 
     ``inner``: residual_j = -Re<M(t)e - f(t), f(t) - m(t)e>;
     ``norm``:  residual_j = ||f(t) - (M+m)/2 e|| - (M-m)/2.
+    A number for m or M is a constant profile.
     """
     if form not in ("inner", "norm"):
         raise InputError(f"band form must be 'inner' or 'norm', got {form!r}")
@@ -381,18 +389,15 @@ class _Context:
     tau_hyp: float
     tau_on: float
 
-    def constant(self, value: float) -> ScalarProfile:
-        return ScalarProfile.constant(self.f.grid, value)
-
 
 def _ball(c: _Context, e: HVector, p: BoundParams):
     """The constant-radius ball hypothesis around e and its coefficient."""
-    return check_ball(c.f, e, c.constant(p.rho), c.tau_hyp, c.tau_on), ball_coefficient(p.rho)
+    return check_ball(c.f, e, p.rho, c.tau_hyp, c.tau_on), ball_coefficient(p.rho)
 
 
 def _band(c: _Context, e: HVector, p: BoundParams):
     """The constant band hypothesis around e (inner form) and its coefficient."""
-    hyp = check_band(c.f, e, c.constant(p.m), c.constant(p.M), "inner", c.tau_hyp, c.tau_on)
+    hyp = check_band(c.f, e, p.m, p.M, "inner", c.tau_hyp, c.tau_on)
     return hyp, band_coefficient(p.m, p.M)
 
 

@@ -43,6 +43,10 @@ from .hilbert import HVector, OrthonormalFamily
 RECIPE_BOUNDS = (THM_2_1, COR_2_2, COR_2_3, COR_2_4, COR_2_5)
 
 
+def _recipe_name(bound_id: str, params: dict) -> str:
+    return f"{bound_id} equality recipe at " + ", ".join(f"{k}={v!r}" for k, v in params.items())
+
+
 @dataclass(frozen=True)
 class ExtremalRecipe:
     """Cone parameters achieving equality in ``bound_id`` on ``interval``."""
@@ -55,6 +59,10 @@ class ExtremalRecipe:
     interval: tuple[float, float]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.expected_defect))):
+            raise InputError(
+                f"{_recipe_name(self.bound_id, self.params)} is not finite: alpha="
+                f"{self.alpha!r}, beta={self.beta!r}, expected defect {self.expected_defect!r}")
         if not self.alpha > 0.0:
             raise InputError(f"extremal component along e must be positive, got {self.alpha!r}")
         if self.beta < 0.0:
@@ -82,10 +90,20 @@ def solve_equality_params(bound_id: str, params: dict[str, float],
       ||f|| - Re<f, e> on the disk boundary lands at ||f|| = c0:
       alpha = c0 - R^2/(2 c0), beta = sqrt(R^2 - R^4/(4 c0^2));
       defect = R^2/(2 c0) * length = (M-m)^2 / (4 (M+m)) * length.
+
+    Parameters whose recipe overflows, or gives a non-finite alpha, beta or expected
+    defect, raise :class:`InputError` naming the bound and the parameters.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise InputError(f"interval requires b > a, got [{a}, {b}]")
+    try:
+        return _solve(bound_id, params, a, b)
+    except OverflowError:
+        raise InputError(f"{_recipe_name(bound_id, params)} overflows") from None
+
+
+def _solve(bound_id: str, params: dict[str, float], a: float, b: float) -> ExtremalRecipe:
     length = b - a
 
     if bound_id == THM_2_1:

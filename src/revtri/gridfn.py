@@ -43,6 +43,10 @@ GRID_CACHE = 2
 #: From this many columns on, ``np.linalg.norm(x, axis=1)`` sums each row pairwise.
 PAIRWISE_COLUMNS = 8
 
+#: Nodes per block of a row-norm walk: the (d, block) squares buffer of up to
+#: PAIRWISE_COLUMNS - 1 columns (at most 224 KiB) stays in a core's L2 cache.
+_NODE_BLOCK = 4096
+
 #: Kinds of scenario-file values, shared by function variants and bound parameters.
 NUMBER = "number"
 PROFILE = "profile"
@@ -109,38 +113,84 @@ def _sin_table(key: tuple[str, str, int], omega_key: str) -> np.ndarray:
     return table
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)`` of an (N+1, d) array, bit for bit.
+def row_norms(x) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` of an (N+1, d) array, or of the rows x - c of a
+    :class:`_Shifted` pair, bit for bit.
 
     Below :data:`PAIRWISE_COLUMNS` numpy sums the squares of a row in column order, in a
-    loop over its d entries; for 2 to PAIRWISE_COLUMNS - 1 columns :func:`column_norms`
-    sums them in the same order along the node axis.  One column has nothing to sum,
-    and from PAIRWISE_COLUMNS on numpy sums pairwise: numpy is called."""
+    loop over its d entries; for 2 to PAIRWISE_COLUMNS - 1 columns :func:`_node_norms`
+    sums them in the same order along the node axis, a node block at a time.  One column
+    has nothing to sum, and from PAIRWISE_COLUMNS on numpy sums pairwise: numpy is
+    called, on the whole difference for a pair."""
     if not 2 <= x.shape[1] < PAIRWISE_COLUMNS:
         return np.linalg.norm(x, axis=1)
-    return column_norms(x.T, x.shape)
+    column = x.column if isinstance(x, _Shifted) else lambda j, lo, hi: x[lo:hi, j]
+    return _node_norms(column, x.shape, lambda: x)
 
 
-def column_norms(columns, shape: tuple[int, int]) -> np.ndarray:
+class _Shifted:
+    """The rows x - c of an (N+1, d) array x and a (d,) center c, computed a column block
+    at a time by :func:`row_norms`; numpy sees the whole difference."""
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c, self.shape = x, c, x.shape
+
+    def column(self, j: int, lo: int, hi: int) -> np.ndarray:
+        return self.x[lo:hi, j] - self.c[j]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.x - self.c[None, :]
+
+
+def _node_norms(column: Callable[[int, int, int], np.ndarray], shape: tuple[int, int],
+                whole: Callable[[], np.ndarray]) -> np.ndarray:
+    """The row norms of the ``shape`` (N+1, d) array ``whole()`` whose column j over
+    the nodes lo:hi is ``column(j, lo, hi)``, as ``np.linalg.norm(axis=1)`` computes them.
+
+    The nodes are walked in blocks of :data:`_NODE_BLOCK`, reusing one (d, block)
+    squares buffer, and each block's norms are written into the output by
+    :func:`column_norms`: no (N+1, d) array is built.  If an operation overflows or is
+    invalid, numpy takes ``whole()`` instead, so its warnings or its FloatingPointError
+    come in numpy's order, as if the whole array had been computed."""
+    n, d = shape
+    out = np.empty(n)
+    squares = np.empty((d, min(n, _NODE_BLOCK)))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for lo in range(0, n, _NODE_BLOCK):
+                hi = min(lo + _NODE_BLOCK, n)
+                column_norms((column(j, lo, hi) for j in range(d)), (hi - lo, d),
+                             squares[:, :hi - lo], out[lo:hi])
+    except FloatingPointError:
+        return np.linalg.norm(whole(), axis=1)
+    return out
+
+
+def column_norms(columns, shape: tuple[int, int], squares: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The row norms of the ``shape`` (N+1, d) array whose columns ``columns`` yields,
-    as ``np.linalg.norm(axis=1)`` computes them.
+    as ``np.linalg.norm(axis=1)`` computes them; written into ``out`` if given.
 
     For d < :data:`PAIRWISE_COLUMNS` each column is squared with numpy's formula,
     ``(c.conj() * c).real`` for complex data and ``c * c`` for real, into one row of a
-    (d, N+1) table, and one reduction along the node axis sums the rows in order: the
-    sums are numpy's bit for bit, and an overflow raises the FloatingPointError numpy
-    raises.  A generator of columns computes each one only when it is squared, so no
-    (N+1, d) array is built.  From PAIRWISE_COLUMNS columns on the columns are stacked
-    and numpy is called."""
+    (d, N+1) table (``squares`` if given), and one reduction along the node axis sums
+    the rows in order: the sums are numpy's bit for bit, and an overflow raises the
+    FloatingPointError numpy raises.  A generator of columns computes each one only when
+    it is squared, so no (N+1, d) array is built.  From PAIRWISE_COLUMNS columns on the
+    columns are stacked and numpy is called."""
     if shape[1] >= PAIRWISE_COLUMNS:
-        return np.linalg.norm(np.column_stack(tuple(columns)), axis=1)
-    squares = np.empty(shape[::-1])
+        norms = np.linalg.norm(np.column_stack(tuple(columns)), axis=1)
+        if out is not None:
+            out[...] = norms
+        return norms
+    if squares is None:
+        squares = np.empty(shape[::-1])
     for row, c in zip(squares, columns):
         if c.dtype.kind == "c":
             row[...] = (c.conj() * c).real
         else:
             np.multiply(c, c, out=row)
-    return np.sqrt(np.add.reduce(squares, axis=0))
+    return np.sqrt(np.add.reduce(squares, axis=0, out=out), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +388,7 @@ class GridFunction:
         """Node distances ||f(t_j) - center||, computed once per center (keyed by its
         exact bytes); the array is read-only."""
         return self.cached(_array_key("distances", center),
-                           lambda: row_norms(self.values - center[None, :]))
+                           lambda: row_norms(_Shifted(self.values, center)))
 
     def projections(self, refs: np.ndarray) -> np.ndarray:
         """Re<f(t_j), e> per node for a reference vector ``refs`` = e, or an (N+1, n)
@@ -455,7 +505,12 @@ def _cone(grid: Grid, field: str, d: int, ortho_tol: float,
     require_unit(u, "cone u", ortho_tol)
     _require_orthogonal(u, e, "cone u and e", ortho_tol)
     s = _sign_halves(grid)
-    values = alpha * e.coords[None, :] + s[:, None] * (beta * u.coords[None, :])
+    a, b = alpha * e.coords, beta * u.coords
+    values = np.empty((grid.n_nodes, d), dtype=a.dtype)
+    part = np.empty(grid.n_nodes, dtype=a.dtype)
+    for j in range(d):   # alpha e_j + s(t) (beta u_j); one strided write per column
+        np.multiply(s, b[j], out=part)
+        np.add(a[j], part, out=values[:, j])
     jumps = None
     if beta != 0.0:
         jumps = {grid.n_panels // 2: alpha * e.coords - beta * u.coords}
@@ -478,10 +533,16 @@ def _ball_perturbation(grid: Grid, field: str, d: int, ortho_tol: float,
             f"ball_perturbation directions must be orthonormal with e "
             f"(worst Gram residual {report.worst_residual:.3e})"
         )
-    t = grid.nodes()
-    circle = np.cos(omega * t)[:, None] * u.coords[None, :] \
-        + np.sin(omega * t)[:, None] * v.coords[None, :]
-    values = e.coords[None, :] + rho * circle
+    wt = omega * grid.nodes()
+    cos, sin = np.cos(wt), np.sin(wt)
+    values = np.empty((grid.n_nodes, d), dtype=e.coords.dtype)
+    col, part = np.empty((2, grid.n_nodes), dtype=e.coords.dtype)
+    for j in range(d):   # e_j + rho (cos(wt) u_j + sin(wt) v_j); one strided write
+        np.multiply(cos, u.coords[j], out=col)
+        np.multiply(sin, v.coords[j], out=part)
+        np.add(col, part, out=col)
+        np.multiply(rho, col, out=col)
+        np.add(e.coords[j], col, out=values[:, j])
     return GridFunction(grid, field, values)
 
 
@@ -493,7 +554,9 @@ def _family_symmetric(grid: Grid, field: str, d: int, ortho_tol: float,
         raise InputError("family must match the scenario field and dimension")
     c = _as_profile(grid, c, "c")
     direction = family.sum_vector().coords / np.sqrt(family.n)
-    values = c.values[:, None] * direction[None, :]
+    values = np.empty((grid.n_nodes, d), dtype=direction.dtype)
+    for j in range(d):
+        np.multiply(c.values, direction[j], out=values[:, j])
     return GridFunction(grid, field, values)
 
 

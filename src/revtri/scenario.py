@@ -466,13 +466,15 @@ def _rollup(verdicts) -> str:
 def run(scenario: Scenario) -> RunReport:
     """Evaluate every bound of a scenario; deterministic for fixed inputs.
 
-    The integrals of f are computed once for every bound and the report.  Overflow,
-    invalid operations and division by zero raise :class:`DegeneracyError`."""
+    f is materialized (if the scenario has not built it yet) and integrated once for
+    every bound and the report.  Overflow, invalid operations and division by zero
+    raise :class:`DegeneracyError`."""
     tol = scenario.tolerances
-    f = scenario.f
-    stage = "integrals"
+    stage = "function"
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            f = scenario.f
+            stage = "integrals"
             est = defect(f)
             results = []
             for entry in scenario.bounds:

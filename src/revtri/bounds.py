@@ -31,8 +31,9 @@ from .gridfn import (
     PROFILE,
     GridFunction,
     ScalarProfile,
-    _node_norms,
+    _Shifted,
     require_unit,
+    row_norms,
 )
 from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner
 from .quadrature import DEFAULT_RULE, ROUNDOFF, DefectEstimate, defect, sample_integral
@@ -194,13 +195,18 @@ def _require_unit_reference(f: GridFunction, e: HVector, tol: float) -> None:
 
 
 def _profile_on(f: GridFunction, p: ScalarProfile | float, name: str) -> np.ndarray:
-    """A profile's node values, or a constant as a 0-d array: numpy arithmetic on it
-    gives the node values of the constant profile and raises the same errors."""
-    if not isinstance(p, ScalarProfile):
-        return np.asarray(p, dtype=np.float64)
-    if p.grid != f.grid:
-        raise InputError(f"{name} profile lives on a different grid")
-    return p.values
+    """A profile's node values, or a number as a 0-d array: numpy arithmetic on it
+    gives the node values of the constant profile and raises the same errors.  A
+    number, like a constant profile, must not be negative."""
+    if isinstance(p, ScalarProfile):
+        if p.grid != f.grid:
+            raise InputError(f"{name} profile lives on a different grid")
+        return p.values
+    if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+        raise InputError(f"{name} must be a profile or a number, got {p!r}")
+    if p < 0.0:
+        raise InputError(f"{name} is negative: {p!r}")
+    return np.asarray(p, dtype=np.float64)
 
 
 def _ball_residuals(f: GridFunction, center: np.ndarray, radius) -> np.ndarray:
@@ -211,11 +217,8 @@ def _ball_residuals(f: GridFunction, center: np.ndarray, radius) -> np.ndarray:
 def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
                          M_vals: np.ndarray) -> np.ndarray:
     """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances taken a node block at a time."""
-    x = f.values
-    center = np.broadcast_to(0.5 * (M_vals + m_vals), x.shape[:1])
-    dist = _node_norms(lambda j, lo, hi: x[lo:hi, j] - center[lo:hi] * e[j], x.shape,
-                       lambda: x - center[:, None] * e[None, :])
-    return dist - 0.5 * (M_vals - m_vals)
+    center = np.broadcast_to(0.5 * (M_vals + m_vals), f.values.shape[:1])
+    return row_norms(_Shifted(f.values, e, center)) - 0.5 * (M_vals - m_vals)
 
 
 def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,

@@ -114,45 +114,22 @@ def _sin_table(key: tuple[str, str, int], omega_key: str) -> np.ndarray:
 
 
 def row_norms(x) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)`` of an (N+1, d) array, or of the rows x - c of a
-    :class:`_Shifted` pair, bit for bit.
+    """``np.linalg.norm(x, axis=1)`` of an (N+1, d) array, or of the rows of a
+    :class:`_Shifted` difference, bit for bit.
 
     Below :data:`PAIRWISE_COLUMNS` numpy sums the squares of a row in column order, in a
-    loop over its d entries; for 2 to PAIRWISE_COLUMNS - 1 columns :func:`_node_norms`
-    sums them in the same order along the node axis, a node block at a time.  One column
-    has nothing to sum, and from PAIRWISE_COLUMNS on numpy sums pairwise: numpy is
-    called, on the whole difference for a pair."""
-    if not 2 <= x.shape[1] < PAIRWISE_COLUMNS:
+    loop over its d entries; for 2 to PAIRWISE_COLUMNS - 1 columns the same sums are
+    taken along the node axis, a block of :data:`_NODE_BLOCK` nodes at a time: one
+    (d, block) squares buffer is reused and :func:`column_norms` writes each block's
+    norms into the output, so no (N+1, d) array is built.  One column has nothing to
+    sum, and from PAIRWISE_COLUMNS on numpy sums pairwise: numpy is called, on the whole
+    difference for a :class:`_Shifted`.  Numpy also takes the whole array if an operation
+    of the walk overflows or is invalid, so its warnings or its FloatingPointError come
+    in numpy's order, as if the whole array had been computed."""
+    n, d = x.shape
+    if not 2 <= d < PAIRWISE_COLUMNS:
         return np.linalg.norm(x, axis=1)
     column = x.column if isinstance(x, _Shifted) else lambda j, lo, hi: x[lo:hi, j]
-    return _node_norms(column, x.shape, lambda: x)
-
-
-class _Shifted:
-    """The rows x - c of an (N+1, d) array x and a (d,) center c, computed a column block
-    at a time by :func:`row_norms`; numpy sees the whole difference."""
-
-    def __init__(self, x: np.ndarray, c: np.ndarray):
-        self.x, self.c, self.shape = x, c, x.shape
-
-    def column(self, j: int, lo: int, hi: int) -> np.ndarray:
-        return self.x[lo:hi, j] - self.c[j]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self.x - self.c[None, :]
-
-
-def _node_norms(column: Callable[[int, int, int], np.ndarray], shape: tuple[int, int],
-                whole: Callable[[], np.ndarray]) -> np.ndarray:
-    """The row norms of the ``shape`` (N+1, d) array ``whole()`` whose column j over
-    the nodes lo:hi is ``column(j, lo, hi)``, as ``np.linalg.norm(axis=1)`` computes them.
-
-    The nodes are walked in blocks of :data:`_NODE_BLOCK`, reusing one (d, block)
-    squares buffer, and each block's norms are written into the output by
-    :func:`column_norms`: no (N+1, d) array is built.  If an operation overflows or is
-    invalid, numpy takes ``whole()`` instead, so its warnings or its FloatingPointError
-    come in numpy's order, as if the whole array had been computed."""
-    n, d = shape
     out = np.empty(n)
     squares = np.empty((d, min(n, _NODE_BLOCK)))
     try:
@@ -162,8 +139,27 @@ def _node_norms(column: Callable[[int, int, int], np.ndarray], shape: tuple[int,
                 column_norms((column(j, lo, hi) for j in range(d)), (hi - lo, d),
                              squares[:, :hi - lo], out[lo:hi])
     except FloatingPointError:
-        return np.linalg.norm(whole(), axis=1)
+        return np.linalg.norm(x, axis=1)
     return out
+
+
+class _Shifted:
+    """The rows x(t) - c of an (N+1, d) array x and a (d,) center c, or x(t) - s(t) c
+    for per-node scales s; :func:`row_norms` computes them a column block at a time,
+    and numpy sees the whole difference."""
+
+    def __init__(self, x: np.ndarray, c: np.ndarray, s: np.ndarray | None = None):
+        self.x, self.c, self.s, self.shape = x, c, s, x.shape
+
+    def column(self, j: int, lo: int, hi: int) -> np.ndarray:
+        if self.s is None:
+            return self.x[lo:hi, j] - self.c[j]
+        return self.x[lo:hi, j] - self.s[lo:hi] * self.c[j]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if self.s is None:
+            return self.x - self.c[None, :]
+        return self.x - self.s[:, None] * self.c[None, :]
 
 
 def column_norms(columns, shape: tuple[int, int], squares: np.ndarray | None = None,
@@ -177,12 +173,10 @@ def column_norms(columns, shape: tuple[int, int], squares: np.ndarray | None = N
     the rows in order: the sums are numpy's bit for bit, and an overflow raises the
     FloatingPointError numpy raises.  A generator of columns computes each one only when
     it is squared, so no (N+1, d) array is built.  From PAIRWISE_COLUMNS columns on the
-    columns are stacked and numpy is called."""
+    columns are stacked and numpy is called; ``squares`` and ``out`` serve the column
+    path only."""
     if shape[1] >= PAIRWISE_COLUMNS:
-        norms = np.linalg.norm(np.column_stack(tuple(columns)), axis=1)
-        if out is not None:
-            out[...] = norms
-        return norms
+        return np.linalg.norm(np.column_stack(tuple(columns)), axis=1)
     if squares is None:
         squares = np.empty(shape[::-1])
     for row, c in zip(squares, columns):

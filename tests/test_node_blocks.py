@@ -311,6 +311,25 @@ def test_checkers_take_a_number_for_a_constant_profile(form):
     ball = B.check_ball(f, e, 0.9)
     ball_profile = B.check_ball(f, e, ScalarProfile.constant(grid, 0.9))
     assert ball.slack_profile.tobytes() == ball_profile.slack_profile.tobytes()
+    assert (B.check_ball(f, e, np.float32(0.5)).slack_profile.tobytes()
+            == B.check_ball(f, e, ScalarProfile.constant(grid, 0.5)).slack_profile.tobytes())
+
+
+@pytest.mark.parametrize("value, message", [
+    (-0.5, r"^radius is negative: -0.5$"),
+    (np.full(3, 0.5), r"^radius must be a profile or a number, got array"),
+    (True, r"^radius must be a profile or a number, got True$"),
+    ("0.5", r"^radius must be a profile or a number, got '0.5'$"),
+])
+def test_checkers_reject_what_a_constant_profile_rejects(value, message):
+    scenario = generate_scenario(B.COR_2_2, 903, 0, field=REAL)
+    f, e = scenario.f, scenario.reference.e
+    with pytest.raises(InputError, match=message):
+        B.check_ball(f, e, value)
+    with pytest.raises(InputError, match=message.replace("radius", "m")):
+        B.check_band(f, e, value, 2.0)
+    with pytest.raises(InputError):
+        ScalarProfile.constant(f.grid, -0.5)
 
 
 # --------------------------------------------------------------------------
@@ -360,4 +379,14 @@ def test_function_build_error_is_a_degeneracy_error():
                         B.Reference(B.REF_UNIT, e=e), (entry,))
     with pytest.raises(DegeneracyError,
                        match=r"^\[inf-cone:function\] floating-point invalid value"):
+        run(scenario)
+
+
+def test_function_input_error_names_the_function_stage():
+    grid = Grid(0.0, 1.0, 64)
+    e, u = basis_vector(REAL, 2, 0), basis_vector(REAL, 2, 1)
+    entry = BoundEntry(B.COR_2_3, B.BoundParams(m=1.0, M=4.0))
+    scenario = Scenario("long-cone", REAL, 2, grid, FunctionSpec.cone(2.0 * e, u, 1.0, 0.3),
+                        B.Reference(B.REF_UNIT, e=e), (entry,))
+    with pytest.raises(InputError, match=r"^\[long-cone:function\] cone e must be a unit"):
         run(scenario)

@@ -148,16 +148,17 @@ def test_base_sweep_skips_infeasible_steps_in_its_one_run():
 
 
 def test_base_error_of_an_earlier_step_is_raised_before_a_later_extremal_error():
-    # the base integrals of ~1e200 samples overflow; the recipes of M = 5e299 and 1e300
-    # have an infinite beta, so those steps are skipped and the base run raises.
+    # on [0, 1e308] the THM_2_1 extremal of k has ||f|| = 1 + k, so its integrals overflow
+    # from k = 0.8 on while its recipe (expected defect k * 1e308) stays finite.  The
+    # base's integrals (||f|| = 2) overflow too: step by step its run for k = 0.1 raises
+    # before the extremal of k = 0.9 does.
     data = json.loads((DATA / "cor23_extremal.json").read_text())
-    data["function"]["alpha"] = 1e200
-    base = scenario_from_dict(data)
+    data["interval"] = [0.0, 1e308]
     with pytest.raises(DegeneracyError, match=r"^\[cor23-extremal:integrals\] .*overflow"):
-        sweep(B.COR_2_3, "M", 4.0, 1e300, 3, base=base)
-    rows, warnings = sweep(B.COR_2_3, "M", 4.0, 1e300, 3)
-    assert [r.value for r in rows] == [4.0]
-    assert [w.split(" skipped: ")[0] for w in warnings] == ["M=5e+299", "M=1e+300"]
+        sweep(B.THM_2_1, "k", 0.1, 0.9, 3, base=scenario_from_dict(data))
+    data["function"].update(alpha=0.5, beta=0.0)   # a base of norm 0.5 integrates
+    with pytest.raises(DegeneracyError, match=r"^\[sweep-thm_2_1-k:integrals\] .*overflow"):
+        sweep(B.THM_2_1, "k", 0.1, 0.9, 3, base=scenario_from_dict(data))
 
 
 # --------------------------------------------------------------------------

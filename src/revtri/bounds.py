@@ -133,9 +133,20 @@ def ball_coefficient(rho: float) -> float:
 
 
 def band_coefficient(m: float, M: float) -> float:
-    """(sqrt(M) - sqrt(m))^2 / (2 sqrt(mM)) for 0 < m <= M."""
+    """(sqrt(M) - sqrt(m))^2 / (2 sqrt(mM)) for 0 < m <= M; an :class:`InputError` when
+    the product mM underflows to 0 and the coefficient is not defined in floats."""
     require_band(m, M)
-    return (math.sqrt(M) - math.sqrt(m)) ** 2 / (2.0 * math.sqrt(m * M))
+    denominator = 2.0 * math.sqrt(m * M)
+    if denominator == 0.0:
+        raise InputError(f"band coefficient at m={m!r}, M={M!r} is undefined: "
+                         f"m*M underflows to 0")
+    return (math.sqrt(M) - math.sqrt(m)) ** 2 / denominator
+
+
+def _node_buffer(*operands) -> np.ndarray:
+    """An empty float64 array of the broadcast shape of ``operands``: (N+1,) for node
+    values, () when every operand is a 0-d constant."""
+    return np.empty(np.broadcast_shapes(*map(np.shape, operands)))
 
 
 def band_gap_integrand(m_values: np.ndarray, M_values: np.ndarray) -> np.ndarray:
@@ -143,10 +154,13 @@ def band_gap_integrand(m_values: np.ndarray, M_values: np.ndarray) -> np.ndarray
     m_values = np.asarray(m_values, dtype=np.float64)
     M_values = np.asarray(M_values, dtype=np.float64)
     require_band_profiles(m_values, M_values)
-    total = M_values + m_values
-    out = np.zeros_like(total)
-    np.divide((M_values - m_values) ** 2, total, out=out, where=total > 0.0)
-    return out
+    total = np.add(M_values, m_values, out=_node_buffer(M_values, m_values))
+    gap = M_values - m_values
+    gap **= 2   # numpy's square of M - m, of an array in place or of a number
+    positive = total > 0.0
+    np.divide(gap, total, out=total, where=positive)
+    total[~positive] = 0.0
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -217,8 +231,12 @@ def _ball_residuals(f: GridFunction, center: np.ndarray, radius) -> np.ndarray:
 def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
                          M_vals: np.ndarray) -> np.ndarray:
     """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances taken a node block at a time."""
-    center = np.broadcast_to(0.5 * (M_vals + m_vals), f.values.shape[:1])
-    return row_norms(_Shifted(f.values, e, center)) - 0.5 * (M_vals - m_vals)
+    half = np.add(M_vals, m_vals, out=_node_buffer(M_vals, m_vals))
+    np.multiply(0.5, half, out=half)
+    residuals = row_norms(_Shifted(f.values, e, np.broadcast_to(half, f.values.shape[:1])))
+    np.subtract(M_vals, m_vals, out=half)
+    np.multiply(0.5, half, out=half)
+    return np.subtract(residuals, half, out=residuals)
 
 
 def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
@@ -226,7 +244,8 @@ def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
                     tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| - Re<f(t), e> <= k(t) at every node."""
     _require_unit_reference(f, e, tau_on)
-    residuals = f.norms() - f.projections(e.coords) - _profile_on(f, k, "k")
+    residuals = np.subtract(f.norms(), f.projections(e.coords))
+    np.subtract(residuals, _profile_on(f, k, "k"), out=residuals)
     return _report("dominance", residuals, tau_hyp)
 
 
@@ -236,7 +255,8 @@ def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
     """||f(t)|| <= K * Re<f(t), e> at every node (multiplicative hypothesis)."""
     require_K(K)
     _require_unit_reference(f, e, tau_on)
-    residuals = f.norms() - K * f.projections(e.coords)
+    residuals = np.multiply(K, f.projections(e.coords))
+    np.subtract(f.norms(), residuals, out=residuals)
     return _report("dominance_scaled", residuals, tau_hyp)
 
 
@@ -266,10 +286,14 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
     m_vals = _profile_on(f, m, "m")
     M_vals = _profile_on(f, M, "M")
     require_band_profiles(m_vals, M_vals)
-    if form == "inner":
+    if form == "inner":   # ||f||^2 + m M - (M + m) Re<f, e>, in this order of operations
         p = f.projections(e.coords)
-        q = f.norms() ** 2
-        residuals = q + m_vals * M_vals - (M_vals + m_vals) * p
+        residuals = np.square(f.norms())
+        part = np.multiply(m_vals, M_vals, out=_node_buffer(residuals))
+        np.add(residuals, part, out=residuals)
+        np.add(M_vals, m_vals, out=part)
+        np.multiply(part, p, out=part)
+        np.subtract(residuals, part, out=residuals)
         return _report("band_inner", residuals, tau_hyp)
     return _report("band_norm", _band_norm_residuals(f, e.coords, m_vals, M_vals), tau_hyp)
 
@@ -293,10 +317,16 @@ def check_box_complex(f: GridFunction, alpha: float, beta: float,
     m_vals = _profile_on(f, m, "m")
     M_vals = _profile_on(f, M, "M")
     x, y = z.real, z.imag
-    residuals = np.max(
-        np.stack([m_vals * alpha - x, x - M_vals * alpha, m_vals * beta - y, y - M_vals * beta]),
-        axis=0,
-    )
+    # the node-wise max of m alpha - x, x - M alpha, m beta - y and y - M beta, in order
+    residuals = np.multiply(m_vals, alpha, out=_node_buffer(x))
+    np.subtract(residuals, x, out=residuals)
+    part = _node_buffer(x)
+    np.multiply(M_vals, alpha, out=part)
+    np.maximum(residuals, np.subtract(x, part, out=part), out=residuals)
+    np.multiply(m_vals, beta, out=part)
+    np.maximum(residuals, np.subtract(part, y, out=part), out=residuals)
+    np.multiply(M_vals, beta, out=part)
+    np.maximum(residuals, np.subtract(y, part, out=part), out=residuals)
     box = _report("box", residuals, tau_hyp)
     e = HVector(COMPLEX, [complex(alpha, beta)])
     band = check_band(f, e, m, M, form="inner", tau_hyp=tau_hyp)
@@ -321,7 +351,9 @@ def check_arg(f: GridFunction, theta: float,
 def _family_check(per_index_residuals, condition_id: str, tau_hyp: float) -> HypothesisReport:
     subs = [_report(f"{condition_id}[{i}]", r, tau_hyp)
             for i, r in enumerate(per_index_residuals)]
-    combined = np.max(np.stack([s.slack_profile for s in subs]), axis=0)
+    combined = subs[0].slack_profile.copy()
+    for sub in subs[1:]:
+        np.maximum(combined, sub.slack_profile, out=combined)
     return _report(condition_id, combined, tau_hyp, sub_reports=subs)
 
 
@@ -568,8 +600,10 @@ def _projection_extra(c: _Context, hyp, coeffs: np.ndarray, diags: dict | None =
 
 def _thm_3_1(c, p):
     norms, proj = c.f.norms(), _family_projections(c)
-    residuals = [norms - proj[:, i] - _profile_on(c.f, k, f"M_{i}")
-                 for i, k in enumerate(p.dominance_profiles)]
+    residuals = []
+    for i, k in enumerate(p.dominance_profiles):   # ||f|| - Re<f, e_i> - M_i
+        r = np.subtract(norms, proj[:, i])
+        residuals.append(np.subtract(r, _profile_on(c.f, k, f"M_{i}"), out=r))
     hyp = _family_check(residuals, "dominance_family", c.tau_hyp)
     return _integral_extra(c, hyp, [k.values for k in p.dominance_profiles], 1.0,
                            "dominance_integral")
@@ -586,8 +620,13 @@ def _cor_3_2(c, p):
 
 
 def _cor_3_3(c, p):
-    q, proj = c.f.norms() ** 2, _family_projections(c)
-    residuals = [q + m * M - (M + m) * proj[:, i] for i, (m, M) in enumerate(zip(p.ms, p.Ms))]
+    q, proj = np.square(c.f.norms()), _family_projections(c)
+    part = np.empty_like(q)
+    residuals = []
+    for i, (m, M) in enumerate(zip(p.ms, p.Ms)):   # ||f||^2 + m M - (M + m) Re<f, e_i>
+        r = np.add(q, m * M)                         # m M and M + m in Python floats
+        np.multiply(M + m, proj[:, i], out=part)
+        residuals.append(np.subtract(r, part, out=r))
     hyp = _family_check(residuals, "band_inner_family", c.tau_hyp)
     return _projection_extra(c, hyp, np.array([band_coefficient(m, M)
                                                for m, M in zip(p.ms, p.Ms)]))

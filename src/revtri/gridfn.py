@@ -113,6 +113,31 @@ def _sin_table(key: tuple[str, str, int], omega_key: str) -> np.ndarray:
     return table
 
 
+def _node_blocks(n: int):
+    """The (lo, hi) bounds of the blocks of :data:`_NODE_BLOCK` nodes, the last one
+    partial, that cover n nodes."""
+    return ((lo, min(lo + _NODE_BLOCK, n)) for lo in range(0, n, _NODE_BLOCK))
+
+
+def _owned(arr, dtype) -> bool:
+    """Whether ``arr`` can be kept as it is instead of copied: an array of ``dtype``,
+    contiguous as a copy would be, that nothing can write, because neither it nor the
+    array whose memory it views is writable (a view of any other buffer is copied)."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    return base is None and arr.dtype == dtype and arr.flags.forc
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a fresh array that nothing else holds, made read-only, so that a
+    :class:`GridFunction` or :class:`ScalarProfile` adopts it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def row_norms(x) -> np.ndarray:
     """``np.linalg.norm(x, axis=1)`` of an (N+1, d) array, or of the rows of a
     :class:`_Shifted` difference, bit for bit.
@@ -134,8 +159,7 @@ def row_norms(x) -> np.ndarray:
     squares = np.empty((d, min(n, _NODE_BLOCK)))
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for lo in range(0, n, _NODE_BLOCK):
-                hi = min(lo + _NODE_BLOCK, n)
+            for lo, hi in _node_blocks(n):
                 column_norms((column(j, lo, hi) for j in range(d)), (hi - lo, d),
                              squares[:, :hi - lo], out[lo:hi])
     except FloatingPointError:
@@ -189,14 +213,19 @@ def column_norms(columns, shape: tuple[int, int], squares: np.ndarray | None = N
 
 @dataclass(frozen=True, eq=False)
 class ScalarProfile:
-    """Node samples of a scalar function; nonnegative unless built otherwise."""
+    """Node samples of a scalar function; nonnegative unless built otherwise.
+
+    ``values`` is kept read-only: an array that nothing can write (see :func:`_owned`)
+    is adopted, any other input is copied."""
 
     grid: Grid
     values: np.ndarray
     nonnegative: InitVar[bool] = True
 
     def __post_init__(self, nonnegative: bool):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = self.values
+        if not _owned(arr, np.float64):
+            arr = np.array(arr, dtype=np.float64, copy=True)
         if arr.ndim != 1 or arr.shape[0] != self.grid.n_nodes:
             raise InputError(
                 f"profile needs {self.grid.n_nodes} node values, got shape {arr.shape}"
@@ -209,7 +238,7 @@ class ScalarProfile:
 
     @classmethod
     def constant(cls, grid: Grid, value: float, nonnegative: bool = True) -> "ScalarProfile":
-        return cls(grid, np.full(grid.n_nodes, float(value)), nonnegative)
+        return cls(grid, _frozen(np.full(grid.n_nodes, float(value))), nonnegative)
 
 
 #: The Python types a JSON number decodes to; ``bool`` subclasses ``int`` but is not one.
@@ -224,25 +253,28 @@ def is_number(value) -> bool:
 
 
 def number_array(data, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``data``, nested lists of JSON numbers, as a float64 array of ``shape``, else None.
+    """``data``, nested lists of JSON numbers, as a read-only float64 array of ``shape``,
+    else None.
 
-    One numpy conversion and C-level passes over the types of the lists and the entries;
-    the type passes reject the bools, strings and None that numpy would convert.  None
-    also for other number types (``np.float64``), other sequences and integers beyond the
-    float range: a caller that accepts or reports those walks the entries itself.
+    One pass per level checks the types of the lists and that each has the length
+    ``shape`` gives it, a pass over the entries checks their types, and one
+    ``np.fromiter`` converts them into memory the array owns.  The type passes reject
+    the bools, strings and None that numpy would convert.  None also for other number
+    types (``np.float64``), other sequences, ragged lists and integers beyond the float
+    range: a caller that accepts or reports those walks the entries itself.
     """
-    try:
-        arr = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if arr.shape != shape:
-        return None
     level = [data]
-    for _ in shape:
-        if not set(map(type, level)) <= _JSON_ARRAYS:
+    for n in shape:
+        if not set(map(type, level)) <= _JSON_ARRAYS or set(map(len, level)) != {n}:
             return None
         level = list(chain.from_iterable(level))
-    return arr if set(map(type, level)) <= _JSON_NUMBERS else None
+    if not set(map(type, level)) <= _JSON_NUMBERS:
+        return None
+    try:
+        flat = np.fromiter(level, dtype=np.float64, count=len(level))
+    except OverflowError:
+        return None
+    return _frozen(flat).reshape(shape)
 
 
 def _profile_numbers(kind: str, args, shape: tuple[int, ...]) -> np.ndarray:
@@ -282,17 +314,21 @@ def profile_of(spec, grid: Grid, nonnegative: bool = True) -> ScalarProfile:
         values = np.full(grid.n_nodes, _profile_numbers(kind, args, ()).item())
     elif kind == "linear":
         y0, y1 = _profile_numbers(kind, args, (2,)).tolist()
-        values = y0 + (y1 - y0) * (grid.nodes() - grid.a) / grid.length
+        values = np.subtract(grid.nodes(), grid.a)   # y0 + (y1 - y0) (t - a) / length
+        np.multiply(y1 - y0, values, out=values)
+        np.divide(values, grid.length, out=values)
+        np.add(y0, values, out=values)
     elif kind == "sinusoid":
         c0, c1, omega = _profile_numbers(kind, args, (3,)).tolist()
-        values = c0 + c1 * _sin_table(grid.key, float(omega).hex())
+        values = np.multiply(c1, _sin_table(grid.key, float(omega).hex()))
+        np.add(c0, values, out=values)
     elif kind == "samples":
         values = _profile_numbers(kind, args, (grid.n_nodes,))
     else:
         raise InputError(f"unknown profile kind {kind!r}")
     if not np.isfinite(values).all():
         raise InputError(f"{kind} profile values must be finite")
-    return ScalarProfile(grid, values, nonnegative)
+    return ScalarProfile(grid, _frozen(values), nonnegative)
 
 
 def _array_key(kind: str, arr: np.ndarray) -> tuple:
@@ -308,6 +344,9 @@ class GridFunction:
     vector at that node, for functions with a jump sitting exactly on a
     node (``values`` holds the function's actual value there, which is
     also the left limit).  Quadrature integrates such data piecewise.
+
+    ``values`` is kept read-only: an array that nothing can write (see :func:`_owned`),
+    such as the builders hand over, is adopted; any other input is copied.
 
     Node tables that depend on f and a reference (norms, distances to a center,
     projections onto a reference) are computed once and kept on f: every bound of a
@@ -327,7 +366,8 @@ class GridFunction:
             if np.any(raw.imag != 0.0):
                 raise InputError("real-field grid function given complex values")
             raw = raw.real
-        arr = np.array(raw, dtype=_DTYPES[self.field], copy=True)
+        arr = raw if _owned(raw, _DTYPES[self.field]) else np.array(
+            raw, dtype=_DTYPES[self.field], copy=True)
         if arr.ndim != 2 or arr.shape[0] != self.grid.n_nodes or arr.shape[1] < 1:
             raise InputError(
                 f"values must have shape ({self.grid.n_nodes}, d>=1), got {arr.shape}"
@@ -411,7 +451,7 @@ class GridFunction:
         if self.grid != other.grid or self.field != other.field or self.d != other.d:
             raise InputError("grid function mismatch in addition")
         return GridFunction(
-            self.grid, self.field, self.values + other.values,
+            self.grid, self.field, _frozen(self.values + other.values),
             self._merge_jumps(other, lambda a, b: a + b),
         )
 
@@ -421,7 +461,7 @@ class GridFunction:
         jumps = None
         if self.jumps:
             jumps = {j: v * scalar for j, v in self.jumps.items()}
-        return GridFunction(self.grid, self.field, self.values * scalar, jumps)
+        return GridFunction(self.grid, self.field, _frozen(self.values * scalar), jumps)
 
     __rmul__ = __mul__
 
@@ -474,14 +514,6 @@ def _require_orthogonal(x: HVector, y: HVector, names: str, tol: float) -> None:
         raise InputError(f"{names} must be orthogonal (|<x,y>| = {overlap:.3e} > {tol:g})")
 
 
-def _sign_halves(grid: Grid) -> np.ndarray:
-    # +1 on the first half including the midpoint node (deterministic tie-break),
-    # -1 strictly after it.
-    s = np.ones(grid.n_nodes)
-    s[grid.n_panels // 2 + 1:] = -1.0
-    return s
-
-
 def _as_profile(grid: Grid, value, name: str, nonnegative: bool = True) -> ScalarProfile:
     """``value`` as a profile on ``grid``; a profile spec is evaluated there."""
     if not isinstance(value, ScalarProfile):
@@ -498,17 +530,21 @@ def _cone(grid: Grid, field: str, d: int, ortho_tol: float,
     require_unit(e, "cone e", ortho_tol)
     require_unit(u, "cone u", ortho_tol)
     _require_orthogonal(u, e, "cone u and e", ortho_tol)
-    s = _sign_halves(grid)
     a, b = alpha * e.coords, beta * u.coords
-    values = np.empty((grid.n_nodes, d), dtype=a.dtype)
-    part = np.empty(grid.n_nodes, dtype=a.dtype)
-    for j in range(d):   # alpha e_j + s(t) (beta u_j); one strided write per column
-        np.multiply(s, b[j], out=part)
-        np.add(a[j], part, out=values[:, j])
+    n, mid = grid.n_nodes, grid.n_panels // 2   # s(t) = +1 through the midpoint node, then -1
+    values = np.empty((n, d), dtype=a.dtype)
+    sign, part = np.empty(min(n, _NODE_BLOCK)), np.empty(min(n, _NODE_BLOCK), dtype=a.dtype)
+    for lo, hi in _node_blocks(n):
+        s, p = sign[:hi - lo], part[:hi - lo]
+        s[:] = 1.0
+        s[max(mid + 1 - lo, 0):] = -1.0
+        for j in range(d):   # alpha e_j + s(t) (beta u_j); one strided write per column
+            np.multiply(s, b[j], out=p)
+            np.add(a[j], p, out=values[lo:hi, j])
     jumps = None
     if beta != 0.0:
-        jumps = {grid.n_panels // 2: alpha * e.coords - beta * u.coords}
-    return GridFunction(grid, field, values, jumps)
+        jumps = {mid: alpha * e.coords - beta * u.coords}
+    return GridFunction(grid, field, _frozen(values), jumps)
 
 
 def _ball_perturbation(grid: Grid, field: str, d: int, ortho_tol: float,
@@ -527,17 +563,23 @@ def _ball_perturbation(grid: Grid, field: str, d: int, ortho_tol: float,
             f"ball_perturbation directions must be orthonormal with e "
             f"(worst Gram residual {report.worst_residual:.3e})"
         )
-    wt = omega * grid.nodes()
-    cos, sin = np.cos(wt), np.sin(wt)
-    values = np.empty((grid.n_nodes, d), dtype=e.coords.dtype)
-    col, part = np.empty((2, grid.n_nodes), dtype=e.coords.dtype)
-    for j in range(d):   # e_j + rho (cos(wt) u_j + sin(wt) v_j); one strided write
-        np.multiply(cos, u.coords[j], out=col)
-        np.multiply(sin, v.coords[j], out=part)
-        np.add(col, part, out=col)
-        np.multiply(rho, col, out=col)
-        np.add(e.coords[j], col, out=values[:, j])
-    return GridFunction(grid, field, values)
+    t, n = grid.nodes(), grid.n_nodes
+    values = np.empty((n, d), dtype=e.coords.dtype)
+    trig = np.empty((3, min(n, _NODE_BLOCK)))
+    work = np.empty((2, min(n, _NODE_BLOCK)), dtype=e.coords.dtype)
+    for lo, hi in _node_blocks(n):
+        wt, cos, sin = trig[:, :hi - lo]
+        col, part = work[:, :hi - lo]
+        np.multiply(omega, t[lo:hi], out=wt)
+        np.cos(wt, out=cos)
+        np.sin(wt, out=sin)
+        for j in range(d):   # e_j + rho (cos(wt) u_j + sin(wt) v_j); one strided write
+            np.multiply(cos, u.coords[j], out=col)
+            np.multiply(sin, v.coords[j], out=part)
+            np.add(col, part, out=col)
+            np.multiply(rho, col, out=col)
+            np.add(e.coords[j], col, out=values[lo:hi, j])
+    return GridFunction(grid, field, _frozen(values))
 
 
 def _family_symmetric(grid: Grid, field: str, d: int, ortho_tol: float,
@@ -551,15 +593,22 @@ def _family_symmetric(grid: Grid, field: str, d: int, ortho_tol: float,
     values = np.empty((grid.n_nodes, d), dtype=direction.dtype)
     for j in range(d):
         np.multiply(c.values, direction[j], out=values[:, j])
-    return GridFunction(grid, field, values)
+    return GridFunction(grid, field, _frozen(values))
 
 
 def _complex_curve(grid: Grid, field: str, d: int, ortho_tol: float, r, phi) -> GridFunction:
     if field != COMPLEX or d != 1:
         raise InfeasibilityError("complex_curve requires field=complex and d=1")
     r, phi = _as_profile(grid, r, "r"), _as_profile(grid, phi, "phi", nonnegative=False)
-    values = (r.values * np.exp(1j * phi.values))[:, None]
-    return GridFunction(grid, COMPLEX, values)
+    n = grid.n_nodes
+    values = np.empty((n, 1), dtype=np.complex128)
+    turn = np.empty(min(n, _NODE_BLOCK), dtype=np.complex128)
+    for lo, hi in _node_blocks(n):   # r(t) exp(i phi(t))
+        z = turn[:hi - lo]
+        np.multiply(1j, phi.values[lo:hi], out=z)
+        np.exp(z, out=z)
+        np.multiply(r.values[lo:hi], z, out=values[lo:hi, 0])
+    return GridFunction(grid, COMPLEX, _frozen(values))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from revtri import bounds as B
 from revtri.cli import main
 from revtri.errors import InputError
 from revtri.gridfn import (
+    _JSON_ARRAYS,
+    _JSON_NUMBERS,
     _NODE_BLOCK,
     FunctionSpec,
     Grid,
@@ -411,10 +413,6 @@ def test_a_single_member_family_keeps_its_own_combined_profile(monkeypatch):
 
 # --------------------------------------------------------------------------
 # flat ingestion
-
-_JSON_NUMBERS = frozenset({float, int})
-_JSON_ARRAYS = frozenset({list, tuple})
-
 
 def _old_number_array(data, shape):
     """One numpy conversion, then C-level passes over the types."""

@@ -31,7 +31,6 @@ from .gridfn import (
     PROFILE,
     GridFunction,
     ScalarProfile,
-    _Shifted,
     require_unit,
     row_norms,
 )
@@ -143,24 +142,14 @@ def band_coefficient(m: float, M: float) -> float:
     return (math.sqrt(M) - math.sqrt(m)) ** 2 / denominator
 
 
-def _node_buffer(*operands) -> np.ndarray:
-    """An empty float64 array of the broadcast shape of ``operands``: (N+1,) for node
-    values, () when every operand is a 0-d constant."""
-    return np.empty(np.broadcast_shapes(*map(np.shape, operands)))
-
-
 def band_gap_integrand(m_values: np.ndarray, M_values: np.ndarray) -> np.ndarray:
     """(M - m)^2 / (M + m) node-wise, defined as 0 where M = m = 0."""
     m_values = np.asarray(m_values, dtype=np.float64)
     M_values = np.asarray(M_values, dtype=np.float64)
     require_band_profiles(m_values, M_values)
-    total = np.add(M_values, m_values, out=_node_buffer(M_values, m_values))
-    gap = M_values - m_values
-    gap **= 2   # numpy's square of M - m, of an array in place or of a number
-    positive = total > 0.0
-    np.divide(gap, total, out=total, where=positive)
-    total[~positive] = 0.0
-    return total
+    total = M_values + m_values
+    return np.divide((M_values - m_values) ** 2, total, out=np.zeros_like(total),
+                     where=total > 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -231,12 +220,8 @@ def _ball_residuals(f: GridFunction, center: np.ndarray, radius) -> np.ndarray:
 def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
                          M_vals: np.ndarray) -> np.ndarray:
     """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances taken a node block at a time."""
-    half = np.add(M_vals, m_vals, out=_node_buffer(M_vals, m_vals))
-    np.multiply(0.5, half, out=half)
-    residuals = row_norms(_Shifted(f.values, e, np.broadcast_to(half, f.values.shape[:1])))
-    np.subtract(M_vals, m_vals, out=half)
-    np.multiply(0.5, half, out=half)
-    return np.subtract(residuals, half, out=residuals)
+    center = np.broadcast_to(0.5 * (M_vals + m_vals), f.values.shape[:1])
+    return row_norms(f.values, e, center) - 0.5 * (M_vals - m_vals)
 
 
 def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
@@ -244,8 +229,7 @@ def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
                     tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| - Re<f(t), e> <= k(t) at every node."""
     _require_unit_reference(f, e, tau_on)
-    residuals = np.subtract(f.norms(), f.projections(e.coords))
-    np.subtract(residuals, _profile_on(f, k, "k"), out=residuals)
+    residuals = f.norms() - f.projections(e.coords) - _profile_on(f, k, "k")
     return _report("dominance", residuals, tau_hyp)
 
 
@@ -255,9 +239,8 @@ def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
     """||f(t)|| <= K * Re<f(t), e> at every node (multiplicative hypothesis)."""
     require_K(K)
     _require_unit_reference(f, e, tau_on)
-    residuals = np.multiply(K, f.projections(e.coords))
-    np.subtract(f.norms(), residuals, out=residuals)
-    return _report("dominance_scaled", residuals, tau_hyp)
+    scaled = K * f.projections(e.coords)
+    return _report("dominance_scaled", f.norms() - scaled, tau_hyp)
 
 
 def check_ball(f: GridFunction, e: HVector, radius: ScalarProfile | float,
@@ -286,14 +269,9 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
     m_vals = _profile_on(f, m, "m")
     M_vals = _profile_on(f, M, "M")
     require_band_profiles(m_vals, M_vals)
-    if form == "inner":   # ||f||^2 + m M - (M + m) Re<f, e>, in this order of operations
+    if form == "inner":
         p = f.projections(e.coords)
-        residuals = np.square(f.norms())
-        part = np.multiply(m_vals, M_vals, out=_node_buffer(residuals))
-        np.add(residuals, part, out=residuals)
-        np.add(M_vals, m_vals, out=part)
-        np.multiply(part, p, out=part)
-        np.subtract(residuals, part, out=residuals)
+        residuals = np.square(f.norms()) + m_vals * M_vals - (M_vals + m_vals) * p
         return _report("band_inner", residuals, tau_hyp)
     return _report("band_norm", _band_norm_residuals(f, e.coords, m_vals, M_vals), tau_hyp)
 
@@ -317,16 +295,8 @@ def check_box_complex(f: GridFunction, alpha: float, beta: float,
     m_vals = _profile_on(f, m, "m")
     M_vals = _profile_on(f, M, "M")
     x, y = z.real, z.imag
-    # the node-wise max of m alpha - x, x - M alpha, m beta - y and y - M beta, in order
-    residuals = np.multiply(m_vals, alpha, out=_node_buffer(x))
-    np.subtract(residuals, x, out=residuals)
-    part = _node_buffer(x)
-    np.multiply(M_vals, alpha, out=part)
-    np.maximum(residuals, np.subtract(x, part, out=part), out=residuals)
-    np.multiply(m_vals, beta, out=part)
-    np.maximum(residuals, np.subtract(part, y, out=part), out=residuals)
-    np.multiply(M_vals, beta, out=part)
-    np.maximum(residuals, np.subtract(y, part, out=part), out=residuals)
+    residuals = np.maximum(np.maximum(np.maximum(m_vals * alpha - x, x - M_vals * alpha),
+                                      m_vals * beta - y), y - M_vals * beta)
     box = _report("box", residuals, tau_hyp)
     e = HVector(COMPLEX, [complex(alpha, beta)])
     band = check_band(f, e, m, M, form="inner", tau_hyp=tau_hyp)
@@ -600,10 +570,8 @@ def _projection_extra(c: _Context, hyp, coeffs: np.ndarray, diags: dict | None =
 
 def _thm_3_1(c, p):
     norms, proj = c.f.norms(), _family_projections(c)
-    residuals = []
-    for i, k in enumerate(p.dominance_profiles):   # ||f|| - Re<f, e_i> - M_i
-        r = np.subtract(norms, proj[:, i])
-        residuals.append(np.subtract(r, _profile_on(c.f, k, f"M_{i}"), out=r))
+    residuals = [norms - proj[:, i] - _profile_on(c.f, k, f"M_{i}")
+                 for i, k in enumerate(p.dominance_profiles)]
     hyp = _family_check(residuals, "dominance_family", c.tau_hyp)
     return _integral_extra(c, hyp, [k.values for k in p.dominance_profiles], 1.0,
                            "dominance_integral")
@@ -621,12 +589,7 @@ def _cor_3_2(c, p):
 
 def _cor_3_3(c, p):
     q, proj = np.square(c.f.norms()), _family_projections(c)
-    part = np.empty_like(q)
-    residuals = []
-    for i, (m, M) in enumerate(zip(p.ms, p.Ms)):   # ||f||^2 + m M - (M + m) Re<f, e_i>
-        r = np.add(q, m * M)                         # m M and M + m in Python floats
-        np.multiply(M + m, proj[:, i], out=part)
-        residuals.append(np.subtract(r, part, out=r))
+    residuals = [q + m * M - (M + m) * proj[:, i] for i, (m, M) in enumerate(zip(p.ms, p.Ms))]
     hyp = _family_check(residuals, "band_inner_family", c.tau_hyp)
     return _projection_extra(c, hyp, np.array([band_coefficient(m, M)
                                                for m, M in zip(p.ms, p.Ms)]))

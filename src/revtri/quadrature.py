@@ -81,15 +81,6 @@ def _panel_weights(rule: str, n: int, h_key: str) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=WEIGHT_CACHE)
-def _complex_weights(rule: str, n: int, h_key: str) -> np.ndarray:
-    """The weights of :func:`panel_weights` as complex numbers, read-only: a complex
-    product with them is the one numpy takes after casting the float weights."""
-    w = panel_weights(rule, n, float.fromhex(h_key)).astype(np.complex128)
-    w.setflags(write=False)
-    return w
-
-
 def _piece_bounds(n_panels: int, jumps) -> list[tuple[int, int]]:
     cuts = sorted(jumps) if jumps else []
     edges = [0] + cuts + [n_panels]
@@ -104,11 +95,7 @@ def _weighted_sum(values: np.ndarray, jumps, n_panels: int, h: float, rule: str)
         if jumps and lo in jumps:
             seg = seg.copy()
             seg[0] = jumps[lo]
-        if values.dtype.kind == "c":
-            w = _complex_weights(rule, hi - lo, float(h).hex())
-        else:
-            w = panel_weights(rule, hi - lo, h)
-        part = w @ seg
+        part = panel_weights(rule, hi - lo, h) @ seg
         total = part if total is None else total + part
     return total
 

@@ -90,6 +90,19 @@ def test_dominance_requires_unit_reference(unit_grid):
                         ScalarProfile.constant(unit_grid, 0.0))
 
 
+@pytest.mark.parametrize("coords", [[math.nan, 0.0], [1.0, math.nan]])
+def test_a_nan_reference_is_not_a_unit_vector(unit_grid, coords):
+    f = constant_function(unit_grid, REAL, [1.0, 0.0])
+    e = HVector(REAL, coords)
+    with pytest.raises(InputError, match="must be a unit vector"):
+        check_ball(f, e, 0.5)
+    with pytest.raises(InputError, match="must be a unit vector"):
+        eval_unit_bound(f, e, BoundParams(rho=0.5), "COR_2_2")
+    with pytest.raises(InputError, match="must be a unit vector"):
+        materialize(FunctionSpec.cone(basis_vector(REAL, 2, 1), e, 1.0, 0.3), unit_grid,
+                    REAL, 2)
+
+
 def test_ball_checker(unit_grid):
     e = basis_vector(REAL, 3, 0)
     f = constant_function(unit_grid, REAL, e.coords)

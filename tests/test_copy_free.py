@@ -1,7 +1,7 @@
 """The copy-free node path: grid functions and profiles adopt arrays that nothing else
-can write, builders fill their output one node block at a time, and the residual
-kernels write into one output.  Each is checked against the expression it replaced
-(kept here as the reference), bit for bit and with numpy's floating-point error texts.
+can write, and builders fill their output one node block at a time.  The builds and the
+residual kernels are checked against whole-array expressions (kept here as the
+reference), bit for bit and with numpy's floating-point error texts.
 Also: flat ingestion of nested number lists, and band constants whose product
 underflows."""
 
@@ -26,7 +26,6 @@ from revtri.gridfn import (
     Grid,
     GridFunction,
     ScalarProfile,
-    _Shifted,
     materialize,
     number_array,
     profile_of,
@@ -221,7 +220,7 @@ def test_parsed_samples_are_adopted(field):
 
 
 # --------------------------------------------------------------------------
-# residual kernels against the expressions they replaced
+# residual kernels against the whole-array expressions
 
 def _old_dominance(f, e, k):
     return f.norms() - f.projections(e.coords) - k
@@ -239,7 +238,7 @@ def _old_band_inner(f, e, m, M):
 
 def _old_band_norm(f, e, m, M):
     center = np.broadcast_to(0.5 * (M + m), f.values.shape[:1])
-    return row_norms(_Shifted(f.values, e.coords, center)) - 0.5 * (M - m)
+    return row_norms(f.values, e.coords, center) - 0.5 * (M - m)
 
 
 def _old_box(f, alpha, beta, m, M):
@@ -547,7 +546,7 @@ def test_cli_sweep_skips_underflowing_band_constants(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# complex integrals against complex weights
+# complex integrals against the cast weights
 
 @pytest.mark.parametrize("n_panels", [16, 2 * _NODE_BLOCK, 12290, 65536])
 def test_complex_weights_give_the_products_with_cast_weights(n_panels):

@@ -23,7 +23,6 @@ from revtri.gridfn import (
     Grid,
     GridFunction,
     ScalarProfile,
-    _Shifted,
     materialize,
     profile_of,
     row_norms,
@@ -121,7 +120,7 @@ def test_node_tables_equal_the_whole_array_formulas(n, field):
         M_vals = m_vals + rng.uniform(0.0, 3.0, n)
         e = c / np.linalg.norm(c)
         assert _outcome(row_norms, x) == _outcome(_whole_norms, x), d
-        assert _outcome(row_norms, _Shifted(x, c)) == _outcome(_whole_distances, x, c), d
+        assert _outcome(row_norms, x, c) == _outcome(_whole_distances, x, c), d
         assert (_outcome(_band_residuals, x, e, m_vals, M_vals)
                 == _outcome(_whole_band, x, e, m_vals, M_vals)), d
 
@@ -161,7 +160,7 @@ def test_node_tables_raise_numpys_error_text(field, d, early, late):
     expected = _outcome(_whole_norms, x)
     assert isinstance(expected, str)
     assert _outcome(row_norms, x) == expected
-    assert _outcome(row_norms, _Shifted(x, c)) == _outcome(_whole_distances, x, c)
+    assert _outcome(row_norms, x, c) == _outcome(_whole_distances, x, c)
     assert (_outcome(_band_residuals, x, c, m_vals, M_vals)
             == _outcome(_whole_band, x, c, m_vals, M_vals))
 
@@ -173,7 +172,7 @@ def test_a_later_subtraction_overflow_is_numpys_first_error(d):
     x[0, :] = 1.2e154        # the sum of squares of this row overflows in the first block
     x[-1, 0] = 1.5e308       # x - c overflows in the last block
     c = np.full(d, -1.5e308)
-    assert _outcome(row_norms, _Shifted(x, c)) == _outcome(_whole_distances, x, c) \
+    assert _outcome(row_norms, x, c) == _outcome(_whole_distances, x, c) \
         == "overflow encountered in subtract"
     e = np.zeros(d)
     e[0] = 1.0

@@ -22,7 +22,6 @@ from revtri.gridfn import (
     PAIRWISE_COLUMNS,
     Grid,
     _sin_table,
-    column_norms,
     grid_nodes,
     profile_of,
     row_norms,
@@ -38,13 +37,12 @@ from revtri.scenario import (
 from revtri.sweep import sweep, sweep_to_csv
 
 
-def _numpy_norms(x: np.ndarray) -> np.ndarray:
+def _numpy_norms(x: np.ndarray, c: np.ndarray | None = None,
+                 s: np.ndarray | None = None) -> np.ndarray:
+    """``row_norms`` as numpy computes it: the norms of the rows of x, x - c or x - s c."""
+    if c is not None:
+        x = x - (c[None, :] if s is None else s[:, None] * c[None, :])
     return np.linalg.norm(x, axis=1)
-
-
-def _column_pass(x: np.ndarray) -> np.ndarray:
-    """The column kernel on any shape, as row_norms runs it below PAIRWISE_COLUMNS."""
-    return column_norms((x[:, j] for j in range(x.shape[1])), x.shape)
 
 
 def _outcome(fn, x: np.ndarray):
@@ -99,8 +97,6 @@ def _matrices(draw) -> np.ndarray:
 def test_row_norms_are_numpy_bit_for_bit(x):
     expected = _outcome(_numpy_norms, x)
     assert _outcome(row_norms, x) == expected
-    if x.shape[1] < PAIRWISE_COLUMNS:
-        assert _outcome(_column_pass, x) == expected
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -126,19 +122,20 @@ def test_row_norms_raise_numpys_overflow(value, message, field):
     if field == COMPLEX:
         x.imag = value
         message = "overflow encountered in multiply"   # a complex square adds inside multiply
-    assert _outcome(_column_pass, x) == _outcome(_numpy_norms, x) == message
-    assert _outcome(row_norms, x) == message
+    assert _outcome(row_norms, x) == _outcome(_numpy_norms, x) == message
 
 
 @pytest.mark.parametrize("d", [1, 5, PAIRWISE_COLUMNS, 11])
-def test_column_norms_take_columns_computed_on_the_fly(d):
+def test_row_norms_take_a_center_and_node_scales(d):
     rng = np.random.default_rng(3)
     values = rng.standard_normal((4097, d)) + 1j * rng.standard_normal((4097, d))
     e = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     scale = rng.uniform(0.5, 2.0, 4097)
-    columns = (values[:, j] - scale * e[j] for j in range(d))
-    dist = column_norms(columns, values.shape)
-    assert dist.tobytes() == _numpy_norms(values - scale[:, None] * e[None, :]).tobytes()
+    dist = row_norms(values, e, scale)
+    assert dist.tobytes() == np.linalg.norm(values - scale[:, None] * e[None, :],
+                                            axis=1).tobytes()
+    assert row_norms(values, e).tobytes() == np.linalg.norm(values - e[None, :],
+                                                            axis=1).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -291,9 +288,9 @@ def test_large_files_cover_every_bound_and_dimension():
 def _count_row_norms(monkeypatch) -> list:
     calls = []
 
-    def counting(x):
+    def counting(x, c=None, s=None):
         calls.append(x.shape)
-        return row_norms(x)
+        return row_norms(x, c, s)
     monkeypatch.setattr(gridfn, "row_norms", counting)
     return calls
 
@@ -331,6 +328,25 @@ def test_tables_are_keyed_by_exact_bytes():
     family = np.stack([e, np.roll(e, 1)])
     assert f.projections(family).shape == (17, 2)
     assert f.projections(family) is f.projections(family.copy())
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("n_nodes", [8193, 12291])
+def test_projections_equal_the_product_with_the_transposed_rows(n_nodes, field):
+    rng = np.random.default_rng(n_nodes)
+    grid = Grid(0.0, 1.0, n_nodes - 1)
+    for d in range(1, 9):
+        values = rng.standard_normal((n_nodes, d))
+        refs = rng.standard_normal((d, d))
+        if field == COMPLEX:
+            values = values + 1j * rng.standard_normal((n_nodes, d))
+            refs = refs + 1j * rng.standard_normal((d, d))
+        f = gridfn.GridFunction(grid, field, values)
+        for n in range(1, d + 1):
+            want = np.ascontiguousarray((values @ np.conjugate(refs[:n].T)).real)
+            assert f.projections(refs[:n]).tobytes() == want.tobytes(), (d, n)
+        want = (values @ np.conjugate(refs[0])).real
+        assert f.projections(refs[0]).tobytes() == want.tobytes()
 
 
 def _overflowing_file() -> dict:

@@ -20,7 +20,7 @@ parsing, serialization, validation, evaluation, recipes and sweeps read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
@@ -159,18 +159,25 @@ def band_gap_integrand(m_values: np.ndarray, M_values: np.ndarray) -> np.ndarray
 class HypothesisReport:
     """Node-wise constraint check.
 
-    ``slack_profile`` holds the signed residual at each node (positive means
-    violated); ``worst_violation`` is the clamped maximum, 0 when satisfied.
-    Family checks aggregate per-index reports in ``sub_reports``.
+    The signed residual at a node is positive where the hypothesis is violated;
+    ``worst_violation`` is their clamped maximum (0 when satisfied) at ``worst_node``.
+    Family checks aggregate per-index reports in ``sub_reports``.  The residuals are not
+    kept: ``kernel`` computes them from f and the profiles, and :attr:`slack_profile`
+    calls it on every access, at the cost of one kernel evaluation (one per member for a
+    family), returning a fresh array of the same bytes.
     """
 
     condition_id: str
     holds: bool
     worst_violation: float
     worst_node: int
-    slack_profile: np.ndarray
+    kernel: Callable[[], np.ndarray]
     tol: float
     sub_reports: tuple["HypothesisReport", ...] | None = None
+
+    @property
+    def slack_profile(self) -> np.ndarray:
+        return self.kernel()
 
     @property
     def failing_indices(self) -> tuple[int, ...]:
@@ -179,16 +186,17 @@ class HypothesisReport:
         return tuple(i for i, r in enumerate(self.sub_reports) if not r.holds)
 
 
-def _report(condition_id: str, residuals: np.ndarray, tol: float,
+def _report(condition_id: str, kernel, tol: float, residuals=None,
             sub_reports=None) -> HypothesisReport:
-    residuals = np.asarray(residuals, dtype=np.float64)
+    """The report of ``kernel``'s residuals, computed here unless given."""
+    residuals = kernel() if residuals is None else residuals
     worst_node = int(np.argmax(residuals))
     worst = max(float(residuals[worst_node]), 0.0)
     holds = worst <= tol
     if sub_reports is not None:
         holds = holds and all(r.holds for r in sub_reports)
         sub_reports = tuple(sub_reports)
-    return HypothesisReport(condition_id, holds, worst, worst_node, residuals, tol, sub_reports)
+    return HypothesisReport(condition_id, holds, worst, worst_node, kernel, tol, sub_reports)
 
 
 def _require_unit_reference(f: GridFunction, e: HVector, tol: float) -> None:
@@ -229,8 +237,8 @@ def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
                     tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| - Re<f(t), e> <= k(t) at every node."""
     _require_unit_reference(f, e, tau_on)
-    residuals = f.norms() - f.projections(e.coords) - _profile_on(f, k, "k")
-    return _report("dominance", residuals, tau_hyp)
+    return _report("dominance", lambda: f.norms() - f.projections(e.coords)
+                   - _profile_on(f, k, "k"), tau_hyp)
 
 
 def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
@@ -239,8 +247,11 @@ def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
     """||f(t)|| <= K * Re<f(t), e> at every node (multiplicative hypothesis)."""
     require_K(K)
     _require_unit_reference(f, e, tau_on)
-    scaled = K * f.projections(e.coords)
-    return _report("dominance_scaled", f.norms() - scaled, tau_hyp)
+
+    def residuals():
+        scaled = K * f.projections(e.coords)
+        return f.norms() - scaled
+    return _report("dominance_scaled", residuals, tau_hyp)
 
 
 def check_ball(f: GridFunction, e: HVector, radius: ScalarProfile | float,
@@ -248,8 +259,8 @@ def check_ball(f: GridFunction, e: HVector, radius: ScalarProfile | float,
                tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t) - e|| <= radius(t) at every node; a number is a constant radius."""
     _require_unit_reference(f, e, tau_on)
-    residuals = _ball_residuals(f, e.coords, _profile_on(f, radius, "radius"))
-    return _report("ball", residuals, tau_hyp)
+    return _report("ball", lambda: _ball_residuals(f, e.coords, _profile_on(f, radius, "radius")),
+                   tau_hyp)
 
 
 def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
@@ -270,10 +281,12 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
     M_vals = _profile_on(f, M, "M")
     require_band_profiles(m_vals, M_vals)
     if form == "inner":
-        p = f.projections(e.coords)
-        residuals = np.square(f.norms()) + m_vals * M_vals - (M_vals + m_vals) * p
+        def residuals():
+            p = f.projections(e.coords)
+            return np.square(f.norms()) + m_vals * M_vals - (M_vals + m_vals) * p
         return _report("band_inner", residuals, tau_hyp)
-    return _report("band_norm", _band_norm_residuals(f, e.coords, m_vals, M_vals), tau_hyp)
+    return _report("band_norm", lambda: _band_norm_residuals(f, e.coords, m_vals, M_vals),
+                   tau_hyp)
 
 
 def _complex_samples(f: GridFunction) -> np.ndarray:
@@ -295,15 +308,11 @@ def check_box_complex(f: GridFunction, alpha: float, beta: float,
     m_vals = _profile_on(f, m, "m")
     M_vals = _profile_on(f, M, "M")
     x, y = z.real, z.imag
-    residuals = np.maximum(np.maximum(np.maximum(m_vals * alpha - x, x - M_vals * alpha),
-                                      m_vals * beta - y), y - M_vals * beta)
-    box = _report("box", residuals, tau_hyp)
+    box = _report("box", lambda: np.maximum(np.maximum(np.maximum(
+        m_vals * alpha - x, x - M_vals * alpha), m_vals * beta - y), y - M_vals * beta), tau_hyp)
     e = HVector(COMPLEX, [complex(alpha, beta)])
     band = check_band(f, e, m, M, form="inner", tau_hyp=tau_hyp)
-    return HypothesisReport(
-        box.condition_id, box.holds and band.holds, box.worst_violation,
-        box.worst_node, box.slack_profile, tau_hyp, sub_reports=(band,),
-    )
+    return replace(box, holds=box.holds and band.holds, sub_reports=(band,))
 
 
 def check_arg(f: GridFunction, theta: float,
@@ -314,17 +323,27 @@ def check_arg(f: GridFunction, theta: float,
     if np.any(z == 0.0):
         j = int(np.argmax(z == 0.0))
         raise DegeneracyError(f"argument undefined: f vanishes at node {j}")
-    residuals = np.abs(np.angle(z)) - theta
-    return _report("arg_cone", residuals, tau_hyp)
+    return _report("arg_cone", lambda: np.abs(np.angle(z)) - theta, tau_hyp)
 
 
-def _family_check(per_index_residuals, condition_id: str, tau_hyp: float) -> HypothesisReport:
-    subs = [_report(f"{condition_id}[{i}]", r, tau_hyp)
-            for i, r in enumerate(per_index_residuals)]
-    combined = subs[0].slack_profile.copy()
-    for sub in subs[1:]:
-        np.maximum(combined, sub.slack_profile, out=combined)
-    return _report(condition_id, combined, tau_hyp, sub_reports=subs)
+def _running_max(kernels, visit=lambda i, kernel, residuals: None) -> np.ndarray:
+    """The node-wise maximum of the members' residuals, one member evaluated at a time so
+    that at most two node arrays are alive; ``visit`` sees each member's before the fold.
+    A kernel returns a fresh array, and the first member's becomes the running maximum."""
+    combined = None
+    for i, kernel in enumerate(kernels):
+        residuals = kernel()
+        visit(i, kernel, residuals)
+        combined = residuals if combined is None else np.maximum(combined, residuals, out=combined)
+    return combined
+
+
+def _family_check(kernels, condition_id: str, tau_hyp: float) -> HypothesisReport:
+    """Each member judged on its own residuals, the family on their running maximum."""
+    subs = []
+    combined = _running_max(kernels, lambda i, kernel, residuals: subs.append(
+        _report(f"{condition_id}[{i}]", kernel, tau_hyp, residuals)))
+    return _report(condition_id, lambda: _running_max(kernels), tau_hyp, combined, subs)
 
 
 # --------------------------------------------------------------------------
@@ -570,17 +589,17 @@ def _projection_extra(c: _Context, hyp, coeffs: np.ndarray, diags: dict | None =
 
 def _thm_3_1(c, p):
     norms, proj = c.f.norms(), _family_projections(c)
-    residuals = [norms - proj[:, i] - _profile_on(c.f, k, f"M_{i}")
-                 for i, k in enumerate(p.dominance_profiles)]
-    hyp = _family_check(residuals, "dominance_family", c.tau_hyp)
+    kernels = [lambda i=i, k=k: norms - proj[:, i] - _profile_on(c.f, k, f"M_{i}")
+               for i, k in enumerate(p.dominance_profiles)]
+    hyp = _family_check(kernels, "dominance_family", c.tau_hyp)
     return _integral_extra(c, hyp, [k.values for k in p.dominance_profiles], 1.0,
                            "dominance_integral")
 
 
 def _cor_3_2(c, p):
-    residuals = [_ball_residuals(c.f, e.coords, rho)
-                 for e, rho in zip(c.ref.family.members, p.rhos)]
-    hyp = _family_check(residuals, "ball_family", c.tau_hyp)
+    kernels = [lambda e=e, rho=rho: _ball_residuals(c.f, e.coords, rho)
+               for e, rho in zip(c.ref.family.members, p.rhos)]
+    hyp = _family_check(kernels, "ball_family", c.tau_hyp)
     coeffs = np.array([ball_coefficient(rho) for rho in p.rhos])
     printed = (c.est.integral_norm / math.sqrt(c.ref.family.n)
                * (1.0 + math.sqrt(float(np.mean(coeffs)))))
@@ -588,27 +607,28 @@ def _cor_3_2(c, p):
 
 
 def _cor_3_3(c, p):
-    q, proj = np.square(c.f.norms()), _family_projections(c)
-    residuals = [q + m * M - (M + m) * proj[:, i] for i, (m, M) in enumerate(zip(p.ms, p.Ms))]
-    hyp = _family_check(residuals, "band_inner_family", c.tau_hyp)
+    norms, proj = c.f.norms(), _family_projections(c)
+    kernels = [lambda i=i, m=m, M=M: np.square(norms) + m * M - (M + m) * proj[:, i]
+               for i, (m, M) in enumerate(zip(p.ms, p.Ms))]
+    hyp = _family_check(kernels, "band_inner_family", c.tau_hyp)
     return _projection_extra(c, hyp, np.array([band_coefficient(m, M)
                                                for m, M in zip(p.ms, p.Ms)]))
 
 
 def _cor_3_4(c, p):
-    residuals = [_ball_residuals(c.f, e.coords, _profile_on(c.f, r, f"r_{i}"))
-                 for i, (e, r) in enumerate(zip(c.ref.family.members, p.r_profiles))]
-    hyp = _family_check(residuals, "ball_family", c.tau_hyp)
+    kernels = [lambda i=i, e=e, r=r: _ball_residuals(c.f, e.coords, _profile_on(c.f, r, f"r_{i}"))
+               for i, (e, r) in enumerate(zip(c.ref.family.members, p.r_profiles))]
+    hyp = _family_check(kernels, "ball_family", c.tau_hyp)
     return _integral_extra(c, hyp, [r.values ** 2 for r in p.r_profiles], 2.0,
                            "r_squared_integral")
 
 
 def _cor_3_5(c, p):
     bands = list(zip(p.m_profiles, p.M_profiles))
-    residuals = [_band_norm_residuals(c.f, e.coords, _profile_on(c.f, m, f"m_{i}"),
-                                      _profile_on(c.f, M, f"M_{i}"))
-                 for i, (e, (m, M)) in enumerate(zip(c.ref.family.members, bands))]
-    hyp = _family_check(residuals, "band_norm_family", c.tau_hyp)
+    kernels = [lambda i=i, e=e, m=m, M=M: _band_norm_residuals(
+                   c.f, e.coords, _profile_on(c.f, m, f"m_{i}"), _profile_on(c.f, M, f"M_{i}"))
+               for i, (e, (m, M)) in enumerate(zip(c.ref.family.members, bands))]
+    hyp = _family_check(kernels, "band_norm_family", c.tau_hyp)
     return _integral_extra(c, hyp, [band_gap_integrand(m.values, M.values) for m, M in bands],
                            4.0, "band_gap_integral")
 

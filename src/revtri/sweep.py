@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,6 +22,8 @@ _BASE_DEFAULTS = {
 }
 
 CSV_HEADER = "parameter,value,lhs,rhs,margin,extremal_gap"
+
+_judgment = attrgetter("lhs", "rhs", "margin", "verdict")  # all that a row reads of a result
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,8 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
     n_panels = base.grid.n_panels if base is not None else None
     fixed = _base_params(bound_id, base)
     warnings: list[str] = []
-    kept = []  # (value, extremal result, swept bound entry) per feasible value
+    kept = []  # (value, extremal (lhs, rhs, margin, verdict)) per feasible value
+    entries = []  # the swept bound entry per feasible value, for the base run
     for value in np.linspace(start, stop, steps).tolist():
         try:
             ext = extremal_scenario(bound_id, {**fixed, parameter: value}, interval=interval,
@@ -74,23 +78,26 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
             warnings.append(f"{parameter}={value!r} skipped: {exc}")
             continue
         try:
-            kept.append((value, run(ext).results[0], ext.bounds[0]))
+            kept.append((value, _judgment(run(ext).results[0])))
         except RevtriError:
-            _step_results(base, kept)  # step by step, an earlier base step raised first
+            _base_judgments(base, entries)  # step by step, an earlier base step raised first
             raise
-    rows = [SweepRow(parameter, value, r.lhs, r.rhs, r.margin, ext.margin, r.verdict)
-            for (value, ext, _), r in zip(kept, _step_results(base, kept))]
+        if base is not None:
+            entries.append(ext.bounds[0])
+    judged = _base_judgments(base, entries) if base is not None else [j for _, j in kept]
+    rows = [SweepRow(parameter, value, lhs, rhs, margin, extremal[2], verdict)
+            for (value, extremal), (lhs, rhs, margin, verdict) in zip(kept, judged)]
     return rows, warnings
 
 
-def _step_results(base: Scenario | None, kept: list) -> tuple:
-    """The extremal results of ``kept``, or one run of the base function on all its entries."""
-    if base is None or not kept:
-        return tuple(ext for _, ext, _ in kept)
+def _base_judgments(base: Scenario, entries: list) -> list:
+    """One run of the base function on the swept bound entries of the steps so far."""
+    if not entries:
+        return []
     swept = Scenario(base.id, base.field, base.d, base.grid, base.function, base.reference,
-                     tuple(entry for _, _, entry in kept), base.tolerances)
+                     tuple(entries), base.tolerances)
     vars(swept)["f"] = base.f  # the function is unchanged: materialized and integrated once
-    return run(swept).results
+    return [_judgment(r) for r in run(swept).results]
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:

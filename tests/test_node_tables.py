@@ -250,14 +250,21 @@ def _old_band_norm_residuals(f, e, m_vals, M_vals):
     return dist - 0.5 * (M_vals - m_vals)
 
 
-def _numpy_per_bound(monkeypatch) -> None:
+def _numpy_per_bound(monkeypatch) -> list:
     """Every row norm by ``np.linalg.norm(axis=1)``, and every node table, part
-    integral and sin table computed afresh where it is used."""
+    integral and sin table computed afresh where it is used.  Returns the list that
+    each call of the whole-array band-norm residuals appends to."""
     monkeypatch.setattr(gridfn, "row_norms", _numpy_norms)
     monkeypatch.setattr(gridfn.GridFunction, "cached", lambda self, key, compute: compute())
     monkeypatch.setattr(gridfn, "_sin_table",
                         lambda key, omega: np.sin(float.fromhex(omega) * grid_nodes(key)))
-    monkeypatch.setattr(B, "_band_norm_residuals", _old_band_norm_residuals)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _old_band_norm_residuals(*args)
+    monkeypatch.setattr(B, "_band_norm_residuals", counting)
+    return calls
 
 
 def _texts(data: dict) -> str:
@@ -270,8 +277,11 @@ def test_large_reports_equal_the_per_bound_numpy_computation(name, monkeypatch):
     data = LARGE_FILES[name]
     texts = _texts(data)
     with monkeypatch.context() as patched:
-        _numpy_per_bound(patched)
+        calls = _numpy_per_bound(patched)
         assert _texts(data) == texts
+    # once per band-norm check: COR_2_5, and COR_3_5 for each family member
+    band_norm = {"COR_2_5": 1, "COR_3_5": len(data["reference"].get("family", ()))}
+    assert len(calls) == sum(band_norm.get(b["bound_id"], 0) for b in data["bounds"])
 
 
 def test_large_files_cover_every_bound_and_dimension():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bounds as B
 from .errors import RevtriError
-from .extremal import RECIPE_BOUNDS
+from .extremal import RECIPE_BOUNDS, RECIPES
 from .fuzz import fuzz
 from .hilbert import COMPLEX, REAL
 from .scenario import (
@@ -32,8 +32,8 @@ from .scenario import (
 )
 from .sweep import sweep, sweep_to_csv
 
-#: Recipe parameters settable with ``extremal --<key>``: every recipe bound's file keys.
-RECIPE_KEYS = tuple(dict.fromkeys(q.key for b in RECIPE_BOUNDS for q in B.BOUNDS[b].params))
+#: Recipe parameters settable with ``extremal --<key>``: every key of every recipe.
+RECIPE_KEYS = tuple(dict.fromkeys(key for r in RECIPES.values() for key in r.defaults))
 
 
 def _write_report(report: RunReport, out: str | None) -> None:
@@ -79,7 +79,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _extremal_params(args) -> dict:
-    return {k: getattr(args, k) for k in RECIPE_KEYS + ("alpha",) if getattr(args, k) is not None}
+    return {k: getattr(args, k) for k in RECIPE_KEYS if getattr(args, k) is not None}
 
 
 def _cmd_extremal(args) -> int:
@@ -87,12 +87,10 @@ def _cmd_extremal(args) -> int:
         scenario = family_extremal_scenario(n=args.n_family, c=args.c, d=args.dim,
                                             field=args.field, interval=tuple(args.interval),
                                             n_panels=args.panels)
-    elif args.bound in RECIPE_BOUNDS:
+    else:
         scenario = extremal_scenario(args.bound, _extremal_params(args),
                                      d=args.dim, field=args.field,
                                      interval=tuple(args.interval), n_panels=args.panels)
-    else:
-        raise RevtriError(f"no extremal recipe for bound {args.bound!r}")
     report = run(scenario)
     _print_report(report)
     gap = report.results[0].margin
@@ -144,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(RECIPE_BOUNDS + (B.THM_3_1,)))
     for key in RECIPE_KEYS:
         p_ext.add_argument(f"--{key}", type=float)
-    p_ext.add_argument("--alpha", type=float, help="component along e for the dominance recipe")
     p_ext.add_argument("--c", type=float, default=1.0, help="family amplitude (THM_3_1)")
     p_ext.add_argument("--n-family", type=int, default=2)
     p_ext.add_argument("--dim", type=int, default=None,

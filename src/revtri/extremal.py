@@ -18,6 +18,7 @@ profiles and the family bound evaluates to equality.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bounds import (
@@ -38,9 +39,6 @@ from .bounds import (
 from .errors import InputError, StateError
 from .gridfn import FunctionSpec, Grid, GridFunction, ScalarProfile, materialize
 from .hilbert import HVector, OrthonormalFamily
-
-#: Bounds with a closed-form equality recipe.
-RECIPE_BOUNDS = (THM_2_1, COR_2_2, COR_2_3, COR_2_4, COR_2_5)
 
 
 def _recipe_name(bound_id: str, params: dict) -> str:
@@ -71,85 +69,93 @@ class ExtremalRecipe:
             raise InputError("expected defect cannot be negative")
 
 
+def _thm_2_1(k, alpha):
+    """Dominance is tight iff sqrt(alpha^2 + beta^2) = alpha + k: beta = sqrt(k^2 + 2 alpha k)."""
+    if k <= 0.0 or alpha <= 0.0:
+        raise InputError("THM_2_1 recipe needs constant k > 0 and alpha > 0")
+    return alpha, math.sqrt(k * k + 2.0 * alpha * k), k
+
+
+def _cor_2_2(rho):
+    """||f|| = sqrt(1 - rho^2), ||f - e|| = rho: alpha = 1 - rho^2, beta = rho sqrt(1 - rho^2)."""
+    c = ball_coefficient(rho)
+    alpha = 1.0 - rho * rho
+    return alpha, rho * math.sqrt(1.0 - rho * rho), c * alpha
+
+
+def _cor_2_3(m, M):
+    """||f|| = sqrt(mM) on the band boundary: alpha = 2mM/(M+m), beta = sqrt(mM) (M-m)/(M+m)."""
+    c = band_coefficient(m, M)
+    alpha = 2.0 * m * M / (M + m)
+    return alpha, math.sqrt(m * M) * (M - m) / (M + m), c * alpha
+
+
+def _cor_2_4(r):
+    """Tightness forces ||f|| = 1, ||f - e|| = r: alpha = 1 - r^2/2, beta = r sqrt(1 - r^2/4)."""
+    require_radius(r)
+    return 1.0 - r * r / 2.0, r * math.sqrt(1.0 - r * r / 4.0), 0.5 * r * r
+
+
+def _cor_2_5(m, M):
+    """c0 = (M+m)/2, R = (M-m)/2: maximizing ||f|| - Re<f, e> on the disk boundary lands
+    at ||f|| = c0, so alpha = c0 - R^2/(2 c0), beta = sqrt(R^2 - R^4/(4 c0^2)); defect
+    R^2/(2 c0) = (M-m)^2 / (4 (M+m)) per unit length."""
+    if not 0.0 <= m <= M or M <= 0.0:
+        raise InputError(f"COR_2_5 recipe needs 0 <= m <= M with M > 0, got {m!r}, {M!r}")
+    c0 = 0.5 * (M + m)
+    R = 0.5 * (M - m)
+    alpha = c0 - R * R / (2.0 * c0)
+    return alpha, math.sqrt(R * R - R ** 4 / (4.0 * c0 * c0)), R * R / (2.0 * c0)
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """Where a sweep starts, and ``solve(**params) -> (alpha, beta, defect per unit length)``."""
+
+    defaults: dict[str, float]
+    solve: Callable[..., tuple[float, float, float]]
+
+
+#: Every closed-form equality recipe, by bound.
+RECIPES: dict[str, Recipe] = {
+    THM_2_1: Recipe({"k": 0.5, "alpha": 1.0}, _thm_2_1),
+    COR_2_2: Recipe({"rho": 0.6}, _cor_2_2),
+    COR_2_3: Recipe({"m": 1.0, "M": 4.0}, _cor_2_3),
+    COR_2_4: Recipe({"r": 0.5}, _cor_2_4),
+    COR_2_5: Recipe({"m": 1.0, "M": 4.0}, _cor_2_5),
+}
+
+#: Bounds with a closed-form equality recipe.
+RECIPE_BOUNDS = tuple(RECIPES)
+
+
 def solve_equality_params(bound_id: str, params: dict[str, float],
                           interval: tuple[float, float] = (0.0, 1.0)) -> ExtremalRecipe:
-    """Closed-form (alpha, beta) solving the node-wise equality conditions.
+    """Closed-form (alpha, beta) solving the node-wise equality conditions (``RECIPES``).
 
-    Per bound (length = b - a):
-
-    * THM_2_1 (constant k > 0, chosen alpha > 0): dominance is tight iff
-      sqrt(alpha^2 + beta^2) = alpha + k, so beta = sqrt(k^2 + 2 alpha k);
-      defect = k * length.
-    * COR_2_2 (rho): ||f|| = sqrt(1 - rho^2) and ||f - e|| = rho give
-      alpha = 1 - rho^2, beta = rho * sqrt(1 - rho^2).
-    * COR_2_3 (m, M): ||f|| = sqrt(mM) on the band boundary gives
-      alpha = 2mM/(M+m), beta = sqrt(mM) (M-m)/(M+m).
-    * COR_2_4 (constant r): tightness forces ||f|| = 1 with ||f - e|| = r,
-      so alpha = 1 - r^2/2, beta = r sqrt(1 - r^2/4).
-    * COR_2_5 (constants m, M; c0 = (M+m)/2, R = (M-m)/2): maximizing
-      ||f|| - Re<f, e> on the disk boundary lands at ||f|| = c0:
-      alpha = c0 - R^2/(2 c0), beta = sqrt(R^2 - R^4/(4 c0^2));
-      defect = R^2/(2 c0) * length = (M-m)^2 / (4 (M+m)) * length.
-
-    Parameters whose recipe overflows, or gives a non-finite alpha, beta or expected
-    defect, raise :class:`InputError` naming the bound and the parameters.
+    Every bound parameter is required; other recipe parameters (THM_2_1's alpha) come from
+    the recipe's defaults.  A recipe that overflows, divides by zero, or gives a non-finite
+    alpha, beta or expected defect raises :class:`InputError` naming bound and parameters.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise InputError(f"interval requires b > a, got [{a}, {b}]")
+    if bound_id not in RECIPES:
+        raise InputError(f"no equality recipe for bound {bound_id!r}")
+    recipe = RECIPES[bound_id]
+    keys = tuple(q.key for q in BOUNDS[bound_id].params)
+    for key in keys:
+        if key not in params:
+            raise InputError(f"{bound_id} recipe needs parameter {key!r}")
+    values = {key: float(params.get(key, default)) for key, default in recipe.defaults.items()}
     try:
-        return _solve(bound_id, params, a, b)
+        alpha, beta, rate = recipe.solve(**values)
     except OverflowError:
         raise InputError(f"{_recipe_name(bound_id, params)} overflows") from None
-
-
-def _solve(bound_id: str, params: dict[str, float], a: float, b: float) -> ExtremalRecipe:
-    length = b - a
-
-    if bound_id == THM_2_1:
-        k = float(params.get("k", 0.0))
-        alpha = float(params.get("alpha", 1.0))
-        if k <= 0.0 or alpha <= 0.0:
-            raise InputError("THM_2_1 recipe needs constant k > 0 and alpha > 0")
-        beta = math.sqrt(k * k + 2.0 * alpha * k)
-        return ExtremalRecipe(bound_id, alpha, beta, k * length, {"k": k}, (a, b))
-
-    if bound_id == COR_2_2:
-        rho = float(params["rho"])
-        c = ball_coefficient(rho)
-        alpha = 1.0 - rho * rho
-        beta = rho * math.sqrt(1.0 - rho * rho)
-        return ExtremalRecipe(bound_id, alpha, beta, c * alpha * length, {"rho": rho}, (a, b))
-
-    if bound_id == COR_2_3:
-        m, M = float(params["m"]), float(params["M"])
-        c = band_coefficient(m, M)
-        alpha = 2.0 * m * M / (M + m)
-        beta = math.sqrt(m * M) * (M - m) / (M + m)
-        return ExtremalRecipe(bound_id, alpha, beta, c * alpha * length,
-                              {"m": m, "M": M}, (a, b))
-
-    if bound_id == COR_2_4:
-        r = float(params["r"])
-        require_radius(r)
-        alpha = 1.0 - r * r / 2.0
-        beta = r * math.sqrt(1.0 - r * r / 4.0)
-        return ExtremalRecipe(bound_id, alpha, beta, 0.5 * r * r * length, {"r": r}, (a, b))
-
-    if bound_id == COR_2_5:
-        m, M = float(params["m"]), float(params["M"])
-        if not 0.0 <= m <= M or M <= 0.0:
-            raise InputError(f"COR_2_5 recipe needs 0 <= m <= M with M > 0, got {m!r}, {M!r}")
-        c0 = 0.5 * (M + m)
-        R = 0.5 * (M - m)
-        alpha = c0 - R * R / (2.0 * c0)
-        beta_sq = R * R - R ** 4 / (4.0 * c0 * c0)
-        assert beta_sq >= 0.0, "disk geometry guarantees a real orthogonal amplitude"
-        beta = math.sqrt(beta_sq)
-        return ExtremalRecipe(bound_id, alpha, beta, R * R / (2.0 * c0) * length,
-                              {"m": m, "M": M}, (a, b))
-
-    raise InputError(f"no equality recipe for bound {bound_id!r}")
+    except ZeroDivisionError:
+        raise InputError(f"{_recipe_name(bound_id, params)} divides by zero") from None
+    return ExtremalRecipe(bound_id, alpha, beta, rate * (b - a),
+                          {key: values[key] for key in keys}, (a, b))
 
 
 def recipe_bound_params(recipe: ExtremalRecipe, grid: Grid) -> BoundParams:

@@ -40,7 +40,9 @@ MAX_HARMONICS = 8
 MAX_COUNTEREXAMPLE_DUMPS = 5
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent, order-free stream for one trial (Philox counter block)."""
+    """Independent, order-free stream for one trial (Philox counter block of 64-bit words)."""
+    if not (0 <= seed < 2 ** 64 and 0 <= trial < 2 ** 64):
+        raise InputError(f"seed and trial must lie in [0, 2**64), got {seed!r} and {trial!r}")
     counter = np.array([0, 0, 0, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
 

@@ -9,17 +9,8 @@ import numpy as np
 
 from . import bounds as B
 from .errors import InputError, RevtriError
-from .extremal import RECIPE_BOUNDS
+from .extremal import RECIPES
 from .scenario import Scenario, extremal_scenario, run
-
-#: Recipe parameters of a sweep without a base scenario.
-_BASE_DEFAULTS = {
-    B.THM_2_1: {"k": 0.5, "alpha": 1.0},
-    B.COR_2_2: {"rho": 0.6},
-    B.COR_2_3: {"m": 1.0, "M": 4.0},
-    B.COR_2_4: {"r": 0.5},
-    B.COR_2_5: {"m": 1.0, "M": 4.0},
-}
 
 CSV_HEADER = "parameter,value,lhs,rhs,margin,extremal_gap"
 
@@ -39,7 +30,7 @@ class SweepRow:
 
 def _base_params(bound_id: str, base: Scenario | None) -> dict:
     """Recipe parameters; a profile of the base scenario contributes its first node value."""
-    params = dict(_BASE_DEFAULTS[bound_id])
+    params = dict(RECIPES[bound_id].defaults)
     for entry in base.bounds if base is not None else ():
         if entry.bound_id == bound_id:
             for q in B.BOUNDS[bound_id].params:
@@ -56,7 +47,7 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
     margin without a base scenario; with one, the margin columns come from the base
     function on the swept bound alone, one run for all steps.  Returns (rows, warnings).
     """
-    if bound_id not in RECIPE_BOUNDS:
+    if bound_id not in RECIPES:
         raise InputError(f"sweep supports bounds with equality recipes, not {bound_id!r}")
     keys = tuple(q.key for q in B.BOUNDS[bound_id].params)
     if parameter not in keys:

@@ -29,8 +29,10 @@ from revtri import (
     solve_equality_params,
     tightness_gap,
 )
-from revtri.bounds import HOLDS
-from revtri.extremal import recipe_bound_params
+from revtri.bounds import BOUNDS, HOLDS
+from revtri.cli import build_parser
+from revtri.extremal import RECIPE_BOUNDS, RECIPES, recipe_bound_params
+from revtri.sweep import _base_params
 
 # ---------------------------------------------------------------------------
 # independent oracles: solve the node-wise equality conditions numerically.
@@ -127,6 +129,55 @@ def test_recipe_range_validation():
         solve_equality_params("THM_2_1", {"k": -0.5})
     with pytest.raises(InputError):
         solve_equality_params("MULT_A", {})
+
+
+@pytest.mark.parametrize("bound_id, params, key", [
+    ("THM_2_1", {"alpha": 1.0}, "k"),
+    ("COR_2_2", {}, "rho"),
+    ("COR_2_3", {"m": 1.0}, "M"),
+    ("COR_2_4", {}, "r"),
+    ("COR_2_5", {"M": 4.0}, "m"),
+])
+def test_missing_recipe_parameter_is_an_input_error(bound_id, params, key):
+    with pytest.raises(InputError, match=f"^{bound_id} recipe needs parameter '{key}'$"):
+        solve_equality_params(bound_id, params)
+
+
+def test_infinite_band_recipe_is_not_finite():
+    # the NaN amplitude reaches the recipe's finiteness check instead of an assert
+    with pytest.raises(InputError, match=r"^COR_2_5 equality recipe at m=1.0, M=inf is not "
+                                         r"finite: alpha=nan, beta=nan"):
+        solve_equality_params("COR_2_5", {"m": 1.0, "M": math.inf})
+
+
+def test_band_recipe_dividing_by_zero_is_an_input_error():
+    # c0 * c0 underflows to 0, and so does R ** 4
+    with pytest.raises(InputError, match=r"^COR_2_5 equality recipe at m=0.0, M=1e-170 "
+                                         r"divides by zero$"):
+        solve_equality_params("COR_2_5", {"m": 0.0, "M": 1e-170})
+
+
+def _extremal_options() -> set[str]:
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    return {s for a in commands.choices["extremal"]._actions for s in a.option_strings}
+
+
+def test_recipe_bounds_sweep_defaults_and_cli_flags_come_from_recipes():
+    assert RECIPE_BOUNDS == tuple(RECIPES)
+    for bound_id, recipe in RECIPES.items():
+        assert _base_params(bound_id, None) == recipe.defaults
+        assert {q.key for q in BOUNDS[bound_id].params} <= set(recipe.defaults)
+    recipe_flags = {f"--{key}" for recipe in RECIPES.values() for key in recipe.defaults}
+    assert recipe_flags == {"--k", "--alpha", "--rho", "--m", "--M", "--r"}
+    assert _extremal_options() - recipe_flags == {
+        "-h", "--help", "--bound", "--c", "--n-family", "--dim", "--field", "--interval",
+        "--panels", "--out", "--scenario-out"}
+
+
+def test_thm21_alpha_defaults_to_the_recipe_default():
+    assert solve_equality_params("THM_2_1", {"k": 0.5}) == solve_equality_params(
+        "THM_2_1", {"k": 0.5, "alpha": RECIPES["THM_2_1"].defaults["alpha"]})
 
 
 # ---------------------------------------------------------------------------

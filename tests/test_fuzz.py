@@ -17,6 +17,18 @@ def test_trial_rng_is_counter_based():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)])
+def test_seed_and_trial_outside_64_bits_are_input_errors(seed, trial):
+    with pytest.raises(InputError, match=r"seed and trial must lie in \[0, 2\*\*64\)"):
+        trial_rng(seed, trial)
+    with pytest.raises(InputError, match=r"seed and trial must lie in"):
+        generate_scenario("COR_2_2", seed=seed, trial=trial)
+
+
+def test_largest_64_bit_seed_still_runs():
+    assert fuzz("COR_2_2", trials=2, seed=2 ** 64 - 1).holds == 2
+
+
 def test_trials_are_order_independent():
     # scenario for trial k does not depend on trials before it
     direct = generate_scenario("COR_2_3", seed=5, trial=17, d=4)

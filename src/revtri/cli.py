@@ -1,13 +1,14 @@
 """Command-line surface: check, fuzz, extremal, sweep.
 
 Exit codes: 0 all bounds hold, 1 a bound was violated, 2 a hypothesis
-failed, 3 input or validation error.
+failed, 3 input or validation error, 141 (128 + SIGPIPE) standard output was
+closed before everything was written to it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .scenario import (
     EXIT_INPUT_ERROR,
     RunReport,
     _rollup,
+    _write_json,
     exit_code,
     extremal_scenario,
     family_extremal_scenario,
@@ -31,6 +33,9 @@ from .scenario import (
     save_scenario,
 )
 from .sweep import sweep, sweep_to_csv
+
+#: the exit code for a closed standard output, the one a shell reports for SIGPIPE
+_EXIT_BROKEN_PIPE = 141
 
 #: Recipe parameters settable with ``extremal --<key>``: every key of every recipe.
 RECIPE_KEYS = tuple(dict.fromkeys(key for r in RECIPES.values() for key in r.defaults))
@@ -63,7 +68,7 @@ def _cmd_check(args) -> int:
 def _cmd_fuzz(args) -> int:
     summary = fuzz(args.bound, args.trials, args.seed, d=args.dim, field=args.field,
                    n_family=args.n_family)
-    data = summary.to_dict()
+    data = summary._tree()
     print(f"fuzz {summary.bound_id}: {summary.holds}/{summary.trials} holds, "
           f"{summary.violated} violated, {summary.hypothesis_failed} hypothesis_failed")
     print(f"  worst margin {summary.worst_margin!r} at trial {summary.worst_margin_trial}")
@@ -72,8 +77,7 @@ def _cmd_fuzz(args) -> int:
         print(f"  printed-form margins: min {pf['min_margin']!r} max {pf['max_margin']!r} "
               f"negative in {pf['negative_count']} trials (diagnostic only)")
     if args.out:
-        Path(args.out).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",
-                                  encoding="utf-8")
+        _write_json(data, args.out)
     counts = {B.VIOLATED: summary.violated, B.HYPOTHESIS_FAILED: summary.hypothesis_failed}
     return EXIT_CODES[_rollup(verdict for verdict, n in counts.items() if n)]
 
@@ -170,10 +174,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except RevtriError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        try:
+            code = args.func(args)
+        except RevtriError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_INPUT_ERROR
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

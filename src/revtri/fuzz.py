@@ -32,8 +32,9 @@ from .scenario import (
     RunReport,
     Scenario,
     Tolerances,
+    _plain,
+    _scenario_tree,
     run,
-    scenario_to_dict,
 )
 
 MAX_HARMONICS = 8
@@ -377,6 +378,7 @@ class FuzzSummary:
     min_defect_slack: float = math.inf
     chain_violations: int = 0
     printed_form_margins: list[float] = dc_field(default_factory=list)
+    #: one dict per dumped trial; its "scenario" keeps the node arrays (see :meth:`to_dict`)
     counterexamples: list[dict] = dc_field(default_factory=list)
     reports: list[RunReport] | None = None
 
@@ -385,6 +387,11 @@ class FuzzSummary:
         return self.violated == 0 and self.hypothesis_failed == 0
 
     def to_dict(self) -> dict:
+        """The summary as JSON data, the dumped scenarios in their file format."""
+        return _plain(self._tree())
+
+    def _tree(self) -> dict:
+        """:meth:`to_dict` with the node arrays of the dumped scenarios still arrays."""
         out = {
             "bound_id": self.bound_id,
             "trials": self.trials,
@@ -452,7 +459,7 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
                 "trial": trial,
                 "margin": result.margin,
                 "err_budget": result.err_budget,
-                "scenario": scenario_to_dict(scenario),
+                "scenario": _scenario_tree(scenario),
             })
         if keep_reports:
             summary.reports.append(report)

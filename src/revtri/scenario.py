@@ -56,6 +56,7 @@ from .gridfn import (
     Grid,
     GridFunction,
     ScalarProfile,
+    _node_blocks,
     is_number,
     materialize,
     number_array,
@@ -373,21 +374,26 @@ def load_scenario(path) -> Scenario:
 # --------------------------------------------------------------------------
 # serialization back to the file format
 
-def _coords_to_json(field: str, coords) -> list:
-    """Coordinates of any shape as nested lists of JSON numbers, with one ``tolist()``:
-    floats, or ``[re, im]`` pairs for the complex field.  Taking each entry through
-    complex128 first gives the floats ``complex(v)`` gives for one number."""
-    z = np.asarray(coords, dtype=np.complex128)
-    return (z.real if field == REAL else np.stack([z.real, z.imag], -1)).tolist()
+def _coords_to_json(field: str, coords) -> np.ndarray:
+    """Coordinates of any shape as one float64 array whose ``tolist()`` is their JSON:
+    floats, or ``[re, im]`` pairs (a trailing axis of 2) for the complex field.  Taking
+    each entry through complex128 gives the floats ``complex(v)`` gives for one number;
+    float64 rows of a real field and C-ordered complex128 rows are viewed, not copied."""
+    z = np.asarray(coords)
+    if field == REAL and z.dtype == np.float64:
+        return z
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return z.real if field == REAL else z.view(np.float64).reshape(z.shape + (2,))
 
 
 def _profile_to_json(value) -> object:
     if isinstance(value, ScalarProfile):
-        return {"samples": value.values.tolist()}
+        return {"samples": value.values}
     return value
 
 
-#: kind -> serializer(value, field), the inverse of ``_PARSERS``
+#: kind -> serializer(value, field), the inverse of ``_PARSERS``; node samples and
+#: coordinates stay arrays (see :func:`_scenario_tree`)
 _TO_JSON = {
     NUMBER: lambda value, field: value,
     B.NUMBERS: lambda values, field: list(values),
@@ -414,8 +420,9 @@ def _params_to_json(entry: BoundEntry, field: str) -> dict:
             for q in B.BOUNDS[entry.bound_id].params}
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    """Serialize a scenario back to its file format (reproducing dump)."""
+def _scenario_tree(s: Scenario) -> dict:
+    """The file format of a scenario as a tree whose array leaves are numpy arrays: what
+    :func:`scenario_to_dict` turns into lists and :func:`save_scenario` streams."""
     ref = s.reference
     value = {REF_UNIT: ref.e, REF_FAMILY: ref.family, REF_DIRECTION: (ref.alpha, ref.beta)}
     reference = {ref.kind: _TO_JSON[_REFERENCE_KINDS[ref.kind]](value[ref.kind], s.field)}
@@ -436,9 +443,86 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _plain(tree):
+    """``tree`` (dicts and lists) with every numpy array leaf replaced by its ``tolist()``."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {key: _plain(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [_plain(value) for value in tree]
+    return tree
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    """Serialize a scenario back to its file format (reproducing dump)."""
+    return _plain(_scenario_tree(s))
+
+
+def _floatstr(x: float) -> str:
+    """The JSON text ``json.dumps`` gives one float."""
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_array(out, a: np.ndarray, indent: str) -> None:
+    """Write ``json.dumps(a.tolist(), indent=2)`` for a nonempty float64 array of at least
+    one axis, its lines indented by ``indent`` after the first, one node block of rows
+    (the first axis) at a time: each block is one ``%`` template filled with the reprs
+    of its floats, the text ``json.dumps`` gives every finite float."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    row = "%s"
+    if a.ndim > 1:  # the row's brackets and separators, as json.dumps lays them out
+        row = json.dumps(np.zeros(a.shape[1:]).tolist(), indent=2).replace("0.0", "%s")
+        row = row.replace("\n", "\n" + inner)
+    out.write("[\n" + inner)
+    for lo, hi in _node_blocks(len(a)):
+        block = a[lo:hi]
+        text = float.__repr__ if np.isfinite(block).all() else _floatstr
+        out.write((sep if lo else "")
+                  + sep.join([row] * (hi - lo)) % tuple(map(text, block.ravel().tolist())))
+    out.write("\n" + indent + "]")
+
+
+def _write_json(tree, path) -> None:
+    """Write ``json.dumps(_plain(tree), sort_keys=True, indent=2) + "\\n"`` to ``path``,
+    byte for byte, without building that text: the rest of the tree goes through
+    ``json.dumps`` with a placeholder string per nonempty float64 array leaf, and each
+    array is streamed by :func:`_write_array` at the placeholder's indentation."""
+    arrays: list[np.ndarray] = []
+
+    def leaf(obj):
+        if not isinstance(obj, np.ndarray):
+            return json.JSONEncoder().default(obj)  # json's TypeError
+        if obj.dtype != np.float64 or obj.ndim == 0 or obj.size == 0:
+            return obj.tolist()
+        arrays.append(obj)
+        return token
+
+    attempt = 0
+    while True:  # a string of the tree that ends like a placeholder takes another one
+        token = f"revtri-array-{attempt}"
+        arrays.clear()
+        pieces = json.dumps(tree, sort_keys=True, indent=2, default=leaf).split(f'"{token}"')
+        if len(pieces) == len(arrays) + 1:
+            break
+        attempt += 1
+    with open(path, "w", encoding="utf-8") as out:
+        for piece, a in zip(pieces, arrays):
+            out.write(piece)
+            line = piece[piece.rfind("\n") + 1:]
+            _write_array(out, a, " " * (len(line) - len(line.lstrip(" "))))
+        out.write(pieces[-1] + "\n")
+
+
 def save_scenario(s: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(s), sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    """Write the scenario file: ``json.dumps(scenario_to_dict(s), sort_keys=True,
+    indent=2)`` and a newline, with the node arrays streamed."""
+    _write_json(_scenario_tree(s), path)
 
 
 # --------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_coords_serialize_like_one_number_at_a_time(data, field, complex_values,
     # pairs taken as complex128 by a view, so a signed zero imaginary part survives
     values = flat.view(np.complex128).reshape(shape) if complex_values \
         else flat[:size].reshape(shape)
-    got = S._coords_to_json(field, values)
+    got = S._coords_to_json(field, values).tolist()
     want = _one_number_at_a_time(field, values)
     assert json.dumps(got) == json.dumps(want)
     assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
@@ -126,7 +126,7 @@ def test_coords_serialize_like_one_number_at_a_time(data, field, complex_values,
 def test_coords_serialize_ints_as_floats():
     rows = np.array([[1, -2], [2**53 + 1, 0]])
     for field in (REAL, COMPLEX):
-        assert json.dumps(S._coords_to_json(field, rows)) == \
+        assert json.dumps(S._coords_to_json(field, rows).tolist()) == \
             json.dumps(_one_number_at_a_time(field, rows))
 
 

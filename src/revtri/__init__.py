@@ -66,7 +66,6 @@ from .quadrature import (
     bochner_integral,
     defect,
     norm_integral,
-    scalar_integral,
 )
 from .scenario import (
     RunReport,

@@ -232,13 +232,23 @@ def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
     return row_norms(f.values, e, center) - 0.5 * (M_vals - m_vals)
 
 
+def _dominance_residuals(norms, proj, k) -> np.ndarray:
+    """||f(t)|| - Re<f(t), e> - k(t) from the node norms and projections."""
+    return norms - proj - k
+
+
+def _band_inner_residuals(norms, proj, m, M) -> np.ndarray:
+    """-Re<M(t)e - f(t), f(t) - m(t)e> from the node norms and projections."""
+    return np.square(norms) + m * M - (M + m) * proj
+
+
 def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
                     tau_hyp: float = DEFAULT_HYP_TOL,
                     tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| - Re<f(t), e> <= k(t) at every node."""
     _require_unit_reference(f, e, tau_on)
-    return _report("dominance", lambda: f.norms() - f.projections(e.coords)
-                   - _profile_on(f, k, "k"), tau_hyp)
+    return _report("dominance", lambda: _dominance_residuals(
+        f.norms(), f.projections(e.coords), _profile_on(f, k, "k")), tau_hyp)
 
 
 def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
@@ -283,7 +293,7 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
     if form == "inner":
         def residuals():
             p = f.projections(e.coords)
-            return np.square(f.norms()) + m_vals * M_vals - (M_vals + m_vals) * p
+            return _band_inner_residuals(f.norms(), p, m_vals, M_vals)
         return _report("band_inner", residuals, tau_hyp)
     return _report("band_norm", lambda: _band_norm_residuals(f, e.coords, m_vals, M_vals),
                    tau_hyp)
@@ -589,7 +599,8 @@ def _projection_extra(c: _Context, hyp, coeffs: np.ndarray, diags: dict | None =
 
 def _thm_3_1(c, p):
     norms, proj = c.f.norms(), _family_projections(c)
-    kernels = [lambda i=i, k=k: norms - proj[:, i] - _profile_on(c.f, k, f"M_{i}")
+    kernels = [lambda i=i, k=k: _dominance_residuals(norms, proj[:, i],
+                                                     _profile_on(c.f, k, f"M_{i}"))
                for i, k in enumerate(p.dominance_profiles)]
     hyp = _family_check(kernels, "dominance_family", c.tau_hyp)
     return _integral_extra(c, hyp, [k.values for k in p.dominance_profiles], 1.0,
@@ -608,7 +619,7 @@ def _cor_3_2(c, p):
 
 def _cor_3_3(c, p):
     norms, proj = c.f.norms(), _family_projections(c)
-    kernels = [lambda i=i, m=m, M=M: np.square(norms) + m * M - (M + m) * proj[:, i]
+    kernels = [lambda i=i, m=m, M=M: _band_inner_residuals(norms, proj[:, i], m, M)
                for i, (m, M) in enumerate(zip(p.ms, p.Ms))]
     hyp = _family_check(kernels, "band_inner_family", c.tau_hyp)
     return _projection_extra(c, hyp, np.array([band_coefficient(m, M)

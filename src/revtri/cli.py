@@ -1,8 +1,8 @@
 """Command-line surface: check, fuzz, extremal, sweep.
 
-Exit codes: 0 all bounds hold, 1 a bound was violated, 2 a hypothesis
-failed, 3 input or validation error, 141 (128 + SIGPIPE) standard output was
-closed before everything was written to it.
+Exit codes: 0 all bounds hold, 1 a bound was violated, 2 a hypothesis failed,
+3 usage, input or validation error or an input too large to allocate, 141
+(128 + SIGPIPE) standard output was closed before everything was written to it.
 """
 
 from __future__ import annotations
@@ -119,8 +119,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_CODES[_rollup(r.verdict for r in rows)]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, as input errors: argparse's own 2 means "a hypothesis failed"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="revtri",
         description="Certify reverse triangle inequalities on sampled vector-valued integrals.",
     )
@@ -176,8 +184,8 @@ def main(argv=None) -> int:
     try:
         try:
             code = args.func(args)
-        except RevtriError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (RevtriError, MemoryError) as exc:  # MemoryError: sizes too large to allocate
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             code = EXIT_INPUT_ERROR
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
         return code

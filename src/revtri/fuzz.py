@@ -20,8 +20,8 @@ import numpy as np
 from . import bounds as B
 from .bounds import BoundParams, VIOLATED
 from .errors import InputError
-from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, grid_nodes,
-                     row_norms)
+from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, _describable,
+                     grid_nodes, row_norms)
 from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, orthonormalize
 from .scenario import (
     BoundEntry,
@@ -39,6 +39,8 @@ from .scenario import (
 
 MAX_HARMONICS = 8
 MAX_COUNTEREXAMPLE_DUMPS = 5
+#: A margin below -_COUNTEREXAMPLE_SLACK x err_budget is a counterexample, not noise.
+_COUNTEREXAMPLE_SLACK = 10.0
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, order-free stream for one trial (Philox counter block of 64-bit words)."""
@@ -341,6 +343,8 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
             raise InputError(f"family of {n_family} needs d >= {n_family}")
     rng = trial_rng(seed, trial)
     grid = Grid(0.0, 1.0, n_panels)
+    if not _describable(grid.n_nodes, d):
+        raise InputError("dimension d is too large for numpy to describe an (N+1, d) array")
     f, reference, params = GENERATORS[bound_id](rng, grid, field, d, n_family)
     provenance = {
         "generator": f"fuzz:{bound_id}",
@@ -451,9 +455,8 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
             summary.chain_violations += 1
         if "printed_margin" in result.diagnostics:
             summary.printed_form_margins.append(result.diagnostics["printed_margin"])
-        # margins below -slack are genuine counterexamples, not numerical noise
         bad = result.verdict == VIOLATED or (
-            result.margin < -scenario.tolerances.slack_for(result.err_budget))
+            result.margin < -_COUNTEREXAMPLE_SLACK * result.err_budget)
         if bad and len(summary.counterexamples) < MAX_COUNTEREXAMPLE_DUMPS:
             summary.counterexamples.append({
                 "trial": trial,

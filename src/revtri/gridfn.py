@@ -56,6 +56,12 @@ VECTORS = "vectors"
 SAMPLES = "samples"
 
 
+def _describable(n_nodes: int, d: int = 1) -> bool:
+    """Whether numpy can describe an (n_nodes, d) complex128 array: its size in bytes fits
+    in ``np.intp``.  For a larger one numpy raises a ValueError, not a MemoryError."""
+    return n_nodes * d * 16 <= np.iinfo(np.intp).max
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on [a, b] with an even number of panels ``n_panels``."""
@@ -69,6 +75,8 @@ class Grid:
             raise InputError(f"interval requires b > a, got [{self.a}, {self.b}]")
         if self.n_panels < 2 or self.n_panels % 2 != 0:
             raise InputError(f"panel count must be positive and even, got {self.n_panels}")
+        if not _describable(self.n_nodes):
+            raise InputError("panel count is too large for numpy to describe N+1 nodes")
 
     @property
     def step(self) -> float:
@@ -398,40 +406,6 @@ class GridFunction:
         return self.cached(_array_key("projections", refs), lambda: np.ascontiguousarray(
             (self.values @ np.ascontiguousarray(np.conjugate(refs.T))).real))
 
-    def inner_with(self, e: HVector) -> np.ndarray:
-        """Per-node inner products <f(t_j), e> (conjugate-linear in e)."""
-        if e.field != self.field or e.d != self.d:
-            raise InputError("reference vector field/dimension mismatch")
-        return self.values @ np.conjugate(e.coords)
-
-    def _merge_jumps(self, other: "GridFunction", op) -> dict[int, np.ndarray] | None:
-        mine = self.jumps or {}
-        theirs = other.jumps or {}
-        if not mine and not theirs:
-            return None
-        keys = sorted(set(mine) | set(theirs))
-        return {
-            j: op(mine.get(j, self.values[j]), theirs.get(j, other.values[j])) for j in keys
-        }
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        if self.grid != other.grid or self.field != other.field or self.d != other.d:
-            raise InputError("grid function mismatch in addition")
-        return GridFunction(
-            self.grid, self.field, _frozen(self.values + other.values),
-            self._merge_jumps(other, lambda a, b: a + b),
-        )
-
-    def __mul__(self, scalar) -> "GridFunction":
-        if self.field == REAL and isinstance(scalar, complex):
-            raise InputError("complex scalar applied to a real-field grid function")
-        jumps = None
-        if self.jumps:
-            jumps = {j: v * scalar for j, v in self.jumps.items()}
-        return GridFunction(self.grid, self.field, _frozen(self.values * scalar), jumps)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class FunctionSpec:
@@ -499,18 +473,10 @@ def _cone(grid: Grid, field: str, d: int, ortho_tol: float,
     _require_orthogonal(u, e, "cone u and e", ortho_tol)
     a, b = alpha * e.coords, beta * u.coords
     n, mid = grid.n_nodes, grid.n_panels // 2   # s(t) = +1 through the midpoint node, then -1
-    values = np.empty((n, d), dtype=a.dtype)
-    sign, part = np.empty(min(n, _NODE_BLOCK)), np.empty(min(n, _NODE_BLOCK), dtype=a.dtype)
-    for lo, hi in _node_blocks(n):
-        s, p = sign[:hi - lo], part[:hi - lo]
-        s[:] = 1.0
-        s[max(mid + 1 - lo, 0):] = -1.0
-        for j in range(d):   # alpha e_j + s(t) (beta u_j); one strided write per column
-            np.multiply(s, b[j], out=p)
-            np.add(a[j], p, out=values[lo:hi, j])
-    jumps = None
-    if beta != 0.0:
-        jumps = {mid: alpha * e.coords - beta * u.coords}
+    rows = a + np.array([[1.0], [-1.0]]) * b   # alpha e + s (beta u) for s = +1, -1
+    values = np.repeat(rows, (mid + 1, n - mid - 1), axis=0)
+    # the right limit is a - b, not rows[1]: complex a + (-1)b can differ in a zero's sign
+    jumps = {mid: a - b} if beta != 0.0 else None
     return GridFunction(grid, field, _frozen(values), jumps)
 
 

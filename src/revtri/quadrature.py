@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError
-from .gridfn import Grid, GridFunction, ScalarProfile
+from .gridfn import Grid, GridFunction
 from .hilbert import HVector
 
 MIDPOINT = "midpoint"
@@ -156,12 +156,6 @@ def sample_integral(grid: Grid, values, rule: str = DEFAULT_RULE) -> IntegralEst
     if arr.shape != (grid.n_nodes,):
         raise InputError(f"expected {grid.n_nodes} samples, got shape {arr.shape}")
     value, err = _integrate(grid, arr, None, rule)
-    return IntegralEstimate(float(value), err)
-
-
-def scalar_integral(p: ScalarProfile, rule: str = DEFAULT_RULE) -> IntegralEstimate:
-    """Integrate a scalar profile over its grid."""
-    value, err = _integrate(p.grid, p.values, None, rule)
     return IntegralEstimate(float(value), err)
 
 

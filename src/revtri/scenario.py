@@ -56,6 +56,7 @@ from .gridfn import (
     Grid,
     GridFunction,
     ScalarProfile,
+    _describable,
     _node_blocks,
     is_number,
     materialize,
@@ -87,12 +88,7 @@ EXIT_CODES = {HOLDS: EXIT_HOLDS, VIOLATED: EXIT_VIOLATED,
 class Tolerances:
     tau_hyp: float = B.DEFAULT_HYP_TOL
     tau_on: float = DEFAULT_ORTHO_TOL
-    bound_slack: float | None = None  # None: 10 x err_budget at judgment time
-
-    def slack_for(self, err_budget: float) -> float:
-        if self.bound_slack is not None:
-            return self.bound_slack
-        return 10.0 * err_budget
+    bound_slack: float | None = None  # accepted and written back; no command reads it
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +277,7 @@ def _parse_bound_entry(data, grid: Grid, reference: Reference, field: str, d: in
         _fail(path, "bound entry must be an object")
     _check_keys(data, {"bound_id", "params"}, {"bound_id", "params"}, path)
     bound_id = data["bound_id"]
-    spec = B.BOUNDS.get(bound_id)
+    spec = B.BOUNDS.get(bound_id) if isinstance(bound_id, str) else None
     if spec is None:
         _fail(f"{path}.bound_id", f"unknown bound id {bound_id!r}")
     raw = data["params"]
@@ -659,6 +655,8 @@ def extremal_scenario(bound_id: str, params: dict, d: int | None = None, field: 
     if d < 2:
         raise ScenarioError("d", "cone extremals need d >= 2")
     grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
+    if not _describable(grid.n_nodes, d):
+        raise ScenarioError("d", "too large for numpy to describe an (N+1, d) array")
     recipe = solve_equality_params(bound_id, params, interval)
     e = basis_vector(field, d, 0)
     u = basis_vector(field, d, 1)
@@ -677,6 +675,8 @@ def family_extremal_scenario(n: int = 2, c=1.0, d: int | None = None, field: str
     if n > d:
         raise ScenarioError("n", f"family of {n} needs d >= {n}")
     grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
+    if not _describable(grid.n_nodes, d):
+        raise ScenarioError("d", "too large for numpy to describe an (N+1, d) array")
     members = tuple(basis_vector(field, d, i) for i in range(n))
     family = check_orthonormal(members)
     profile = c if isinstance(c, ScalarProfile) else profile_of(c, grid)

@@ -198,7 +198,7 @@ def test_criterion_4_chain_and_reduction(campaign):
         family = check_orthonormal([e])
         f = GridFunction(grid, REAL,
                          rng.standard_normal((grid.n_nodes, 3)) * rng.uniform(0.5, 2.0))
-        gap = np.maximum(f.norms() - f.inner_with(e).real, 0.0) + rng.uniform(0.0, 0.5)
+        gap = np.maximum(f.norms() - f.projections(e.coords), 0.0) + rng.uniform(0.0, 0.5)
         k = ScalarProfile(grid, gap)
         unit_res = eval_unit_bound(f, e, BoundParams(k=k), "THM_2_1")
         fam_res = eval_family_bound(f, family, BoundParams(dominance_profiles=(k,)),

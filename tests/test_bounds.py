@@ -362,7 +362,7 @@ def test_monotonicity_in_dominance_profile(rng, unit_grid):
     e = basis_vector(REAL, 3, 0)
     values = rng.standard_normal((unit_grid.n_nodes, 3))
     f = GridFunction(unit_grid, REAL, values)
-    gap = np.maximum(f.norms() - f.inner_with(e).real, 0.0)
+    gap = np.maximum(f.norms() - f.projections(e.coords), 0.0)
     k_small = ScalarProfile(unit_grid, gap + 0.1)
     k_large = ScalarProfile(unit_grid, gap + 0.1 + np.abs(np.sin(unit_grid.nodes())))
     res_small = eval_unit_bound(f, e, BoundParams(k=k_small), "THM_2_1")
@@ -420,7 +420,7 @@ def test_family_reduction_matches_unit(rng):
         family = check_orthonormal([e])
         values = rng.standard_normal((grid.n_nodes, 3)) * rng.uniform(0.5, 2.0)
         f = GridFunction(grid, REAL, values)
-        gap = np.maximum(f.norms() - f.inner_with(e).real, 0.0) + rng.uniform(0.0, 0.5)
+        gap = np.maximum(f.norms() - f.projections(e.coords), 0.0) + rng.uniform(0.0, 0.5)
         k = ScalarProfile(grid, gap)
         unit_res = eval_unit_bound(f, e, BoundParams(k=k), "THM_2_1")
         fam_res = eval_family_bound(f, family, BoundParams(dominance_profiles=(k,)),

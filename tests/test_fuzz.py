@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from revtri import ALL_BOUND_IDS, InputError, fuzz, generate_scenario, run, trial_rng
+from revtri import bounds as B
 from revtri.bounds import FAMILY_BOUNDS
+from revtri.cli import main
+from revtri.fuzz import MAX_COUNTEREXAMPLE_DUMPS
+from revtri.scenario import scenario_from_dict
 
 
 def test_trial_rng_is_counter_based():
@@ -97,3 +104,44 @@ def test_mult_c_printed_margins_collected():
     assert len(summary.printed_form_margins) == 20
     data = summary.to_dict()
     assert "printed_form" in data
+
+
+def _patched(monkeypatch, bound_id: str, change):
+    """Replace ``bound_id``'s evaluator with one whose result goes through ``change``."""
+    spec = B.BOUNDS[bound_id]
+    monkeypatch.setitem(B.BOUNDS, bound_id, dataclasses.replace(
+        spec, evaluate=lambda c, p: change(*spec.evaluate(c, p))))
+
+
+def _halved_rhs(hyp, lhs, rhs, err, terms, diags):
+    return hyp, lhs, rhs / 2.0, err, terms, diags
+
+
+def test_violations_are_counted_and_dumped(monkeypatch, tmp_path, capsys):
+    trials, seed = 20, 7
+    with monkeypatch.context() as patch:
+        _patched(patch, "THM_2_1", _halved_rhs)
+        verdicts = [run(generate_scenario("THM_2_1", seed, t)).results[0].verdict
+                    for t in range(trials)]
+        summary = fuzz("THM_2_1", trials, seed)
+        out = tmp_path / "fuzz.json"
+        code = main(["fuzz", "--bound", "THM_2_1", "--trials", str(trials), "--seed", str(seed),
+                     "--out", str(out)])
+    violated = verdicts.count(B.VIOLATED)
+    assert MAX_COUNTEREXAMPLE_DUMPS < violated < trials
+    assert (summary.violated, summary.holds, summary.hypothesis_failed) == (
+        violated, trials - violated, 0)
+    assert code == 1 and f"{violated} violated" in capsys.readouterr().out
+    dumps = json.loads(out.read_text(encoding="utf-8"))["counterexamples"]
+    assert len(dumps) == len(summary.counterexamples) == MAX_COUNTEREXAMPLE_DUMPS
+    for dump in dumps:  # a dumped trial holds under the real evaluator
+        assert verdicts[dump["trial"]] == B.VIOLATED
+        assert run(scenario_from_dict(dump["scenario"])).results[0].verdict == B.HOLDS
+
+
+def test_failed_hypotheses_are_counted(monkeypatch, capsys):
+    _patched(monkeypatch, "COR_2_2", lambda hyp, *rest: (
+        dataclasses.replace(hyp, holds=False), *rest))
+    summary = fuzz("COR_2_2", 3, 7)
+    assert (summary.hypothesis_failed, summary.holds, summary.violated) == (3, 0, 0)
+    assert main(["fuzz", "--bound", "COR_2_2", "--trials", "3", "--seed", "7"]) == 2

@@ -123,7 +123,7 @@ def test_family_symmetric_nodes(unit_grid):
     norms = f.norms()
     assert np.max(np.abs(norms - 1.0)) < 1e-14
     for e_i in members:
-        proj = f.inner_with(e_i).real
+        proj = f.projections(e_i.coords)
         assert np.max(np.abs(proj - 1 / math.sqrt(2))) < 1e-14
 
 
@@ -156,17 +156,6 @@ def test_samples_variant_shape(unit_grid):
     assert f.d == 2
     with pytest.raises(InputError):
         materialize(FunctionSpec.samples(values[:-1]), unit_grid, REAL, 2)
-
-
-def test_grid_function_arithmetic(unit_grid):
-    e = basis_vector(REAL, 2, 0)
-    u = basis_vector(REAL, 2, 1)
-    f = materialize(FunctionSpec.cone(e, u, 1.0, 0.5), unit_grid, REAL, 2)
-    g = materialize(FunctionSpec.cone(e, u, 0.5, 0.25), unit_grid, REAL, 2)
-    h = f + 2.0 * g
-    assert np.allclose(h.values, f.values + 2.0 * g.values)
-    mid = unit_grid.n_panels // 2
-    assert np.allclose(h.jumps[mid], f.jumps[mid] + 2.0 * g.jumps[mid])
 
 
 def test_real_grid_function_rejects_complex(unit_grid):

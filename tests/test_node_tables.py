@@ -334,7 +334,7 @@ def test_tables_are_keyed_by_exact_bytes():
     assert dist.tobytes() == _numpy_norms(f.values - e[None, :]).tobytes()
     zero = np.zeros(3)
     assert f.distances(zero) is not f.distances(-zero)
-    assert f.projections(e).tobytes() == f.inner_with(scenario.reference.e).real.tobytes()
+    assert f.projections(e).tobytes() == (f.values @ np.conjugate(e)).real.tobytes()
     family = np.stack([e, np.roll(e, 1)])
     assert f.projections(family).shape == (17, 2)
     assert f.projections(family) is f.projections(family.copy())

@@ -15,8 +15,10 @@ from revtri import ALL_BOUND_IDS, BoundParams, ScenarioError, generate_scenario,
 from revtri import bounds as B
 from revtri.bounds import BOUNDS, LIST_KINDS, PROFILE, PROFILES
 from revtri.cli import main
-from revtri.errors import ParamError
+from revtri.errors import InputError, ParamError
 from revtri.gridfn import profile_of
+from revtri.hilbert import check_orthonormal
+from revtri.quadrature import defect
 from revtri.scenario import BoundEntry, scenario_from_dict, scenario_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,6 +186,59 @@ def test_non_finite_or_negative_rejected(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"{path.name}.{where}:" in captured.err
     assert "holds" not in captured.out and "violated" not in captured.out
+
+
+THM_3_1_ENTRY = {"bound_id": "THM_3_1", "params": {"M_i": [{"constant": 0.5}]}}
+
+#: case -> (location, malformed value, error path): structure the file format forbids
+STRUCTURAL = {
+    "id_empty": (("id",), "", "id"),
+    "field_unknown": (("field",), "quaternion", "field"),
+    "d_bool": (("d",), True, "d"),
+    "interval_short": (("interval",), [0.0], "interval"),
+    "interval_reversed": (("interval",), [1.0, 0.0], "interval"),
+    "N_float": (("N",), 512.0, "N"),
+    "N_beyond_intp": (("N",), 10 ** 400, "N"),
+    "tolerances_list": (("tolerances",), [], "tolerances"),
+    "reference_two_kinds": (("reference",), {"e": [1.0, 0.0], "alpha_beta": [1.0, 0.0]},
+                            "reference"),
+    "reference_unknown_kind": (("reference",), {"f": [1.0, 0.0]}, "reference"),
+    "reference_short_vector": (("reference", "e"), [1.0], "reference.e"),
+    "alpha_beta_single": (("reference",), {"alpha_beta": [1.0]}, "reference.alpha_beta"),
+    "bound_entry_number": (("bounds",), [5], "bounds[0]"),
+    "bound_id_list": (("bounds", 0, "bound_id"), ["COR_2_3"], "bounds[0].bound_id"),
+    "params_list": (("bounds", 0, "params"), [], "bounds[0].params"),
+    "reference_kind_mismatch": (("bounds", 0), THM_3_1_ENTRY, "bounds[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL))
+def test_structural_error_names_its_path(case, tmp_path, capsys):
+    location, value, where = STRUCTURAL[case]
+    data = _set(_cor23(), location, value)
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(data)
+    assert exc.value.path == f"scenario.{where}"
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path.name}.{where}: ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("bound_id, reference, message", [
+    ("THM_9_9", "unit", "unknown bound id"),
+    ("COR_2_3", "family", "needs a unit reference vector"),
+    ("THM_3_1", "unit", "needs a family with the field and dimension of f"),
+])
+def test_evaluate_rejects_a_reference_or_id_that_does_not_fit(bound_id, reference, message):
+    scenario = scenario_from_dict(_cor23())
+    e = scenario.reference.e
+    ref = (scenario.reference if reference == "unit" else
+           B.Reference(B.REF_FAMILY, family=check_orthonormal([e])))
+    with pytest.raises(InputError, match=message):
+        B.evaluate(scenario.f, defect(scenario.f), ref, scenario.bounds[0].params, bound_id)
 
 
 def test_non_finite_samples_checked_once(tmp_path, capsys):

@@ -33,15 +33,13 @@ from .errors import (
     OrthonormalityError,
     RevtriError,
     ScenarioError,
-    StateError,
 )
 from .extremal import (
     ExtremalRecipe,
     RECIPE_BOUNDS,
-    build_family_extremal,
-    build_unit_extremal,
+    extremal_scenario,
+    family_extremal_scenario,
     solve_equality_params,
-    tightness_gap,
 )
 from .fuzz import FuzzSummary, fuzz, generate_scenario, trial_rng
 from .gridfn import FunctionSpec, Grid, GridFunction, ScalarProfile, materialize, profile_of
@@ -59,7 +57,6 @@ from .hilbert import (
 )
 from .quadrature import (
     DEFAULT_RULE,
-    MIDPOINT,
     SIMPSON,
     TRAPEZOID,
     IntegralEstimate,
@@ -72,8 +69,6 @@ from .scenario import (
     Scenario,
     Tolerances,
     exit_code,
-    extremal_scenario,
-    family_extremal_scenario,
     load_scenario,
     report_to_csv,
     report_to_json,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bounds as B
 from .errors import RevtriError
-from .extremal import RECIPE_BOUNDS, RECIPES
+from .extremal import RECIPE_BOUNDS, RECIPES, extremal_scenario, family_extremal_scenario
 from .fuzz import fuzz
 from .hilbert import COMPLEX, REAL
 from .scenario import (
@@ -24,8 +24,6 @@ from .scenario import (
     _rollup,
     _write_json,
     exit_code,
-    extremal_scenario,
-    family_extremal_scenario,
     load_scenario,
     report_to_csv,
     report_to_json,

@@ -17,10 +17,6 @@ class DegeneracyError(RevtriError, ArithmeticError):
     """A quantity required to be nonzero collapsed below tolerance."""
 
 
-class StateError(RevtriError, RuntimeError):
-    """An operation was invoked on a result in the wrong state."""
-
-
 class OrthonormalityError(InputError):
     """A vector family failed orthonormality validation.
 

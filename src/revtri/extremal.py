@@ -13,6 +13,9 @@ equality conditions for (alpha, beta) gives closed forms per bound.
 Family extremals take the fully symmetric direction sum(e_i)/sqrt(n) with a
 nonnegative amplitude profile; per-index dominance is then tight with equal
 profiles and the family bound evaluates to equality.
+
+:func:`extremal_scenario` and :func:`family_extremal_scenario` are the canned
+scenarios of both kinds that ``revtri extremal`` and ``revtri sweep`` run.
 """
 
 from __future__ import annotations
@@ -21,24 +24,13 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .bounds import (
-    BOUNDS,
-    PROFILE,
-    BoundParams,
-    BoundResult,
-    COR_2_2,
-    COR_2_3,
-    COR_2_4,
-    COR_2_5,
-    HOLDS,
-    THM_2_1,
-    ball_coefficient,
-    band_coefficient,
-    require_radius,
-)
-from .errors import InputError, StateError
-from .gridfn import FunctionSpec, Grid, GridFunction, ScalarProfile, materialize
-from .hilbert import HVector, OrthonormalFamily
+from .bounds import (BOUNDS, COR_2_2, COR_2_3, COR_2_4, COR_2_5, PROFILE, REF_FAMILY, REF_UNIT,
+                     THM_2_1, THM_3_1, BoundParams, Reference, ball_coefficient,
+                     band_coefficient, require_radius)
+from .errors import InputError, ScenarioError
+from .gridfn import DEFAULT_PANELS, FunctionSpec, Grid, ScalarProfile, _as_profile, _describable
+from .hilbert import REAL, basis_vector, check_orthonormal
+from .scenario import BoundEntry, Scenario
 
 
 def _recipe_name(bound_id: str, params: dict) -> str:
@@ -47,14 +39,13 @@ def _recipe_name(bound_id: str, params: dict) -> str:
 
 @dataclass(frozen=True)
 class ExtremalRecipe:
-    """Cone parameters achieving equality in ``bound_id`` on ``interval``."""
+    """Cone parameters achieving equality in ``bound_id``, and their defect on the interval."""
 
     bound_id: str
     alpha: float
     beta: float
     expected_defect: float
     params: dict[str, float]
-    interval: tuple[float, float]
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.alpha, self.beta, self.expected_defect))):
@@ -155,51 +146,57 @@ def solve_equality_params(bound_id: str, params: dict[str, float],
     except ZeroDivisionError:
         raise InputError(f"{_recipe_name(bound_id, params)} divides by zero") from None
     return ExtremalRecipe(bound_id, alpha, beta, rate * (b - a),
-                          {key: values[key] for key in keys}, (a, b))
+                          {key: values[key] for key in keys})
 
 
-def recipe_bound_params(recipe: ExtremalRecipe, grid: Grid) -> BoundParams:
-    """Bound parameters (constant profiles where needed) matching a recipe."""
-    return BoundParams(**{
+def extremal_scenario(bound_id: str, params: dict, d: int | None = None, field: str = REAL,
+                      interval: tuple[float, float] = (0.0, 1.0),
+                      n_panels: int | None = None,
+                      scenario_id: str | None = None) -> Scenario:
+    """A scenario realizing equality in one of the recipe bounds; d defaults to 2.
+
+    f is the recipe's cone on the first two basis vectors, with constant profiles."""
+    if bound_id not in RECIPE_BOUNDS:
+        raise ScenarioError("bound_id", f"no extremal recipe for {bound_id!r}")
+    d = 2 if d is None else d
+    if d < 2:
+        raise ScenarioError("d", "cone extremals need d >= 2")
+    grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
+    if not _describable(grid.n_nodes, d):
+        raise ScenarioError("d", "too large for numpy to describe an (N+1, d) array")
+    recipe = solve_equality_params(bound_id, params, interval)
+    e = basis_vector(field, d, 0)
+    u = basis_vector(field, d, 1)
+    spec = FunctionSpec.cone(e, u, recipe.alpha, recipe.beta)
+    bound_params = BoundParams(**{
         q.field: ScalarProfile.constant(grid, recipe.params[q.key]) if q.kind == PROFILE
         else recipe.params[q.key]
-        for q in BOUNDS[recipe.bound_id].params
+        for q in BOUNDS[bound_id].params
     })
+    sid = scenario_id or f"extremal-{bound_id.lower()}"
+    return Scenario(sid, field, d, grid, spec, Reference(REF_UNIT, e=e),
+                    (BoundEntry(bound_id, bound_params),))
 
 
-def build_unit_extremal(recipe: ExtremalRecipe, e: HVector, u: HVector,
-                        grid: Grid) -> GridFunction:
-    """Materialize the cone function of a recipe on ``grid``.
+def family_extremal_scenario(n: int = 2, c=1.0, d: int | None = None, field: str = REAL,
+                             interval: tuple[float, float] = (0.0, 1.0),
+                             n_panels: int | None = None,
+                             scenario_id: str | None = None) -> Scenario:
+    """A scenario realizing equality in the family dominance bound; d defaults to max(n, 2).
 
-    Requires u orthogonal to e, both unit, and a grid over the recipe's
-    interval.  The measured defect matches ``expected_defect`` up to
-    rounding and the target bound's hypothesis is met with equality.
-    """
-    if (grid.a, grid.b) != recipe.interval:
-        raise InputError(
-            f"grid interval [{grid.a}, {grid.b}] differs from recipe interval {recipe.interval}"
-        )
-    spec = FunctionSpec.cone(e, u, recipe.alpha, recipe.beta)
-    return materialize(spec, grid, e.field, e.d)
-
-
-def build_family_extremal(family: OrthonormalFamily, c: ScalarProfile,
-                          grid: Grid) -> tuple[GridFunction, tuple[ScalarProfile, ...]]:
-    """Symmetric-direction family extremal and its tight dominance profiles.
-
-    f(t) = c(t) * sum(e_i)/sqrt(n) with c >= 0; each index's dominance gap is
-    exactly c(t) * (1 - 1/sqrt(n)), so the family bound holds with equality.
-    """
-    if c.grid != grid:
-        raise InputError("amplitude profile lives on a different grid")
-    f = materialize(FunctionSpec.family_symmetric(family, c), grid, family.field, family.d)
-    gap = ScalarProfile(grid, c.values * (1.0 - 1.0 / math.sqrt(family.n)))
-    profiles = tuple(gap for _ in range(family.n))
-    return f, profiles
-
-
-def tightness_gap(result: BoundResult) -> float:
-    """Distance to equality of a holding bound result (its margin)."""
-    if result.verdict != HOLDS:
-        raise StateError(f"tightness gap undefined for verdict {result.verdict!r}")
-    return result.margin
+    f(t) = c(t) * sum(e_i)/sqrt(n) with c >= 0 (a profile on the scenario's grid, or a
+    profile spec); each index's dominance gap is exactly c(t) * (1 - 1/sqrt(n)), so the
+    family bound holds with equality."""
+    d = max(n, 2) if d is None else d
+    if n > d:
+        raise ScenarioError("n", f"family of {n} needs d >= {n}")
+    grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
+    if not _describable(grid.n_nodes, d):
+        raise ScenarioError("d", "too large for numpy to describe an (N+1, d) array")
+    family = check_orthonormal(tuple(basis_vector(field, d, i) for i in range(n)))
+    profile = _as_profile(grid, c, "amplitude")
+    gap = ScalarProfile(grid, profile.values * (1.0 - 1.0 / math.sqrt(n)))
+    entry = BoundEntry(THM_3_1, BoundParams(dominance_profiles=(gap,) * n))
+    sid = scenario_id or f"extremal-family-n{n}"
+    return Scenario(sid, field, d, grid, FunctionSpec.family_symmetric(family, profile),
+                    Reference(REF_FAMILY, family=family), (entry,))

@@ -386,10 +386,6 @@ class FuzzSummary:
     counterexamples: list[dict] = dc_field(default_factory=list)
     reports: list[RunReport] | None = None
 
-    @property
-    def clean(self) -> bool:
-        return self.violated == 0 and self.hypothesis_failed == 0
-
     def to_dict(self) -> dict:
         """The summary as JSON data, the dumped scenarios in their file format."""
         return _plain(self._tree())

@@ -415,9 +415,9 @@ class FunctionSpec:
     params: dict
 
     def __post_init__(self):
-        if self.variant not in FUNCTION_VARIANTS:
+        if self.variant not in VARIANTS:
             raise InputError(
-                f"unknown function variant {self.variant!r}; expected one of {FUNCTION_VARIANTS}"
+                f"unknown function variant {self.variant!r}; expected one of {tuple(VARIANTS)}"
             )
 
     @classmethod
@@ -533,14 +533,11 @@ def _complex_curve(grid: Grid, field: str, d: int, ortho_tol: float, r, phi) -> 
     if field != COMPLEX or d != 1:
         raise InfeasibilityError("complex_curve requires field=complex and d=1")
     r, phi = _as_profile(grid, r, "r"), _as_profile(grid, phi, "phi", nonnegative=False)
-    n = grid.n_nodes
-    values = np.empty((n, 1), dtype=np.complex128)
-    turn = np.empty(min(n, _NODE_BLOCK), dtype=np.complex128)
-    for lo, hi in _node_blocks(n):   # r(t) exp(i phi(t))
-        z = turn[:hi - lo]
-        np.multiply(1j, phi.values[lo:hi], out=z)
-        np.exp(z, out=z)
-        np.multiply(r.values[lo:hi], z, out=values[lo:hi, 0])
+    values = np.empty((grid.n_nodes, 1), dtype=np.complex128)
+    z = values[:, 0]   # r(t) exp(i phi(t)), built in the contiguous output column
+    np.multiply(1j, phi.values, out=z)
+    np.exp(z, out=z)
+    np.multiply(r.values, z, out=z)
     return GridFunction(grid, COMPLEX, _frozen(values))
 
 
@@ -564,8 +561,6 @@ VARIANTS: dict[str, Variant] = {
     "family_symmetric": Variant({"family": VECTORS, "c": PROFILE}, (), _family_symmetric),
     "complex_curve": Variant({"r": PROFILE, "phi": SIGNED_PROFILE}, (), _complex_curve),
 }
-
-FUNCTION_VARIANTS = tuple(VARIANTS)
 
 
 def materialize(spec: FunctionSpec, grid: Grid, field: str, d: int,

@@ -50,7 +50,7 @@ def _coerce_coords(field: str, coords) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HVector:
-    """A point of K^d.  Immutable; arithmetic partners must share field and d."""
+    """A point of K^d.  Immutable; inner-product partners must share field and d."""
 
     field: str
     coords: np.ndarray
@@ -67,24 +67,6 @@ class HVector:
             raise InputError(f"field mismatch: {self.field} vs {other.field}")
         if self.d != other.d:
             raise InputError(f"dimension mismatch: {self.d} vs {other.d}")
-
-    def __add__(self, other: "HVector") -> "HVector":
-        self._check_partner(other)
-        return HVector(self.field, self.coords + other.coords)
-
-    def __sub__(self, other: "HVector") -> "HVector":
-        self._check_partner(other)
-        return HVector(self.field, self.coords - other.coords)
-
-    def __mul__(self, scalar) -> "HVector":
-        if self.field == REAL and isinstance(scalar, complex):
-            raise InputError("complex scalar applied to a real-field vector")
-        return HVector(self.field, self.coords * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HVector":
-        return HVector(self.field, -self.coords)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HVector({self.field}, {self.coords.tolist()})"

@@ -23,10 +23,9 @@ from .errors import InputError
 from .gridfn import Grid, GridFunction
 from .hilbert import HVector
 
-MIDPOINT = "midpoint"
 TRAPEZOID = "trapezoid"
 SIMPSON = "simpson"
-RULES = (MIDPOINT, TRAPEZOID, SIMPSON)
+RULES = (TRAPEZOID, SIMPSON)
 
 DEFAULT_RULE = SIMPSON
 
@@ -43,8 +42,7 @@ def panel_weights(rule: str, n_panels: int, h: float) -> np.ndarray:
     """Composite weights for ``n_panels`` uniform panels of width ``h``.
 
     Simpson handles an odd panel count with a 3/8 tail (still exact through
-    cubics); midpoint pairs panels and uses their shared center node, falling
-    back to trapezoid when the count is odd.  All weights are nonnegative.
+    cubics).  All weights are nonnegative.
     Computed once per (rule, n_panels, h); the array is shared and read-only.
     """
     if rule not in RULES:
@@ -62,11 +60,6 @@ def _panel_weights(rule: str, n: int, h_key: str) -> np.ndarray:
     if rule == TRAPEZOID or n == 1:
         w = np.full(n + 1, h)
         w[0] = w[-1] = h / 2.0
-    elif rule == MIDPOINT:
-        if n % 2 != 0:
-            return panel_weights(TRAPEZOID, n, h)
-        w = np.zeros(n + 1)
-        w[1::2] = 2.0 * h
     elif n % 2 == 0:  # Simpson
         w = np.full(n + 1, 2.0 * h / 3.0)
         w[1::2] = 4.0 * h / 3.0
@@ -186,9 +179,6 @@ class DefectEstimate:
     integral_norm: float
     integral_err: float
     integral: HVector  # int f dt
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def defect(f: GridFunction, rule: str = DEFAULT_RULE) -> DefectEstimate:

@@ -37,14 +37,7 @@ from .bounds import (
     Reference,
 )
 from .errors import DegeneracyError, ParamError, RevtriError, ScenarioError
-from .extremal import (
-    RECIPE_BOUNDS,
-    build_family_extremal,
-    recipe_bound_params,
-    solve_equality_params,
-)
 from .gridfn import (
-    DEFAULT_PANELS,
     NUMBER,
     PROFILE,
     SAMPLES,
@@ -56,7 +49,6 @@ from .gridfn import (
     Grid,
     GridFunction,
     ScalarProfile,
-    _describable,
     _node_blocks,
     is_number,
     materialize,
@@ -69,7 +61,6 @@ from .hilbert import (
     DEFAULT_ORTHO_TOL,
     REAL,
     HVector,
-    basis_vector,
     check_orthonormal,
 )
 from .quadrature import DefectEstimate, defect
@@ -640,51 +631,3 @@ def report_csv_rows(report: RunReport) -> list[str]:
 def report_to_csv(report: RunReport) -> str:
     return "\n".join([CSV_HEADER, *report_csv_rows(report)]) + "\n"
 
-
-# --------------------------------------------------------------------------
-# canned scenarios
-
-def extremal_scenario(bound_id: str, params: dict, d: int | None = None, field: str = REAL,
-                      interval: tuple[float, float] = (0.0, 1.0),
-                      n_panels: int | None = None,
-                      scenario_id: str | None = None) -> Scenario:
-    """A scenario realizing equality in one of the recipe bounds; d defaults to 2."""
-    if bound_id not in RECIPE_BOUNDS:
-        raise ScenarioError("bound_id", f"no extremal recipe for {bound_id!r}")
-    d = 2 if d is None else d
-    if d < 2:
-        raise ScenarioError("d", "cone extremals need d >= 2")
-    grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
-    if not _describable(grid.n_nodes, d):
-        raise ScenarioError("d", "too large for numpy to describe an (N+1, d) array")
-    recipe = solve_equality_params(bound_id, params, interval)
-    e = basis_vector(field, d, 0)
-    u = basis_vector(field, d, 1)
-    spec = FunctionSpec.cone(e, u, recipe.alpha, recipe.beta)
-    entry = BoundEntry(bound_id, recipe_bound_params(recipe, grid))
-    sid = scenario_id or f"extremal-{bound_id.lower()}"
-    return Scenario(sid, field, d, grid, spec, Reference(REF_UNIT, e=e), (entry,))
-
-
-def family_extremal_scenario(n: int = 2, c=1.0, d: int | None = None, field: str = REAL,
-                             interval: tuple[float, float] = (0.0, 1.0),
-                             n_panels: int | None = None,
-                             scenario_id: str | None = None) -> Scenario:
-    """A scenario realizing equality in the family dominance bound; d defaults to max(n, 2)."""
-    d = max(n, 2) if d is None else d
-    if n > d:
-        raise ScenarioError("n", f"family of {n} needs d >= {n}")
-    grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
-    if not _describable(grid.n_nodes, d):
-        raise ScenarioError("d", "too large for numpy to describe an (N+1, d) array")
-    members = tuple(basis_vector(field, d, i) for i in range(n))
-    family = check_orthonormal(members)
-    profile = c if isinstance(c, ScalarProfile) else profile_of(c, grid)
-    f, gaps = build_family_extremal(family, profile, grid)
-    spec = FunctionSpec.family_symmetric(family, profile)
-    entry = BoundEntry(B.THM_3_1, BoundParams(dominance_profiles=gaps))
-    sid = scenario_id or f"extremal-family-n{n}"
-    scenario = Scenario(sid, field, d, grid, spec, Reference(REF_FAMILY, family=family),
-                        (entry,))
-    vars(scenario)["f"] = f  # fills the cache of Scenario.f: run() reuses the built f
-    return scenario

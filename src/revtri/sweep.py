@@ -9,8 +9,8 @@ import numpy as np
 
 from . import bounds as B
 from .errors import InputError, RevtriError
-from .extremal import RECIPES
-from .scenario import Scenario, extremal_scenario, run
+from .extremal import RECIPES, extremal_scenario
+from .scenario import Scenario, run
 
 CSV_HEADER = "parameter,value,lhs,rhs,margin,extremal_gap"
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from revtri import COMPLEX, Grid, HVector
+from revtri import COMPLEX, Grid, HVector, extremal_scenario, family_extremal_scenario
 
 
 @pytest.fixture
@@ -14,6 +14,22 @@ def rng():
 @pytest.fixture
 def unit_grid():
     return Grid(0.0, 1.0, 512)
+
+
+def unit_extremal(bound_id: str, params: dict, grid: Grid):
+    """(f, bound params) of ``bound_id``'s equality recipe on ``grid``: the real cone on
+    the first two basis vectors e and u of R^2, as :func:`extremal_scenario` builds it."""
+    scenario = extremal_scenario(bound_id, params, interval=(grid.a, grid.b),
+                                 n_panels=grid.n_panels)
+    return scenario.f, scenario.bounds[0].params
+
+
+def family_extremal(n: int, c, grid: Grid):
+    """(f, family, tight dominance profiles) of the symmetric family extremal of the first
+    n basis vectors of R^max(n, 2) on ``grid``, as :func:`family_extremal_scenario` builds it."""
+    scenario = family_extremal_scenario(n=n, c=c, interval=(grid.a, grid.b),
+                                        n_panels=grid.n_panels)
+    return scenario.f, scenario.reference.family, scenario.bounds[0].params.dominance_profiles
 
 
 def random_vector(rng, field: str, d: int) -> HVector:

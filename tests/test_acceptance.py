@@ -24,8 +24,6 @@ from revtri import (
     ScalarProfile,
     basis_vector,
     bochner_integral,
-    build_family_extremal,
-    build_unit_extremal,
     check_band,
     check_box_complex,
     check_orthonormal,
@@ -33,11 +31,9 @@ from revtri import (
     eval_family_bound,
     eval_unit_bound,
     fuzz,
-    solve_equality_params,
 )
 from revtri.bounds import HOLDS
-from revtri.extremal import recipe_bound_params
-from .conftest import random_unit
+from .conftest import family_extremal, random_unit, unit_extremal
 
 TRIALS = 1000
 
@@ -103,12 +99,10 @@ def test_criterion_1_soundness_fuzz(campaign):
 
 def test_criterion_2_extremal_tightness(unit_grid):
     e = basis_vector(REAL, 2, 0)
-    u = basis_vector(REAL, 2, 1)
     ok = True
     for bound_id, params, expect in RECIPES:
-        recipe = solve_equality_params(bound_id, params)
-        f = build_unit_extremal(recipe, e, u, unit_grid)
-        res = eval_unit_bound(f, e, recipe_bound_params(recipe, unit_grid), bound_id)
+        f, bound_params = unit_extremal(bound_id, params, unit_grid)
+        res = eval_unit_bound(f, e, bound_params, bound_id)
         scale = max(abs(res.lhs), abs(res.rhs), 1.0)
         tight = abs(res.lhs - res.rhs) <= 1e-9 * scale and res.verdict == HOLDS
         ok = ok and tight
@@ -118,9 +112,8 @@ def test_criterion_2_extremal_tightness(unit_grid):
         print(f"  {bound_id:10s} lhs={res.lhs:.12f} rhs={res.rhs:.12f} "
               f"gap={res.margin:.2e}")
 
-    family = check_orthonormal([basis_vector(REAL, 4, i) for i in range(4)])
     c = ScalarProfile(unit_grid, 1.0 + unit_grid.nodes())
-    f, profiles = build_family_extremal(family, c, unit_grid)
+    f, family, profiles = family_extremal(4, c, unit_grid)
     res = eval_family_bound(f, family, BoundParams(dominance_profiles=profiles), "THM_3_1")
     fam_tight = abs(res.lhs - res.rhs) <= 1e-9 * max(abs(res.rhs), 1.0)
     print(f"  THM_3_1    lhs={res.lhs:.12f} rhs={res.rhs:.12f} gap={res.margin:.2e}")
@@ -262,16 +255,11 @@ def test_criterion_7_defect_nonnegativity(campaign, unit_grid):
     fuzz_ok = all(s.min_defect_slack >= 0.0 for s in summaries.values())
 
     worst = math.inf
-    e = basis_vector(REAL, 2, 0)
-    u = basis_vector(REAL, 2, 1)
     for bound_id, params, _ in RECIPES:
-        recipe = solve_equality_params(bound_id, params)
-        est = defect(build_unit_extremal(recipe, e, u, unit_grid))
+        est = defect(unit_extremal(bound_id, params, unit_grid)[0])
         worst = min(worst, est.value + est.err_est)
-    family = check_orthonormal([basis_vector(REAL, 4, i) for i in range(4)])
     c = ScalarProfile(unit_grid, 1.0 + unit_grid.nodes())
-    f, _profiles = build_family_extremal(family, c, unit_grid)
-    est = defect(f)
+    est = defect(family_extremal(4, c, unit_grid)[0])
     worst = min(worst, est.value + est.err_est)
     extremal_ok = worst >= 0.0
 

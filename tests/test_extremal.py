@@ -13,26 +13,25 @@ from revtri import (
     Grid,
     InputError,
     ScalarProfile,
-    StateError,
     basis_vector,
     bochner_integral,
-    build_family_extremal,
-    build_unit_extremal,
-    check_orthonormal,
     defect,
     eval_family_bound,
     eval_unit_bound,
+    extremal_scenario,
+    family_extremal_scenario,
     inner,
     materialize,
     norm,
     profile_of,
+    save_scenario,
     solve_equality_params,
-    tightness_gap,
 )
 from revtri.bounds import BOUNDS, HOLDS
-from revtri.cli import build_parser
-from revtri.extremal import RECIPE_BOUNDS, RECIPES, recipe_bound_params
+from revtri.cli import build_parser, main
+from revtri.extremal import RECIPE_BOUNDS, RECIPES
 from revtri.sweep import _base_params
+from .conftest import family_extremal, unit_extremal
 
 # ---------------------------------------------------------------------------
 # independent oracles: solve the node-wise equality conditions numerically.
@@ -197,18 +196,17 @@ RECIPE_CASES = [
 def test_unit_extremal_certifies_equality(bound_id, params, unit_grid):
     recipe = solve_equality_params(bound_id, params)
     e = basis_vector(REAL, 2, 0)
-    u = basis_vector(REAL, 2, 1)
-    f = build_unit_extremal(recipe, e, u, unit_grid)
+    f, bound_params = unit_extremal(bound_id, params, unit_grid)
 
     measured = defect(f)
     scale = max(abs(recipe.expected_defect), 1.0)
     assert abs(measured.value - recipe.expected_defect) <= 1e-10 * scale
 
-    res = eval_unit_bound(f, e, recipe_bound_params(recipe, unit_grid), bound_id)
+    res = eval_unit_bound(f, e, bound_params, bound_id)
     assert res.verdict == HOLDS
     assert res.hypothesis.worst_violation <= 1e-12
     assert abs(res.lhs - res.rhs) <= 1e-9 * max(abs(res.rhs), 1.0)
-    assert tightness_gap(res) <= 1e-9 * max(abs(res.rhs), 1.0)
+    assert res.margin <= 1e-9 * max(abs(res.rhs), 1.0)
 
     # equality characterization: the integral is a nonnegative multiple of e
     F = bochner_integral(f).value
@@ -219,10 +217,8 @@ def test_unit_extremal_certifies_equality(bound_id, params, unit_grid):
 
 @pytest.mark.parametrize("rho", [0.05, 0.3, 0.6, 0.9, 0.95])
 def test_cor22_extremal_across_radii(rho, unit_grid):
-    recipe = solve_equality_params("COR_2_2", {"rho": rho})
     e = basis_vector(REAL, 2, 0)
-    u = basis_vector(REAL, 2, 1)
-    f = build_unit_extremal(recipe, e, u, unit_grid)
+    f, _ = unit_extremal("COR_2_2", {"rho": rho}, unit_grid)
     res = eval_unit_bound(f, e, BoundParams(rho=rho), "COR_2_2")
     assert abs(res.margin) <= 1e-9 * max(abs(res.rhs), 1.0)
 
@@ -232,7 +228,7 @@ def test_degenerate_band_recipe(unit_grid):
     assert recipe.beta == 0.0
     e = basis_vector(REAL, 2, 0)
     u = basis_vector(REAL, 2, 1)
-    f = build_unit_extremal(recipe, e, u, unit_grid)
+    f = materialize(FunctionSpec.cone(e, u, recipe.alpha, recipe.beta), unit_grid, REAL, 2)
     measured = defect(f)
     assert measured.value == pytest.approx(0.0, abs=1e-13)
     res = eval_unit_bound(f, e, BoundParams(m=2.0, M=2.0), "COR_2_3")
@@ -256,21 +252,18 @@ def test_cor25_interior_maximum(unit_grid):
     assert gap(phi_star - 0.01) < center
 
 
-def test_build_rejects_wrong_interval():
-    recipe = solve_equality_params("COR_2_2", {"rho": 0.5}, interval=(0.0, 2.0))
-    e = basis_vector(REAL, 2, 0)
-    u = basis_vector(REAL, 2, 1)
-    with pytest.raises(InputError):
-        build_unit_extremal(recipe, e, u, Grid(0.0, 1.0, 512))
+@pytest.mark.parametrize("bound_id,params", RECIPE_CASES)
+def test_two_panel_recipe_file_holds(bound_id, params, tmp_path, capsys):
+    path = tmp_path / "two-panels.json"
+    save_scenario(extremal_scenario(bound_id, params, n_panels=2), path)
+    assert main(["check", str(path)]) == 0
+    assert " holds " in capsys.readouterr().out
 
 
 def test_interval_scaling():
     recipe = solve_equality_params("COR_2_3", {"m": 1.0, "M": 4.0}, interval=(-1.0, 3.0))
     assert recipe.expected_defect == pytest.approx(0.4 * 4.0)
-    grid = Grid(-1.0, 3.0, 512)
-    e = basis_vector(REAL, 2, 0)
-    u = basis_vector(REAL, 2, 1)
-    f = build_unit_extremal(recipe, e, u, grid)
+    f, _ = unit_extremal("COR_2_3", {"m": 1.0, "M": 4.0}, Grid(-1.0, 3.0, 512))
     assert defect(f).value == pytest.approx(1.6, abs=1e-11)
 
 
@@ -279,9 +272,8 @@ def test_interval_scaling():
 
 
 def test_family_extremal_n1(unit_grid):
-    family = check_orthonormal([basis_vector(REAL, 2, 0)])
     c = ScalarProfile.constant(unit_grid, 1.0)
-    f, profiles = build_family_extremal(family, c, unit_grid)
+    f, family, profiles = family_extremal(1, c, unit_grid)
     assert np.all(profiles[0].values == 0.0)
     res = eval_family_bound(f, family, BoundParams(dominance_profiles=profiles), "THM_3_1")
     assert res.verdict == HOLDS
@@ -289,9 +281,8 @@ def test_family_extremal_n1(unit_grid):
 
 
 def test_family_extremal_n2_constant(unit_grid):
-    family = check_orthonormal([basis_vector(REAL, 2, i) for i in range(2)])
     c = ScalarProfile.constant(unit_grid, 1.0)
-    f, profiles = build_family_extremal(family, c, unit_grid)
+    f, family, profiles = family_extremal(2, c, unit_grid)
     res = eval_family_bound(f, family, BoundParams(dominance_profiles=profiles), "THM_3_1")
     assert res.lhs == pytest.approx(1.0, rel=1e-13)
     assert res.rhs == pytest.approx(1.0, rel=1e-13)
@@ -299,9 +290,8 @@ def test_family_extremal_n2_constant(unit_grid):
 
 
 def test_family_extremal_n4_linear(unit_grid):
-    family = check_orthonormal([basis_vector(REAL, 4, i) for i in range(4)])
     c = profile_of({"linear": [1.0, 2.0]}, unit_grid)
-    f, profiles = build_family_extremal(family, c, unit_grid)
+    f, family, profiles = family_extremal(4, c, unit_grid)
     res = eval_family_bound(f, family, BoundParams(dominance_profiles=profiles), "THM_3_1")
     assert res.lhs == pytest.approx(1.5, rel=1e-12)
     assert res.rhs == pytest.approx(1.5, rel=1e-12)
@@ -310,16 +300,8 @@ def test_family_extremal_n4_linear(unit_grid):
     assert res.hypothesis.worst_violation <= 1e-12
 
 
-def test_tightness_gap_slack_and_state(unit_grid):
-    e = basis_vector(REAL, 2, 0)
-    f = materialize(FunctionSpec.cone(e, basis_vector(REAL, 2, 1), 1.0, 0.0),
-                    unit_grid, REAL, 2)
-    res = eval_unit_bound(f, e, BoundParams(k=ScalarProfile.constant(unit_grid, 1.0)),
-                          "THM_2_1")
-    assert tightness_gap(res) == pytest.approx(1.0, rel=1e-13)
 
-    far = materialize(FunctionSpec.cone(e, basis_vector(REAL, 2, 1), 1.0, 2.0),
-                      unit_grid, REAL, 2)
-    failing = eval_unit_bound(far, e, BoundParams(rho=0.5), "COR_2_2")
-    with pytest.raises(StateError):
-        tightness_gap(failing)
+def test_family_extremal_rejects_a_profile_on_another_grid():
+    c = ScalarProfile.constant(Grid(0.0, 2.0, 512), 1.0)
+    with pytest.raises(InputError, match="^amplitude profile lives on a different grid$"):
+        family_extremal_scenario(n=2, c=c)

@@ -139,6 +139,20 @@ def test_violations_are_counted_and_dumped(monkeypatch, tmp_path, capsys):
         assert run(scenario_from_dict(dump["scenario"])).results[0].verdict == B.HOLDS
 
 
+def test_chain_violations_are_counted(monkeypatch, tmp_path, capsys):
+    """A weak form below the bound breaks the chain rhs <= weak_rhs in every trial."""
+    trials, seed = 4, 7
+    assert fuzz("COR_2_2", trials, seed).chain_violations == 0
+    _patched(monkeypatch, "COR_2_2", lambda hyp, lhs, rhs, err, terms, diags: (
+        hyp, lhs, rhs, err, {**terms, "weak_rhs": rhs / 2.0}, diags))
+    assert fuzz("COR_2_2", trials, seed).chain_violations == trials
+    out = tmp_path / "fuzz.json"
+    assert main(["fuzz", "--bound", "COR_2_2", "--trials", str(trials), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text(encoding="utf-8"))["chain_violations"] == trials
+
+
 def test_failed_hypotheses_are_counted(monkeypatch, capsys):
     _patched(monkeypatch, "COR_2_2", lambda hyp, *rest: (
         dataclasses.replace(hyp, holds=False), *rest))

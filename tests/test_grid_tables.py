@@ -13,7 +13,7 @@ from revtri import bounds as B
 from revtri.fuzz import MAX_HARMONICS, _trig_path, _trig_table, fuzz, trial_rng
 from revtri.gridfn import GRID_CACHE, Grid, grid_nodes
 from revtri.hilbert import COMPLEX, REAL
-from revtri.quadrature import RULES, SIMPSON, TRAPEZOID, MIDPOINT, _panel_weights, panel_weights
+from revtri.quadrature import RULES, SIMPSON, TRAPEZOID, _panel_weights, panel_weights
 
 SIZES = (2, 4, 6, 8, 512, 8192)
 #: odd piece lengths come from a jump on a node; 1 and 3 are Simpson's special cases
@@ -30,12 +30,6 @@ def _fresh_weights(rule: str, n: int, h: float) -> np.ndarray:
     if rule == TRAPEZOID or n == 1:
         w = np.full(n + 1, h)
         w[0] = w[-1] = h / 2.0
-        return w
-    if rule == MIDPOINT:
-        if n % 2 != 0:
-            return _fresh_weights(TRAPEZOID, n, h)
-        w = np.zeros(n + 1)
-        w[1::2] = 2.0 * h
         return w
     if n % 2 == 0:
         w = np.full(n + 1, 2.0 * h / 3.0)
@@ -121,7 +115,7 @@ def test_trig_path_matches_old_path(interval, field):
 def test_cached_tables_are_read_only():
     grid = Grid(0.0, 1.0, 16)
     arrays = [grid.nodes(), panel_weights(SIMPSON, 16, grid.step),
-              panel_weights(MIDPOINT, 5, grid.step), *_trig_table(grid.key)]
+              panel_weights(TRAPEZOID, 5, grid.step), *_trig_table(grid.key)]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from revtri import ScenarioError, run
 from revtri import scenario as S
 from revtri.cli import main
+from revtri.extremal import extremal_scenario
 from revtri.fuzz import generate_scenario
 from revtri.gridfn import FunctionSpec, number_array
 from revtri.hilbert import COMPLEX, REAL
@@ -24,7 +25,6 @@ from revtri.quadrature import _norm, defect
 from revtri.scenario import (
     _parse_coords,
     _walk_row,
-    extremal_scenario,
     load_scenario,
     save_scenario,
     scenario_from_dict,

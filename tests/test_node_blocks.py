@@ -385,7 +385,8 @@ def test_function_input_error_names_the_function_stage():
     grid = Grid(0.0, 1.0, 64)
     e, u = basis_vector(REAL, 2, 0), basis_vector(REAL, 2, 1)
     entry = BoundEntry(B.COR_2_3, B.BoundParams(m=1.0, M=4.0))
-    scenario = Scenario("long-cone", REAL, 2, grid, FunctionSpec.cone(2.0 * e, u, 1.0, 0.3),
+    long_e = HVector(REAL, 2.0 * e.coords)
+    scenario = Scenario("long-cone", REAL, 2, grid, FunctionSpec.cone(long_e, u, 1.0, 0.3),
                         B.Reference(B.REF_UNIT, e=e), (entry,))
     with pytest.raises(InputError, match=r"^\[long-cone:function\] cone e must be a unit"):
         run(scenario)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from revtri import bounds as B
 from revtri import gridfn
 from revtri.errors import DegeneracyError
+from revtri.extremal import extremal_scenario
 from revtri.gridfn import (
     GRID_CACHE,
     PAIRWISE_COLUMNS,
@@ -28,7 +29,6 @@ from revtri.gridfn import (
 )
 from revtri.hilbert import COMPLEX, REAL
 from revtri.scenario import (
-    extremal_scenario,
     report_to_csv,
     report_to_json,
     run,

@@ -15,12 +15,12 @@ from revtri import bounds as B
 from revtri import scenario as S
 from revtri.cli import main
 from revtri.errors import DegeneracyError
+from revtri.extremal import extremal_scenario
 from revtri.fuzz import GENERATORS, fuzz, generate_scenario
 from revtri.gridfn import GridFunction, materialize
 from revtri.hilbert import COMPLEX, DEFAULT_ORTHO_TOL, REAL
 from revtri.scenario import (
     Tolerances,
-    extremal_scenario,
     load_scenario,
     report_to_json,
     run,
@@ -100,8 +100,8 @@ def test_cli_fuzz_rejects_nonpositive_sizes(argv, message, capsys):
 
 def test_sizes_a_bound_does_not_use_are_not_checked():
     # a direction bound runs at d = 1, and only family bounds read n_family
-    assert fuzz(B.PROP_4_1, 2, seed=1, d=-1, n_panels=16).clean
-    assert fuzz(B.COR_2_2, 2, seed=1, n_family=-2, n_panels=16).clean
+    assert fuzz(B.PROP_4_1, 2, seed=1, d=-1, n_panels=16).holds == 2
+    assert fuzz(B.COR_2_2, 2, seed=1, n_family=-2, n_panels=16).holds == 2
 
 
 def test_default_orthogonality_tolerance_is_the_hilbert_one():

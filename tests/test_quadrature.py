@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from revtri import (
-    MIDPOINT,
     REAL,
     SIMPSON,
     TRAPEZOID,
@@ -23,7 +22,7 @@ from revtri import (
 )
 from revtri.quadrature import panel_weights, sample_integral
 
-RULES = (MIDPOINT, TRAPEZOID, SIMPSON)
+RULES = (TRAPEZOID, SIMPSON)
 
 
 def circle_function(grid: Grid) -> GridFunction:
@@ -179,3 +178,12 @@ def test_jump_aware_midpoint_fallback(unit_grid):
     for rule in RULES:
         est = bochner_integral(f, rule)
         assert np.allclose(est.value.coords, [1.0, 0.0], atol=1e-13)
+
+
+def test_two_panels_compare_against_the_trapezoid():
+    """Too coarse to halve: the error estimate is the distance to the trapezoid value,
+    |1/3 - 3/8| for t^2 on [0, 1]."""
+    grid = Grid(0.0, 1.0, 2)
+    est = sample_integral(grid, grid.nodes() ** 2)
+    assert est.value == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert est.err_est == abs(est.value - 0.375) == 0.041666666666666685

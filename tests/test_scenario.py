@@ -124,6 +124,22 @@ def test_reference_kind_mismatch():
     assert "family" in exc.value.reason
 
 
+def test_direction_bound_needs_the_complex_line(tmp_path, capsys):
+    data = json.loads((DATA / "cor23_extremal.json").read_text(encoding="utf-8"))
+    assert (data["field"], data["d"]) == ("real", 2)
+    data["reference"] = {"alpha_beta": [0.6, 0.8]}
+    data["bounds"] = [{"bound_id": "PROP_4_1", "params": {"rho": 0.5}}]
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(data)
+    assert (exc.value.path, exc.value.reason) == (
+        "scenario.bounds[0]", "PROP_4_1 requires field=complex and d=1")
+    path = tmp_path / "direction.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: direction.json.bounds[0]: PROP_4_1 requires field=complex and d=1"]
+
+
 def test_family_param_count_checked():
     scenario = family_extremal_scenario(n=2)
     data = scenario_to_dict(scenario)

@@ -26,16 +26,16 @@ import revtri
 from revtri import gridfn
 from revtri.bounds import ALL_BOUND_IDS
 from revtri.cli import main
+from revtri.extremal import extremal_scenario, family_extremal_scenario
 from revtri.fuzz import FuzzSummary, generate_scenario
 from revtri.hilbert import COMPLEX, REAL
 from revtri.scenario import (
     _plain,
     _scenario_tree,
     _write_json,
-    extremal_scenario,
-    family_extremal_scenario,
     load_scenario,
     save_scenario,
+    scenario_from_dict,
     scenario_to_dict,
 )
 
@@ -80,6 +80,17 @@ def test_every_generated_scenario_is_written_as_json_dumps_writes_it(bound_id, t
 def test_checked_in_extremal_files_are_rewritten_unchanged(name, tmp_path):
     save_scenario(load_scenario(DATA / name), tmp_path / name)
     _assert_written(tmp_path / name, (DATA / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("extra", [{"bound_slack": 0.25}, {}], ids=["given", "absent"])
+def test_bound_slack_is_written_back_only_when_given(extra, tmp_path):
+    data = json.loads((DATA / "cor23_extremal.json").read_text(encoding="utf-8"))
+    data["tolerances"].update(extra)
+    scenario = scenario_from_dict(data)
+    save_scenario(scenario, tmp_path / "slack.json")
+    written = json.loads((tmp_path / "slack.json").read_text(encoding="utf-8"))
+    assert scenario_to_dict(scenario)["tolerances"] == written["tolerances"] == {
+        "tau_hyp": 1e-09, "tau_on": 1e-10, **extra}
 
 
 @pytest.mark.parametrize("argv, build", [

@@ -15,8 +15,9 @@ import pytest
 from revtri import quadrature, run
 from revtri.bounds import BOUNDS, REF_UNIT, eval_unit_bound
 from revtri.cli import main
+from revtri.extremal import family_extremal_scenario
 from revtri.gridfn import materialize
-from revtri.scenario import family_extremal_scenario, load_scenario, scenario_from_dict
+from revtri.scenario import load_scenario, scenario_from_dict
 from revtri.sweep import sweep
 
 DATA = Path(__file__).parent / "data"

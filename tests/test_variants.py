@@ -13,7 +13,6 @@ import pytest
 from revtri import ScenarioError, run
 from revtri.cli import main
 from revtri.gridfn import (
-    FUNCTION_VARIANTS,
     NUMBER,
     PROFILE,
     SAMPLES,
@@ -104,7 +103,6 @@ def _mutated(variant: str, mutate) -> dict:
 
 
 def test_registry_is_consistent():
-    assert FUNCTION_VARIANTS == tuple(VARIANTS)
     assert set(BASES) == set(VARIANTS)
     for spec in VARIANTS.values():
         assert set(spec.optional) <= set(spec.keys)

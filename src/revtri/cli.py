@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bounds as B
 from .errors import RevtriError
-from .extremal import RECIPE_BOUNDS, RECIPES, extremal_scenario, family_extremal_scenario
+from .extremal import RECIPES, extremal_scenario
 from .fuzz import fuzz
 from .hilbert import COMPLEX, REAL
 from .scenario import (
@@ -30,13 +30,13 @@ from .scenario import (
     run,
     save_scenario,
 )
-from .sweep import sweep, sweep_to_csv
+from .sweep import _sweepable, sweep, sweep_to_csv
 
 #: the exit code for a closed standard output, the one a shell reports for SIGPIPE
 _EXIT_BROKEN_PIPE = 141
 
-#: Recipe parameters settable with ``extremal --<key>``: every key of every recipe.
-RECIPE_KEYS = tuple(dict.fromkeys(key for r in RECIPES.values() for key in r.defaults))
+#: ``extremal --<key>`` (``_`` written ``-``) per key of every recipe, typed by its default.
+_RECIPE_FLAGS = {key: type(value) for r in RECIPES.values() for key, value in r.defaults.items()}
 
 
 def _write_report(report: RunReport, out: str | None) -> None:
@@ -81,18 +81,13 @@ def _cmd_fuzz(args) -> int:
 
 
 def _extremal_params(args) -> dict:
-    return {k: getattr(args, k) for k in RECIPE_KEYS if getattr(args, k) is not None}
+    return {k: getattr(args, k) for k in _RECIPE_FLAGS if getattr(args, k) is not None}
 
 
 def _cmd_extremal(args) -> int:
-    if args.bound == B.THM_3_1:
-        scenario = family_extremal_scenario(n=args.n_family, c=args.c, d=args.dim,
-                                            field=args.field, interval=tuple(args.interval),
-                                            n_panels=args.panels)
-    else:
-        scenario = extremal_scenario(args.bound, _extremal_params(args),
-                                     d=args.dim, field=args.field,
-                                     interval=tuple(args.interval), n_panels=args.panels)
+    scenario = extremal_scenario(args.bound, _extremal_params(args), d=args.dim,
+                                 field=args.field, interval=tuple(args.interval),
+                                 n_panels=args.panels)
     report = run(scenario)
     _print_report(report)
     gap = report.results[0].margin
@@ -148,14 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
     p_ext = sub.add_parser("extremal", help="build and certify an equality-case scenario")
-    p_ext.add_argument("--bound", required=True,
-                       choices=sorted(RECIPE_BOUNDS + (B.THM_3_1,)))
-    for key in RECIPE_KEYS:
-        p_ext.add_argument(f"--{key}", type=float)
-    p_ext.add_argument("--c", type=float, default=1.0, help="family amplitude (THM_3_1)")
-    p_ext.add_argument("--n-family", type=int, default=2)
-    p_ext.add_argument("--dim", type=int, default=None,
-                       help="dimension d (default 2, or max(n-family, 2) for THM_3_1)")
+    p_ext.add_argument("--bound", required=True, choices=sorted(RECIPES))
+    for key, kind in _RECIPE_FLAGS.items():
+        p_ext.add_argument("--" + key.replace("_", "-"), type=kind)
+    p_ext.add_argument("--dim", type=int, default=None, help="dimension d (default the recipe's)")
     p_ext.add_argument("--field", choices=(REAL, COMPLEX), default=REAL)
     p_ext.add_argument("--interval", type=float, nargs=2, default=(0.0, 1.0))
     p_ext.add_argument("--panels", type=int, default=None)
@@ -164,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.set_defaults(func=_cmd_extremal)
 
     p_sweep = sub.add_parser("sweep", help="tabulate a bound across a parameter range")
-    p_sweep.add_argument("--bound", required=True, choices=sorted(RECIPE_BOUNDS))
+    p_sweep.add_argument("--bound", required=True, choices=sorted(filter(_sweepable, RECIPES)))
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--from", type=float, required=True)
     p_sweep.add_argument("--to", type=float, required=True)

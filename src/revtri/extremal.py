@@ -1,6 +1,6 @@
-"""Constructors of functions achieving equality in each additive bound.
+"""Equality cases of the additive bounds: one ``RECIPES`` row per bound.
 
-The unit-reference extremals are two-direction cone functions
+The unit-reference rows are two-direction cone functions
 
     f(t) = alpha * e + s(t) * beta * u,   u orthogonal to e, both unit,
 
@@ -10,12 +10,12 @@ equality characterization requires) while the hypothesis of the target
 bound is met with equality at every node.  Solving the two node-wise
 equality conditions for (alpha, beta) gives closed forms per bound.
 
-Family extremals take the fully symmetric direction sum(e_i)/sqrt(n) with a
+The THM_3_1 row takes the fully symmetric direction sum(e_i)/sqrt(n) with a
 nonnegative amplitude profile; per-index dominance is then tight with equal
 profiles and the family bound evaluates to equality.
 
-:func:`extremal_scenario` and :func:`family_extremal_scenario` are the canned
-scenarios of both kinds that ``revtri extremal`` and ``revtri sweep`` run.
+:func:`extremal_scenario` builds the canned scenario of any row, which ``revtri
+extremal`` and ``revtri sweep`` run; they take their flags and choices from the table.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .bounds import (BOUNDS, COR_2_2, COR_2_3, COR_2_4, COR_2_5, PROFILE, REF_FA
                      band_coefficient, require_radius)
 from .errors import InputError, ScenarioError
 from .gridfn import DEFAULT_PANELS, FunctionSpec, Grid, ScalarProfile, _as_profile, _describable
-from .hilbert import REAL, basis_vector, check_orthonormal
+from .hilbert import REAL, OrthonormalFamily, basis_vector
 from .scenario import BoundEntry, Scenario
 
 
@@ -99,30 +99,75 @@ def _cor_2_5(m, M):
     return alpha, math.sqrt(R * R - R ** 4 / (4.0 * c0 * c0)), R * R / (2.0 * c0)
 
 
+def _cone_parts(bound_id: str, values: dict, grid: Grid, field: str, d: int) -> tuple:
+    """The recipe's cone on the first two basis vectors, with constant profiles."""
+    if d < 2:
+        raise ScenarioError("d", "cone extremals need d >= 2")
+    recipe = solve_equality_params(bound_id, values, (grid.a, grid.b))
+    e, u = basis_vector(field, d, 0), basis_vector(field, d, 1)
+    bound_params = BoundParams(**{q.field: ScalarProfile.constant(grid, recipe.params[q.key])
+                                  if q.kind == PROFILE else recipe.params[q.key]
+                                  for q in BOUNDS[bound_id].params})
+    return (f"extremal-{bound_id.lower()}", FunctionSpec.cone(e, u, recipe.alpha, recipe.beta),
+            Reference(REF_UNIT, e=e), bound_params)
+
+
+def _family_parts(bound_id: str, values: dict, grid: Grid, field: str, d: int) -> tuple:
+    """f(t) = c(t) * sum(e_i)/sqrt(n) over the first n basis vectors, c >= 0 a number, profile
+    spec or profile: each index's dominance gap is exactly c(t) * (1 - 1/sqrt(n))."""
+    n = values["n_family"]
+    if n < 1:
+        raise InputError("n_family must be at least 1")
+    if n > d:
+        raise ScenarioError("n", f"family of {n} needs d >= {n}")
+    family = OrthonormalFamily(tuple(basis_vector(field, d, i) for i in range(n)))
+    profile = _as_profile(grid, values["c"], "amplitude")
+    gap = ScalarProfile(grid, profile.values * (1.0 - 1.0 / math.sqrt(n)))
+    return (f"extremal-family-n{n}", FunctionSpec.family_symmetric(family, profile),
+            Reference(REF_FAMILY, family=family), BoundParams(dominance_profiles=(gap,) * n))
+
+
 @dataclass(frozen=True)
 class Recipe:
-    """Where a sweep starts, and ``solve(**params) -> (alpha, beta, defect per unit length)``."""
+    """An equality case: its parameters' defaults (where a sweep starts), a cone's closed form
+    ``solve(**values) -> (alpha, beta, defect per unit length)``, ``parts(bound_id, values,
+    grid, field, d) -> (id, function spec, reference, bound params)`` and ``default_d(values)``."""
 
-    defaults: dict[str, float]
-    solve: Callable[..., tuple[float, float, float]]
+    defaults: dict
+    solve: Callable[..., tuple[float, float, float]] | None = None
+    parts: Callable[..., tuple] = _cone_parts
+    default_d: Callable[[dict], int] = lambda values: 2
 
 
-#: Every closed-form equality recipe, by bound.
+#: Every equality case, by bound.
 RECIPES: dict[str, Recipe] = {
     THM_2_1: Recipe({"k": 0.5, "alpha": 1.0}, _thm_2_1),
     COR_2_2: Recipe({"rho": 0.6}, _cor_2_2),
     COR_2_3: Recipe({"m": 1.0, "M": 4.0}, _cor_2_3),
     COR_2_4: Recipe({"r": 0.5}, _cor_2_4),
     COR_2_5: Recipe({"m": 1.0, "M": 4.0}, _cor_2_5),
+    THM_3_1: Recipe({"n_family": 2, "c": 1.0}, parts=_family_parts,
+                    default_d=lambda values: max(values["n_family"], 2)),
 }
 
-#: Bounds with a closed-form equality recipe.
-RECIPE_BOUNDS = tuple(RECIPES)
+
+def _recipe_values(bound_id: str, params: dict) -> dict:
+    """``params`` over the recipe's defaults.  A parameter the bound reads from a file must
+    be given; one the recipe does not read raises :class:`InputError`."""
+    recipe = RECIPES[bound_id]
+    unread = [key for key in params if key not in recipe.defaults]
+    if unread:
+        raise InputError(f"{bound_id} equality recipe reads {', '.join(recipe.defaults)}, "
+                         f"not {', '.join(unread)}")
+    for q in BOUNDS[bound_id].params:
+        if q.key in recipe.defaults and q.key not in params:
+            raise InputError(f"{bound_id} recipe needs parameter {q.key!r}")
+    return {**recipe.defaults, **params}
 
 
 def solve_equality_params(bound_id: str, params: dict[str, float],
                           interval: tuple[float, float] = (0.0, 1.0)) -> ExtremalRecipe:
-    """Closed-form (alpha, beta) solving the node-wise equality conditions (``RECIPES``).
+    """Closed-form cone (alpha, beta) solving the node-wise equality conditions (``RECIPES``).
 
     Every bound parameter is required; other recipe parameters (THM_2_1's alpha) come from
     the recipe's defaults.  A recipe that overflows, divides by zero, or gives a non-finite
@@ -131,72 +176,32 @@ def solve_equality_params(bound_id: str, params: dict[str, float],
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise InputError(f"interval requires b > a, got [{a}, {b}]")
-    if bound_id not in RECIPES:
-        raise InputError(f"no equality recipe for bound {bound_id!r}")
-    recipe = RECIPES[bound_id]
-    keys = tuple(q.key for q in BOUNDS[bound_id].params)
-    for key in keys:
-        if key not in params:
-            raise InputError(f"{bound_id} recipe needs parameter {key!r}")
-    values = {key: float(params.get(key, default)) for key, default in recipe.defaults.items()}
+    if bound_id not in RECIPES or RECIPES[bound_id].solve is None:
+        raise InputError(f"no cone equality recipe for bound {bound_id!r}")
+    values = {key: float(value) for key, value in _recipe_values(bound_id, params).items()}
     try:
-        alpha, beta, rate = recipe.solve(**values)
+        alpha, beta, rate = RECIPES[bound_id].solve(**values)
     except OverflowError:
         raise InputError(f"{_recipe_name(bound_id, params)} overflows") from None
     except ZeroDivisionError:
         raise InputError(f"{_recipe_name(bound_id, params)} divides by zero") from None
     return ExtremalRecipe(bound_id, alpha, beta, rate * (b - a),
-                          {key: values[key] for key in keys})
+                          {q.key: values[q.key] for q in BOUNDS[bound_id].params})
 
 
 def extremal_scenario(bound_id: str, params: dict, d: int | None = None, field: str = REAL,
-                      interval: tuple[float, float] = (0.0, 1.0),
-                      n_panels: int | None = None,
+                      interval: tuple[float, float] = (0.0, 1.0), n_panels: int | None = None,
                       scenario_id: str | None = None) -> Scenario:
-    """A scenario realizing equality in one of the recipe bounds; d defaults to 2.
-
-    f is the recipe's cone on the first two basis vectors, with constant profiles."""
-    if bound_id not in RECIPE_BOUNDS:
+    """A scenario realizing equality in ``bound_id`` by its ``RECIPES`` row; d defaults to
+    the recipe's (2 for a cone, max(n_family, 2) for the family)."""
+    if bound_id not in RECIPES:
         raise ScenarioError("bound_id", f"no extremal recipe for {bound_id!r}")
-    d = 2 if d is None else d
-    if d < 2:
-        raise ScenarioError("d", "cone extremals need d >= 2")
+    recipe = RECIPES[bound_id]
+    values = _recipe_values(bound_id, params)
+    d = recipe.default_d(values) if d is None else d
     grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
     if not _describable(grid.n_nodes, d):
         raise ScenarioError("d", "too large for numpy to describe an (N+1, d) array")
-    recipe = solve_equality_params(bound_id, params, interval)
-    e = basis_vector(field, d, 0)
-    u = basis_vector(field, d, 1)
-    spec = FunctionSpec.cone(e, u, recipe.alpha, recipe.beta)
-    bound_params = BoundParams(**{
-        q.field: ScalarProfile.constant(grid, recipe.params[q.key]) if q.kind == PROFILE
-        else recipe.params[q.key]
-        for q in BOUNDS[bound_id].params
-    })
-    sid = scenario_id or f"extremal-{bound_id.lower()}"
-    return Scenario(sid, field, d, grid, spec, Reference(REF_UNIT, e=e),
+    sid, spec, reference, bound_params = recipe.parts(bound_id, values, grid, field, d)
+    return Scenario(scenario_id or sid, field, d, grid, spec, reference,
                     (BoundEntry(bound_id, bound_params),))
-
-
-def family_extremal_scenario(n: int = 2, c=1.0, d: int | None = None, field: str = REAL,
-                             interval: tuple[float, float] = (0.0, 1.0),
-                             n_panels: int | None = None,
-                             scenario_id: str | None = None) -> Scenario:
-    """A scenario realizing equality in the family dominance bound; d defaults to max(n, 2).
-
-    f(t) = c(t) * sum(e_i)/sqrt(n) with c >= 0 (a profile on the scenario's grid, or a
-    profile spec); each index's dominance gap is exactly c(t) * (1 - 1/sqrt(n)), so the
-    family bound holds with equality."""
-    d = max(n, 2) if d is None else d
-    if n > d:
-        raise ScenarioError("n", f"family of {n} needs d >= {n}")
-    grid = Grid(interval[0], interval[1], DEFAULT_PANELS if n_panels is None else n_panels)
-    if not _describable(grid.n_nodes, d):
-        raise ScenarioError("d", "too large for numpy to describe an (N+1, d) array")
-    family = check_orthonormal(tuple(basis_vector(field, d, i) for i in range(n)))
-    profile = _as_profile(grid, c, "amplitude")
-    gap = ScalarProfile(grid, profile.values * (1.0 - 1.0 / math.sqrt(n)))
-    entry = BoundEntry(THM_3_1, BoundParams(dominance_profiles=(gap,) * n))
-    sid = scenario_id or f"extremal-family-n{n}"
-    return Scenario(sid, field, d, grid, FunctionSpec.family_symmetric(family, profile),
-                    Reference(REF_FAMILY, family=family), (entry,))

@@ -10,6 +10,7 @@ serialization and :func:`materialize` read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -71,6 +72,8 @@ class Grid:
     n_panels: int = DEFAULT_PANELS
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InputError(f"interval must be finite, got [{self.a}, {self.b}]")
         if not self.b > self.a:
             raise InputError(f"interval requires b > a, got [{self.a}, {self.b}]")
         if self.n_panels < 2 or self.n_panels % 2 != 0:
@@ -209,7 +212,7 @@ class ScalarProfile:
             )
         if nonnegative and np.any(arr < 0.0):
             j = int(np.argmin(arr))
-            raise InputError(f"profile is negative at node {j}: {arr[j]!r}")
+            raise InputError(f"profile is negative at node {j}: {float(arr[j])!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -436,7 +439,9 @@ class FunctionSpec:
 
     @classmethod
     def family_symmetric(cls, members, c) -> "FunctionSpec":
-        return cls("family_symmetric", {"family": tuple(members), "c": c})
+        # an OrthonormalFamily is kept, so that materializing need not validate it again
+        family = members if isinstance(members, OrthonormalFamily) else tuple(members)
+        return cls("family_symmetric", {"family": family, "c": c})
 
     @classmethod
     def complex_curve(cls, r, phi) -> "FunctionSpec":
@@ -517,7 +522,7 @@ def _ball_perturbation(grid: Grid, field: str, d: int, ortho_tol: float,
 
 def _family_symmetric(grid: Grid, field: str, d: int, ortho_tol: float,
                       family, c) -> GridFunction:
-    if not isinstance(family, OrthonormalFamily):
+    if not isinstance(family, OrthonormalFamily) or family.tol > ortho_tol:
         family = check_orthonormal(tuple(family), ortho_tol)
     if family.field != field or family.d != d:
         raise InputError("family must match the scenario field and dimension")

@@ -620,14 +620,12 @@ def report_to_json(report: RunReport) -> str:
 CSV_HEADER = "scenario_id,bound_id,lhs,rhs,margin,verdict,err_budget"
 
 
-def report_csv_rows(report: RunReport) -> list[str]:
-    return [
-        f"{report.scenario_id},{r.bound_id},{r.lhs!r},{r.rhs!r},{r.margin!r},"
-        f"{r.verdict},{r.err_budget!r}"
-        for r in report.results
-    ]
-
-
 def report_to_csv(report: RunReport) -> str:
-    return "\n".join([CSV_HEADER, *report_csv_rows(report)]) + "\n"
+    """One row per bound; an id holding ``,``, ``"``, CR or LF is quoted as RFC 4180 says."""
+    sid = report.scenario_id
+    if any(ch in sid for ch in ',"\r\n'):
+        sid = '"' + sid.replace('"', '""') + '"'
+    rows = (f"{sid},{r.bound_id},{r.lhs!r},{r.rhs!r},{r.margin!r},{r.verdict},{r.err_budget!r}"
+            for r in report.results)
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 

@@ -28,6 +28,12 @@ class SweepRow:
     verdict: str
 
 
+def _sweepable(bound_id: str) -> bool:
+    """Whether ``bound_id`` has a recipe that reads every parameter of the bound's file entry."""
+    return bound_id in RECIPES and all(
+        q.key in RECIPES[bound_id].defaults for q in B.BOUNDS[bound_id].params)
+
+
 def _base_params(bound_id: str, base: Scenario | None) -> dict:
     """Recipe parameters; a profile of the base scenario contributes its first node value."""
     params = dict(RECIPES[bound_id].defaults)
@@ -47,8 +53,8 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
     margin without a base scenario; with one, the margin columns come from the base
     function on the swept bound alone, one run for all steps.  Returns (rows, warnings).
     """
-    if bound_id not in RECIPES:
-        raise InputError(f"sweep supports bounds with equality recipes, not {bound_id!r}")
+    if not _sweepable(bound_id):
+        raise InputError(f"no equality recipe reads every parameter of {bound_id!r}")
     keys = tuple(q.key for q in B.BOUNDS[bound_id].params)
     if parameter not in keys:
         raise InputError(f"{bound_id} sweeps over {keys}, not {parameter!r}")

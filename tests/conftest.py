@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from revtri import COMPLEX, Grid, HVector, extremal_scenario, family_extremal_scenario
+from revtri import COMPLEX, Grid, HVector, extremal_scenario
 
 
 @pytest.fixture
@@ -26,9 +26,9 @@ def unit_extremal(bound_id: str, params: dict, grid: Grid):
 
 def family_extremal(n: int, c, grid: Grid):
     """(f, family, tight dominance profiles) of the symmetric family extremal of the first
-    n basis vectors of R^max(n, 2) on ``grid``, as :func:`family_extremal_scenario` builds it."""
-    scenario = family_extremal_scenario(n=n, c=c, interval=(grid.a, grid.b),
-                                        n_panels=grid.n_panels)
+    n basis vectors of R^max(n, 2) on ``grid``, as :func:`extremal_scenario` builds THM_3_1's."""
+    scenario = extremal_scenario("THM_3_1", {"n_family": n, "c": c},
+                                 interval=(grid.a, grid.b), n_panels=grid.n_panels)
     return scenario.f, scenario.reference.family, scenario.bounds[0].params.dominance_profiles
 
 

@@ -3,7 +3,7 @@ exits 3 with one ``error:`` line.  So do usage errors, which argparse would exit
 the code of a failed hypothesis, and inputs too large to allocate.  Checks on inputs are
 real errors, never ``assert`` statements, which ``python -O`` strips.  A closed standard
 output is not a verdict: the CLI exits 141 (128 + SIGPIPE) without a traceback.  Matrix
-products sit only in listed functions."""
+products sit only in listed functions, and the CLI names no bound."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import revtri
+from revtri.bounds import ALL_BOUND_IDS
 from revtri.cli import main
 
 SRC = Path(revtri.__file__).resolve().parent
@@ -99,6 +100,19 @@ def test_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _bound_names(tree) -> list[int]:
+    """Lines naming a bound: a string literal equal to a bound id, or ``<module>.<bound id>``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ALL_BOUND_IDS
+            or isinstance(node, ast.Attribute) and node.attr in ALL_BOUND_IDS]
+
+
+def test_cli_names_no_bound():
+    # flags, choices and branches come from the registries, so a new bound needs no CLI edit
+    assert _bound_names(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))) == []
+    assert _bound_names(ast.parse('B.THM_3_1\nx = "COR_2_2"\ny = f"{B.MULT_A}"')) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from revtri import (
     FunctionSpec,
     Grid,
     InputError,
+    OrthonormalFamily,
     ScalarProfile,
     basis_vector,
     bochner_integral,
@@ -19,18 +21,20 @@ from revtri import (
     eval_family_bound,
     eval_unit_bound,
     extremal_scenario,
-    family_extremal_scenario,
     inner,
     materialize,
     norm,
     profile_of,
+    run,
     save_scenario,
+    scenario_to_dict,
     solve_equality_params,
 )
+from revtri import gridfn
 from revtri.bounds import BOUNDS, HOLDS
 from revtri.cli import build_parser, main
-from revtri.extremal import RECIPE_BOUNDS, RECIPES
-from revtri.sweep import _base_params
+from revtri.extremal import RECIPES
+from revtri.sweep import _base_params, _sweepable, sweep
 from .conftest import family_extremal, unit_extremal
 
 # ---------------------------------------------------------------------------
@@ -156,22 +160,40 @@ def test_band_recipe_dividing_by_zero_is_an_input_error():
         solve_equality_params("COR_2_5", {"m": 0.0, "M": 1e-170})
 
 
-def _extremal_options() -> set[str]:
+def _subparser(command: str):
     parser = build_parser()
-    commands = next(a for a in parser._actions if a.dest == "command")
-    return {s for a in commands.choices["extremal"]._actions for s in a.option_strings}
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
+def _extremal_options() -> set[str]:
+    return {s for a in _subparser("extremal")._actions for s in a.option_strings}
+
+
+def _bound_choices(command: str) -> list[str]:
+    return next(a for a in _subparser(command)._actions if a.dest == "bound").choices
 
 
 def test_recipe_bounds_sweep_defaults_and_cli_flags_come_from_recipes():
-    assert RECIPE_BOUNDS == tuple(RECIPES)
+    cones = {bound_id for bound_id, recipe in RECIPES.items() if recipe.solve is not None}
+    assert cones == {"THM_2_1", "COR_2_2", "COR_2_3", "COR_2_4", "COR_2_5"}
+    assert set(RECIPES) - cones == {"THM_3_1"}
     for bound_id, recipe in RECIPES.items():
         assert _base_params(bound_id, None) == recipe.defaults
-        assert {q.key for q in BOUNDS[bound_id].params} <= set(recipe.defaults)
-    recipe_flags = {f"--{key}" for recipe in RECIPES.values() for key in recipe.defaults}
-    assert recipe_flags == {"--k", "--alpha", "--rho", "--m", "--M", "--r"}
-    assert _extremal_options() - recipe_flags == {
-        "-h", "--help", "--bound", "--c", "--n-family", "--dim", "--field", "--interval",
-        "--panels", "--out", "--scenario-out"}
+        # a bound is swept when its recipe reads every key of its file entry: the cones
+        assert _sweepable(bound_id) == (bound_id in cones) == (
+            {q.key for q in BOUNDS[bound_id].params} <= set(recipe.defaults))
+    flags = {f"--{key.replace('_', '-')}": type(value)
+             for recipe in RECIPES.values() for key, value in recipe.defaults.items()}
+    assert flags == {"--k": float, "--alpha": float, "--rho": float, "--m": float,
+                     "--M": float, "--r": float, "--n-family": int, "--c": float}
+    assert _extremal_options() - set(flags) == {
+        "-h", "--help", "--bound", "--dim", "--field", "--interval", "--panels", "--out",
+        "--scenario-out"}
+    assert _bound_choices("extremal") == sorted(RECIPES)
+    assert _bound_choices("sweep") == sorted(cones)
+    # the flags take no argparse defaults: an absent flag is an absent key
+    args = build_parser().parse_args(["extremal", "--bound", "THM_3_1", "--n-family", "3"])
+    assert (args.n_family, args.c) == (3, None)
 
 
 def test_thm21_alpha_defaults_to_the_recipe_default():
@@ -304,4 +326,73 @@ def test_family_extremal_n4_linear(unit_grid):
 def test_family_extremal_rejects_a_profile_on_another_grid():
     c = ScalarProfile.constant(Grid(0.0, 2.0, 512), 1.0)
     with pytest.raises(InputError, match="^amplitude profile lives on a different grid$"):
-        family_extremal_scenario(n=2, c=c)
+        extremal_scenario("THM_3_1", {"c": c})
+
+
+def test_family_extremal_defaults_and_n_family_below_one():
+    scenario = extremal_scenario("THM_3_1", {})
+    assert (scenario.id, scenario.d, scenario.reference.family.n) == ("extremal-family-n2", 2, 2)
+    assert extremal_scenario("THM_3_1", {"n_family": 3}).d == 3
+    with pytest.raises(InputError, match="^n_family must be at least 1$"):
+        extremal_scenario("THM_3_1", {"n_family": 0})
+
+
+def test_canned_family_extremal_run_does_not_validate_its_family_again(monkeypatch):
+    calls = []
+    check = gridfn.check_orthonormal
+    monkeypatch.setattr(gridfn, "check_orthonormal",
+                        lambda *args: calls.append(args) or check(*args))
+    scenario = extremal_scenario("THM_3_1", {"n_family": 3, "c": 0.75}, n_panels=64)
+    assert scenario.function.params["family"] is scenario.reference.family
+    assert run(scenario).rollup == "holds"
+    assert calls == []
+    # a family validated at a looser tolerance than the scenario's is checked again
+    family = scenario.reference.family
+    loose = FunctionSpec.family_symmetric(OrthonormalFamily(family.members, 1e-3), 0.75)
+    materialize(loose, scenario.grid, REAL, 3, ortho_tol=1e-9)
+    assert len(calls) == 1
+
+
+UNREAD = [
+    (["--bound", "COR_2_2", "--rho", "0.6", "--m", "3", "--c", "5", "--n-family", "4"],
+     "COR_2_2 equality recipe reads rho, not m, n_family, c"),
+    (["--bound", "THM_3_1", "--rho", "0.6", "--k", "9"],
+     "THM_3_1 equality recipe reads n_family, c, not k, rho"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD, ids=["cone", "family"])
+def test_recipe_flags_the_bound_does_not_read_exit_3(argv, message, capsys):
+    assert main(["extremal", *argv]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_extremal_scenario_names_the_keys_it_does_not_read():
+    with pytest.raises(InputError, match="^COR_2_3 equality recipe reads m, M, not rho, k$"):
+        extremal_scenario("COR_2_3", {"m": 1.0, "M": 4.0, "rho": 0.5, "k": 1.0})
+    with pytest.raises(InputError, match="^THM_3_1 equality recipe reads n_family, c, not r$"):
+        extremal_scenario("THM_3_1", {"r": 0.5})
+
+
+@pytest.mark.parametrize("bound_id", sorted(filter(_sweepable, RECIPES)))
+def test_sweep_passes_every_recipe_default_with_the_swept_value(bound_id):
+    # sweep builds each step from {**defaults, param: value}: every key is one the recipe reads
+    for q in BOUNDS[bound_id].params:
+        value = RECIPES[bound_id].defaults[q.key]
+        rows, warnings = sweep(bound_id, q.key, value, value, 1)
+        assert warnings == []
+        assert [row.verdict for row in rows] == [HOLDS]
+
+
+@pytest.mark.parametrize("argv", [["--bound", "COR_2_2", "--rho", "0.6"], ["--bound", "THM_3_1"]],
+                         ids=["cone", "family"])
+def test_extremal_on_an_infinite_interval_exits_3(argv, tmp_path, capsys):
+    assert main(["extremal", *argv, "--interval", "0", "inf"]) == 3
+    assert capsys.readouterr().err == "error: interval must be finite, got [0.0, inf]\n"
+    # a scenario file is rejected at the endpoint, before it reaches the grid
+    data = scenario_to_dict(extremal_scenario("COR_2_2", {"rho": 0.6}, n_panels=2))
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(dict(data, interval=[0.0, math.inf])), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == "error: infinite.json.interval[1]: must be finite, got inf\n"

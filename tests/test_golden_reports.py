@@ -23,10 +23,8 @@ from revtri import (
     COMPLEX,
     REAL,
     FunctionSpec,
-    RECIPE_BOUNDS,
     ScenarioError,
     extremal_scenario,
-    family_extremal_scenario,
     generate_scenario,
     load_scenario,
     materialize,
@@ -75,14 +73,15 @@ def _scenario_cases() -> dict:
             lambda bid=bound_id, i=i: _stressed(
                 generate_scenario(bid, seed=2000 + i, trial=0, d=2, n_family=2,
                                   n_panels=32), 1.6))
-    for bound_id in RECIPE_BOUNDS:
+    for bound_id in RECIPE_PARAMS:
         for field in (REAL, COMPLEX):
             cases[f"extremal-{bound_id}-{field}"] = (
                 lambda bid=bound_id, fld=field: extremal_scenario(
                     bid, RECIPE_PARAMS[bid], field=fld, n_panels=32))
     for n in (1, 2, 3):
         cases[f"family-extremal-n{n}"] = (
-            lambda n=n: family_extremal_scenario(n=n, c=0.75, n_panels=32))
+            lambda n=n: extremal_scenario("THM_3_1", {"n_family": n, "c": 0.75},
+                                          n_panels=32))
     for path in sorted(DATA.glob("*.json")):
         if path.name == FIXTURE.name:
             continue

@@ -25,6 +25,9 @@ def test_grid_validation():
         Grid(0.0, 1.0, 7)  # odd
     with pytest.raises(InputError):
         Grid(1.0, 1.0, 8)  # empty interval
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(InputError, match=r"^interval must be finite, got \["):
+            Grid(a, b, 8)
     g = Grid(0.0, 2.0, 8)
     assert g.step == 0.25
     nodes = g.nodes()

@@ -307,6 +307,14 @@ def test_profile_takes_numbers_only(case, tmp_path, capsys):
     assert K.removeprefix("scenario") in capsys.readouterr().err
 
 
+def test_negative_profile_error_prints_a_plain_float(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(_profile_scenario({"linear": [1.0, -1.0]})), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path.name}.bounds[0].params.k: profile is negative at node {N_PANELS}: -1.0\n")
+
+
 def test_profile_numbers_unchanged():
     for spec in (0.1, {"constant": 1}, {"linear": [0.1, 0.3]}, {"sinusoid": [0.2, 0.1, 3]},
                  {"samples": SAMPLES}, {"samples": tuple(np.float64(v) for v in SAMPLES)}):

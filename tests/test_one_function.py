@@ -185,6 +185,7 @@ def test_cli_extremal_family_takes_dim_and_field(tmp_path, capsys):
     (["--bound", "THM_3_1", "--panels", "0"], "panel count must be positive and even, got 0"),
     (["--bound", "THM_3_1", "--n-family", "3", "--dim", "0"], "family of 3 needs d >= 3"),
     (["--bound", "COR_2_2", "--rho", "0.5", "--dim", "0"], "cone extremals need d >= 2"),
+    (["--bound", "THM_3_1", "--n-family", "0"], "n_family must be at least 1"),
 ])
 def test_cli_extremal_rejects_zero_sizes(argv, message, capsys):
     assert main(["extremal", *argv]) == 3

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -11,7 +13,6 @@ from revtri import (
     ScenarioError,
     exit_code,
     extremal_scenario,
-    family_extremal_scenario,
     load_scenario,
     report_to_csv,
     report_to_json,
@@ -141,7 +142,7 @@ def test_direction_bound_needs_the_complex_line(tmp_path, capsys):
 
 
 def test_family_param_count_checked():
-    scenario = family_extremal_scenario(n=2)
+    scenario = extremal_scenario("THM_3_1", {"n_family": 2})
     data = scenario_to_dict(scenario)
     data["bounds"][0]["params"]["M_i"] = [{"constant": 0.5}]
     with pytest.raises(ScenarioError) as exc:
@@ -306,3 +307,14 @@ def test_cli_module_invocation():
     )
     assert proc.returncode == 0
     assert "holds" in proc.stdout
+
+
+@pytest.mark.parametrize("sid", ['a,"b"\nc', "cr\rid", 'say "hi"', "plain-id"])
+def test_csv_report_round_trips_the_scenario_id(sid):
+    report = run(extremal_scenario("COR_2_2", {"rho": 0.6}, n_panels=8, scenario_id=sid))
+    text = report_to_csv(report)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == CSV_HEADER.split(",")
+    assert len(rows) == 2 and len(rows[1]) == 7 and rows[1][:2] == [sid, "COR_2_2"]
+    # an id that needs no quotes is written as it stands
+    assert text.splitlines()[1].startswith("plain-id,") == (sid == "plain-id")

@@ -26,7 +26,7 @@ import revtri
 from revtri import gridfn
 from revtri.bounds import ALL_BOUND_IDS
 from revtri.cli import main
-from revtri.extremal import extremal_scenario, family_extremal_scenario
+from revtri.extremal import extremal_scenario
 from revtri.fuzz import FuzzSummary, generate_scenario
 from revtri.hilbert import COMPLEX, REAL
 from revtri.scenario import (
@@ -98,7 +98,7 @@ def test_bound_slack_is_written_back_only_when_given(extra, tmp_path):
      lambda: extremal_scenario("COR_2_3", {"m": 1.0, "M": 4.0}, d=3, field=COMPLEX,
                                n_panels=8192)),
     (["--bound", "THM_3_1", "--n-family", "3", "--c", "0.75"],
-     lambda: family_extremal_scenario(n=3, c=0.75, n_panels=8192)),
+     lambda: extremal_scenario("THM_3_1", {"n_family": 3, "c": 0.75}, n_panels=8192)),
 ], ids=["COR_2_3-complex", "THM_3_1-family"])
 def test_extremal_scenario_out_is_json_dumps_text(argv, build, tmp_path, capsys):
     path = tmp_path / "extremal.json"

@@ -15,7 +15,7 @@ import pytest
 from revtri import quadrature, run
 from revtri.bounds import BOUNDS, REF_UNIT, eval_unit_bound
 from revtri.cli import main
-from revtri.extremal import family_extremal_scenario
+from revtri.extremal import extremal_scenario
 from revtri.gridfn import materialize
 from revtri.scenario import load_scenario, scenario_from_dict
 from revtri.sweep import sweep
@@ -108,7 +108,7 @@ def test_sweep_materializes_each_function_once(monkeypatch):
 
 def test_family_extremal_materializes_once(monkeypatch):
     calls = _count_materialize(monkeypatch)
-    report = run(family_extremal_scenario(n=2))
+    report = run(extremal_scenario("THM_3_1", {"n_family": 2}))
     assert report.rollup == "holds"
     assert calls == ["family_symmetric"]
 

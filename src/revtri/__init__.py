@@ -34,7 +34,7 @@ from .errors import (
     RevtriError,
     ScenarioError,
 )
-from .extremal import ExtremalRecipe, extremal_scenario, solve_equality_params
+from .extremal import extremal_scenario
 from .fuzz import FuzzSummary, fuzz, generate_scenario, trial_rng
 from .gridfn import FunctionSpec, Grid, GridFunction, ScalarProfile, materialize, profile_of
 from .hilbert import (

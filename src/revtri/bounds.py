@@ -438,13 +438,15 @@ def _band(c: _Context, e: HVector, p: BoundParams):
 def _direction(c: _Context):
     """e = alpha + i beta, the split projection alpha int Re f + beta int Im f with
     its error, and the diagnostics comparing it with Re<int f, e>.  The integrals of
-    Re f and Im f are computed once per f and rule."""
+    Re f and Im f, each with its part of every jump of f, are computed once per f and rule."""
     alpha, beta = c.ref.alpha, c.ref.beta
     require_direction(alpha, beta)
     z = _complex_samples(c.f)
     e = HVector(COMPLEX, [complex(alpha, beta)])
-    re_int, im_int = c.f.cached(("part_integrals", c.rule), lambda: (
-        sample_integral(c.f.grid, z.real, c.rule), sample_integral(c.f.grid, z.imag, c.rule)))
+    jumps = c.f.jumps or {}
+    re_int, im_int = c.f.cached(("part_integrals", c.rule), lambda: tuple(
+        sample_integral(c.f.grid, part(z), c.rule, {j: part(v[0]) for j, v in jumps.items()})
+        for part in (np.real, np.imag)))
     split = alpha * re_int.value + beta * im_int.value
     split_err = alpha * re_int.err_est + beta * im_int.err_est
     proj = float(inner(c.est.integral, e).real)

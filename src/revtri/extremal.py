@@ -37,29 +37,6 @@ def _recipe_name(bound_id: str, params: dict) -> str:
     return f"{bound_id} equality recipe at " + ", ".join(f"{k}={v!r}" for k, v in params.items())
 
 
-@dataclass(frozen=True)
-class ExtremalRecipe:
-    """Cone parameters achieving equality in ``bound_id``, and their defect on the interval."""
-
-    bound_id: str
-    alpha: float
-    beta: float
-    expected_defect: float
-    params: dict[str, float]
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.expected_defect))):
-            raise InputError(
-                f"{_recipe_name(self.bound_id, self.params)} is not finite: alpha="
-                f"{self.alpha!r}, beta={self.beta!r}, expected defect {self.expected_defect!r}")
-        if not self.alpha > 0.0:
-            raise InputError(f"extremal component along e must be positive, got {self.alpha!r}")
-        if self.beta < 0.0:
-            raise InputError(f"orthogonal amplitude must be nonnegative, got {self.beta!r}")
-        if self.expected_defect < 0.0:
-            raise InputError("expected defect cannot be negative")
-
-
 def _thm_2_1(k, alpha):
     """Dominance is tight iff sqrt(alpha^2 + beta^2) = alpha + k: beta = sqrt(k^2 + 2 alpha k)."""
     if k <= 0.0 or alpha <= 0.0:
@@ -100,15 +77,34 @@ def _cor_2_5(m, M):
 
 
 def _cone_parts(bound_id: str, values: dict, grid: Grid, field: str, d: int) -> tuple:
-    """The recipe's cone on the first two basis vectors, with constant profiles."""
+    """The recipe's cone on the first two basis vectors, with constant profiles.  A closed
+    form that overflows, divides by zero, or gives a non-finite alpha, beta or expected
+    defect raises :class:`InputError` naming bound and parameters."""
     if d < 2:
         raise ScenarioError("d", "cone extremals need d >= 2")
-    recipe = solve_equality_params(bound_id, values, (grid.a, grid.b))
+    floats = {key: float(value) for key, value in values.items()}
+    try:
+        alpha, beta, rate = RECIPES[bound_id].solve(**floats)
+    except OverflowError:
+        raise InputError(f"{_recipe_name(bound_id, values)} overflows") from None
+    except ZeroDivisionError:
+        raise InputError(f"{_recipe_name(bound_id, values)} divides by zero") from None
+    params = {q.key: floats[q.key] for q in BOUNDS[bound_id].params}
+    expected_defect = rate * (float(grid.b) - float(grid.a))
+    if not all(map(math.isfinite, (alpha, beta, expected_defect))):
+        raise InputError(f"{_recipe_name(bound_id, params)} is not finite: alpha={alpha!r}, "
+                         f"beta={beta!r}, expected defect {expected_defect!r}")
+    if not alpha > 0.0:
+        raise InputError(f"extremal component along e must be positive, got {alpha!r}")
+    if beta < 0.0:
+        raise InputError(f"orthogonal amplitude must be nonnegative, got {beta!r}")
+    if expected_defect < 0.0:
+        raise InputError("expected defect cannot be negative")
     e, u = basis_vector(field, d, 0), basis_vector(field, d, 1)
-    bound_params = BoundParams(**{q.field: ScalarProfile.constant(grid, recipe.params[q.key])
-                                  if q.kind == PROFILE else recipe.params[q.key]
+    bound_params = BoundParams(**{q.field: ScalarProfile.constant(grid, params[q.key])
+                                  if q.kind == PROFILE else params[q.key]
                                   for q in BOUNDS[bound_id].params})
-    return (f"extremal-{bound_id.lower()}", FunctionSpec.cone(e, u, recipe.alpha, recipe.beta),
+    return (f"extremal-{bound_id.lower()}", FunctionSpec.cone(e, u, alpha, beta),
             Reference(REF_UNIT, e=e), bound_params)
 
 
@@ -163,30 +159,6 @@ def _recipe_values(bound_id: str, params: dict) -> dict:
         if q.key in recipe.defaults and q.key not in params:
             raise InputError(f"{bound_id} recipe needs parameter {q.key!r}")
     return {**recipe.defaults, **params}
-
-
-def solve_equality_params(bound_id: str, params: dict[str, float],
-                          interval: tuple[float, float] = (0.0, 1.0)) -> ExtremalRecipe:
-    """Closed-form cone (alpha, beta) solving the node-wise equality conditions (``RECIPES``).
-
-    Every bound parameter is required; other recipe parameters (THM_2_1's alpha) come from
-    the recipe's defaults.  A recipe that overflows, divides by zero, or gives a non-finite
-    alpha, beta or expected defect raises :class:`InputError` naming bound and parameters.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise InputError(f"interval requires b > a, got [{a}, {b}]")
-    if bound_id not in RECIPES or RECIPES[bound_id].solve is None:
-        raise InputError(f"no cone equality recipe for bound {bound_id!r}")
-    values = {key: float(value) for key, value in _recipe_values(bound_id, params).items()}
-    try:
-        alpha, beta, rate = RECIPES[bound_id].solve(**values)
-    except OverflowError:
-        raise InputError(f"{_recipe_name(bound_id, params)} overflows") from None
-    except ZeroDivisionError:
-        raise InputError(f"{_recipe_name(bound_id, params)} divides by zero") from None
-    return ExtremalRecipe(bound_id, alpha, beta, rate * (b - a),
-                          {q.key: values[q.key] for q in BOUNDS[bound_id].params})
 
 
 def extremal_scenario(bound_id: str, params: dict, d: int | None = None, field: str = REAL,

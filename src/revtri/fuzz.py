@@ -168,10 +168,9 @@ def _gen_ball_profile(rng, grid, field, d, n_family):
     return f, Reference(REF_UNIT, e=e), BoundParams(r=r)
 
 
-def _band_constants(rng, f, e_coords):
-    """(m, M) with the band condition holding at every node of ``f``."""
-    p = f.projections(e_coords)
-    q = f.norms() ** 2
+def _band_constants(rng, p, q):
+    """(m, M) with the band condition holding at every node, for node projections ``p``
+    onto the reference and squared node norms ``q``."""
     M = (1.0 + rng.uniform(0.05, 0.5)) * float(np.max(q / p))
     cap = float(np.min((M * p - q) / (M - p)))
     m = rng.uniform(0.1, 0.9) * cap
@@ -265,7 +264,8 @@ def _gen_family_band(rng, grid, field, d, n_family):
     family = _orthofamily(rng, field, d, n_family)
     amp = rng.uniform(0.02, 0.4 * 0.8 / math.sqrt(n_family))
     f = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
-    ms, Ms = zip(*(_band_constants(rng, f, e.coords) for e in family.members))
+    q, proj = f.norms() ** 2, f.projections(family.matrix())
+    ms, Ms = zip(*(_band_constants(rng, proj[:, i], q) for i in range(n_family)))
     return f, Reference(REF_FAMILY, family=family), BoundParams(ms=ms, Ms=Ms)
 
 
@@ -281,10 +281,10 @@ def _gen_family_band_profiles(rng, grid, field, d, n_family):
     family = _orthofamily(rng, field, d, n_family)
     amp = rng.uniform(0.02, 0.4 * 0.8 / math.sqrt(n_family))
     f = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
-    q = f.norms() ** 2
+    q, proj = f.norms() ** 2, f.projections(family.matrix())
     m_profiles, M_profiles = [], []
-    for e in family.members:
-        p = f.projections(e.coords)
+    for i in range(n_family):
+        p = proj[:, i]
         c0 = (1.0 + rng.uniform(0.05, 0.6)) * q / (2.0 * p)
         dist = np.sqrt(np.maximum(q - 2.0 * c0 * p + c0 * c0, 0.0))
         R = dist + rng.uniform(0.05, 0.9) * (c0 - dist)

@@ -143,12 +143,14 @@ def _integrate(grid: Grid, values: np.ndarray, jumps, rule: str):
     return full, _norm(full - half)
 
 
-def sample_integral(grid: Grid, values, rule: str = DEFAULT_RULE) -> IntegralEstimate:
-    """Integrate raw node samples of a scalar (possibly signed) function."""
+def sample_integral(grid: Grid, values, rule: str = DEFAULT_RULE,
+                    jumps: dict | None = None) -> IntegralEstimate:
+    """Integrate raw node samples of a scalar (possibly signed) function, piecewise at
+    the nodes of ``jumps`` (node index -> right limit, as :class:`GridFunction` keeps them)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (grid.n_nodes,):
         raise InputError(f"expected {grid.n_nodes} samples, got shape {arr.shape}")
-    value, err = _integrate(grid, arr, None, rule)
+    value, err = _integrate(grid, arr, jumps, rule)
     return IntegralEstimate(float(value), err)
 
 

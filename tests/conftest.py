@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from revtri import COMPLEX, Grid, HVector, extremal_scenario
+from revtri.extremal import RECIPES
 
 
 @pytest.fixture
@@ -22,6 +23,15 @@ def unit_extremal(bound_id: str, params: dict, grid: Grid):
     scenario = extremal_scenario(bound_id, params, interval=(grid.a, grid.b),
                                  n_panels=grid.n_panels)
     return scenario.f, scenario.bounds[0].params
+
+
+def cone_recipe(bound_id: str, params: dict, interval: tuple = (0.0, 1.0)) -> tuple:
+    """(alpha, beta, expected defect) of ``bound_id``'s equality cone: alpha and beta as
+    :func:`extremal_scenario` puts them in the cone spec, the defect from the row's closed
+    form over the parameters merged with its defaults, times the interval's length."""
+    spec = extremal_scenario(bound_id, params, interval=interval).function.params
+    rate = RECIPES[bound_id].solve(**{**RECIPES[bound_id].defaults, **params})[2]
+    return spec["alpha"], spec["beta"], rate * (interval[1] - interval[0])
 
 
 def family_extremal(n: int, c, grid: Grid):

@@ -26,12 +26,13 @@ from revtri import (
     check_dominance,
     check_orthonormal,
     check_scaled_dominance,
+    defect,
     eval_complex_bound,
     eval_family_bound,
     eval_unit_bound,
     materialize,
 )
-from revtri.bounds import HOLDS, HYPOTHESIS_FAILED
+from revtri.bounds import HOLDS, HYPOTHESIS_FAILED, REF_DIRECTION, Reference, evaluate
 from .conftest import random_unit
 
 
@@ -492,6 +493,25 @@ def test_split_projection_consistency(rng):
         res = eval_complex_bound(f, alpha, beta, BoundParams(rho=0.9), "PROP_4_1")
         scale = abs(res.rhs_terms["split_projection"]) + abs(res.diagnostics["projection"]) + 1.0
         assert abs(res.diagnostics["split_gap"]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_panels", [512, 65536])
+def test_split_projection_integrates_the_parts_of_a_jump(n_panels):
+    # COR_2_2's cone in the complex plane: e = e^{0.7i}, u = i e, rho = 0.6, s(t) = +1
+    # through the midpoint node, then -1, with the jump recorded there.  The half-grid
+    # comparison of the split integrals must see the jump as the Bochner integral does.
+    theta, rho = 0.7, 0.6
+    grid = Grid(0.0, 1.0, n_panels)
+    e = complex(math.cos(theta), math.sin(theta))
+    a, b = (1.0 - rho * rho) * e, rho * math.sqrt(1.0 - rho * rho) * (1j * e)
+    mid = n_panels // 2
+    values = np.repeat([[a + b], [a - b]], (mid + 1, n_panels - mid), axis=0)
+    f = GridFunction(grid, COMPLEX, values, {mid: np.array([a - b])})
+    res = evaluate(f, defect(f), Reference(REF_DIRECTION, alpha=e.real, beta=e.imag),
+                   BoundParams(rho=rho), "PROP_4_1")
+    assert res.verdict == HOLDS and res.hypothesis.holds
+    assert res.err_budget < 1e-12
+    assert abs(res.diagnostics["split_gap"]) <= res.err_budget
 
 
 def test_box_implies_band(rng, unit_grid):

@@ -28,14 +28,13 @@ from revtri import (
     run,
     save_scenario,
     scenario_to_dict,
-    solve_equality_params,
 )
-from revtri import gridfn
+from revtri import extremal, gridfn
 from revtri.bounds import BOUNDS, HOLDS
 from revtri.cli import build_parser, main
 from revtri.extremal import RECIPES
 from revtri.sweep import _base_params, _sweepable, sweep
-from .conftest import family_extremal, unit_extremal
+from .conftest import cone_recipe, family_extremal, unit_extremal
 
 # ---------------------------------------------------------------------------
 # independent oracles: solve the node-wise equality conditions numerically.
@@ -76,62 +75,62 @@ def oracle_cor25(m, M):
 
 
 def test_thm21_recipe_vs_oracle():
-    recipe = solve_equality_params("THM_2_1", {"k": 0.5, "alpha": 1.0})
-    assert recipe.beta == pytest.approx(oracle_thm21(0.5, 1.0), abs=1e-10)
-    assert recipe.expected_defect == pytest.approx(0.5)
+    _, beta, expected_defect = cone_recipe("THM_2_1", {"k": 0.5, "alpha": 1.0})
+    assert beta == pytest.approx(oracle_thm21(0.5, 1.0), abs=1e-10)
+    assert expected_defect == pytest.approx(0.5)
 
 
 def test_cor22_recipe_vs_oracle():
     rho = 0.6
-    recipe = solve_equality_params("COR_2_2", {"rho": rho})
+    alpha, beta, expected_defect = cone_recipe("COR_2_2", {"rho": rho})
     a, b = oracle_two_conditions(1.0 - rho * rho, 1.0, rho)
-    assert recipe.alpha == pytest.approx(a, abs=1e-10)
-    assert recipe.beta == pytest.approx(b, abs=1e-10)
-    assert (recipe.alpha, recipe.beta) == (pytest.approx(0.64), pytest.approx(0.48))
-    assert recipe.expected_defect == pytest.approx(0.16, abs=1e-13)
+    assert alpha == pytest.approx(a, abs=1e-10)
+    assert beta == pytest.approx(b, abs=1e-10)
+    assert (alpha, beta) == (pytest.approx(0.64), pytest.approx(0.48))
+    assert expected_defect == pytest.approx(0.16, abs=1e-13)
 
 
 def test_cor23_recipe_vs_oracle():
     m, M = 1.0, 4.0
-    recipe = solve_equality_params("COR_2_3", {"m": m, "M": M})
+    alpha, beta, expected_defect = cone_recipe("COR_2_3", {"m": m, "M": M})
     a, b = oracle_two_conditions(m * M, 0.5 * (M + m), 0.5 * (M - m))
-    assert recipe.alpha == pytest.approx(a, abs=1e-9)
-    assert recipe.beta == pytest.approx(b, abs=1e-9)
-    assert (recipe.alpha, recipe.beta) == (pytest.approx(1.6), pytest.approx(1.2))
-    assert recipe.expected_defect == pytest.approx(0.4, abs=1e-13)
+    assert alpha == pytest.approx(a, abs=1e-9)
+    assert beta == pytest.approx(b, abs=1e-9)
+    assert (alpha, beta) == (pytest.approx(1.6), pytest.approx(1.2))
+    assert expected_defect == pytest.approx(0.4, abs=1e-13)
 
 
 def test_cor24_recipe_vs_oracle():
     r = 0.5
-    recipe = solve_equality_params("COR_2_4", {"r": r})
+    alpha, beta, expected_defect = cone_recipe("COR_2_4", {"r": r})
     a, b = oracle_two_conditions(1.0, 1.0, r)  # tightness forces ||f|| = 1
-    assert recipe.alpha == pytest.approx(a, abs=1e-10)
-    assert recipe.beta == pytest.approx(b, abs=1e-10)
-    assert recipe.alpha == pytest.approx(0.875)
-    assert recipe.beta == pytest.approx(0.5 * math.sqrt(1 - 1 / 16.0))
-    assert recipe.expected_defect == pytest.approx(0.125)
+    assert alpha == pytest.approx(a, abs=1e-10)
+    assert beta == pytest.approx(b, abs=1e-10)
+    assert alpha == pytest.approx(0.875)
+    assert beta == pytest.approx(0.5 * math.sqrt(1 - 1 / 16.0))
+    assert expected_defect == pytest.approx(0.125)
 
 
 def test_cor25_recipe_vs_oracle():
     m, M = 1.0, 4.0
-    recipe = solve_equality_params("COR_2_5", {"m": m, "M": M})
+    alpha, beta, expected_defect = cone_recipe("COR_2_5", {"m": m, "M": M})
     a, b = oracle_cor25(m, M)
-    assert recipe.alpha == pytest.approx(a, abs=1e-8)
-    assert recipe.beta == pytest.approx(b, abs=1e-8)
-    assert recipe.alpha == pytest.approx(2.05)
-    assert recipe.beta == pytest.approx(math.sqrt(2.0475))
-    assert recipe.expected_defect == pytest.approx(0.45, abs=1e-13)
+    assert alpha == pytest.approx(a, abs=1e-8)
+    assert beta == pytest.approx(b, abs=1e-8)
+    assert alpha == pytest.approx(2.05)
+    assert beta == pytest.approx(math.sqrt(2.0475))
+    assert expected_defect == pytest.approx(0.45, abs=1e-13)
 
 
 def test_recipe_range_validation():
     with pytest.raises(InputError):
-        solve_equality_params("COR_2_2", {"rho": 1.0})
+        extremal_scenario("COR_2_2", {"rho": 1.0})
     with pytest.raises(InputError):
-        solve_equality_params("COR_2_4", {"r": 1.5})
+        extremal_scenario("COR_2_4", {"r": 1.5})
     with pytest.raises(InputError):
-        solve_equality_params("THM_2_1", {"k": -0.5})
+        extremal_scenario("THM_2_1", {"k": -0.5})
     with pytest.raises(InputError):
-        solve_equality_params("MULT_A", {})
+        extremal_scenario("MULT_A", {})
 
 
 @pytest.mark.parametrize("bound_id, params, key", [
@@ -143,21 +142,21 @@ def test_recipe_range_validation():
 ])
 def test_missing_recipe_parameter_is_an_input_error(bound_id, params, key):
     with pytest.raises(InputError, match=f"^{bound_id} recipe needs parameter '{key}'$"):
-        solve_equality_params(bound_id, params)
+        extremal_scenario(bound_id, params)
 
 
 def test_infinite_band_recipe_is_not_finite():
     # the NaN amplitude reaches the recipe's finiteness check instead of an assert
     with pytest.raises(InputError, match=r"^COR_2_5 equality recipe at m=1.0, M=inf is not "
                                          r"finite: alpha=nan, beta=nan"):
-        solve_equality_params("COR_2_5", {"m": 1.0, "M": math.inf})
+        extremal_scenario("COR_2_5", {"m": 1.0, "M": math.inf})
 
 
 def test_band_recipe_dividing_by_zero_is_an_input_error():
     # c0 * c0 underflows to 0, and so does R ** 4
     with pytest.raises(InputError, match=r"^COR_2_5 equality recipe at m=0.0, M=1e-170 "
                                          r"divides by zero$"):
-        solve_equality_params("COR_2_5", {"m": 0.0, "M": 1e-170})
+        extremal_scenario("COR_2_5", {"m": 0.0, "M": 1e-170})
 
 
 def _subparser(command: str):
@@ -196,9 +195,25 @@ def test_recipe_bounds_sweep_defaults_and_cli_flags_come_from_recipes():
     assert (args.n_family, args.c) == (3, None)
 
 
+@pytest.mark.parametrize("bound_id", sorted(RECIPES))
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_extremal_scenario_merges_its_parameters_once(bound_id, field, monkeypatch):
+    calls = []
+    merge = extremal._recipe_values
+
+    def counting(*args):
+        calls.append(args[0])
+        return merge(*args)
+    monkeypatch.setattr(extremal, "_recipe_values", counting)
+    extremal_scenario(bound_id, RECIPES[bound_id].defaults, field=field)
+    assert calls == [bound_id]
+
+
 def test_thm21_alpha_defaults_to_the_recipe_default():
-    assert solve_equality_params("THM_2_1", {"k": 0.5}) == solve_equality_params(
-        "THM_2_1", {"k": 0.5, "alpha": RECIPES["THM_2_1"].defaults["alpha"]})
+    default = {"k": 0.5, "alpha": RECIPES["THM_2_1"].defaults["alpha"]}
+    assert cone_recipe("THM_2_1", {"k": 0.5}) == cone_recipe("THM_2_1", default)
+    assert scenario_to_dict(extremal_scenario("THM_2_1", {"k": 0.5})) == scenario_to_dict(
+        extremal_scenario("THM_2_1", default))
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +231,13 @@ RECIPE_CASES = [
 
 @pytest.mark.parametrize("bound_id,params", RECIPE_CASES)
 def test_unit_extremal_certifies_equality(bound_id, params, unit_grid):
-    recipe = solve_equality_params(bound_id, params)
+    _, _, expected_defect = cone_recipe(bound_id, params)
     e = basis_vector(REAL, 2, 0)
     f, bound_params = unit_extremal(bound_id, params, unit_grid)
 
     measured = defect(f)
-    scale = max(abs(recipe.expected_defect), 1.0)
-    assert abs(measured.value - recipe.expected_defect) <= 1e-10 * scale
+    scale = max(abs(expected_defect), 1.0)
+    assert abs(measured.value - expected_defect) <= 1e-10 * scale
 
     res = eval_unit_bound(f, e, bound_params, bound_id)
     assert res.verdict == HOLDS
@@ -246,11 +261,11 @@ def test_cor22_extremal_across_radii(rho, unit_grid):
 
 
 def test_degenerate_band_recipe(unit_grid):
-    recipe = solve_equality_params("COR_2_3", {"m": 2.0, "M": 2.0})
-    assert recipe.beta == 0.0
+    alpha, beta, _ = cone_recipe("COR_2_3", {"m": 2.0, "M": 2.0})
+    assert beta == 0.0
     e = basis_vector(REAL, 2, 0)
     u = basis_vector(REAL, 2, 1)
-    f = materialize(FunctionSpec.cone(e, u, recipe.alpha, recipe.beta), unit_grid, REAL, 2)
+    f = materialize(FunctionSpec.cone(e, u, alpha, beta), unit_grid, REAL, 2)
     measured = defect(f)
     assert measured.value == pytest.approx(0.0, abs=1e-13)
     res = eval_unit_bound(f, e, BoundParams(m=2.0, M=2.0), "COR_2_3")
@@ -261,8 +276,8 @@ def test_cor25_interior_maximum(unit_grid):
     # perturbing along the boundary circle strictly decreases the dominance gap
     m, M = 1.0, 4.0
     c0, R = 0.5 * (M + m), 0.5 * (M - m)
-    recipe = solve_equality_params("COR_2_5", {"m": m, "M": M})
-    phi_star = math.acos((recipe.alpha - c0) / R)
+    alpha, _, _ = cone_recipe("COR_2_5", {"m": m, "M": M})
+    phi_star = math.acos((alpha - c0) / R)
 
     def gap(phi):
         a = c0 + R * math.cos(phi)
@@ -283,8 +298,8 @@ def test_two_panel_recipe_file_holds(bound_id, params, tmp_path, capsys):
 
 
 def test_interval_scaling():
-    recipe = solve_equality_params("COR_2_3", {"m": 1.0, "M": 4.0}, interval=(-1.0, 3.0))
-    assert recipe.expected_defect == pytest.approx(0.4 * 4.0)
+    _, _, expected_defect = cone_recipe("COR_2_3", {"m": 1.0, "M": 4.0}, interval=(-1.0, 3.0))
+    assert expected_defect == pytest.approx(0.4 * 4.0)
     f, _ = unit_extremal("COR_2_3", {"m": 1.0, "M": 4.0}, Grid(-1.0, 3.0, 512))
     assert defect(f).value == pytest.approx(1.6, abs=1e-11)
 

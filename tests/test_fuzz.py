@@ -11,6 +11,7 @@ from revtri import bounds as B
 from revtri.bounds import FAMILY_BOUNDS
 from revtri.cli import main
 from revtri.fuzz import MAX_COUNTEREXAMPLE_DUMPS
+from revtri.gridfn import GridFunction
 from revtri.scenario import scenario_from_dict
 
 
@@ -34,6 +35,26 @@ def test_seed_and_trial_outside_64_bits_are_input_errors(seed, trial):
 
 def test_largest_64_bit_seed_still_runs():
     assert fuzz("COR_2_2", trials=2, seed=2 ** 64 - 1).holds == 2
+
+
+@pytest.mark.parametrize("bound_id", [B.THM_3_1, B.COR_3_3, B.COR_3_5])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_projection_product_per_family_trial(bound_id, field, n, monkeypatch):
+    # the generator fits its constants to the (N+1, n) table run() judges: one product
+    products = []
+    cached = GridFunction.cached
+
+    def counting(self, key, compute):
+        def counted():
+            products.append(key[0])
+            return compute()
+        return cached(self, key, counted if key[0] == "projections" else compute)
+    monkeypatch.setattr(GridFunction, "cached", counting)
+    for trial in range(3):
+        products.clear()
+        run(generate_scenario(bound_id, seed=77, trial=trial, d=4, field=field, n_family=n))
+        assert products == ["projections"]
 
 
 def test_trials_are_order_independent():

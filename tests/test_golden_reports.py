@@ -7,12 +7,21 @@ of parsing, serialization or evaluation must reproduce it byte for byte.
 Re-record it only for an intended change of the report or file format:
 
     PYTHONPATH=src python -m tests.test_golden_reports
+
+Before re-recording, list what would change:
+
+    PYTHONPATH=src python -m tests.test_golden_reports --diff
+
+prints every JSON path and CSV cell that differs from the fixture, and exits 1 if any
+changed leaf is not a float (a verdict, ``holds``, an index, a key set, an id, a text).
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -125,13 +134,17 @@ SWEEP_CASES = _sweep_cases()
 CASES = sorted(SCENARIO_CASES) + sorted(SWEEP_CASES)
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
+def _recorded() -> dict:
     """The fixture stores each text as its list of lines, for readable diffs."""
     data = json.loads(FIXTURE.read_text(encoding="utf-8"))
     return {name: {key: "\n".join(lines) if key != "warnings" else lines
                    for key, lines in record.items()}
             for name, record in data.items()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return _recorded()
 
 
 def test_fixture_covers_every_case(golden):
@@ -145,7 +158,89 @@ def test_byte_identical(golden, name):
     assert render(name) == golden[name]
 
 
-if __name__ == "__main__":
+def _json_leaves(path: str, old, new, out: list) -> None:
+    """Append (path, old, new) for each leaf where two JSON values differ; a differing key
+    set, length or type is one leaf."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            out.append((f"{path} keys", sorted(old), sorted(new)))
+        for key in old:
+            if key in new:
+                _json_leaves(f"{path}.{key}", old[key], new[key], out)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (o, n) in enumerate(zip(old, new)):
+            _json_leaves(f"{path}[{i}]", o, n, out)
+    elif type(old) is not type(new) or repr(old) != repr(new):
+        out.append((path, old, new))
+
+
+def _csv_cells(path: str, old: str, new: str, out: list) -> None:
+    """Append (path, old, new) for each differing CSV cell, named by row and header."""
+    old_rows, new_rows = (list(csv.reader(text.strip().splitlines())) for text in (old, new))
+    if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
+        out.append((f"{path} shape", old_rows, new_rows))
+        return
+    header = old_rows[0] if old_rows else []
+    for i, (o_row, n_row) in enumerate(zip(old_rows, new_rows)):
+        for j, (o, n) in enumerate(zip(o_row, n_row)):
+            if o != n:
+                name = header[j] if j < len(header) else j
+                out.append((f"{path}[{i}].{name}", _float_or_text(o), _float_or_text(n)))
+
+
+def _float_or_text(cell: str):
+    """A CSV cell as a float if it spells one (and not an integer), else the text."""
+    try:
+        int(cell)
+        return cell
+    except ValueError:
+        pass
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _changes(old: dict, new: dict) -> list:
+    """(path, old, new) for every leaf of one case's record that changed."""
+    out = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old or key not in new:
+            out.append((key, old.get(key), new.get(key)))
+        elif key == "report":  # report_to_json text, then report_to_csv text
+            (o_json, o_end), (n_json, n_end) = (json.JSONDecoder().raw_decode(text)
+                                                for text in (old[key], new[key]))
+            _json_leaves("report$", o_json, n_json, out)
+            _csv_cells("report.csv", old[key][o_end:], new[key][n_end:], out)
+        elif key == "scenario":
+            _json_leaves("scenario$", json.loads(old[key]), json.loads(new[key]), out)
+        elif key == "sweep":
+            _csv_cells("sweep.csv", old[key], new[key], out)
+        else:
+            _json_leaves(key, old[key], new[key], out)
+    return out
+
+
+def diff() -> int:
+    """Print what re-recording would change; 1 if a changed leaf is not a float."""
+    recorded = _recorded()
+    bad = 0
+    for name in sorted(recorded.keys() | set(CASES)):
+        if name not in recorded or name not in CASES:
+            print(f"{name}: {'added' if name in CASES else 'removed'}")
+            bad += 1
+            continue
+        for path, old, new in _changes(recorded[name], render(name)):
+            is_float = type(old) is float and type(new) is float
+            bad += not is_float
+            print(f"{name} {path}: {old!r} -> {new!r}{'' if is_float else '  (not a float)'}")
+    print(f"{bad} changed leaves are not floats")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--diff"]:
+    sys.exit(diff())
+elif __name__ == "__main__":
     records = {name: {key: text.split("\n") if key != "warnings" else text
                       for key, text in render(name).items()}
                for name in CASES}

@@ -15,7 +15,7 @@ import pytest
 from revtri import bounds as B
 from revtri.cli import main
 from revtri.errors import DegeneracyError, InputError
-from revtri.extremal import solve_equality_params
+from revtri.extremal import extremal_scenario
 from revtri.fuzz import generate_scenario
 from revtri.gridfn import (
     _NODE_BLOCK,
@@ -36,6 +36,7 @@ from revtri.scenario import (
     run,
     scenario_from_dict,
 )
+from .conftest import cone_recipe
 
 # --------------------------------------------------------------------------
 # the whole-array formulas
@@ -339,9 +340,8 @@ def test_checkers_reject_what_a_constant_profile_rejects(value, message):
 def test_non_finite_recipe_is_an_input_error(bound_id, problem):
     with pytest.raises(InputError, match=rf"^{bound_id} equality recipe at m=1.0, "
                                          rf"M=1e\+300 {problem}"):
-        solve_equality_params(bound_id, {"m": 1.0, "M": 1e300})
-    finite = solve_equality_params(bound_id, {"m": 1.0, "M": 1e50})
-    assert all(map(math.isfinite, (finite.alpha, finite.beta, finite.expected_defect)))
+        extremal_scenario(bound_id, {"m": 1.0, "M": 1e300})
+    assert all(map(math.isfinite, cone_recipe(bound_id, {"m": 1.0, "M": 1e50})))
 
 
 @pytest.mark.parametrize("bound_id, problem", [(B.COR_2_5, "overflows"),

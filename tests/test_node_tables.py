@@ -393,9 +393,9 @@ def test_part_integrals_once_per_function(monkeypatch):
     calls = []
     original = B.sample_integral
 
-    def counting(grid, values, rule):
+    def counting(grid, values, rule, jumps=None):
         calls.append(len(values))
-        return original(grid, values, rule)
+        return original(grid, values, rule, jumps)
     monkeypatch.setattr(B, "sample_integral", counting)
     run(scenario_from_dict(dict(LARGE_FILES["curve-sinusoid"], N=64)))
     # int Re f and int Im f once for PROP_4_1..4_3, and PROP_4_3's band gap integral

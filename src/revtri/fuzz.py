@@ -265,7 +265,7 @@ def _gen_family_band(rng, grid, field, d, n_family):
     amp = rng.uniform(0.02, 0.4 * 0.8 / math.sqrt(n_family))
     f = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
     q, proj = f.norms() ** 2, f.projections(family.matrix())
-    ms, Ms = zip(*(_band_constants(rng, proj[:, i], q) for i in range(n_family)))
+    ms, Ms = zip(*(_band_constants(rng, p, q) for p in proj.T))
     return f, Reference(REF_FAMILY, family=family), BoundParams(ms=ms, Ms=Ms)
 
 
@@ -283,8 +283,7 @@ def _gen_family_band_profiles(rng, grid, field, d, n_family):
     f = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
     q, proj = f.norms() ** 2, f.projections(family.matrix())
     m_profiles, M_profiles = [], []
-    for i in range(n_family):
-        p = proj[:, i]
+    for p in proj.T:
         c0 = (1.0 + rng.uniform(0.05, 0.6)) * q / (2.0 * p)
         dist = np.sqrt(np.maximum(q - 2.0 * c0 * p + c0 * c0, 0.0))
         R = dist + rng.uniform(0.05, 0.9) * (c0 - dist)

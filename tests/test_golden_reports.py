@@ -191,12 +191,7 @@ def _csv_cells(path: str, old: str, new: str, out: list) -> None:
 def _float_or_text(cell: str):
     """A CSV cell as a float if it spells one (and not an integer), else the text."""
     try:
-        int(cell)
-        return cell
-    except ValueError:
-        pass
-    try:
-        return float(cell)
+        return cell if cell.lstrip("-").isdigit() else float(cell)
     except ValueError:
         return cell
 
@@ -205,6 +200,7 @@ def _changes(old: dict, new: dict) -> list:
     """(path, old, new) for every leaf of one case's record that changed."""
     out = []
     for key in sorted(old.keys() | new.keys()):
+        found = len(out)
         if key not in old or key not in new:
             out.append((key, old.get(key), new.get(key)))
         elif key == "report":  # report_to_json text, then report_to_csv text
@@ -218,6 +214,8 @@ def _changes(old: dict, new: dict) -> list:
             _csv_cells("sweep.csv", old[key], new[key], out)
         else:
             _json_leaves(key, old[key], new[key], out)
+        if len(out) == found and old[key] != new[key]:  # same values, other text
+            out.append((f"{key} text", old[key], new[key]))
     return out
 
 
@@ -236,6 +234,17 @@ def diff() -> int:
             print(f"{name} {path}: {old!r} -> {new!r}{'' if is_float else '  (not a float)'}")
     print(f"{bad} changed leaves are not floats")
     return 1 if bad else 0
+
+
+def test_diff_names_each_changed_leaf():
+    old = {"report": '{"a": 1.5, "v": "holds"}\nx,n\n1.5,3\n', "scenario": '{"id": "s"}',
+           "warnings": ["w"]}
+    new = {"report": '{"a": 1.25, "v": "violated"}\nx,n\n1.25,4\n', "scenario": '{"id":"s"}',
+           "warnings": ["w"]}
+    assert _changes(old, new) == [
+        ("report$.a", 1.5, 1.25), ("report$.v", "holds", "violated"),
+        ("report.csv[1].x", 1.5, 1.25), ("report.csv[1].n", "3", "4"),
+        ("scenario text", '{"id": "s"}', '{"id":"s"}')]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--diff"]:

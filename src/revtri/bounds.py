@@ -227,7 +227,7 @@ def _ball_residuals(f: GridFunction, center: np.ndarray, radius) -> np.ndarray:
 
 def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
                          M_vals: np.ndarray) -> np.ndarray:
-    """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances taken a node block at a time."""
+    """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances summed one column at a time."""
     center = np.broadcast_to(0.5 * (M_vals + m_vals), f.values.shape[:1])
     return row_norms(f.values, e, center) - 0.5 * (M_vals - m_vals)
 
@@ -345,6 +345,7 @@ def _running_max(kernels, visit=lambda i, kernel, residuals: None) -> np.ndarray
         residuals = kernel()
         visit(i, kernel, residuals)
         combined = residuals if combined is None else np.maximum(combined, residuals, out=combined)
+        del residuals   # freed before the next member's kernel runs
     return combined
 
 
@@ -577,7 +578,8 @@ def _family_projections(c: _Context) -> np.ndarray:
 
 
 def _integral_extra(c: _Context, hyp, samples, s: float, name: str):
-    """extra = (1 / (s n)) * sum_i int g_i."""
+    """extra = (1 / (s n)) * sum_i int g_i; ``samples`` yields the members' g_i, each
+    integrated as it is made, so that one member's samples are alive at a time."""
     parts = [sample_integral(c.f.grid, g, c.rule) for g in samples]
     scale = s * c.ref.family.n
     extra = sum(p.value for p in parts) / scale
@@ -605,7 +607,7 @@ def _thm_3_1(c, p):
                                                      _profile_on(c.f, k, f"M_{i}"))
                for i, k in enumerate(p.dominance_profiles)]
     hyp = _family_check(kernels, "dominance_family", c.tau_hyp)
-    return _integral_extra(c, hyp, [k.values for k in p.dominance_profiles], 1.0,
+    return _integral_extra(c, hyp, (k.values for k in p.dominance_profiles), 1.0,
                            "dominance_integral")
 
 
@@ -632,7 +634,7 @@ def _cor_3_4(c, p):
     kernels = [lambda i=i, e=e, r=r: _ball_residuals(c.f, e.coords, _profile_on(c.f, r, f"r_{i}"))
                for i, (e, r) in enumerate(zip(c.ref.family.members, p.r_profiles))]
     hyp = _family_check(kernels, "ball_family", c.tau_hyp)
-    return _integral_extra(c, hyp, [r.values ** 2 for r in p.r_profiles], 2.0,
+    return _integral_extra(c, hyp, (r.values ** 2 for r in p.r_profiles), 2.0,
                            "r_squared_integral")
 
 
@@ -642,7 +644,7 @@ def _cor_3_5(c, p):
                    c.f, e.coords, _profile_on(c.f, m, f"m_{i}"), _profile_on(c.f, M, f"M_{i}"))
                for i, (e, (m, M)) in enumerate(zip(c.ref.family.members, bands))]
     hyp = _family_check(kernels, "band_norm_family", c.tau_hyp)
-    return _integral_extra(c, hyp, [band_gap_integrand(m.values, M.values) for m, M in bands],
+    return _integral_extra(c, hyp, (band_gap_integrand(m.values, M.values) for m, M in bands),
                            4.0, "band_gap_integral")
 
 

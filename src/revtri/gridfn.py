@@ -41,11 +41,7 @@ T = TypeVar("T")
 #: each cache keeping the most recently used ones.
 GRID_CACHE = 2
 
-#: From this many columns on, ``np.linalg.norm(x, axis=1)`` sums each row pairwise.
-PAIRWISE_COLUMNS = 8
-
-#: Nodes per block of a row-norm walk: the (d, block) squares buffer of up to
-#: PAIRWISE_COLUMNS - 1 columns (at most 224 KiB) stays in a core's L2 cache.
+#: Nodes per block of a streamed scenario file's rows.
 _NODE_BLOCK = 4096
 
 #: Kinds of scenario-file values, shared by function variants and bound parameters.
@@ -132,14 +128,15 @@ def _node_blocks(n: int):
 
 def _owned(arr, dtype) -> bool:
     """Whether ``arr`` can be kept as it is instead of copied: an array of ``dtype``,
-    contiguous as a copy would be, that nothing can write, because neither it nor the
-    array whose memory it views is writable (a view of any other buffer is copied)."""
+    column-major as a copy would be (each column contiguous), that nothing can write,
+    because neither it nor the array whose memory it views is writable (a view of any
+    other buffer is copied)."""
     base = arr
     while isinstance(base, np.ndarray):
         if base.flags.writeable:
             return False
         base = base.base
-    return base is None and arr.dtype == dtype and arr.flags.forc
+    return base is None and arr.dtype == dtype and arr.flags.f_contiguous
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -151,44 +148,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def row_norms(x: np.ndarray, c: np.ndarray | None = None,
               s: np.ndarray | None = None) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)`` of an (N+1, d) array x, bit for bit; with a (d,)
-    center c the norms of the rows x(t) - c, and with per-node scales s as well, of the
-    rows x(t) - s(t) c.
+    """The norms of the rows of an (N+1, d) array x; with a (d,) center c the norms of
+    the rows x(t) - c, and with per-node scales s as well, of the rows x(t) - s(t) c.
 
-    Below :data:`PAIRWISE_COLUMNS` numpy sums the squares of a row in column order, in a
-    loop over its d entries; for 2 to PAIRWISE_COLUMNS - 1 columns the same sums are
-    taken along the node axis, a block of :data:`_NODE_BLOCK` nodes at a time: each
-    column of the block is squared with numpy's formula, ``(v.conj() * v).real`` for
-    complex data and ``v * v`` for real, into one row of a reused (d, block) buffer, and
-    one in-order reduction writes the block's norms into the output, so no (N+1, d)
-    array is built.  One column has nothing to sum, and from PAIRWISE_COLUMNS on numpy
-    sums pairwise: numpy is called on the whole difference.  Numpy also takes the whole
-    difference if an operation of the walk overflows or is invalid, so its warnings or
-    its FloatingPointError come in numpy's order, as if the whole array had been
-    computed."""
-    n, d = x.shape
-    if 2 <= d < PAIRWISE_COLUMNS:
-        out = np.empty(n)
-        squares = np.empty((d, min(n, _NODE_BLOCK)))
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for lo, hi in _node_blocks(n):
-                    block = squares[:, :hi - lo]
-                    for j, row in enumerate(block):
-                        v = x[lo:hi, j]
-                        if c is not None:
-                            v = v - (c[j] if s is None else s[lo:hi] * c[j])
-                        if v.dtype.kind == "c":
-                            row[...] = (v.conj() * v).real
-                        else:
-                            np.multiply(v, v, out=row)
-                    np.sqrt(np.add.reduce(block, axis=0, out=out[lo:hi]), out=out[lo:hi])
-            return out
-        except FloatingPointError:
-            pass
-    if c is not None:
-        x = x - (c[None, :] if s is None else s[:, None] * c[None, :])
-    return np.linalg.norm(x, axis=1)
+    Each column is squared with numpy's formula, ``(v.conj() * v).real`` for complex
+    data and ``v * v`` for real, and added to a running sum of the nodes in column
+    order, so no (N+1, d) array is built.  Below 8 columns this is
+    ``np.linalg.norm(x, axis=1)`` bit for bit; from 8 on numpy sums each row pairwise."""
+    total = np.zeros(len(x))
+    for j, v in enumerate(x.T):
+        if c is not None:
+            v = v - (c[j] if s is None else s * c[j])
+        square = v.conj() if v.dtype.kind == "c" else v.copy()   # a real conj() is a view
+        square *= v
+        total += square.real
+        del v, square   # at most one column's temporaries are alive
+    return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +289,9 @@ def _array_key(kind: str, arr: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Node samples of f: [a, b] -> K^d, stored as an (N+1, d) array.
+    """Node samples of f: [a, b] -> K^d as an (N+1, d) array ``values``, stored
+    column-major: ``values`` is the transposed view of a C-ordered (d, N+1) array, so
+    the nodes of each coordinate are contiguous.
 
     ``jumps`` optionally maps an interior node index to the right-limit
     vector at that node, for functions with a jump sitting exactly on a
@@ -322,7 +299,7 @@ class GridFunction:
     also the left limit).  Quadrature integrates such data piecewise.
 
     ``values`` is kept read-only: an array that nothing can write (see :func:`_owned`),
-    such as the builders hand over, is adopted; any other input is copied.
+    such as the builders hand over, is adopted; any other input is copied column-major.
 
     Node tables that depend on f and a reference (norms, distances to a center,
     projections onto a reference) are computed once and kept on f: every bound of a
@@ -343,7 +320,7 @@ class GridFunction:
                 raise InputError("real-field grid function given complex values")
             raw = raw.real
         arr = raw if _owned(raw, _DTYPES[self.field]) else np.array(
-            raw, dtype=_DTYPES[self.field], copy=True)
+            raw, dtype=_DTYPES[self.field], order="F", copy=True)
         if arr.ndim != 2 or arr.shape[0] != self.grid.n_nodes or arr.shape[1] < 1:
             raise InputError(
                 f"values must have shape ({self.grid.n_nodes}, d>=1), got {arr.shape}"
@@ -403,11 +380,17 @@ class GridFunction:
     def projections(self, refs: np.ndarray) -> np.ndarray:
         """Re<f(t_j), e> per node for a reference vector ``refs`` = e, or an (N+1, n)
         table for the n rows e_i of ``refs``; computed once per ``refs`` (keyed by its
-        exact bytes) with one product; the array is read-only.  The conjugated rows are
-        handed to the product C-ordered, which it takes about three times faster than
-        the F-ordered transpose at large N, with the same result bits."""
-        return self.cached(_array_key("projections", refs), lambda: np.ascontiguousarray(
-            (self.values @ np.ascontiguousarray(np.conjugate(refs.T))).real))
+        exact bytes); the array is read-only.  The terms Re(f_k(t) conj(e_k)) of each
+        column k are added to a running sum of the nodes in column order, as
+        :func:`row_norms` adds squares."""
+        def table():
+            rows = np.conjugate(np.atleast_2d(refs))
+            total = np.zeros((len(rows), self.grid.n_nodes))
+            for out, e in zip(total, rows):
+                for e_k, v in zip(e, self.values.T):
+                    out += (e_k * v).real
+            return total[0] if refs.ndim == 1 else total.T
+        return self.cached(_array_key("projections", refs), table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,10 +462,10 @@ def _cone(grid: Grid, field: str, d: int, ortho_tol: float,
     a, b = alpha * e.coords, beta * u.coords
     n, mid = grid.n_nodes, grid.n_panels // 2   # s(t) = +1 through the midpoint node, then -1
     rows = a + np.array([[1.0], [-1.0]]) * b   # alpha e + s (beta u) for s = +1, -1
-    values = np.repeat(rows, (mid + 1, n - mid - 1), axis=0)
+    columns = np.repeat(rows.T, (mid + 1, n - mid - 1), axis=1)
     # the right limit is a - b, not rows[1]: complex a + (-1)b can differ in a zero's sign
     jumps = {mid: a - b} if beta != 0.0 else None
-    return GridFunction(grid, field, _frozen(values), jumps)
+    return GridFunction(grid, field, _frozen(columns).T, jumps)
 
 
 def _ball_perturbation(grid: Grid, field: str, d: int, ortho_tol: float,
@@ -501,23 +484,18 @@ def _ball_perturbation(grid: Grid, field: str, d: int, ortho_tol: float,
             f"ball_perturbation directions must be orthonormal with e "
             f"(worst Gram residual {report.worst_residual:.3e})"
         )
-    t, n = grid.nodes(), grid.n_nodes
-    values = np.empty((n, d), dtype=e.coords.dtype)
-    trig = np.empty((3, min(n, _NODE_BLOCK)))
-    work = np.empty((2, min(n, _NODE_BLOCK)), dtype=e.coords.dtype)
-    for lo, hi in _node_blocks(n):
-        wt, cos, sin = trig[:, :hi - lo]
-        col, part = work[:, :hi - lo]
-        np.multiply(omega, t[lo:hi], out=wt)
-        np.cos(wt, out=cos)
-        np.sin(wt, out=sin)
-        for j in range(d):   # e_j + rho (cos(wt) u_j + sin(wt) v_j); one strided write
-            np.multiply(cos, u.coords[j], out=col)
-            np.multiply(sin, v.coords[j], out=part)
-            np.add(col, part, out=col)
-            np.multiply(rho, col, out=col)
-            np.add(e.coords[j], col, out=values[lo:hi, j])
-    return GridFunction(grid, field, _frozen(values))
+    wt = omega * grid.nodes()
+    cos = np.cos(wt)
+    sin = np.sin(wt, out=wt)
+    columns = np.empty((d, grid.n_nodes), dtype=e.coords.dtype)
+    part = np.empty_like(columns[0])
+    for col, e_j, u_j, v_j in zip(columns, e.coords, u.coords, v.coords):
+        np.multiply(cos, u_j, out=col)   # e_j + rho (cos(wt) u_j + sin(wt) v_j)
+        np.multiply(sin, v_j, out=part)
+        np.add(col, part, out=col)
+        np.multiply(rho, col, out=col)
+        np.add(e_j, col, out=col)
+    return GridFunction(grid, field, _frozen(columns).T)
 
 
 def _family_symmetric(grid: Grid, field: str, d: int, ortho_tol: float,
@@ -528,10 +506,7 @@ def _family_symmetric(grid: Grid, field: str, d: int, ortho_tol: float,
         raise InputError("family must match the scenario field and dimension")
     c = _as_profile(grid, c, "c")
     direction = family.sum_vector().coords / np.sqrt(family.n)
-    values = np.empty((grid.n_nodes, d), dtype=direction.dtype)
-    for j in range(d):
-        np.multiply(c.values, direction[j], out=values[:, j])
-    return GridFunction(grid, field, _frozen(values))
+    return GridFunction(grid, field, _frozen(c.values * direction[:, None]).T)
 
 
 def _complex_curve(grid: Grid, field: str, d: int, ortho_tol: float, r, phi) -> GridFunction:

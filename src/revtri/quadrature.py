@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError
-from .gridfn import Grid, GridFunction
+from .gridfn import Grid, GridFunction, row_norms
 from .hilbert import HVector
 
 TRAPEZOID = "trapezoid"
@@ -81,14 +81,18 @@ def _piece_bounds(n_panels: int, jumps) -> list[tuple[int, int]]:
 
 
 def _weighted_sum(values: np.ndarray, jumps, n_panels: int, h: float, rule: str):
-    """Piecewise composite sum; ``values`` has shape (N+1,) or (N+1, d)."""
+    """Piecewise composite sum; ``values`` has shape (N+1,) or (N+1, d).  Each column's
+    products with the weights are summed pairwise over the nodes by ``np.add.reduce``,
+    one column at a time."""
     total = None
     for lo, hi in _piece_bounds(n_panels, jumps):
         seg = values[lo: hi + 1]
         if jumps and lo in jumps:
-            seg = seg.copy()
+            seg = seg.copy(order="K")
             seg[0] = jumps[lo]
-        part = panel_weights(rule, hi - lo, h) @ seg
+        w = panel_weights(rule, hi - lo, h)
+        part = (np.add.reduce(seg * w) if seg.ndim == 1
+                else np.array([np.add.reduce(col * w) for col in seg.T]))
         total = part if total is None else total + part
     return total
 
@@ -164,8 +168,8 @@ def norm_integral(f: GridFunction, rule: str = DEFAULT_RULE) -> IntegralEstimate
     """Integral of the node-wise norms t -> ||f(t)||."""
     norms = f.norms()
     jumps = None
-    if f.jumps:
-        jumps = {j: float(np.linalg.norm(v)) for j, v in f.jumps.items()}
+    if f.jumps:   # a right limit's norm is taken as a node's is
+        jumps = {j: float(row_norms(v[None, :])[0]) for j, v in f.jumps.items()}
     value, err = _integrate(f.grid, norms, jumps, rule)
     return IntegralEstimate(float(value), err)
 

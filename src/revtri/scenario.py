@@ -193,10 +193,13 @@ def _parse_vector(data, path: str, grid: Grid, field: str, d: int) -> HVector:
 
 
 def _parse_samples(rows, path: str, grid: Grid, field: str, d: int) -> np.ndarray:
-    """N+1 coordinate rows as one (N+1, d) array."""
+    """N+1 coordinate rows as one read-only (N+1, d) array, column-major as
+    :class:`GridFunction` keeps it."""
     if not isinstance(rows, list) or len(rows) != grid.n_nodes:
         _fail(path, f"need {grid.n_nodes} node values")
-    return _parse_coords(field, rows, (grid.n_nodes, d), path)
+    values = np.asfortranarray(_parse_coords(field, rows, (grid.n_nodes, d), path))
+    values.setflags(write=False)
+    return values
 
 
 #: kind -> parser(data, path, grid, field, d) for the values of a scenario file: the
@@ -365,12 +368,12 @@ def _coords_to_json(field: str, coords) -> np.ndarray:
     """Coordinates of any shape as one float64 array whose ``tolist()`` is their JSON:
     floats, or ``[re, im]`` pairs (a trailing axis of 2) for the complex field.  Taking
     each entry through complex128 gives the floats ``complex(v)`` gives for one number;
-    float64 rows of a real field and C-ordered complex128 rows are viewed, not copied."""
+    float64 rows of a real field and complex128 rows are viewed, not copied."""
     z = np.asarray(coords)
     if field == REAL and z.dtype == np.float64:
         return z
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    return z.real if field == REAL else z.view(np.float64).reshape(z.shape + (2,))
+    z = np.asarray(z, dtype=np.complex128)
+    return z.real if field == REAL else z[..., None].view(np.float64)
 
 
 def _profile_to_json(value) -> object:

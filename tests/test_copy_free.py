@@ -142,14 +142,20 @@ def test_builds_allocate_their_output_and_block_scratch(field):
     e, u, v = _frame(np.random.default_rng(3), field, 4, 3)
     r, phi = profile_of({"linear": [0.9, 1.1]}, grid), profile_of({"sinusoid": [0.8, 0.1, 6.0]},
                                                                   grid, nonnegative=False)
-    builds = [lambda: materialize(FunctionSpec.ball_perturbation(e, 0.3, 7.0, u, v), grid,
-                                  field, 4),
-              lambda: materialize(FunctionSpec.cone(e, u, 1.0, 0.3), grid, field, 4)]
+    node = grid.n_nodes * 8
+    # the ball writes whole rows: its scratch is cos, sin and one product row, a complex
+    # row (two node arrays) for a complex field, plus numpy's buffer for casting the
+    # real cos and sin rows to complex
+    ball_scratch = (4 if field == COMPLEX else 3) * node + 2 ** 18
+    builds = [(lambda: materialize(FunctionSpec.ball_perturbation(e, 0.3, 7.0, u, v), grid,
+                                   field, 4), ball_scratch),
+              (lambda: materialize(FunctionSpec.cone(e, u, 1.0, 0.3), grid, field, 4), 2 ** 20)]
     if field == COMPLEX:
-        builds.append(lambda: materialize(FunctionSpec.complex_curve(r, phi), grid, COMPLEX, 1))
-    for build in builds:
+        builds.append((lambda: materialize(FunctionSpec.complex_curve(r, phi), grid, COMPLEX, 1),
+                       2 ** 20))
+    for build, scratch in builds:
         peak, nbytes = _peak_bytes(build)
-        assert peak <= nbytes + 2 ** 20, (peak, nbytes)
+        assert peak <= nbytes + scratch, (peak, nbytes)
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +209,11 @@ def test_arrays_nothing_can_write_are_adopted():
     assert ScalarProfile(grid, single).values.dtype == np.float64
     strided = np.ones((2 * grid.n_nodes, 2))[::2]
     strided.setflags(write=False)
-    assert GridFunction(grid, REAL, strided).values.flags.c_contiguous
+    assert GridFunction(grid, REAL, strided).values.T.flags.c_contiguous
+    rows = np.ones((grid.n_nodes, 2))
+    rows.setflags(write=False)
+    copied = GridFunction(grid, REAL, rows).values
+    assert copied is not rows and copied.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -558,5 +568,7 @@ def test_complex_weights_give_the_products_with_cast_weights(n_panels):
         for rule in Q.RULES:
             for values, n, step in [(z, n_panels, h), (z[::2], n_panels // 2, 2.0 * h)]:
                 got = Q._weighted_sum(values, None, n, step, rule)
-                want = Q.panel_weights(rule, n, step) @ values
+                # each column times the real weights, cast to complex, summed pairwise
+                w = Q.panel_weights(rule, n, step)
+                want = np.array([np.add.reduce(values[:, k] * w) for k in range(d)])
                 assert got.tobytes() == want.tobytes(), (d, rule, n)

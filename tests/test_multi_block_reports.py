@@ -1,10 +1,10 @@
 """Byte identity of closed-form checks across node blocks.
 
 At N = 12290 a grid has 12291 nodes: three full node blocks of 4096 and a partial one
-of 3, so builders and kernels that walk node blocks meet a block boundary and a short
-last block.  ``data/multi_block_hashes.json`` holds, per case, the sha256 of f's node
-values, of the ``report_to_json`` plus ``report_to_csv`` text of ``run(scenario)`` and
-of every ``slack_profile`` (each report's, then its sub-reports', in report order).
+of 3, so code that walks node blocks meets a block boundary and a short last block.
+``data/multi_block_hashes.json`` holds, per case, the sha256 of f's node values, of the
+``report_to_json`` plus ``report_to_csv`` text of ``run(scenario)`` and of every
+``slack_profile`` (each report's, then its sub-reports', in report order).
 The cases cover the cone with its midpoint jump, the ball perturbation and the
 symmetric family, real and complex, and both kinds of complex curve, with every bound.
 Re-record the fixture only for an intended change of the report format:

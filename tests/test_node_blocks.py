@@ -1,8 +1,10 @@
 """Large-N node work along the node axis: row norms, distances and band-norm residuals
-walked in node blocks, column-wise function builds and scalar ball/band constants, each
-equal bit for bit to the whole-array formula it replaces (kept here as the reference),
-with numpy's FloatingPointError texts.  Also: equality recipes that are not finite are
-input errors, and ``run()`` builds f under its floating-point guard."""
+summed one column at a time, row-wise function builds and scalar ball/band constants,
+each equal bit for bit to the whole-array formula it replaces (kept here as the
+reference; from 8 columns on, where numpy sums a row pairwise, the per-column formula),
+with the FloatingPointError texts of the per-column formula.  Also: equality recipes
+that are not finite are input errors, and ``run()`` builds f under its floating-point
+guard."""
 
 from __future__ import annotations
 
@@ -37,23 +39,31 @@ from revtri.scenario import (
     scenario_from_dict,
 )
 from .conftest import cone_recipe
+from .test_node_tables import PAIRWISE_COLUMNS, _column_norms
 
 # --------------------------------------------------------------------------
 # the whole-array formulas
 
 
 def _whole_norms(x):
-    return np.linalg.norm(x, axis=1)
+    """numpy's row norms below 8 columns, where numpy sums a row in column order; from 8
+    on, where it sums a row pairwise, the per-column formula."""
+    return np.linalg.norm(x, axis=1) if x.shape[1] < PAIRWISE_COLUMNS else _column_norms(x)
 
 
 def _whole_distances(x, c):
-    return np.linalg.norm(x - c[None, :], axis=1)
+    return _whole_norms(x - c[None, :])
 
 
 def _whole_band(x, e, m_vals, M_vals):
     center = 0.5 * (M_vals + m_vals)
-    dist = np.linalg.norm(x - center[:, None] * e[None, :], axis=1)
+    dist = _whole_norms(x - center[:, None] * e[None, :])
     return dist - 0.5 * (M_vals - m_vals)
+
+
+def _column_band(x, e, m_vals, M_vals):
+    """The band-norm residuals with the per-column formula's operation order."""
+    return _column_norms(x, e, 0.5 * (M_vals + m_vals)) - 0.5 * (M_vals - m_vals)
 
 
 def _whole_cone(grid, e, u, alpha, beta):
@@ -158,12 +168,14 @@ def test_node_tables_raise_numpys_error_text(field, d, early, late):
     x = _overflow_rows(n, d, field, early, late)
     c = np.ones(d, dtype=x.dtype)
     m_vals, M_vals = np.zeros(n), np.full(n, 2.0)
-    expected = _outcome(_whole_norms, x)
+    assert isinstance(_outcome(_whole_norms, x), str)
+    # a column at a time: a sum's overflow is named "add", where numpy's is "reduce"
+    expected = _outcome(_column_norms, x)
     assert isinstance(expected, str)
     assert _outcome(row_norms, x) == expected
-    assert _outcome(row_norms, x, c) == _outcome(_whole_distances, x, c)
+    assert _outcome(row_norms, x, c) == _outcome(_column_norms, x, c)
     assert (_outcome(_band_residuals, x, c, m_vals, M_vals)
-            == _outcome(_whole_band, x, c, m_vals, M_vals))
+            == _outcome(_column_band, x, c, m_vals, M_vals))
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -187,10 +199,12 @@ def test_overflowing_tables_warn_as_numpy_does():
     x = _overflow_rows(2 * _NODE_BLOCK + 1, 3, REAL, 1.2e154, 1e200)
     with np.errstate(over="warn"), pytest.warns(RuntimeWarning) as record:
         got = row_norms(x)
-    with np.errstate(over="warn"), pytest.warns(RuntimeWarning) as numpy_record:
+    with np.errstate(over="warn"), pytest.warns(RuntimeWarning):
         want = _whole_norms(x)
     assert got.tobytes() == want.tobytes()
-    assert [str(w.message) for w in record] == [str(w.message) for w in numpy_record]
+    with np.errstate(over="warn"), pytest.warns(RuntimeWarning) as column_record:
+        _column_norms(x)
+    assert [str(w.message) for w in record] == [str(w.message) for w in column_record]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Node geometry once per function: the row-norm kernel is ``np.linalg.norm(x, axis=1)``
-bit for bit; node norms, distances to a center and projections onto a reference are
-computed once per function and shared read-only; the integrals of Re f and Im f, and a
+"""Node geometry once per function: the row-norm kernel adds each column's squares in
+column order, which below 8 columns is ``np.linalg.norm(x, axis=1)`` bit for bit; node
+norms, distances to a center and projections onto a reference are computed once per
+function and shared read-only; the integrals of Re f and Im f, and a
 sinusoid profile's sin table, once per function and grid.  Reports at large N equal,
 byte for byte, those of the per-bound numpy computation."""
 
@@ -20,7 +21,6 @@ from revtri.errors import DegeneracyError
 from revtri.extremal import extremal_scenario
 from revtri.gridfn import (
     GRID_CACHE,
-    PAIRWISE_COLUMNS,
     Grid,
     _sin_table,
     grid_nodes,
@@ -43,6 +43,21 @@ def _numpy_norms(x: np.ndarray, c: np.ndarray | None = None,
     if c is not None:
         x = x - (c[None, :] if s is None else s[:, None] * c[None, :])
     return np.linalg.norm(x, axis=1)
+
+
+def _column_norms(x: np.ndarray, c: np.ndarray | None = None,
+                  s: np.ndarray | None = None) -> np.ndarray:
+    """``row_norms`` as a per-column formula: the squares of column j of x, x - c or
+    x - s c, numpy's ``(v.conj() * v).real``, added to the running sum in column order."""
+    total = np.zeros(x.shape[0])
+    for j in range(x.shape[1]):
+        v = x[:, j] if c is None else x[:, j] - (c[j] if s is None else s * c[j])
+        total += (v.conj() * v).real
+    return np.sqrt(total)
+
+
+#: Below this many columns ``np.linalg.norm(x, axis=1)`` sums a row in column order.
+PAIRWISE_COLUMNS = 8
 
 
 def _outcome(fn, x: np.ndarray):
@@ -95,8 +110,12 @@ def _matrices(draw) -> np.ndarray:
 @settings(max_examples=300, deadline=None)
 @given(x=_matrices())
 def test_row_norms_are_numpy_bit_for_bit(x):
-    expected = _outcome(_numpy_norms, x)
-    assert _outcome(row_norms, x) == expected
+    got = _outcome(row_norms, x)
+    assert got == _outcome(_column_norms, x)
+    if x.shape[1] < PAIRWISE_COLUMNS:
+        # the same sums as numpy's; an overflow may be named after another operation
+        expected = _outcome(_numpy_norms, x)
+        assert got == expected or isinstance(got, str) and isinstance(expected, str)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -109,7 +128,8 @@ def test_row_norms_at_large_n(field, layout):
         if field == COMPLEX:
             arr = arr + 1j * rng.standard_normal(shape)
         x = _layout(arr, layout)
-        assert _outcome(row_norms, x) == _outcome(_numpy_norms, x), d
+        want = _numpy_norms if d < PAIRWISE_COLUMNS else _column_norms
+        assert _outcome(row_norms, x) == _outcome(want, x), d
 
 
 @pytest.mark.parametrize("value, message", [
@@ -122,7 +142,10 @@ def test_row_norms_raise_numpys_overflow(value, message, field):
     if field == COMPLEX:
         x.imag = value
         message = "overflow encountered in multiply"   # a complex square adds inside multiply
-    assert _outcome(row_norms, x) == _outcome(_numpy_norms, x) == message
+    assert _outcome(_numpy_norms, x) == message
+    # row_norms adds one column at a time: numpy's overflowing reduction is its "add"
+    assert _outcome(row_norms, x) == _outcome(_column_norms, x) == message.replace(
+        "reduce", "add")
 
 
 @pytest.mark.parametrize("d", [1, 5, PAIRWISE_COLUMNS, 11])
@@ -132,10 +155,14 @@ def test_row_norms_take_a_center_and_node_scales(d):
     e = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     scale = rng.uniform(0.5, 2.0, 4097)
     dist = row_norms(values, e, scale)
-    assert dist.tobytes() == np.linalg.norm(values - scale[:, None] * e[None, :],
-                                            axis=1).tobytes()
-    assert row_norms(values, e).tobytes() == np.linalg.norm(values - e[None, :],
-                                                            axis=1).tobytes()
+    if d < PAIRWISE_COLUMNS:
+        assert dist.tobytes() == np.linalg.norm(values - scale[:, None] * e[None, :],
+                                                axis=1).tobytes()
+        assert row_norms(values, e).tobytes() == np.linalg.norm(values - e[None, :],
+                                                                axis=1).tobytes()
+    else:
+        assert dist.tobytes() == _column_norms(values, e, scale).tobytes()
+        assert row_norms(values, e).tobytes() == _column_norms(values, e).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -334,10 +361,21 @@ def test_tables_are_keyed_by_exact_bytes():
     assert dist.tobytes() == _numpy_norms(f.values - e[None, :]).tobytes()
     zero = np.zeros(3)
     assert f.distances(zero) is not f.distances(-zero)
-    assert f.projections(e).tobytes() == (f.values @ np.conjugate(e)).real.tobytes()
+    want = _column_projections(f.values, e[None, :])[:, 0]
+    assert f.projections(e).tobytes() == want.tobytes()
     family = np.stack([e, np.roll(e, 1)])
     assert f.projections(family).shape == (17, 2)
     assert f.projections(family) is f.projections(family.copy())
+
+
+def _column_projections(values: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Re<f(t), e_i> for the rows e_i of ``refs`` as a per-column formula: the terms
+    Re(conj(e_ik) f_k(t)) of column k added to the running sum in column order."""
+    out = np.zeros((values.shape[0], len(refs)))
+    for i, e in enumerate(refs):
+        for k in range(values.shape[1]):
+            out[:, i] += (np.conjugate(e[k]) * values[:, k]).real
+    return out
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -353,9 +391,9 @@ def test_projections_equal_the_product_with_the_transposed_rows(n_nodes, field):
             refs = refs + 1j * rng.standard_normal((d, d))
         f = gridfn.GridFunction(grid, field, values)
         for n in range(1, d + 1):
-            want = np.ascontiguousarray((values @ np.conjugate(refs[:n].T)).real)
+            want = _column_projections(values, refs[:n])
             assert f.projections(refs[:n]).tobytes() == want.tobytes(), (d, n)
-        want = (values @ np.conjugate(refs[0])).real
+        want = _column_projections(values, refs[:1])[:, 0]
         assert f.projections(refs[0]).tobytes() == want.tobytes()
 
 

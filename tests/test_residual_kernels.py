@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from revtri import bounds as B
+from revtri.errors import DegeneracyError
 from revtri.fuzz import generate_scenario
 from revtri.gridfn import _NODE_BLOCK, Grid, GridFunction, ScalarProfile
 from revtri.hilbert import COMPLEX, REAL, HVector, check_orthonormal
@@ -202,16 +203,45 @@ def _peak_and_kept(fn) -> tuple[int, int]:
 @pytest.mark.parametrize("name", ["family-real-5", "family-complex-4"])
 def test_family_check_keeps_no_residuals(name):
     """What a run leaves allocated (f's node tables, the grid's quadrature weights) plus
-    four node arrays (a member's kernel holds up to three while it runs, beside the
-    running maximum) and 1 MiB.  Kept residuals, 3 members and their maximum for each
-    of the 5 family bounds, would be 20 node arrays."""
+    seven node arrays and 128 KiB.  A member's kernel holds up to six node arrays while
+    it runs, beside the running maximum: the band center, the row norms' running sum,
+    and one complex column shifted by the center and its conjugate, two each.  Kept
+    residuals, 3 members and their maximum for each of the 5 family bounds, would be 20
+    node arrays."""
     scenario = scenario_from_dict(dict(LARGE_FILES[name], N=65536))
     scenario.f
     node = scenario.grid.n_nodes * 8
     peak, kept = _peak_and_kept(lambda: run(scenario))
     tables = sum(v.nbytes for v in scenario.f._tables.values() if isinstance(v, np.ndarray))
     assert tables <= kept
-    assert peak <= kept + 4 * node + 2 ** 20, (peak, kept)
+    assert peak <= kept + 7 * node + 2 ** 17, (peak, kept)
+
+
+def _cor_3_5_file(M_1: float) -> dict:
+    data = dict(LARGE_FILES["family-real-5"], N=64)
+    data["bounds"] = [{"bound_id": "COR_3_5", "params": {"m_i": [0.1, 0.0, 0.1],
+                                                         "M_i": [2.0, M_1, 2.0]}}]
+    return data
+
+
+def test_family_member_integrals_are_taken_as_each_is_made(monkeypatch):
+    events = []
+    make, integrate = B.band_gap_integrand, B.sample_integral
+    monkeypatch.setattr(B, "band_gap_integrand",
+                        lambda *args: events.append("make") or make(*args))
+    monkeypatch.setattr(B, "sample_integral",
+                        lambda *args: events.append("integrate") or integrate(*args))
+    run(scenario_from_dict(_cor_3_5_file(2.0)))
+    assert events == ["make", "integrate"] * 3
+
+
+def test_an_overflowing_family_member_raises_the_same_error():
+    """Member 1's band gap (M - m)^2 / (M + m) overflows in its square; its ball check
+    does not, since the center's squared norm (M/2)^2 stays finite."""
+    with pytest.raises(DegeneracyError) as exc:
+        run(scenario_from_dict(_cor_3_5_file(1.4e154)))
+    assert str(exc.value) == ("[family-real-5:COR_3_5] floating-point "
+                              "overflow encountered in square")
 
 
 def test_sweep_keeps_only_the_numbers_of_each_step():

@@ -41,9 +41,6 @@ T = TypeVar("T")
 #: each cache keeping the most recently used ones.
 GRID_CACHE = 2
 
-#: Nodes per block of a streamed scenario file's rows.
-_NODE_BLOCK = 4096
-
 #: Kinds of scenario-file values, shared by function variants and bound parameters.
 NUMBER = "number"
 PROFILE = "profile"
@@ -118,12 +115,6 @@ def _sin_table(key: tuple[str, str, int], omega_key: str) -> np.ndarray:
     table = np.sin(float.fromhex(omega_key) * grid_nodes(key))
     table.setflags(write=False)
     return table
-
-
-def _node_blocks(n: int):
-    """The (lo, hi) bounds of the blocks of :data:`_NODE_BLOCK` nodes, the last one
-    partial, that cover n nodes."""
-    return ((lo, min(lo + _NODE_BLOCK, n)) for lo in range(0, n, _NODE_BLOCK))
 
 
 def _owned(arr, dtype) -> bool:

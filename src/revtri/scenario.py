@@ -49,7 +49,6 @@ from .gridfn import (
     Grid,
     GridFunction,
     ScalarProfile,
-    _node_blocks,
     is_number,
     materialize,
     number_array,
@@ -456,6 +455,16 @@ def _floatstr(x: float) -> str:
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return float.__repr__(x)
+
+
+#: Nodes per block of a streamed scenario file's rows.
+_NODE_BLOCK = 4096
+
+
+def _node_blocks(n: int):
+    """The (lo, hi) bounds of the blocks of :data:`_NODE_BLOCK` nodes, the last one
+    partial, that cover n nodes."""
+    return ((lo, min(lo + _NODE_BLOCK, n)) for lo in range(0, n, _NODE_BLOCK))
 
 
 def _write_array(out, a: np.ndarray, indent: str) -> None:

@@ -21,7 +21,6 @@ from revtri.errors import InputError
 from revtri.gridfn import (
     _JSON_ARRAYS,
     _JSON_NUMBERS,
-    _NODE_BLOCK,
     FunctionSpec,
     Grid,
     GridFunction,
@@ -33,7 +32,7 @@ from revtri.gridfn import (
 )
 from revtri.hilbert import COMPLEX, REAL, HVector, check_orthonormal
 from revtri.quadrature import defect
-from revtri.scenario import run, scenario_from_dict
+from revtri.scenario import _NODE_BLOCK, run, scenario_from_dict
 
 
 def _frame(rng, field: str, d: int, n: int) -> list[HVector]:

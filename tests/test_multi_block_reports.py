@@ -164,7 +164,7 @@ def test_fixture_covers_every_case_and_bound(recorded):
 
 
 def test_cases_end_in_a_partial_node_block():
-    from revtri.gridfn import _NODE_BLOCK
+    from revtri.scenario import _NODE_BLOCK
     n_nodes = N_PANELS + 1
     assert n_nodes > 3 * _NODE_BLOCK and n_nodes % _NODE_BLOCK != 0
 

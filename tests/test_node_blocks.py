@@ -2,7 +2,8 @@
 summed one column at a time, row-wise function builds and scalar ball/band constants,
 each equal bit for bit to the whole-array formula it replaces (kept here as the
 reference; from 8 columns on, where numpy sums a row pairwise, the per-column formula),
-with the FloatingPointError texts of the per-column formula.  Also: equality recipes
+with numpy's FloatingPointError texts, a sum's overflow named "add" where numpy's
+reduction says "reduce".  Also: equality recipes
 that are not finite are input errors, and ``run()`` builds f under its floating-point
 guard."""
 
@@ -20,7 +21,6 @@ from revtri.errors import DegeneracyError, InputError
 from revtri.extremal import extremal_scenario
 from revtri.fuzz import generate_scenario
 from revtri.gridfn import (
-    _NODE_BLOCK,
     FunctionSpec,
     Grid,
     GridFunction,
@@ -31,6 +31,7 @@ from revtri.gridfn import (
 )
 from revtri.hilbert import COMPLEX, REAL, HVector, basis_vector, check_orthonormal
 from revtri.scenario import (
+    _NODE_BLOCK,
     BoundEntry,
     Scenario,
     report_to_csv,
@@ -39,7 +40,7 @@ from revtri.scenario import (
     scenario_from_dict,
 )
 from .conftest import cone_recipe
-from .test_node_tables import PAIRWISE_COLUMNS, _column_norms
+from .test_node_tables import PAIRWISE_COLUMNS, _column_norms, _numpy_norms
 
 # --------------------------------------------------------------------------
 # the whole-array formulas
@@ -168,14 +169,20 @@ def test_node_tables_raise_numpys_error_text(field, d, early, late):
     x = _overflow_rows(n, d, field, early, late)
     c = np.ones(d, dtype=x.dtype)
     m_vals, M_vals = np.zeros(n), np.full(n, 2.0)
-    assert isinstance(_outcome(_whole_norms, x), str)
+
+    def numpy_band():
+        return _numpy_norms(x, c, 0.5 * (M_vals + m_vals)) - 0.5 * (M_vals - m_vals)
+
     # a column at a time: a sum's overflow is named "add", where numpy's is "reduce"
-    expected = _outcome(_column_norms, x)
-    assert isinstance(expected, str)
-    assert _outcome(row_norms, x) == expected
-    assert _outcome(row_norms, x, c) == _outcome(_column_norms, x, c)
-    assert (_outcome(_band_residuals, x, c, m_vals, M_vals)
-            == _outcome(_column_band, x, c, m_vals, M_vals))
+    for got, column, numpy in [
+        (_outcome(row_norms, x), _outcome(_column_norms, x), _outcome(_numpy_norms, x)),
+        (_outcome(row_norms, x, c), _outcome(_column_norms, x, c),
+         _outcome(_numpy_norms, x, c)),
+        (_outcome(_band_residuals, x, c, m_vals, M_vals),
+         _outcome(_column_band, x, c, m_vals, M_vals), _outcome(numpy_band)),
+    ]:
+        assert isinstance(numpy, str)
+        assert got == column == numpy.replace("in reduce", "in add")
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -202,9 +209,16 @@ def test_overflowing_tables_warn_as_numpy_does():
     with np.errstate(over="warn"), pytest.warns(RuntimeWarning):
         want = _whole_norms(x)
     assert got.tobytes() == want.tobytes()
+    with np.errstate(over="warn"), pytest.warns(RuntimeWarning) as numpy_record:
+        np.linalg.norm(x, axis=1)
     with np.errstate(over="warn"), pytest.warns(RuntimeWarning) as column_record:
         _column_norms(x)
-    assert [str(w.message) for w in record] == [str(w.message) for w in column_record]
+    messages = [str(w.message) for w in record]
+    assert messages == [str(w.message) for w in column_record]
+    # the same overflows, each column's square and sum warning on its own; numpy's
+    # overflowing reduction is row_norms' "add"
+    assert set(messages) == {str(w.message).replace("in reduce", "in add")
+                             for w in numpy_record}
 
 
 # --------------------------------------------------------------------------

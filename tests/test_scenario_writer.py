@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import revtri
-from revtri import gridfn
+from revtri import scenario as scenario_module
 from revtri.bounds import ALL_BOUND_IDS
 from revtri.cli import main
 from revtri.extremal import extremal_scenario
@@ -154,10 +154,10 @@ _trees = st.recursive(_leaves, lambda inner: st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(tree=_trees, block=st.sampled_from([1, 2, 3, gridfn._NODE_BLOCK]))
+@given(tree=_trees, block=st.sampled_from([1, 2, 3, scenario_module._NODE_BLOCK]))
 def test_random_trees_are_written_as_json_dumps_writes_them(tree, block, tmp_path_factory):
     path = tmp_path_factory.mktemp("tree") / "tree.json"
-    with mock.patch.object(gridfn, "_NODE_BLOCK", block):
+    with mock.patch.object(scenario_module, "_NODE_BLOCK", block):
         _write_json(tree, path)
     _assert_written(path, _dumps(_plain(tree)))
 

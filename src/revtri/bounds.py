@@ -34,7 +34,7 @@ from .gridfn import (
     require_unit,
     row_norms,
 )
-from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner
+from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner, vector_norm
 from .quadrature import DEFAULT_RULE, ROUNDOFF, DefectEstimate, defect, sample_integral
 
 THM_2_1 = "THM_2_1"
@@ -593,7 +593,7 @@ def _projection_extra(c: _Context, hyp, coeffs: np.ndarray, diags: dict | None =
     n = c.ref.family.n
     direction = (coeffs[:, None] * c.ref.family.matrix()).sum(axis=0) / n
     extra = float(np.dot(c.est.integral.coords, np.conjugate(direction)).real)
-    extra_err = float(np.linalg.norm(direction)) * c.est.integral_err
+    extra_err = vector_norm(direction) * c.est.integral_err
     weak = c.est.integral_norm / math.sqrt(n) * (1.0 + math.sqrt(float(np.mean(coeffs**2))))
     terms = {"projection_extra": extra, "weak_rhs": weak}
     terms.update((f"coefficient_{i}", float(v)) for i, v in enumerate(coeffs))

@@ -22,7 +22,8 @@ from .bounds import BoundParams, VIOLATED
 from .errors import InputError
 from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, _describable,
                      grid_nodes, row_norms)
-from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, orthonormalize
+from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, orthonormalize, vector_norm
+from .quadrature import integrate_trials
 from .scenario import (
     BoundEntry,
     REF_DIRECTION,
@@ -42,12 +43,37 @@ MAX_COUNTEREXAMPLE_DUMPS = 5
 #: A margin below -_COUNTEREXAMPLE_SLACK x err_budget is a counterexample, not noise.
 _COUNTEREXAMPLE_SLACK = 10.0
 
+#: Node values (T d (N+1) entries) in one chunk of a fuzz() call's trials, whose integrals
+#: one pass computes: at N = 512 and d = 4 a chunk holds 31 trials, at N = 65536 one.
+CHUNK_ENTRIES = 2 ** 16
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, order-free stream for one trial (Philox counter block of 64-bit words)."""
     if not (0 <= seed < 2 ** 64 and 0 <= trial < 2 ** 64):
         raise InputError(f"seed and trial must lie in [0, 2**64), got {seed!r} and {trial!r}")
     counter = np.array([0, 0, 0, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+
+
+def _reused_trial_rng():
+    """A function (seed, trial) -> ``trial_rng(seed, trial)`` for calls that share one
+    seed.  It builds one generator, and for each later trial sets its bit generator's
+    state to the fresh state with the counter [0, 0, 0, trial]: a Philox is counter-based,
+    so that is the stream a new one would give, without building one (which gathers
+    entropy for a seed sequence it does not use)."""
+    rng = fresh = None
+
+    def stream(seed: int, trial: int) -> np.random.Generator:
+        nonlocal rng, fresh
+        if rng is None:
+            rng = trial_rng(seed, trial)
+            fresh = rng.bit_generator.state
+        else:
+            fresh["state"]["counter"][3] = trial
+            rng.bit_generator.state = fresh
+        return rng
+    return stream
 
 
 # --------------------------------------------------------------------------
@@ -106,7 +132,7 @@ def _smooth_scalar(rng, grid: Grid, lo: float, hi: float):
 
 def _unit_vector(rng, field: str, d: int) -> HVector:
     v = _coeffs(rng, (d,), field)
-    return HVector(field, v / np.linalg.norm(v))
+    return HVector(field, v / vector_norm(v))
 
 
 def _orthofamily(rng, field: str, d: int, n: int) -> OrthonormalFamily:
@@ -329,6 +355,13 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
                       field: str = REAL, n_family: int = 3,
                       n_panels: int = 512) -> Scenario:
     """Deterministic hypothesis-satisfying scenario for (seed, trial) on [0, 1]."""
+    return _generate(trial_rng, bound_id, seed, trial, d, field, n_family, n_panels)
+
+
+def _generate(streams, bound_id: str, seed: int, trial: int, d: int, field: str,
+              n_family: int, n_panels: int) -> Scenario:
+    """:func:`generate_scenario`, drawing from ``streams(seed, trial)``, a Generator that
+    gives the stream of ``trial_rng(seed, trial)``."""
     if bound_id not in GENERATORS:
         raise InputError(f"unknown bound id {bound_id!r}")
     if B.BOUNDS[bound_id].reference == REF_DIRECTION:
@@ -340,7 +373,7 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
             raise InputError(f"n_family must be at least 1, got {n_family}")
         if n_family > d:
             raise InputError(f"family of {n_family} needs d >= {n_family}")
-    rng = trial_rng(seed, trial)
+    rng = streams(seed, trial)
     grid = Grid(0.0, 1.0, n_panels)
     if not _describable(grid.n_nodes, d):
         raise InputError("dimension d is too large for numpy to describe an (N+1, d) array")
@@ -425,13 +458,39 @@ def _chain_gap(result) -> float | None:
 
 def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
          n_family: int = 3, n_panels: int = 512, keep_reports: bool = False) -> FuzzSummary:
-    """Run ``trials`` hypothesis-by-construction scenarios against one bound."""
+    """Run ``trials`` hypothesis-by-construction scenarios against one bound.
+
+    Trials are generated in chunks of at most :data:`CHUNK_ENTRIES` node values (and at
+    least one trial), each chunk integrated in one pass (:func:`integrate_trials`), then
+    judged in trial order by ``run()``.  If generating a trial raises, the trials before
+    it are judged first, so the error of an earlier trial wins."""
     if trials < 1:
         raise InputError("need at least one trial")
     summary = FuzzSummary(bound_id, trials, seed,
                           reports=[] if keep_reports else None)
+    streams = _reused_trial_rng()
+    chunk, failure = [], None
     for trial in range(trials):
-        scenario = generate_scenario(bound_id, seed, trial, d, field, n_family, n_panels)
+        try:
+            scenario = _generate(streams, bound_id, seed, trial, d, field, n_family, n_panels)
+        except Exception as exc:  # raised once the trials before it are judged
+            failure = exc
+            break
+        if chunk and (len(chunk) + 1) * scenario.f.values.size > CHUNK_ENTRIES:
+            _judge(summary, chunk)
+            chunk = []
+        chunk.append((trial, scenario))
+    _judge(summary, chunk)
+    if failure is not None:
+        raise failure
+    return summary
+
+
+def _judge(summary: FuzzSummary, chunk: list[tuple[int, Scenario]]) -> None:
+    """Integrate the chunk's functions in one pass, then run and tally each trial."""
+    if chunk:
+        integrate_trials([scenario.f for _, scenario in chunk])
+    for trial, scenario in chunk:
         report = run(scenario)
         result = report.results[0]
         if result.verdict == B.HOLDS:
@@ -459,6 +518,5 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
                 "err_budget": result.err_budget,
                 "scenario": _scenario_tree(scenario),
             })
-        if keep_reports:
+        if summary.reports is not None:
             summary.reports.append(report)
-    return summary

@@ -41,6 +41,10 @@ T = TypeVar("T")
 #: each cache keeping the most recently used ones.
 GRID_CACHE = 2
 
+#: Products in a group of node columns that one numpy call reduces: at N = 512 a group
+#: holds 31 columns, from N = 8192 on a single column.
+GROUP_ENTRIES = 2 ** 14
+
 #: Kinds of scenario-file values, shared by function variants and bound parameters.
 NUMBER = "number"
 PROFILE = "profile"
@@ -50,10 +54,13 @@ VECTORS = "vectors"
 SAMPLES = "samples"
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def _describable(n_nodes: int, d: int = 1) -> bool:
     """Whether numpy can describe an (n_nodes, d) complex128 array: its size in bytes fits
     in ``np.intp``.  For a larger one numpy raises a ValueError, not a MemoryError."""
-    return n_nodes * d * 16 <= np.iinfo(np.intp).max
+    return n_nodes * d * 16 <= _INTP_MAX
 
 
 @dataclass(frozen=True)
@@ -141,13 +148,16 @@ def row_norms(x: np.ndarray, c: np.ndarray | None = None,
               s: np.ndarray | None = None) -> np.ndarray:
     """The norms of the rows of an (N+1, d) array x; with a (d,) center c the norms of
     the rows x(t) - c, and with per-node scales s as well, of the rows x(t) - s(t) c.
+    An array of more axes holds its coordinates on the last one, like the
+    (T, N+1, d) view of T stacked functions: each function gets its own norms.
 
     Each column is squared with numpy's formula, ``(v.conj() * v).real`` for complex
     data and ``v * v`` for real, and added to a running sum of the nodes in column
     order, so no (N+1, d) array is built.  Below 8 columns this is
     ``np.linalg.norm(x, axis=1)`` bit for bit; from 8 on numpy sums each row pairwise."""
-    total = np.zeros(len(x))
-    for j, v in enumerate(x.T):
+    total = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        v = x[..., j]
         if c is not None:
             v = v - (c[j] if s is None else s * c[j])
         square = v.conj() if v.dtype.kind == "c" else v.copy()   # a real conj() is a view
@@ -371,15 +381,25 @@ class GridFunction:
     def projections(self, refs: np.ndarray) -> np.ndarray:
         """Re<f(t_j), e> per node for a reference vector ``refs`` = e, or an (N+1, n)
         table for the n rows e_i of ``refs``; computed once per ``refs`` (keyed by its
-        exact bytes); the array is read-only.  The terms Re(f_k(t) conj(e_k)) of each
-        column k are added to a running sum of the nodes in column order, as
-        :func:`row_norms` adds squares."""
+        exact bytes); the array is read-only.  The terms Re(f_k(t) conj(e_k)) of the
+        columns k are summed over k in column order, starting from 0.0, as
+        :func:`row_norms` adds squares.  One ``np.add.reduce`` over the column axis adds
+        the first group of columns (at most :data:`GROUP_ENTRIES` terms) in that order;
+        only when the columns exceed one group does a running sum take the rest."""
         def table():
             rows = np.conjugate(np.atleast_2d(refs))
-            total = np.zeros((len(rows), self.grid.n_nodes))
+            columns = self.values.T
+            n = self.grid.n_nodes
+            step = max(1, GROUP_ENTRIES // n)
+            total = np.empty((len(rows), n))
             for out, e in zip(total, rows):
-                for e_k, v in zip(e, self.values.T):
-                    out += (e_k * v).real
+                for lo in range(0, len(e), step):
+                    terms = (e[lo: lo + step, None] * columns[lo: lo + step]).real
+                    if lo == 0:
+                        np.add.reduce(terms, axis=0, initial=0.0, out=out)
+                    else:
+                        for t in terms:
+                            out += t
             return total[0] if refs.ndim == 1 else total.T
         return self.cached(_array_key("projections", refs), table)
 
@@ -428,10 +448,12 @@ def require_unit(vec: HVector, name: str, tol: float) -> None:
         raise InputError(f"{name} must be a unit vector (|norm - 1| = {gap:.3e} > {tol:g})")
 
 
-def _require_orthogonal(x: HVector, y: HVector, names: str, tol: float) -> None:
-    overlap = abs(inner(x, y))
+def _require_real_orthogonal(x: HVector, y: HVector, names: str, tol: float) -> None:
+    """Re<x, y> = 0 within ``tol``: for real vectors, <x, y> = 0."""
+    overlap = abs(inner(x, y).real)
     if not overlap <= tol:
-        raise InputError(f"{names} must be orthogonal (|<x,y>| = {overlap:.3e} > {tol:g})")
+        form = "|<x,y>|" if x.field == REAL else "|Re<x,y>|"
+        raise InputError(f"{names} must be orthogonal ({form} = {overlap:.3e} > {tol:g})")
 
 
 def _as_profile(grid: Grid, value, name: str, nonnegative: bool = True) -> ScalarProfile:
@@ -449,7 +471,9 @@ def _cone(grid: Grid, field: str, d: int, ortho_tol: float,
         raise InputError("cone vectors must match the scenario field and dimension")
     require_unit(e, "cone e", ortho_tol)
     require_unit(u, "cone u", ortho_tol)
-    _require_orthogonal(u, e, "cone u and e", ortho_tol)
+    # ||alpha e + s beta u||^2 = alpha^2 + beta^2 + 2 s alpha beta Re<u, e> is all the
+    # cone's equality uses, so a complex u needs Re<u, e> = 0 only (u = i e when d = 1)
+    _require_real_orthogonal(u, e, "cone u and e", ortho_tol)
     a, b = alpha * e.coords, beta * u.coords
     n, mid = grid.n_nodes, grid.n_panels // 2   # s(t) = +1 through the midpoint node, then -1
     rows = a + np.array([[1.0], [-1.0]]) * b   # alpha e + s (beta u) for s = +1, -1
@@ -475,12 +499,15 @@ def _ball_perturbation(grid: Grid, field: str, d: int, ortho_tol: float,
             f"ball_perturbation directions must be orthonormal with e "
             f"(worst Gram residual {report.worst_residual:.3e})"
         )
+    n = grid.n_nodes
     wt = omega * grid.nodes()
-    cos = np.cos(wt)
+    spare = np.empty(n, dtype=e.coords.dtype)   # cos(wt), then the last sin(wt) v_j
+    cos = np.cos(wt, out=spare.view(np.float64)[:n])
     sin = np.sin(wt, out=wt)
-    columns = np.empty((d, grid.n_nodes), dtype=e.coords.dtype)
-    part = np.empty_like(columns[0])
-    for col, e_j, u_j, v_j in zip(columns, e.coords, u.coords, v.coords):
+    columns = np.empty((d, n), dtype=e.coords.dtype)
+    # each sin(wt) v_j goes to the next column before that one is filled, the last over cos
+    parts = chain(columns[1:], [spare])
+    for col, part, e_j, u_j, v_j in zip(columns, parts, e.coords, u.coords, v.coords):
         np.multiply(cos, u_j, out=col)   # e_j + rho (cos(wt) u_j + sin(wt) v_j)
         np.multiply(sin, v_j, out=part)
         np.add(col, part, out=col)

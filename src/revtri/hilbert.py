@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,9 +92,22 @@ def inner(x: HVector, y: HVector) -> complex:
     return complex(value)
 
 
+def vector_norm(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))`` for a float64 or complex128 array ``x`` read as one
+    vector, by numpy's own steps and so with its bits: the entries in memory order
+    (``ravel(order="K")``), the sum of their squares by ``x.dot(x)`` (for complex data
+    ``re.dot(re) + im.dot(im)``), then the square root; without the wrapper's checks,
+    which cost more than the sum on a d-vector."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def norm(x: HVector) -> float:
     """Induced norm sqrt(Re inner(x, x))."""
-    return float(np.linalg.norm(x.coords))
+    return vector_norm(x.coords)
 
 
 @dataclass(frozen=True)
@@ -125,14 +139,18 @@ def _member_matrix(members) -> tuple[str, np.ndarray]:
 
 def gram_report(members, tol: float = DEFAULT_ORTHO_TOL) -> GramReport:
     """Measure how far ``members`` is from an orthonormal family."""
-    _, mat = _member_matrix(members)
+    return _gram(_member_matrix(members)[1], tol)
+
+
+def _gram(mat: np.ndarray, tol: float) -> GramReport:
+    """:func:`gram_report` of the family whose members are the rows of ``mat``."""
     n = mat.shape[0]
     gram = mat @ np.conjugate(mat.T)
     residuals = np.abs(gram - np.eye(n))
     flat = int(np.argmax(residuals))
     worst_pair = (flat // n, flat % n)
     worst = float(residuals[worst_pair])
-    sum_norm_gap = abs(float(np.linalg.norm(mat.sum(axis=0))) - math.sqrt(n))
+    sum_norm_gap = abs(vector_norm(mat.sum(axis=0)) - math.sqrt(n))
     ok = worst <= tol and sum_norm_gap <= n * tol
     return GramReport(ok, worst_pair, worst, sum_norm_gap, tol)
 
@@ -160,8 +178,14 @@ class OrthonormalFamily:
         return self.members[0].field
 
     def matrix(self) -> np.ndarray:
-        """(n, d) array whose rows are the members."""
-        return np.stack([v.coords for v in self.members])
+        """(n, d) array whose rows are the members, stacked once; read-only."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        mat = np.stack([v.coords for v in self.members])
+        mat.setflags(write=False)
+        return mat
 
     def sum_vector(self) -> HVector:
         return HVector(self.field, self.matrix().sum(axis=0))
@@ -185,7 +209,13 @@ def check_orthonormal(members, tol: float = DEFAULT_ORTHO_TOL) -> OrthonormalFam
     n, d = mat.shape
     if n > d:
         raise InfeasibilityError(f"no {n} orthonormal vectors exist in {field}^{d}")
-    report = gram_report(members, tol)
+    return _family(tuple(members), mat, tol)
+
+
+def _family(members: tuple[HVector, ...], mat: np.ndarray, tol: float) -> OrthonormalFamily:
+    """The family of ``members`` if ``mat``, a fresh array of their rows, passes the Gram
+    check at ``tol``; the family keeps ``mat`` as its matrix."""
+    report = _gram(mat, tol)
     if not report.ok:
         i, j = report.worst_pair
         raise OrthonormalityError(
@@ -193,7 +223,10 @@ def check_orthonormal(members, tol: float = DEFAULT_ORTHO_TOL) -> OrthonormalFam
             f"has Gram residual {report.worst_residual:.3e}",
             report,
         )
-    return OrthonormalFamily(tuple(members), tol)
+    mat.setflags(write=False)
+    family = OrthonormalFamily(members, tol)
+    vars(family)["_matrix"] = mat  # fills the cache of matrix()
+    return family
 
 
 def orthonormalize(members) -> OrthonormalFamily:
@@ -207,21 +240,20 @@ def orthonormalize(members) -> OrthonormalFamily:
     n, d = mat.shape
     if n > d:
         raise InfeasibilityError(f"cannot orthonormalize {n} vectors in {field}^{d}")
-    scale = max(float(np.linalg.norm(v)) for v in mat)
+    scale = max(vector_norm(v) for v in mat)
     if scale == 0.0:
         raise DegeneracyError("all input vectors are zero")
     out = mat.astype(_DTYPES[field], copy=True)
     for i in range(n):
         for j in range(i):
             out[i] -= np.dot(out[i], np.conjugate(out[j])) * out[j]
-        pivot = float(np.linalg.norm(out[i]))
+        pivot = vector_norm(out[i])
         if pivot < RANK_TOL * scale:
             raise DegeneracyError(
                 f"rank deficiency at member {i}: pivot {pivot:.3e} below {RANK_TOL:g} of input scale"
             )
         out[i] /= pivot
-    family = tuple(HVector(field, row) for row in out)
-    return check_orthonormal(family, DEFAULT_ORTHO_TOL)
+    return _family(tuple(HVector(field, row) for row in out), out, DEFAULT_ORTHO_TOL)
 
 
 def complete_orthonormal(base: tuple[HVector, ...], count: int) -> tuple[HVector, ...]:

@@ -20,8 +20,8 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError
-from .gridfn import Grid, GridFunction, row_norms
-from .hilbert import HVector
+from .gridfn import GROUP_ENTRIES, Grid, GridFunction, row_norms
+from .hilbert import HVector, vector_norm
 
 TRAPEZOID = "trapezoid"
 SIMPSON = "simpson"
@@ -74,25 +74,41 @@ def _panel_weights(rule: str, n: int, h_key: str) -> np.ndarray:
     return w
 
 
-def _piece_bounds(n_panels: int, jumps) -> list[tuple[int, int]]:
-    cuts = sorted(jumps) if jumps else []
-    edges = [0] + cuts + [n_panels]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+def _column_sums(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The sums of each column's products with the weights ``w``, over the nodes on the
+    first axis of ``values``: of shape ``values.shape[1:]``.
+
+    Each column is one row of ``values.T``.  A group of rows, at most
+    :data:`GROUP_ENTRIES` products, is multiplied into a C-ordered array and reduced in
+    one call: ``np.add.reduce`` along its contiguous last axis sums each row pairwise
+    over the nodes, so a group gives the bits of its columns summed one at a time.  A
+    scalar function is one column, its product reduced as it is."""
+    if values.ndim == 1:
+        return np.add.reduce(values * w)
+    columns = values.T
+    rows = columns.reshape(-1, columns.shape[-1])
+    step = max(1, GROUP_ENTRIES // rows.shape[1])
+    sums = [np.add.reduce(np.multiply(rows[lo: lo + step], w, order="C"), axis=-1)
+            for lo in range(0, len(rows), step)]
+    total = sums[0] if len(sums) == 1 else np.concatenate(sums)
+    return total.reshape(columns.shape[:-1]).T
 
 
 def _weighted_sum(values: np.ndarray, jumps, n_panels: int, h: float, rule: str):
-    """Piecewise composite sum; ``values`` has shape (N+1,) or (N+1, d).  Each column's
-    products with the weights are summed pairwise over the nodes by ``np.add.reduce``,
-    one column at a time."""
+    """Piecewise composite sum of ``values``, whose first axis holds the N+1 nodes: (N+1,)
+    for a scalar function, (N+1, d) for a vector one and (N+1, d, T) for T of them, as
+    the column sums of :func:`_column_sums`.  A function with jumps is summed piece by
+    piece, in node order."""
+    if not jumps:
+        return _column_sums(values, panel_weights(rule, n_panels, h))
+    edges = [0, *sorted(jumps), n_panels]
     total = None
-    for lo, hi in _piece_bounds(n_panels, jumps):
+    for lo, hi in zip(edges, edges[1:]):
         seg = values[lo: hi + 1]
-        if jumps and lo in jumps:
+        if lo in jumps:
             seg = seg.copy(order="K")
             seg[0] = jumps[lo]
-        w = panel_weights(rule, hi - lo, h)
-        part = (np.add.reduce(seg * w) if seg.ndim == 1
-                else np.array([np.add.reduce(col * w) for col in seg.T]))
+        part = _column_sums(seg, panel_weights(rule, hi - lo, h))
         total = part if total is None else total + part
     return total
 
@@ -119,24 +135,32 @@ def _halved_samples(values: np.ndarray, jumps):
 _TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
 
 
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)``, which squares the entries, without overflow: past the safe
-    range ``x`` is scaled by 2**-k first, k the exponent of its largest magnitude.  The
-    scaling is exact and keeps the layout, and with it the summation order."""
-    x = np.atleast_1d(x)
-    big = abs(x).max()
+def _norm(x: np.ndarray, big=None) -> float:
+    """``np.linalg.norm(x)`` (as :func:`vector_norm`), which squares the entries, without
+    overflow: past the safe range ``x`` is scaled by 2**-k first, k the exponent of its
+    largest magnitude ``big`` (found here unless given).  The scaling is exact and keeps
+    the layout, and with it the summation order."""
+    if big is None:
+        big = abs(x).max()
     if not (big >= _HUGE or 0.0 < big <= _TINY):  # zero and NaN included
-        return float(np.linalg.norm(x))
+        return vector_norm(x)
     _, k = np.frexp(big)
     scaled = np.empty_like(x)
     if np.iscomplexobj(x):  # np.ldexp takes real arrays only
         scaled.real, scaled.imag = np.ldexp(x.real, -k), np.ldexp(x.imag, -k)
     else:
         np.ldexp(x, -k, out=scaled)
-    return float(np.ldexp(np.linalg.norm(scaled), k))
+    return float(np.ldexp(vector_norm(scaled), k))
+
+
+def _norms(rows: np.ndarray) -> list[float]:
+    """``[_norm(row) for row in rows]``, the largest magnitudes found in one call."""
+    return [_norm(row, big) for row, big in zip(rows, abs(rows).max(axis=-1))]
 
 
 def _integrate(grid: Grid, values: np.ndarray, jumps, rule: str):
+    """The weighted sums of ``values`` (nodes on the first axis, see
+    :func:`_weighted_sum`) and their differences from the half-grid sums."""
     full = _weighted_sum(values, jumps, grid.n_panels, grid.step, rule)
     if grid.n_panels >= 4:
         hv, hj = _halved_samples(values, jumps)
@@ -144,7 +168,7 @@ def _integrate(grid: Grid, values: np.ndarray, jumps, rule: str):
     else:
         # too coarse to halve: compare against the trapezoid evaluation instead
         half = _weighted_sum(values, jumps, grid.n_panels, grid.step, TRAPEZOID)
-    return full, _norm(full - half)
+    return full, full - half
 
 
 def sample_integral(grid: Grid, values, rule: str = DEFAULT_RULE,
@@ -154,24 +178,25 @@ def sample_integral(grid: Grid, values, rule: str = DEFAULT_RULE,
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (grid.n_nodes,):
         raise InputError(f"expected {grid.n_nodes} samples, got shape {arr.shape}")
-    value, err = _integrate(grid, arr, jumps, rule)
-    return IntegralEstimate(float(value), err)
+    value, diff = _integrate(grid, arr, jumps, rule)
+    return IntegralEstimate(float(value), _norm(diff))
+
+
+def _norm_jumps(jumps):
+    """The norms of the right limits ``jumps``, taken as a node's norm is."""
+    return {j: float(row_norms(v[None, :])[0]) for j, v in jumps.items()} if jumps else None
 
 
 def bochner_integral(f: GridFunction, rule: str = DEFAULT_RULE) -> IntegralEstimate:
     """Coordinate-wise integral of a vector-valued grid function."""
-    value, err = _integrate(f.grid, f.values, f.jumps, rule)
-    return IntegralEstimate(HVector(f.field, value), err)
+    value, diff = _integrate(f.grid, f.values, f.jumps, rule)
+    return IntegralEstimate(HVector(f.field, value), _norm(diff))
 
 
 def norm_integral(f: GridFunction, rule: str = DEFAULT_RULE) -> IntegralEstimate:
     """Integral of the node-wise norms t -> ||f(t)||."""
-    norms = f.norms()
-    jumps = None
-    if f.jumps:   # a right limit's norm is taken as a node's is
-        jumps = {j: float(row_norms(v[None, :])[0]) for j, v in f.jumps.items()}
-    value, err = _integrate(f.grid, norms, jumps, rule)
-    return IntegralEstimate(float(value), err)
+    value, diff = _integrate(f.grid, f.norms(), _norm_jumps(f.jumps), rule)
+    return IntegralEstimate(float(value), _norm(diff))
 
 
 @dataclass(frozen=True)
@@ -188,23 +213,61 @@ class DefectEstimate:
 
 
 def defect(f: GridFunction, rule: str = DEFAULT_RULE) -> DefectEstimate:
-    """Defect of the continuous triangle inequality for ``f``; evaluation integrates f only here.
+    """Defect of the continuous triangle inequality for ``f``, computed once per f and
+    rule and kept on f (see :meth:`GridFunction.cached`); evaluation integrates f only
+    here, or in :func:`integrate_trials`, which keeps the same estimate.
 
     Nonnegative up to the combined error bar for every input: the norm is
     1-Lipschitz, so the vector integral's error estimate bounds the error in
     its norm, and a machine-roundoff floor covers the summation rounding the
     coarse/fine comparison cannot see.
     """
-    ni = norm_integral(f, rule)
-    bi = bochner_integral(f, rule)
-    integral_norm = _norm(bi.value.coords)
-    roundoff = ROUNDOFF * (abs(ni.value) + integral_norm)
-    return DefectEstimate(
-        value=ni.value - integral_norm,
-        err_est=ni.err_est + bi.err_est + roundoff,
-        norm_integral=ni.value,
-        norm_integral_err=ni.err_est,
-        integral_norm=integral_norm,
-        integral_err=bi.err_est,
-        integral=bi.value,
-    )
+    return f.cached(("defect", rule),
+                    lambda: _defects(f.field, f.grid, f.values, f.norms(), f.jumps, rule)[0])
+
+
+def _defects(field: str, grid: Grid, values: np.ndarray, norms: np.ndarray, jumps,
+             rule: str) -> list[DefectEstimate]:
+    """The defects of one function, its node ``values`` (N+1, d), node ``norms`` (N+1,)
+    and ``jumps``; or of T jump-free functions, stacked as (N+1, d, T) and (N+1, T)."""
+    ni, ni_diff = _integrate(grid, norms, _norm_jumps(jumps), rule)
+    bi, bi_diff = _integrate(grid, values, jumps, rule)
+    d = values.shape[1]
+    integrals = bi.T.reshape(-1, d)
+    out = []
+    for ni_t, norm_err, integral, integral_norm, integral_err in zip(
+            ni.reshape(-1), _norms(ni_diff.reshape(-1, 1)), integrals, _norms(integrals),
+            _norms(bi_diff.T.reshape(-1, d))):
+        norm_value = float(ni_t)
+        roundoff = ROUNDOFF * (abs(norm_value) + integral_norm)
+        out.append(DefectEstimate(
+            value=norm_value - integral_norm,
+            err_est=norm_err + integral_err + roundoff,
+            norm_integral=norm_value,
+            norm_integral_err=norm_err,
+            integral_norm=integral_norm,
+            integral_err=integral_err,
+            integral=HVector(field, integral),
+        ))
+    return out
+
+
+def integrate_trials(fs, rule: str = DEFAULT_RULE) -> None:
+    """Keep on each function of ``fs`` its node norms and its defect, as ``f.norms()`` and
+    :func:`defect` compute them, from one pass over all of them.
+
+    The functions share grid, field and d and have no jumps.  Their column-major node
+    arrays are stacked as (T, d, N+1), one function is not copied.  If the pass meets
+    overflow, an invalid operation or division by zero, nothing is kept, so each
+    function's own :func:`defect` raises or warns as it would have."""
+    first = fs[0]
+    stack = first.values.T[None] if len(fs) == 1 else np.stack([f.values.T for f in fs])
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            norms = row_norms(stack.transpose(0, 2, 1))
+            estimates = _defects(first.field, first.grid, stack.T, norms.T, None, rule)
+    except FloatingPointError:
+        return
+    for f, f_norms, est in zip(fs, norms, estimates):
+        f.cached(("norms",), lambda: f_norms)
+        f.cached(("defect", rule), lambda: est)

@@ -138,7 +138,7 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
 #: ``np.einsum``, ``np.inner``, ``np.vdot``).  BLAS may split such a product's sums by
 #: thread, so every new site is listed here on purpose.
 MATRIX_PRODUCT_SITES = {
-    "bounds._projection_extra", "fuzz._trig_path", "hilbert.inner", "hilbert.gram_report",
+    "bounds._projection_extra", "fuzz._trig_path", "hilbert.inner", "hilbert._gram",
     "hilbert.orthonormalize",
 }
 _PRODUCT_CALLS = {"dot", "matmul", "einsum", "inner", "vdot"}

@@ -164,20 +164,32 @@ class HypothesisReport:
     Family checks aggregate per-index reports in ``sub_reports``.  The residuals are not
     kept: ``kernel`` computes them from f and the profiles, and :attr:`slack_profile`
     calls it on every access, at the cost of one kernel evaluation (one per member for a
-    family), returning a fresh array of the same bytes.
+    family), returning a fresh array of the same bytes.  A report without a kernel, as
+    ``run()`` returns them (see :meth:`without_kernels`), holds numbers only.
     """
 
     condition_id: str
     holds: bool
     worst_violation: float
     worst_node: int
-    kernel: Callable[[], np.ndarray]
+    kernel: Callable[[], np.ndarray] | None
     tol: float
     sub_reports: tuple["HypothesisReport", ...] | None = None
 
     @property
     def slack_profile(self) -> np.ndarray:
+        if self.kernel is None:
+            raise InputError(f"the {self.condition_id} report keeps no residuals: evaluate "
+                             "the bound on the scenario's function for its slack profile")
         return self.kernel()
+
+    def without_kernels(self) -> "HypothesisReport":
+        """This report and its sub-reports without their kernels, which hold f and the
+        profiles alive."""
+        subs = self.sub_reports
+        return HypothesisReport(self.condition_id, self.holds, self.worst_violation,
+                                self.worst_node, None, self.tol,
+                                None if subs is None else tuple(s.without_kernels() for s in subs))
 
     @property
     def failing_indices(self) -> tuple[int, ...]:
@@ -395,6 +407,13 @@ class BoundResult:
     err_budget: float
     verdict: str
     diagnostics: dict[str, float] = dc_field(default_factory=dict)
+
+    def without_kernels(self) -> "BoundResult":
+        """This result with its hypothesis report :meth:`~HypothesisReport.without_kernels`:
+        numbers and strings only."""
+        return BoundResult(self.bound_id, self.lhs, self.rhs, self.rhs_terms, self.margin,
+                           self.hypothesis.without_kernels(), self.err_budget, self.verdict,
+                           self.diagnostics)
 
 
 # --------------------------------------------------------------------------
@@ -732,7 +751,8 @@ def evaluate(f: GridFunction, est: DefectEstimate, reference: Reference, params:
              tau_on: float = DEFAULT_ORTHO_TOL) -> BoundResult:
     """Evaluate any bound given ``est = defect(f, rule)``, which callers compute once per f.
     It reads the part of ``reference`` its kind names (KARAMATA reads none).  Bounds with
-    a direction check their unit reference at the default orthonormality tolerance."""
+    a direction check their unit reference at the default orthonormality tolerance.  A
+    non-finite lhs, rhs, margin or error budget raises :class:`DegeneracyError`."""
     spec = BOUNDS.get(bound_id)
     if spec is None:
         raise InputError(f"unknown bound id {bound_id!r}")
@@ -751,6 +771,10 @@ def evaluate(f: GridFunction, est: DefectEstimate, reference: Reference, params:
     scale = abs(lhs) + abs(rhs) + est.norm_integral + est.integral_norm
     err_budget = float(err_budget) + ROUNDOFF * scale
     margin = rhs - lhs
+    if not all(map(math.isfinite, (lhs, rhs, margin, err_budget))):
+        # Python floats overflow to inf without numpy's floating-point errors
+        raise DegeneracyError(f"{bound_id} is not judged on non-finite numbers: lhs={lhs!r}, "
+                              f"rhs={rhs!r}, margin={margin!r}, err_budget={err_budget!r}")
     if not hyp.holds:
         verdict = HYPOTHESIS_FAILED
     elif margin >= -err_budget:

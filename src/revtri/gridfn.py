@@ -144,6 +144,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+#: A norm below 2**-511 has a square below the smallest normal float, 2**-1022: the
+#: square underflowed and lost bits.
+_TINY_NORM = 2.0 ** -511
+
+
 def row_norms(x: np.ndarray, c: np.ndarray | None = None,
               s: np.ndarray | None = None) -> np.ndarray:
     """The norms of the rows of an (N+1, d) array x; with a (d,) center c the norms of
@@ -154,7 +159,12 @@ def row_norms(x: np.ndarray, c: np.ndarray | None = None,
     Each column is squared with numpy's formula, ``(v.conj() * v).real`` for complex
     data and ``v * v`` for real, and added to a running sum of the nodes in column
     order, so no (N+1, d) array is built.  Below 8 columns this is
-    ``np.linalg.norm(x, axis=1)`` bit for bit; from 8 on numpy sums each row pairwise."""
+    ``np.linalg.norm(x, axis=1)`` bit for bit; from 8 on numpy sums each row pairwise.
+
+    Without a center, a function whose node norms all lie below 2**-511, so that every
+    square underflowed, gets instead the norms of its values scaled by 2**-k (k the
+    exponent of its largest magnitude), scaled back by 2**k.  Other functions keep the
+    bits above."""
     total = np.zeros(x.shape[:-1])
     for j in range(x.shape[-1]):
         v = x[..., j]
@@ -164,7 +174,32 @@ def row_norms(x: np.ndarray, c: np.ndarray | None = None,
         square *= v
         total += square.real
         del v, square   # at most one column's temporaries are alive
-    return np.sqrt(total, out=total)
+    norms = np.sqrt(total, out=total)
+    if c is None and norms.size and norms.min() < _TINY_NORM:
+        functions = norms.reshape(-1, norms.shape[-1])   # a view, one row per function
+        for i in np.flatnonzero(functions.max(axis=1) < _TINY_NORM):
+            _rescale_norms(x.reshape(-1, *x.shape[-2:])[i], functions[i])
+    return norms
+
+
+def _rescale_norms(x: np.ndarray, norms: np.ndarray) -> None:
+    """Replace the tiny row ``norms`` of one (N+1, d) function ``x`` by the norms of x
+    scaled by 2**-k, scaled back by 2**k; a function of zeros keeps its zero norms."""
+    big = float(abs(x).max())
+    if big > 0.0:
+        k = math.frexp(big)[1]
+        norms[...] = np.ldexp(row_norms(ldexp(x, -k)), k)
+
+
+def ldexp(x: np.ndarray, k: int) -> np.ndarray:
+    """x * 2**k for a real or complex array, as a new array of the same layout; exact
+    while no entry leaves the normal range (``np.ldexp`` takes real arrays only)."""
+    scaled = np.empty_like(x)
+    if x.dtype.kind == "c":
+        scaled.real, scaled.imag = np.ldexp(x.real, k), np.ldexp(x.imag, k)
+    else:
+        np.ldexp(x, k, out=scaled)
+    return scaled
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError
-from .gridfn import GROUP_ENTRIES, Grid, GridFunction, row_norms
+from .gridfn import GROUP_ENTRIES, Grid, GridFunction, ldexp, row_norms
 from .hilbert import HVector, vector_norm
 
 TRAPEZOID = "trapezoid"
@@ -145,12 +145,7 @@ def _norm(x: np.ndarray, big=None) -> float:
     if not (big >= _HUGE or 0.0 < big <= _TINY):  # zero and NaN included
         return vector_norm(x)
     _, k = np.frexp(big)
-    scaled = np.empty_like(x)
-    if np.iscomplexobj(x):  # np.ldexp takes real arrays only
-        scaled.real, scaled.imag = np.ldexp(x.real, -k), np.ldexp(x.imag, -k)
-    else:
-        np.ldexp(x, -k, out=scaled)
-    return float(np.ldexp(vector_norm(scaled), k))
+    return float(np.ldexp(vector_norm(ldexp(x, -k)), k))
 
 
 def _norms(rows: np.ndarray) -> list[float]:

@@ -301,7 +301,18 @@ def _get_tolerance(data, path: str) -> float:
 
 
 def scenario_from_dict(data, source: str = "scenario") -> Scenario:
-    """Validate a scenario mapping; errors carry the offending field path."""
+    """Validate a scenario mapping; errors carry the offending field path.
+
+    f is built under the floating-point guard of :func:`run`: overflow, an invalid
+    operation or a division by zero there is an error at ``<source>.function``, so no
+    node is NaN.  The rest of the parse ignores numpy's floating-point warnings, since
+    every value it computes is checked (finite, in range, unit, orthonormal) and a bad
+    one is reported as one error."""
+    with np.errstate(all="ignore"):
+        return _parse_scenario(data, source)
+
+
+def _parse_scenario(data, source: str) -> Scenario:
     if not isinstance(data, Mapping):
         _fail(source, "scenario must be a JSON object")
     _check_keys(data, TOP_KEYS, TOP_KEYS, source)
@@ -337,7 +348,12 @@ def scenario_from_dict(data, source: str = "scenario") -> Scenario:
     reference = _parse_reference(data["reference"], grid, field, d, tolerances.tau_on,
                                  f"{source}.reference")
     function = _parse_function(data["function"], grid, field, d, f"{source}.function")
-    f = _at(f"{source}.function", materialize, function, grid, field, d, tolerances.tau_on)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            f = _at(f"{source}.function", materialize, function, grid, field, d,
+                    tolerances.tau_on)
+    except FloatingPointError as exc:
+        _fail(f"{source}.function", f"floating-point {exc}")
 
     entries = _parse_list(data["bounds"], f"{source}.bounds", "bound entries",
                           lambda entry, q: _parse_bound_entry(entry, grid, reference, field, d, q))
@@ -551,7 +567,9 @@ def run(scenario: Scenario) -> RunReport:
 
     f is materialized (if the scenario has not built it yet) and integrated once for
     every bound and the report.  Overflow, invalid operations and division by zero
-    raise :class:`DegeneracyError`."""
+    raise :class:`DegeneracyError`.  The report holds numbers and strings only: its
+    hypothesis reports keep no kernel, so a held report does not keep f, its node tables
+    or the profiles alive; ``bounds.evaluate`` on ``scenario.f`` gives the slack profiles."""
     tol = scenario.tolerances
     stage = "function"
     try:
@@ -564,7 +582,7 @@ def run(scenario: Scenario) -> RunReport:
                 stage = entry.bound_id
                 results.append(B.evaluate(f, est, scenario.reference, entry.params,
                                           entry.bound_id, tau_hyp=tol.tau_hyp,
-                                          tau_on=tol.tau_on))
+                                          tau_on=tol.tau_on).without_kernels())
     except FloatingPointError as exc:
         raise DegeneracyError(f"[{scenario.id}:{stage}] floating-point {exc}") from None
     except RevtriError as exc:

@@ -22,6 +22,7 @@ from revtri.cli import main
 
 SRC = Path(revtri.__file__).resolve().parent
 DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_reports.json"
 
 CRASH_CASES = [
     ["extremal", "--bound", "THM_2_1"],
@@ -70,14 +71,66 @@ def test_usage_error_exits_3(argv, capsys):
     assert "error: " in err.splitlines()[-1] and "Traceback" not in err
 
 
-def test_usage_error_exits_3_from_the_shell_and_help_exits_0():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _env() -> dict:
+    """The environment of a ``python -m revtri`` subprocess that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+
+
+def test_usage_error_exits_3_from_the_shell_and_help_exits_0():
     for argv, code in ((USAGE_ERRORS[0], 3), (["check", "--help"], 0)):
         proc = subprocess.run([sys.executable, "-m", "revtri", *argv], capture_output=True,
-                              env=env, text=True, timeout=120)
+                              env=_env(), text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def _golden_file(name: str) -> dict:
+    """The scenario file recorded for the golden case ``name``."""
+    return json.loads("\n".join(json.loads(GOLDEN.read_text(encoding="utf-8"))[name]["scenario"]))
+
+
+def _overflowing_files() -> dict:
+    """Files whose parse overflows in numpy, each with the start of its one error line:
+    omega t of a ball perturbation (which put NaN in the nodes behind three numpy
+    warnings), the squared norm of a reference and the Gram product of a family."""
+    ball = _golden_file("data-ball_hypothesis_fail")
+    family = _golden_file("family-extremal-n3")
+    family["reference"]["family"][0][0] = 1e200
+    return {
+        "interval": (dict(ball, interval=[-1e308, 1.0]),
+                     "error: interval.json.function: floating-point overflow"),
+        "reference": (dict(ball, reference={"e": [1e200, 0.0, 0.0]}),
+                      "error: reference.json.reference.e: e must be a unit vector"),
+        "family": (family, "error: family.json.reference.family: family is not orthonormal"),
+    }
+
+
+@pytest.mark.parametrize("name", ["interval", "reference", "family"])
+def test_an_overflowing_parse_prints_one_error_line(name, tmp_path):
+    data, message = _overflowing_files()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "revtri", "check", str(path)],
+                          capture_output=True, env=_env(), text=True, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == "", proc.stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
+
+
+def test_an_infinite_budget_exits_3(tmp_path, capsys):
+    """On [-1e308, 1] the tau edge file's lhs 5.0e307 exceeds its rhs 4.99999999e307; its
+    budget overflowed to inf and it was judged ``holds``."""
+    path = tmp_path / "edge.json"
+    data = dict(_golden_file("data-dominance_tau_edge"), interval=[-1e308, 1.0])
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, captured
+    assert lines[0].startswith("error: [dominance-tau-edge:THM_2_1] THM_2_1 is not judged on "
+                               "non-finite numbers: lhs=5.000000000000002e+307, "
+                               "rhs=4.999999994999999e+307"), lines[0]
 
 
 @pytest.mark.parametrize("command", ["check", "sweep"])
@@ -123,11 +176,9 @@ def test_cli_names_no_bound():
 def test_closed_stdout_exits_141_without_a_traceback(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the first write to the pipe fails
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     try:
         proc = subprocess.run([sys.executable, "-m", "revtri", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+                              stderr=subprocess.PIPE, env=_env(), text=True, timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == 141, proc.stderr
@@ -135,13 +186,22 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
 
 
 #: The functions that may take a matrix product (``@``, ``np.dot``, ``np.matmul``,
-#: ``np.einsum``, ``np.inner``, ``np.vdot``).  BLAS may split such a product's sums by
-#: thread, so every new site is listed here on purpose.
+#: ``np.einsum``, ``np.inner``, ``np.vdot``, or the ``.dot`` method of any object).  BLAS
+#: may split such a product's sums by thread, so every new site is listed here on purpose.
 MATRIX_PRODUCT_SITES = {
     "bounds._projection_extra", "fuzz._trig_path", "hilbert.inner", "hilbert._gram",
-    "hilbert.orthonormalize",
+    "hilbert.orthonormalize", "hilbert.vector_norm",
 }
 _PRODUCT_CALLS = {"dot", "matmul", "einsum", "inner", "vdot"}
+
+
+def _is_product_call(node) -> bool:
+    """``np.<product>(...)``, or a ``.dot(...)`` method call on any object."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    attr, owner = node.func.attr, node.func.value
+    return attr == "dot" or (attr in _PRODUCT_CALLS and isinstance(owner, ast.Name)
+                             and owner.id == "np")
 
 
 def _matrix_products(node, scope):
@@ -151,9 +211,7 @@ def _matrix_products(node, scope):
             yield from _matrix_products(child, f"{scope}.{child.name}")
             continue
         if (isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult)
-                or isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                and isinstance(child.func.value, ast.Name) and child.func.value.id == "np"
-                and child.func.attr in _PRODUCT_CALLS):
+                or _is_product_call(child)):
             yield scope, child.lineno
         yield from _matrix_products(child, scope)
 
@@ -163,3 +221,5 @@ def test_matrix_products_sit_in_listed_functions():
              for site in _matrix_products(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     assert [f"{scope}:{line}" for scope, line in found if scope not in MATRIX_PRODUCT_SITES] == []
     assert {scope for scope, _ in found} == MATRIX_PRODUCT_SITES
+    sample = "def f(x, y):\n    return x.dot(x) + x.real.dot(y)[0] + np.dot(x, y) + x @ y\n"
+    assert [line for _, line in _matrix_products(ast.parse(sample), "m")] == [2] * 4

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +33,7 @@ from revtri import (
     COMPLEX,
     REAL,
     FunctionSpec,
+    RevtriError,
     ScenarioError,
     extremal_scenario,
     generate_scenario,
@@ -156,6 +158,23 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("name", CASES)
 def test_byte_identical(golden, name):
     assert render(name) == golden[name]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(SCENARIO_CASES))
+def test_a_huge_interval_is_judged_on_finite_numbers_or_rejected(golden, name):
+    """The recorded file on [-1e308, 1], a finite interval whose integrals and budgets leave
+    the float range: an input error (``revtri check`` exits 3), or a report whose lhs,
+    rhs, margin and err_budget are finite.  No verdict rests on inf or NaN, and no numpy
+    warning is printed on the way."""
+    data = json.loads(golden[name]["scenario"])
+    data["interval"] = [-1e308, 1.0]
+    try:
+        report = run(scenario_from_dict(data, source=name))
+    except RevtriError:
+        return
+    numbers = [x for r in report.results for x in (r.lhs, r.rhs, r.margin, r.err_budget)]
+    assert all(map(math.isfinite, numbers)), numbers
 
 
 def _json_leaves(path: str, old, new, out: list) -> None:

@@ -1,5 +1,6 @@
 """Node geometry once per function: the row-norm kernel adds each column's squares in
-column order, which below 8 columns is ``np.linalg.norm(x, axis=1)`` bit for bit; node
+column order, which below 8 columns is ``np.linalg.norm(x, axis=1)`` bit for bit (for a
+function whose squares all underflow, of its values scaled by a power of two); node
 norms, distances to a center and projections onto a reference are computed once per
 function and shared read-only; the integrals of Re f and Im f, and a
 sinusoid profile's sin table, once per function and grid.  Reports at large N equal,
@@ -17,17 +18,20 @@ from hypothesis import strategies as st
 
 from revtri import bounds as B
 from revtri import gridfn
+from revtri.cli import main
 from revtri.errors import DegeneracyError
 from revtri.extremal import extremal_scenario
 from revtri.gridfn import (
     GRID_CACHE,
     Grid,
+    GridFunction,
     _sin_table,
     grid_nodes,
     profile_of,
     row_norms,
 )
 from revtri.hilbert import COMPLEX, REAL
+from revtri.quadrature import defect, integrate_trials
 from revtri.scenario import (
     report_to_csv,
     report_to_json,
@@ -54,6 +58,25 @@ def _column_norms(x: np.ndarray, c: np.ndarray | None = None,
         v = x[:, j] if c is None else x[:, j] - (c[j] if s is None else s * c[j])
         total += (v.conj() * v).real
     return np.sqrt(total)
+
+
+def _rescaled(norms):
+    """``norms`` as ``row_norms`` applies it to one function: when every row norm lies
+    below 2**-511 (its square below the smallest normal float, 2**-1022) and some value is
+    not zero, the norms of x scaled by 2**-k, k the exponent of its largest magnitude,
+    scaled back by 2**k."""
+    def fn(x: np.ndarray) -> np.ndarray:
+        big = float(np.abs(x).max()) if x.size else 0.0
+        if not (x.size and _column_norms(x).max() < 2.0 ** -511 and big > 0.0):
+            return norms(x)
+        k = math.frexp(big)[1]
+        scaled = np.empty_like(x)
+        if np.iscomplexobj(x):
+            scaled.real, scaled.imag = np.ldexp(x.real, -k), np.ldexp(x.imag, -k)
+        else:
+            scaled[...] = np.ldexp(x, -k)
+        return np.ldexp(norms(scaled), k)
+    return fn
 
 
 #: Below this many columns ``np.linalg.norm(x, axis=1)`` sums a row in column order.
@@ -110,10 +133,11 @@ def _matrices(draw) -> np.ndarray:
 @settings(max_examples=300, deadline=None)
 @given(x=_matrices())
 @example(x=np.array([[1.2e154, 1.2e154, 1e200]]))   # numpy: multiply; row_norms: add
+@example(x=np.array([[1e-160, 5e-324], [0.0, -1e-170]]))   # every square underflows
 def test_row_norms_are_numpy_bit_for_bit(x):
     got = _outcome(row_norms, x)
-    assert got == _outcome(_column_norms, x)
-    expected = _outcome(_numpy_norms, x)
+    assert got == _outcome(_rescaled(_column_norms), x)
+    expected = _outcome(_rescaled(_numpy_norms), x)
     if isinstance(expected, str):
         # numpy squares every entry before it adds; row_norms squares and adds a column
         # at a time, so an overflow of the same kind may be named "add" where numpy
@@ -137,6 +161,36 @@ def test_row_norms_at_large_n(field, layout):
         x = _layout(arr, layout)
         want = _numpy_norms if d < PAIRWISE_COLUMNS else _column_norms
         assert _outcome(row_norms, x) == _outcome(want, x), d
+
+
+def test_stacked_functions_rescale_tiny_norms_one_at_a_time():
+    """In one pass over T stacked functions, each function whose squares all underflow is
+    rescaled on its own; the others keep numpy's bits, and zeros keep zero norms."""
+    grid = Grid(0.0, 1.0, 16)
+    base = np.random.default_rng(12).standard_normal((grid.n_nodes, 3))
+    scales = (0, -1060, None, -600, 0)
+    fs = [GridFunction(grid, REAL, np.zeros_like(base) if k is None else np.ldexp(base, k))
+          for k in scales]
+    integrate_trials(fs)
+    for f, k in zip(fs, scales):
+        want = _rescaled(_numpy_norms)(f.values)
+        assert f.norms().tobytes() == want.tobytes()
+        if k == 0:
+            assert want.tobytes() == _numpy_norms(f.values).tobytes()
+        elif k is not None:
+            assert (f.norms() > 0.0).all()
+            est = defect(f)
+            assert est.value >= -est.err_est
+
+
+def test_a_subnormal_equality_case_has_no_negative_defect(capsys):
+    """THM_3_1's family extremal at c = 1e-320: the squares of its node values underflow to
+    0, so its norm integral was 0 and its defect -1.0005e-320 (err 1.976e-323)."""
+    report = run(extremal_scenario(B.THM_3_1, {"c": 1e-320}, n_panels=16))
+    assert report.defect.value >= -report.defect.err_est
+    assert report.results[0].lhs > 0.0 and report.results[0].verdict == B.HOLDS
+    assert main(["extremal", "--bound", B.THM_3_1, "--c", "1e-320", "--panels", "16"]) == 0
+    assert f"lhs={report.results[0].lhs!r}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value, message", [

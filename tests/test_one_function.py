@@ -148,17 +148,19 @@ def test_base_sweep_skips_infeasible_steps_in_its_one_run():
 
 
 def test_base_error_of_an_earlier_step_is_raised_before_a_later_extremal_error():
-    # on [0, 1e308] the THM_2_1 extremal of k has ||f|| = 1 + k, so its integrals overflow
-    # from k = 0.8 on while its recipe (expected defect k * 1e308) stays finite.  The
-    # base's integrals (||f|| = 2) overflow too: step by step its run for k = 0.1 raises
-    # before the extremal of k = 0.9 does.
+    # on [0, 7.5e307] the THM_2_1 extremal of k has ||f|| = 1 + k: for k = 0.1 every number
+    # of its verdict is finite, for k = 1.5 its integrals overflow while its recipe
+    # (expected defect k * 7.5e307) stays finite.  The base's integrals (||f|| = 3)
+    # overflow too: step by step its run for k = 0.1 raises before the extremal of k = 1.5
+    # does.
     data = json.loads((DATA / "cor23_extremal.json").read_text())
-    data["interval"] = [0.0, 1e308]
+    data["interval"] = [0.0, 7.5e307]
+    data["function"].update(alpha=2.4, beta=1.8)
     with pytest.raises(DegeneracyError, match=r"^\[cor23-extremal:integrals\] .*overflow"):
-        sweep(B.THM_2_1, "k", 0.1, 0.9, 3, base=scenario_from_dict(data))
+        sweep(B.THM_2_1, "k", 0.1, 1.5, 2, base=scenario_from_dict(data))
     data["function"].update(alpha=0.5, beta=0.0)   # a base of norm 0.5 integrates
     with pytest.raises(DegeneracyError, match=r"^\[sweep-thm_2_1-k:integrals\] .*overflow"):
-        sweep(B.THM_2_1, "k", 0.1, 0.9, 3, base=scenario_from_dict(data))
+        sweep(B.THM_2_1, "k", 0.1, 1.5, 2, base=scenario_from_dict(data))
 
 
 # --------------------------------------------------------------------------

@@ -1,21 +1,24 @@
-"""Hypotheses judged without keeping their residuals: a report holds the kernel that
-computes them, ``slack_profile`` calls it on every access, and a family folds one member
-at a time into its running maximum.  Every profile is checked against the whole-array
-residual the report used to keep (written out here as the reference), and the memory
-of a large family check and of a sweep against what the run keeps."""
+"""Hypotheses judged without keeping their residuals: a report of ``bounds.evaluate`` or
+a checker holds the kernel that computes them, ``slack_profile`` calls it on every
+access, and a family folds one member at a time into its running maximum; a report of
+``run()`` keeps no kernel, only numbers.  Every profile is checked against the
+whole-array residual the report used to keep (written out here as the reference), and
+the memory of a large family check, of held run reports and of a sweep against what the
+run keeps."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from revtri import bounds as B
-from revtri.errors import DegeneracyError
-from revtri.fuzz import generate_scenario
+from revtri.errors import DegeneracyError, InputError
+from revtri.fuzz import fuzz, generate_scenario
 from revtri.gridfn import Grid, GridFunction, ScalarProfile
 from revtri.hilbert import COMPLEX, REAL, HVector, check_orthonormal
 from revtri.quadrature import defect
@@ -55,6 +58,17 @@ def _reports(report):
     yield report
     for sub in report.sub_reports or ():
         yield from _reports(sub)
+
+
+def evaluate_bounds(scenario) -> list[B.BoundResult]:
+    """The results of ``run(scenario)`` with their kernels: each bound evaluated on the
+    scenario's f as ``run()`` evaluates it, under its floating-point guard."""
+    f, tol = scenario.f, scenario.tolerances
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        est = defect(f)
+        return [B.evaluate(f, est, scenario.reference, entry.params, entry.bound_id,
+                           tau_hyp=tol.tau_hyp, tau_on=tol.tau_on)
+                for entry in scenario.bounds]
 
 
 def _assert_profiles(report, old: list[np.ndarray]) -> None:
@@ -153,14 +167,33 @@ def test_family_bounds_recompute_the_old_residuals(field):
         _assert_profiles(hyp, _old_family(residuals))
 
 
-def test_reports_of_a_run_reread_their_profiles():
+def _numbers(report) -> tuple:
+    return (report.condition_id, report.holds, report.worst_violation, report.worst_node,
+            report.tol, report.failing_indices)
+
+
+def test_reports_of_a_run_keep_numbers_only():
+    """A run's hypothesis reports, sub-reports included, carry the numbers of the
+    evaluated ones and no kernel; their slack profiles are read through ``evaluate`` on
+    the scenario's f."""
     for name in ("family-real-5", "cone-complex-2", "curve-sinusoid"):
-        report = run(scenario_from_dict(dict(LARGE_FILES[name], N=300)))
-        for result in report.results:
-            for r in _reports(result.hypothesis):
-                assert r.slack_profile.tobytes() == r.slack_profile.tobytes()
+        scenario = scenario_from_dict(dict(LARGE_FILES[name], N=300))
+        report = run(scenario)
+        evaluated = evaluate_bounds(scenario)
+        assert len(evaluated) == len(report.results)
+        for result, full in zip(report.results, evaluated):
+            kept, computed = list(_reports(result.hypothesis)), list(_reports(full.hypothesis))
+            assert list(map(_numbers, kept)) == list(map(_numbers, computed))
+            for r, e in zip(kept, computed):
+                assert r.kernel is None and e.kernel is not None
                 assert not any(isinstance(getattr(r, fld.name), np.ndarray)
                                for fld in dataclasses.fields(r))
+                with pytest.raises(InputError, match=rf"^the {re.escape(r.condition_id)} "
+                                   r"report keeps no residuals: evaluate the bound on the "
+                                   r"scenario's function for its slack profile$"):
+                    r.slack_profile
+                assert e.slack_profile.tobytes() == e.slack_profile.tobytes()
+            assert dataclasses.replace(full, hypothesis=result.hypothesis) == result
 
 
 def test_worst_node_is_the_first_nan():
@@ -217,6 +250,49 @@ def test_family_check_keeps_no_residuals(name):
     assert tables <= kept
     budget = 7 * node + 2 ** 17 if scenario.field == COMPLEX else 4 * node + 2 ** 20
     assert peak <= kept + budget, (peak, kept)
+
+
+def _held(make) -> tuple[int, int]:
+    """How many reports ``make()`` returns, and the traced bytes they alone keep alive:
+    what is freed when the list of them is dropped (caches filled on the way stay)."""
+    tracemalloc.start()
+    try:
+        reports = make()
+        count = len(reports)
+        held = tracemalloc.get_traced_memory()[0]
+        del reports
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return count, held
+
+
+#: The closed-form files of the check_closed benchmark's kinds: cones with their jump,
+#: ball perturbations, symmetric families and both complex curves.
+CLOSED_FILES = ("cone-real-3", "cone-complex-2", "ball-real-4", "ball-complex-3",
+                "family-real-5", "family-complex-4", "curve-sinusoid", "curve-linear")
+
+
+def test_held_run_reports_keep_no_node_arrays():
+    """Each held report of a run at N = 65536 keeps at most 256 KiB, a quarter of one
+    complex node array: no f, no node table, no profile (8 reports kept 55.7 MB when
+    their hypothesis reports held kernels)."""
+    count, held = _held(lambda: [run(scenario_from_dict(dict(LARGE_FILES[name], N=65536)))
+                                 for name in CLOSED_FILES])
+    assert count == len(CLOSED_FILES)
+    assert held <= count * 2 ** 18, held
+
+
+def test_fuzz_reports_keep_no_node_arrays():
+    """The reports a fuzz campaign keeps hold at most 1 MiB together, beside the grid
+    caches the trials fill (6 trials at N = 65536, d = 8 kept 65.1 MB through kernels)."""
+    def reports():
+        summary = fuzz(B.COR_3_5, 6, 1, d=8, n_panels=65536, keep_reports=True)
+        assert summary.counterexamples == []
+        return summary.reports
+    count, held = _held(reports)
+    assert count == 6
+    assert held <= 2 ** 20, held
 
 
 def _cor_3_5_file(M_1: float) -> dict:

@@ -13,14 +13,18 @@ Bound identifiers (part of the scenario file contract):
   additive, orthonormal family  THM_3_1 COR_3_2 COR_3_3 COR_3_4 COR_3_5
   complex-plane (d=1)        PROP_4_1 PROP_4_2 PROP_4_3
 
-:data:`BOUNDS` declares each bound once (reference kind, parameters, evaluator);
-parsing, serialization, validation, evaluation, recipes and sweeps read it.
+:data:`BOUNDS` declares each bound once (reference kind, parameters, hypothesis shape,
+right-hand-side form); parsing, serialization, validation, evaluation, recipes and
+sweeps read it.  Each of the eight hypothesis shapes is declared once too: its residual
+kernel, its checker, and what it gives a right-hand side (an integrand and scale, a
+coefficient or a factor).  A family bound applies its shape to each member.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -211,12 +215,6 @@ def _report(condition_id: str, kernel, tol: float, residuals=None,
     return HypothesisReport(condition_id, holds, worst, worst_node, kernel, tol, sub_reports)
 
 
-def _require_unit_reference(f: GridFunction, e: HVector, tol: float) -> None:
-    if e.field != f.field or e.d != f.d:
-        raise InputError("reference vector field/dimension mismatch")
-    require_unit(e, "reference vector", tol)
-
-
 def _profile_on(f: GridFunction, p: ScalarProfile | float, name: str) -> np.ndarray:
     """A profile's node values, or a number as a 0-d array: numpy arithmetic on it
     gives the node values of the constant profile and raises the same errors.  A
@@ -232,35 +230,56 @@ def _profile_on(f: GridFunction, p: ScalarProfile | float, name: str) -> np.ndar
     return np.asarray(p, dtype=np.float64)
 
 
-def _ball_residuals(f: GridFunction, center: np.ndarray, radius) -> np.ndarray:
-    """||f(t) - center|| - radius(t)."""
-    return f.distances(center) - radius
+# --------------------------------------------------------------------------
+# residual kernels: kernel(f, e, *values, proj) gives the residual at every node for the
+# reference coordinates e and the parameters' node values (a number as a 0-d array);
+# proj() is Re<f(t), e>, read from f's node tables.  The shapes below declare the rest.
+
+def _ball_residuals(f: GridFunction, e: np.ndarray, radius, proj=None) -> np.ndarray:
+    """||f(t) - e|| - radius(t)."""
+    return f.distances(e) - radius
 
 
 def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
-                         M_vals: np.ndarray) -> np.ndarray:
+                         M_vals: np.ndarray, proj=None) -> np.ndarray:
     """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances summed one column at a time."""
     center = np.broadcast_to(0.5 * (M_vals + m_vals), f.values.shape[:1])
     return row_norms(f.values, e, center) - 0.5 * (M_vals - m_vals)
 
 
-def _dominance_residuals(norms, proj, k) -> np.ndarray:
-    """||f(t)|| - Re<f(t), e> - k(t) from the node norms and projections."""
-    return norms - proj - k
+def _box_residuals(f: GridFunction, e: np.ndarray, m, M, proj=None) -> np.ndarray:
+    """How far f(t) = x + iy lies outside the box m e, M e of e = alpha + i beta."""
+    z, alpha, beta = f.values[:, 0], e[0].real, e[0].imag
+    x, y = z.real, z.imag
+    return np.maximum(np.maximum(np.maximum(m * alpha - x, x - M * alpha), m * beta - y),
+                      y - M * beta)
 
 
-def _band_inner_residuals(norms, proj, m, M) -> np.ndarray:
-    """-Re<M(t)e - f(t), f(t) - m(t)e> from the node norms and projections."""
-    return np.square(norms) + m * M - (M + m) * proj
+# --------------------------------------------------------------------------
+# hypothesis checkers
+
+def _shape_report(shape: "_Shape", f: GridFunction, e, values, tau_hyp: float):
+    """The report of ``shape``'s kernel on f against the coordinates e."""
+    return _report(shape.condition_id, partial(shape.kernel, f, e, *values,
+                                               proj=lambda: f.projections(e)), tau_hyp)
+
+
+def _unit_check(shape: "_Shape", f: GridFunction, e: HVector, tau_hyp: float, tau_on: float,
+                require=lambda *values: None, **params) -> HypothesisReport:
+    """``shape`` against the unit reference e; ``require`` judges ``params``' node values."""
+    if e.field != f.field or e.d != f.d:
+        raise InputError("reference vector field/dimension mismatch")
+    require_unit(e, "reference vector", tau_on)
+    values = [_profile_on(f, p, name) for name, p in params.items()]
+    require(*values)
+    return _shape_report(shape, f, e.coords, values, tau_hyp)
 
 
 def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
                     tau_hyp: float = DEFAULT_HYP_TOL,
                     tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| - Re<f(t), e> <= k(t) at every node."""
-    _require_unit_reference(f, e, tau_on)
-    return _report("dominance", lambda: _dominance_residuals(
-        f.norms(), f.projections(e.coords), _profile_on(f, k, "k")), tau_hyp)
+    return _unit_check(_DOMINANCE, f, e, tau_hyp, tau_on, k=k)
 
 
 def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
@@ -268,21 +287,14 @@ def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
                            tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| <= K * Re<f(t), e> at every node (multiplicative hypothesis)."""
     require_K(K)
-    _require_unit_reference(f, e, tau_on)
-
-    def residuals():
-        scaled = K * f.projections(e.coords)
-        return f.norms() - scaled
-    return _report("dominance_scaled", residuals, tau_hyp)
+    return _unit_check(_SCALED_DOMINANCE, f, e, tau_hyp, tau_on, K=K)
 
 
 def check_ball(f: GridFunction, e: HVector, radius: ScalarProfile | float,
                tau_hyp: float = DEFAULT_HYP_TOL,
                tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t) - e|| <= radius(t) at every node; a number is a constant radius."""
-    _require_unit_reference(f, e, tau_on)
-    return _report("ball", lambda: _ball_residuals(f, e.coords, _profile_on(f, radius, "radius")),
-                   tau_hyp)
+    return _unit_check(_BALL, f, e, tau_hyp, tau_on, radius=radius)
 
 
 def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
@@ -298,17 +310,8 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
     """
     if form not in ("inner", "norm"):
         raise InputError(f"band form must be 'inner' or 'norm', got {form!r}")
-    _require_unit_reference(f, e, tau_on)
-    m_vals = _profile_on(f, m, "m")
-    M_vals = _profile_on(f, M, "M")
-    require_band_profiles(m_vals, M_vals)
-    if form == "inner":
-        def residuals():
-            p = f.projections(e.coords)
-            return _band_inner_residuals(f.norms(), p, m_vals, M_vals)
-        return _report("band_inner", residuals, tau_hyp)
-    return _report("band_norm", lambda: _band_norm_residuals(f, e.coords, m_vals, M_vals),
-                   tau_hyp)
+    shape = _BAND_INNER if form == "inner" else _BAND_NORM
+    return _unit_check(shape, f, e, tau_hyp, tau_on, require_band_profiles, m=m, M=M)
 
 
 def _complex_samples(f: GridFunction) -> np.ndarray:
@@ -326,13 +329,10 @@ def check_box_complex(f: GridFunction, alpha: float, beta: float,
     on success the implied band check is also run and attached as a sub-report.
     """
     require_direction(alpha, beta)
-    z = _complex_samples(f)
-    m_vals = _profile_on(f, m, "m")
-    M_vals = _profile_on(f, M, "M")
-    x, y = z.real, z.imag
-    box = _report("box", lambda: np.maximum(np.maximum(np.maximum(
-        m_vals * alpha - x, x - M_vals * alpha), m_vals * beta - y), y - M_vals * beta), tau_hyp)
+    _complex_samples(f)
     e = HVector(COMPLEX, [complex(alpha, beta)])
+    box = _shape_report(_BOX, f, e.coords, [_profile_on(f, m, "m"), _profile_on(f, M, "M")],
+                        tau_hyp)
     band = check_band(f, e, m, M, form="inner", tau_hyp=tau_hyp)
     return replace(box, holds=box.holds and band.holds, sub_reports=(band,))
 
@@ -345,7 +345,7 @@ def check_arg(f: GridFunction, theta: float,
     if np.any(z == 0.0):
         j = int(np.argmax(z == 0.0))
         raise DegeneracyError(f"argument undefined: f vanishes at node {j}")
-    return _report("arg_cone", lambda: np.abs(np.angle(z)) - theta, tau_hyp)
+    return _shape_report(_ARG_CONE, f, None, [_profile_on(f, theta, "theta")], tau_hyp)
 
 
 def _running_max(kernels, visit=lambda i, kernel, residuals: None) -> np.ndarray:
@@ -367,6 +367,57 @@ def _family_check(kernels, condition_id: str, tau_hyp: float) -> HypothesisRepor
     combined = _running_max(kernels, lambda i, kernel, residuals: subs.append(
         _report(f"{condition_id}[{i}]", kernel, tau_hyp, residuals)))
     return _report(condition_id, lambda: _running_max(kernels), tau_hyp, combined, subs)
+
+
+# --------------------------------------------------------------------------
+# hypothesis shapes
+
+@dataclass(frozen=True)
+class _Shape:
+    """A node-wise hypothesis, once for every bound that assumes it: its residual
+    ``kernel``, reported as ``condition_id``; ``check(f, e, *params, tau_hyp=, tau_on=)``
+    against one reference vector e (a family applies ``kernel`` to each member); and what
+    it gives a right-hand side: the ``integrand`` g of its parameters' node values and the
+    ``scale`` s of defect <= s int g (a family divides by 1/s), the ``coefficient`` of
+    defect <= c * projection, or the ``factor`` of factor * int ||f|| <= ||int f||.
+    ``terms`` names the integral, or the factor and the estimate beside it, in
+    ``rhs_terms``; ``directed`` is False for the hypothesis that reads no reference."""
+
+    condition_id: str
+    kernel: Callable
+    check: Callable
+    integrand: Callable | None = None
+    scale: float = 1.0
+    coefficient: Callable | None = None
+    factor: Callable | None = None
+    terms: tuple[str, ...] = ()
+    directed: bool = True
+
+
+# ||f(t)|| - Re<f(t), e> - k(t)
+_DOMINANCE = _Shape("dominance", lambda f, e, k, proj: f.norms() - proj() - k,
+                    check_dominance, integrand=lambda k: k, terms=("dominance_integral",))
+# ||f(t)|| - K Re<f(t), e>
+_SCALED_DOMINANCE = _Shape("dominance_scaled", lambda f, e, K, proj: f.norms() - K * proj(),
+                           check_scaled_dominance)
+_BALL = _Shape("ball", _ball_residuals, check_ball, coefficient=ball_coefficient,
+               factor=lambda rho: math.sqrt(1.0 - rho * rho), terms=("factor", "integral_norm"))
+_BALL_PROFILE = _Shape("ball", _ball_residuals, check_ball, integrand=lambda r: r ** 2,
+                       scale=0.5, terms=("r_squared_integral",))
+# -Re<M(t)e - f(t), f(t) - m(t)e>
+_BAND_INNER = _Shape("band_inner",
+                     lambda f, e, m, M, proj: np.square(f.norms()) + m * M - (M + m) * proj(),
+                     check_band, coefficient=band_coefficient)
+_BAND_NORM = _Shape("band_norm", _band_norm_residuals, partial(check_band, form="norm"),
+                    integrand=band_gap_integrand, scale=0.25, terms=("band_gap_integral",))
+# |arg f(t)| - theta for a d=1 complex f
+_ARG_CONE = _Shape("arg_cone", lambda f, e, theta, proj: np.abs(np.angle(f.values[:, 0])) - theta,
+                   lambda f, e, theta, tau_hyp, tau_on: check_arg(f, theta, tau_hyp),
+                   factor=math.cos, terms=("cos_theta", "norm_integral"), directed=False)
+_BOX = _Shape("box", _box_residuals,
+              lambda f, e, m, M, tau_hyp, tau_on: check_box_complex(
+                  f, e.coords[0].real, e.coords[0].imag, m, M, tau_hyp),
+              integrand=band_gap_integrand, scale=0.25, terms=("band_gap_integral",))
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +468,7 @@ class BoundResult:
 
 
 # --------------------------------------------------------------------------
-# evaluators: (context, params) -> (hypothesis, lhs, rhs, err, rhs_terms, diagnostics)
+# evaluation: a row's hypothesis, then its right-hand-side form
 
 @dataclass(frozen=True, eq=False)
 class Reference:
@@ -444,17 +495,6 @@ class _Context:
     tau_on: float
 
 
-def _ball(c: _Context, e: HVector, p: BoundParams):
-    """The constant-radius ball hypothesis around e and its coefficient."""
-    return check_ball(c.f, e, p.rho, c.tau_hyp, c.tau_on), ball_coefficient(p.rho)
-
-
-def _band(c: _Context, e: HVector, p: BoundParams):
-    """The constant band hypothesis around e (inner form) and its coefficient."""
-    hyp = check_band(c.f, e, p.m, p.M, "inner", c.tau_hyp, c.tau_on)
-    return hyp, band_coefficient(p.m, p.M)
-
-
 def _direction(c: _Context):
     """e = alpha + i beta, the split projection alpha int Re f + beta int Im f with
     its error, and the diagnostics comparing it with Re<int f, e>.  The integrals of
@@ -473,121 +513,113 @@ def _direction(c: _Context):
     return e, split, split_err, {"projection": proj, "split_gap": split - proj}
 
 
-def _integral_bound(c: _Context, hyp, s: float, samples, name: str):
-    """defect <= s * int g for node samples g."""
-    g = sample_integral(c.f.grid, samples, c.rule)
-    err = s * g.err_est + c.est.norm_integral_err + c.est.integral_err
-    return hyp, c.est.value, s * g.value, err, {name: g.value}, {}
+def _outcome(c: _Context, spec: "BoundSpec", params: BoundParams):
+    """(hypothesis, lhs, rhs, err, rhs_terms, diagnostics) of one row: its shape, then its
+    right-hand-side form; a row with a direction reports the split projection too."""
+    args = tuple(getattr(params, q.field) for q in spec.params)
+    directed = spec.reference == REF_DIRECTION and spec.shape.directed
+    direction = _direction(c) if directed else None
+    hyp = _hypothesis(c, spec, args, direction)
+    lhs, rhs, err, terms, diags = spec.rhs(c, spec, args, direction)
+    if direction is not None:
+        _, split, _, split_diags = direction
+        terms, diags = {**terms, "split_projection": split}, {**diags, **split_diags}
+    return hyp, lhs, rhs, err, terms, diags
 
 
-def _projection_bound(c: _Context, hyp, coeff: float, proj: float, proj_err: float,
-                      terms: dict, diags: dict):
-    """defect <= coeff * proj for a projection proj of int f onto e."""
+def _hypothesis(c: _Context, spec: "BoundSpec", args: tuple, direction=None):
+    """The row's shape checked against its reference vector, or member by member against a
+    family, each member reading its column of the one (N+1, n) projection table; a member's
+    profile is named by its file key with the index for ``i``, its number stays a float."""
+    shape = spec.shape
+    if spec.reference != REF_FAMILY:
+        e = c.ref.e if direction is None else direction[0]
+        return shape.check(c.f, e, *args, tau_hyp=c.tau_hyp, tau_on=c.tau_on)
+    kernels = []
+    for i, (e, *member) in enumerate(zip(c.ref.family.members, *args)):
+        values = [p if q.kind == NUMBERS else _profile_on(c.f, p, q.key.replace("_i", f"_{i}"))
+                  for p, q in zip(member, spec.params)]
+        kernels.append(partial(shape.kernel, c.f, e.coords, *values,
+                               proj=lambda i=i: _family_projections(c)[:, i]))
+    return _family_check(kernels, f"{shape.condition_id}_family", c.tau_hyp)
+
+
+# right-hand-side forms: rhs(context, spec, parameter values, direction)
+#   -> (lhs, rhs, err, rhs_terms, diagnostics)
+
+def _integral(c: _Context, spec: "BoundSpec", args: tuple, direction):
+    """defect <= s * int g for the shape's integrand g and scale s."""
+    shape = spec.shape
+    if spec.reference == REF_FAMILY:
+        return _integral_extra(c, shape, args)
+    g = sample_integral(c.f.grid, shape.integrand(*(p.values for p in args)), c.rule)
+    err = shape.scale * g.err_est + c.est.norm_integral_err + c.est.integral_err
+    return c.est.value, shape.scale * g.value, err, {shape.terms[0]: g.value}, {}
+
+
+def _projection(c: _Context, spec: "BoundSpec", args: tuple, direction, printed=False):
+    """defect <= coeff * Re<int f, e> and its weak form coeff * ||int f||, or along a
+    direction the split projection; ``printed``: a family's weak form as printed too."""
+    shape = spec.shape
+    if spec.reference == REF_FAMILY:
+        return _projection_extra(c, np.array([shape.coefficient(*m) for m in zip(*args)]),
+                                 printed)
+    coeff = shape.coefficient(*args)
+    if direction is None:
+        proj = float(inner(c.est.integral, c.ref.e).real)
+        weak = coeff * c.est.integral_norm
+        proj_err, terms = c.est.integral_err, {"projection": proj, "weak_rhs": weak}
+        diags = {"weak_margin": weak - c.est.value}
+    else:
+        (_, proj, proj_err, _), terms, diags = direction, {}, {}
     err = coeff * proj_err + c.est.norm_integral_err + c.est.integral_err
-    return hyp, c.est.value, coeff * proj, err, {"coefficient": coeff, **terms}, diags
+    return c.est.value, coeff * proj, err, {"coefficient": coeff, **terms}, diags
 
 
-def _unit_projection(c: _Context, p: BoundParams, hypothesis):
-    """COR_2_2 / COR_2_3: the projection is Re<int f, e>; weak form coeff * ||int f||."""
-    hyp, coeff = hypothesis(c, c.ref.e, p)
-    proj = float(inner(c.est.integral, c.ref.e).real)
-    weak = coeff * c.est.integral_norm
-    return _projection_bound(c, hyp, coeff, proj, c.est.integral_err,
-                             {"projection": proj, "weak_rhs": weak},
-                             {"weak_margin": weak - c.est.value})
-
-
-def _split_projection(c: _Context, p: BoundParams, hypothesis):
-    """PROP_4_1 / PROP_4_2: the projection onto alpha + i beta, in split form."""
-    e, split, split_err, diags = _direction(c)
-    hyp, coeff = hypothesis(c, e, p)
-    return _projection_bound(c, hyp, coeff, split, split_err, {"split_projection": split}, diags)
-
-
-def _ratio_bound(c: _Context, hyp, factor: float, terms: dict):
-    """factor * int ||f|| <= ||int f||."""
+def _ratio(c: _Context, spec: "BoundSpec", args: tuple, direction):
+    """factor * int ||f|| <= ||int f|| for the shape's factor."""
+    factor = spec.shape.factor(*args)
+    name, reported = spec.shape.terms
     err = c.est.integral_err + factor * c.est.norm_integral_err
-    return hyp, factor * c.est.norm_integral, c.est.integral_norm, err, terms, {}
+    return (factor * c.est.norm_integral, c.est.integral_norm, err,
+            {name: factor, reported: getattr(c.est, reported)}, {})
 
 
-def _thm_2_1(c, p):
-    hyp = check_dominance(c.f, c.ref.e, p.k, c.tau_hyp, c.tau_on)
-    return _integral_bound(c, hyp, 1.0, p.k.values, "dominance_integral")
+def _mult_a(c: _Context, spec: "BoundSpec", args: tuple, direction):
+    (K,), est = args, c.est
+    return (est.norm_integral, K * est.integral_norm,
+            K * est.integral_err + est.norm_integral_err,
+            {"K": K, "integral_norm": est.integral_norm}, {})
 
 
-def _cor_2_4(c, p):
-    hyp = check_ball(c.f, c.ref.e, p.r, c.tau_hyp, c.tau_on)
-    return _integral_bound(c, hyp, 0.5, p.r.values ** 2, "r_squared_integral")
-
-
-def _cor_2_5(c, p):
-    hyp = check_band(c.f, c.ref.e, p.m_profile, p.M_profile, "norm", c.tau_hyp, c.tau_on)
-    gap = band_gap_integrand(p.m_profile.values, p.M_profile.values)
-    return _integral_bound(c, hyp, 0.25, gap, "band_gap_integral")
-
-
-def _mult_a(c, p):
-    hyp = check_scaled_dominance(c.f, c.ref.e, p.K, c.tau_hyp, c.tau_on)
-    est = c.est
-    return (hyp, est.norm_integral, p.K * est.integral_norm,
-            p.K * est.integral_err + est.norm_integral_err,
-            {"K": p.K, "integral_norm": est.integral_norm}, {})
-
-
-def _mult_b(c, p):
-    factor = math.sqrt(1.0 - p.rho * p.rho)
-    return _ratio_bound(c, _ball(c, c.ref.e, p)[0], factor,
-                        {"factor": factor, "integral_norm": c.est.integral_norm})
-
-
-def _mult_c(c, p):
+def _mult_c(c: _Context, spec: "BoundSpec", args: tuple, direction):
     # The certified bound is the corrected additive form
     #   defect <= (sqrt(M)-sqrt(m))^2/(M+m) * int ||f|| dt,
     # the only additive form derivable from the multiplicative one; the
     # printed variant with ||int f|| on the right is reported as a
-    # diagnostic, never asserted.
-    m, M, est = p.m, p.M, c.est
-    hyp = _band(c, c.ref.e, p)[0]
+    # diagnostic, never asserted.  Constants without a band coefficient
+    # (m*M underflows) are rejected, as for the other constant bands.
+    (m, M), est = args, c.est
+    band_coefficient(m, M)
     coeff = (math.sqrt(M) - math.sqrt(m)) ** 2 / (M + m)
     mult_factor = 2.0 * math.sqrt(m * M) / (M + m)
-    lhs = est.value
     printed_rhs = coeff * est.integral_norm
-    return (hyp, lhs, coeff * est.norm_integral,
-            (1.0 + coeff) * est.norm_integral_err + est.integral_err,
-            {"coefficient": coeff, "norm_integral": est.norm_integral},
-            {
-                "mult_factor": mult_factor,
-                "mult_lhs": mult_factor * est.norm_integral,
-                "mult_rhs": est.integral_norm,
-                "mult_margin": est.integral_norm - mult_factor * est.norm_integral,
-                "printed_rhs": printed_rhs,
-                "printed_margin": printed_rhs - lhs,
-            })
-
-
-def _karamata(c, p):
-    hyp = check_arg(c.f, p.theta, c.tau_hyp)
-    factor = math.cos(p.theta)
-    return _ratio_bound(c, hyp, factor,
-                        {"cos_theta": factor, "norm_integral": c.est.norm_integral})
-
-
-def _prop_4_3(c, p):
-    _, split, _, diags = _direction(c)
-    hyp = check_box_complex(c.f, c.ref.alpha, c.ref.beta, p.m_profile, p.M_profile, c.tau_hyp)
-    gap = band_gap_integrand(p.m_profile.values, p.M_profile.values)
-    hyp, lhs, rhs, err, terms, _ = _integral_bound(c, hyp, 0.25, gap, "band_gap_integral")
-    return hyp, lhs, rhs, err, {**terms, "split_projection": split}, diags
+    return (est.value, coeff * est.norm_integral, (1.0 + coeff) * est.norm_integral_err
+            + est.integral_err, {"coefficient": coeff, "norm_integral": est.norm_integral},
+            {"mult_factor": mult_factor, "mult_lhs": mult_factor * est.norm_integral,
+             "mult_rhs": est.integral_norm,
+             "mult_margin": est.integral_norm - mult_factor * est.norm_integral,
+             "printed_rhs": printed_rhs, "printed_margin": printed_rhs - est.value})
 
 
 # family bounds: int ||f|| <= ||int f|| / sqrt(n) + extra
 
-def _family_bound(c: _Context, hyp, extra: float, extra_err: float, terms: dict,
+def _family_bound(c: _Context, extra: float, extra_err: float, terms: dict,
                   diags: dict | None = None):
     n = c.ref.family.n
     family_term = c.est.integral_norm / math.sqrt(n)
     err = c.est.integral_err / math.sqrt(n) + extra_err + c.est.norm_integral_err
-    return (hyp, c.est.norm_integral, family_term + extra, err,
+    return (c.est.norm_integral, family_term + extra, err,
             {"family_term": family_term, **terms, "extra": extra}, diags or {})
 
 
@@ -596,18 +628,18 @@ def _family_projections(c: _Context) -> np.ndarray:
     return c.f.projections(c.ref.family.matrix())
 
 
-def _integral_extra(c: _Context, hyp, samples, s: float, name: str):
-    """extra = (1 / (s n)) * sum_i int g_i; ``samples`` yields the members' g_i, each
-    integrated as it is made, so that one member's samples are alive at a time."""
-    parts = [sample_integral(c.f.grid, g, c.rule) for g in samples]
-    scale = s * c.ref.family.n
-    extra = sum(p.value for p in parts) / scale
-    extra_err = sum(p.err_est for p in parts) / scale
-    terms = {f"{name}_{i}": p.value for i, p in enumerate(parts)}
-    return _family_bound(c, hyp, extra, extra_err, terms)
+def _integral_extra(c: _Context, shape: _Shape, args: tuple):
+    """extra = sum_i int g_i / ((1/s) n), each g_i integrated as it is made."""
+    parts = [sample_integral(c.f.grid, shape.integrand(*(p.values for p in member)), c.rule)
+             for member in zip(*args)]
+    scale = (1.0 / shape.scale) * c.ref.family.n
+    extra = sum(part.value for part in parts) / scale
+    extra_err = sum(part.err_est for part in parts) / scale
+    terms = {f"{shape.terms[0]}_{i}": part.value for i, part in enumerate(parts)}
+    return _family_bound(c, extra, extra_err, terms)
 
 
-def _projection_extra(c: _Context, hyp, coeffs: np.ndarray, diags: dict | None = None):
+def _projection_extra(c: _Context, coeffs: np.ndarray, printed: bool):
     """extra = Re<int f, (1/n) sum_i c_i e_i>; weak form with the rms coefficient."""
     n = c.ref.family.n
     direction = (coeffs[:, None] * c.ref.family.matrix()).sum(axis=0) / n
@@ -616,55 +648,11 @@ def _projection_extra(c: _Context, hyp, coeffs: np.ndarray, diags: dict | None =
     weak = c.est.integral_norm / math.sqrt(n) * (1.0 + math.sqrt(float(np.mean(coeffs**2))))
     terms = {"projection_extra": extra, "weak_rhs": weak}
     terms.update((f"coefficient_{i}", float(v)) for i, v in enumerate(coeffs))
-    diags = {"weak_margin": weak - c.est.norm_integral, **(diags or {})}
-    return _family_bound(c, hyp, extra, extra_err, terms, diags)
-
-
-def _thm_3_1(c, p):
-    norms, proj = c.f.norms(), _family_projections(c)
-    kernels = [lambda i=i, k=k: _dominance_residuals(norms, proj[:, i],
-                                                     _profile_on(c.f, k, f"M_{i}"))
-               for i, k in enumerate(p.dominance_profiles)]
-    hyp = _family_check(kernels, "dominance_family", c.tau_hyp)
-    return _integral_extra(c, hyp, (k.values for k in p.dominance_profiles), 1.0,
-                           "dominance_integral")
-
-
-def _cor_3_2(c, p):
-    kernels = [lambda e=e, rho=rho: _ball_residuals(c.f, e.coords, rho)
-               for e, rho in zip(c.ref.family.members, p.rhos)]
-    hyp = _family_check(kernels, "ball_family", c.tau_hyp)
-    coeffs = np.array([ball_coefficient(rho) for rho in p.rhos])
-    printed = (c.est.integral_norm / math.sqrt(c.ref.family.n)
-               * (1.0 + math.sqrt(float(np.mean(coeffs)))))
-    return _projection_extra(c, hyp, coeffs, {"printed_weak_rhs": printed})
-
-
-def _cor_3_3(c, p):
-    norms, proj = c.f.norms(), _family_projections(c)
-    kernels = [lambda i=i, m=m, M=M: _band_inner_residuals(norms, proj[:, i], m, M)
-               for i, (m, M) in enumerate(zip(p.ms, p.Ms))]
-    hyp = _family_check(kernels, "band_inner_family", c.tau_hyp)
-    return _projection_extra(c, hyp, np.array([band_coefficient(m, M)
-                                               for m, M in zip(p.ms, p.Ms)]))
-
-
-def _cor_3_4(c, p):
-    kernels = [lambda i=i, e=e, r=r: _ball_residuals(c.f, e.coords, _profile_on(c.f, r, f"r_{i}"))
-               for i, (e, r) in enumerate(zip(c.ref.family.members, p.r_profiles))]
-    hyp = _family_check(kernels, "ball_family", c.tau_hyp)
-    return _integral_extra(c, hyp, (r.values ** 2 for r in p.r_profiles), 2.0,
-                           "r_squared_integral")
-
-
-def _cor_3_5(c, p):
-    bands = list(zip(p.m_profiles, p.M_profiles))
-    kernels = [lambda i=i, e=e, m=m, M=M: _band_norm_residuals(
-                   c.f, e.coords, _profile_on(c.f, m, f"m_{i}"), _profile_on(c.f, M, f"M_{i}"))
-               for i, (e, (m, M)) in enumerate(zip(c.ref.family.members, bands))]
-    hyp = _family_check(kernels, "band_norm_family", c.tau_hyp)
-    return _integral_extra(c, hyp, (band_gap_integrand(m.values, M.values) for m, M in bands),
-                           4.0, "band_gap_integral")
+    diags = {"weak_margin": weak - c.est.norm_integral}
+    if printed:
+        diags["printed_weak_rhs"] = (c.est.integral_norm / math.sqrt(n)
+                                     * (1.0 + math.sqrt(float(np.mean(coeffs)))))
+    return _family_bound(c, extra, extra_err, terms, diags)
 
 
 # --------------------------------------------------------------------------
@@ -685,42 +673,47 @@ class Param:
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """A bound's reference kind, parameters and evaluator."""
+    """A bound's reference kind, parameters, hypothesis shape and right-hand-side form."""
 
     reference: str
     params: tuple[Param, ...]
-    evaluate: Callable
+    shape: _Shape
+    rhs: Callable
 
 
 _RHO = (Param("rho", "rho", NUMBER, require_radius),)
 _BAND = (Param("m", "m", NUMBER, require_band, upper="M"), Param("M", "M", NUMBER))
 
 BOUNDS: dict[str, BoundSpec] = {
-    THM_2_1: BoundSpec(REF_UNIT, (Param("k", "k", PROFILE),), _thm_2_1),
-    COR_2_2: BoundSpec(REF_UNIT, _RHO, lambda c, p: _unit_projection(c, p, _ball)),
-    COR_2_3: BoundSpec(REF_UNIT, _BAND, lambda c, p: _unit_projection(c, p, _band)),
-    COR_2_4: BoundSpec(REF_UNIT, (Param("r", "r", PROFILE),), _cor_2_4),
+    THM_2_1: BoundSpec(REF_UNIT, (Param("k", "k", PROFILE),), _DOMINANCE, _integral),
+    COR_2_2: BoundSpec(REF_UNIT, _RHO, _BALL, _projection),
+    COR_2_3: BoundSpec(REF_UNIT, _BAND, _BAND_INNER, _projection),
+    COR_2_4: BoundSpec(REF_UNIT, (Param("r", "r", PROFILE),), _BALL_PROFILE, _integral),
     COR_2_5: BoundSpec(REF_UNIT, (
         Param("m", "m_profile", PROFILE, require_band_profiles, upper="M_profile"),
-        Param("M", "M_profile", PROFILE)), _cor_2_5),
-    MULT_A: BoundSpec(REF_UNIT, (Param("K", "K", NUMBER, require_K),), _mult_a),
-    MULT_B: BoundSpec(REF_UNIT, _RHO, _mult_b),
-    MULT_C: BoundSpec(REF_UNIT, _BAND, _mult_c),
+        Param("M", "M_profile", PROFILE)), _BAND_NORM, _integral),
+    MULT_A: BoundSpec(REF_UNIT, (Param("K", "K", NUMBER, require_K),), _SCALED_DOMINANCE,
+                      _mult_a),
+    MULT_B: BoundSpec(REF_UNIT, _RHO, _BALL, _ratio),
+    MULT_C: BoundSpec(REF_UNIT, _BAND, _BAND_INNER, _mult_c),
     KARAMATA: BoundSpec(REF_DIRECTION, (Param("theta", "theta", NUMBER, require_theta),),
-                        _karamata),
-    THM_3_1: BoundSpec(REF_FAMILY, (Param("M_i", "dominance_profiles", PROFILES),), _thm_3_1),
-    COR_3_2: BoundSpec(REF_FAMILY, (Param("rho_i", "rhos", NUMBERS, require_radius),), _cor_3_2),
+                        _ARG_CONE, _ratio),
+    THM_3_1: BoundSpec(REF_FAMILY, (Param("M_i", "dominance_profiles", PROFILES),),
+                       _DOMINANCE, _integral),
+    COR_3_2: BoundSpec(REF_FAMILY, (Param("rho_i", "rhos", NUMBERS, require_radius),), _BALL,
+                       partial(_projection, printed=True)),
     COR_3_3: BoundSpec(REF_FAMILY, (Param("m_i", "ms", NUMBERS, require_band, upper="Ms"),
-                                    Param("M_i", "Ms", NUMBERS)), _cor_3_3),
-    COR_3_4: BoundSpec(REF_FAMILY, (Param("r_i", "r_profiles", PROFILES),), _cor_3_4),
+                                    Param("M_i", "Ms", NUMBERS)), _BAND_INNER, _projection),
+    COR_3_4: BoundSpec(REF_FAMILY, (Param("r_i", "r_profiles", PROFILES),), _BALL_PROFILE,
+                       _integral),
     COR_3_5: BoundSpec(REF_FAMILY, (
         Param("m_i", "m_profiles", PROFILES, require_band_profiles, upper="M_profiles"),
-        Param("M_i", "M_profiles", PROFILES)), _cor_3_5),
-    PROP_4_1: BoundSpec(REF_DIRECTION, _RHO, lambda c, p: _split_projection(c, p, _ball)),
-    PROP_4_2: BoundSpec(REF_DIRECTION, _BAND, lambda c, p: _split_projection(c, p, _band)),
+        Param("M_i", "M_profiles", PROFILES)), _BAND_NORM, _integral),
+    PROP_4_1: BoundSpec(REF_DIRECTION, _RHO, _BALL, _projection),
+    PROP_4_2: BoundSpec(REF_DIRECTION, _BAND, _BAND_INNER, _projection),
     PROP_4_3: BoundSpec(REF_DIRECTION, (
         Param("k", "m_profile", PROFILE, require_band_profiles, upper="M_profile"),
-        Param("K", "M_profile", PROFILE)), _prop_4_3),
+        Param("K", "M_profile", PROFILE)), _BOX, _integral),
 }
 
 
@@ -766,7 +759,7 @@ def evaluate(f: GridFunction, est: DefectEstimate, reference: Reference, params:
         tau_on = DEFAULT_ORTHO_TOL
     validate_params(bound_id, params, None if family is None else family.n)
     c = _Context(f, est, reference, rule, tau_hyp, tau_on)
-    hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = spec.evaluate(c, params)
+    hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = _outcome(c, spec, params)
     lhs, rhs = float(lhs), float(rhs)
     scale = abs(lhs) + abs(rhs) + est.norm_integral + est.integral_norm
     err_budget = float(err_budget) + ROUNDOFF * scale

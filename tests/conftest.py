@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from revtri import COMPLEX, Grid, HVector, extremal_scenario
+from revtri import bounds as B
 from revtri.extremal import RECIPES
 
 
@@ -52,3 +55,14 @@ def random_vector(rng, field: str, d: int) -> HVector:
 def random_unit(rng, field: str, d: int) -> HVector:
     v = random_vector(rng, field, d)
     return HVector(field, v.coords / np.linalg.norm(v.coords))
+
+
+def patch_shape(monkeypatch, name: str, **changes) -> None:
+    """Replace the hypothesis shape ``bounds.<name>`` by a copy with ``changes``, in the
+    module, whose checkers read it, and in every ``BOUNDS`` row that has it."""
+    old = getattr(B, name)
+    new = dataclasses.replace(old, **changes)
+    monkeypatch.setattr(B, name, new)
+    for bound_id, spec in B.BOUNDS.items():
+        if spec.shape is old:
+            monkeypatch.setitem(B.BOUNDS, bound_id, dataclasses.replace(spec, shape=new))

@@ -381,6 +381,12 @@ def _family_context(field, scale, n=3):
     return B._Context(f, est, ref, "simpson", B.DEFAULT_HYP_TOL, 1e-10), grid, rng
 
 
+def _family_hypothesis(c, bound_id, params):
+    """The hypothesis report of a family row, as ``bounds.evaluate`` judges it."""
+    spec = B.BOUNDS[bound_id]
+    return B._hypothesis(c, spec, tuple(getattr(params, q.field) for q in spec.params))
+
+
 def _old_family(residuals):
     residuals = [np.asarray(r, dtype=np.float64) for r in residuals]
     return [np.max(np.stack(residuals), axis=0), *residuals]
@@ -388,9 +394,7 @@ def _old_family(residuals):
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("scale, m, M", [band for band in BANDS if band[1] > 0.0])
-def test_family_kernels_equal_the_whole_expressions(scale, m, M, field, monkeypatch):
-    monkeypatch.setattr(B, "_integral_extra", lambda c, hyp, *args: hyp)
-    monkeypatch.setattr(B, "_projection_extra", lambda c, hyp, *args: hyp)
+def test_family_kernels_equal_the_whole_expressions(scale, m, M, field):
     c, grid, rng = _family_context(field, scale)
     ms = (m, 0.5 * m, m)
     Ms = (M, M, 2.0 * M if M < 1e308 else M)
@@ -400,7 +404,7 @@ def test_family_kernels_equal_the_whole_expressions(scale, m, M, field, monkeypa
         q, proj = c.f.norms() ** 2, B._family_projections(c)
         return _old_family([q + a * b - (b + a) * proj[:, i]
                             for i, (a, b) in enumerate(zip(ms, Ms))])
-    assert _outcome(B._cor_3_3, c, params) == _outcome(old_cor_3_3)
+    assert _outcome(_family_hypothesis, c, B.COR_3_3, params) == _outcome(old_cor_3_3)
 
     ks = tuple(ScalarProfile(grid, M * rng.uniform(0.5, 1.0, grid.n_nodes)) for _ in range(3))
     params = B.BoundParams(dominance_profiles=ks)
@@ -408,13 +412,12 @@ def test_family_kernels_equal_the_whole_expressions(scale, m, M, field, monkeypa
     def old_thm_3_1():
         norms, proj = c.f.norms(), B._family_projections(c)
         return _old_family([norms - proj[:, i] - k.values for i, k in enumerate(ks)])
-    assert _outcome(B._thm_3_1, c, params) == _outcome(old_thm_3_1)
+    assert _outcome(_family_hypothesis, c, B.THM_3_1, params) == _outcome(old_thm_3_1)
 
 
-def test_a_single_member_family_keeps_its_own_combined_profile(monkeypatch):
-    monkeypatch.setattr(B, "_projection_extra", lambda c, hyp, *args: hyp)
+def test_a_single_member_family_keeps_its_own_combined_profile():
     c, _, _ = _family_context(REAL, 1.0, n=1)
-    hyp = B._cor_3_3(c, B.BoundParams(ms=(0.5,), Ms=(2.0,)))
+    hyp = _family_hypothesis(c, B.COR_3_3, B.BoundParams(ms=(0.5,), Ms=(2.0,)))
     assert hyp.slack_profile.tobytes() == hyp.sub_reports[0].slack_profile.tobytes()
     assert hyp.slack_profile is not hyp.sub_reports[0].slack_profile
 

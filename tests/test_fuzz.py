@@ -128,10 +128,11 @@ def test_mult_c_printed_margins_collected():
 
 
 def _patched(monkeypatch, bound_id: str, change):
-    """Replace ``bound_id``'s evaluator with one whose result goes through ``change``."""
-    spec = B.BOUNDS[bound_id]
-    monkeypatch.setitem(B.BOUNDS, bound_id, dataclasses.replace(
-        spec, evaluate=lambda c, p: change(*spec.evaluate(c, p))))
+    """Pass the outcome of ``bound_id``'s row (hypothesis, lhs, rhs, err, rhs_terms,
+    diagnostics) through ``change``."""
+    spec, outcome = B.BOUNDS[bound_id], B._outcome
+    monkeypatch.setattr(B, "_outcome", lambda c, s, p: (
+        change(*outcome(c, s, p)) if s is spec else outcome(c, s, p)))
 
 
 def _halved_rhs(hyp, lhs, rhs, err, terms, diags):

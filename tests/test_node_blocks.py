@@ -39,7 +39,7 @@ from revtri.scenario import (
     run,
     scenario_from_dict,
 )
-from .conftest import cone_recipe
+from .conftest import cone_recipe, patch_shape
 from .test_node_tables import PAIRWISE_COLUMNS, _column_norms, _numpy_norms
 from .test_residual_kernels import evaluate_bounds
 
@@ -269,15 +269,14 @@ def test_builds_equal_the_broadcast_formulas(d, field):
 SCALAR_BOUNDS = (B.COR_2_2, B.COR_2_3, B.MULT_B, B.MULT_C, B.PROP_4_1, B.PROP_4_2)
 
 
-def _profile_ball(c, e, p):
-    radius = ScalarProfile.constant(c.f.grid, p.rho)
-    return B.check_ball(c.f, e, radius, c.tau_hyp, c.tau_on), B.ball_coefficient(p.rho)
+def _profile_ball(f, e, rho, tau_hyp, tau_on):
+    return B.check_ball(f, e, ScalarProfile.constant(f.grid, rho), tau_hyp, tau_on)
 
 
-def _profile_band(c, e, p):
-    m, M = ScalarProfile.constant(c.f.grid, p.m), ScalarProfile.constant(c.f.grid, p.M)
-    hyp = B.check_band(c.f, e, m, M, "inner", c.tau_hyp, c.tau_on)
-    return hyp, B.band_coefficient(p.m, p.M)
+def _profile_band(f, e, m, M, tau_hyp, tau_on):
+    m, M = ScalarProfile.constant(f.grid, m), ScalarProfile.constant(f.grid, M)
+    return B.check_band(f, e, m, M, "inner", tau_hyp, tau_on)
+
 
 
 def _texts(scenario) -> str:
@@ -294,8 +293,8 @@ def test_scalar_constants_give_the_constant_profile_reports(bound_id, monkeypatc
                  for n in (512, 8192) for trial in (0, 1)]
     texts = [_texts(make()) for make in scenarios]
     with monkeypatch.context() as patched:
-        patched.setattr(B, "_ball", _profile_ball)
-        patched.setattr(B, "_band", _profile_band)
+        patch_shape(patched, "_BALL", check=_profile_ball)
+        patch_shape(patched, "_BAND_INNER", check=_profile_band)
         assert [_texts(make()) for make in scenarios] == texts
 
 
@@ -322,7 +321,7 @@ def test_scalar_band_constants_raise_as_profiles_do(params, monkeypatch):
             return str(exc)
     expected = outcome()
     with monkeypatch.context() as patched:
-        patched.setattr(B, "_band", _profile_band)
+        patch_shape(patched, "_BAND_INNER", check=_profile_band)
         assert outcome() == expected
 
 

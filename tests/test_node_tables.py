@@ -40,6 +40,8 @@ from revtri.scenario import (
 )
 from revtri.sweep import sweep, sweep_to_csv
 
+from .conftest import patch_shape
+
 
 def _numpy_norms(x: np.ndarray, c: np.ndarray | None = None,
                  s: np.ndarray | None = None) -> np.ndarray:
@@ -348,10 +350,10 @@ def _numpy_per_bound(monkeypatch) -> list:
                         lambda key, omega: np.sin(float.fromhex(omega) * grid_nodes(key)))
     calls = []
 
-    def counting(*args):
+    def counting(*args, proj=None):
         calls.append(args)
         return _old_band_norm_residuals(*args)
-    monkeypatch.setattr(B, "_band_norm_residuals", counting)
+    patch_shape(monkeypatch, "_BAND_NORM", kernel=counting)
     return calls
 
 

@@ -25,6 +25,7 @@ from revtri.quadrature import defect
 from revtri.scenario import _NODE_BLOCK, run, scenario_from_dict
 from revtri.sweep import sweep, sweep_to_csv
 
+from .conftest import patch_shape
 from .test_node_tables import LARGE_FILES
 from .test_one_function import _step_by_step
 
@@ -305,8 +306,8 @@ def _cor_3_5_file(M_1: float) -> dict:
 def test_family_member_integrals_are_taken_as_each_is_made(monkeypatch):
     events = []
     make, integrate = B.band_gap_integrand, B.sample_integral
-    monkeypatch.setattr(B, "band_gap_integrand",
-                        lambda *args: events.append("make") or make(*args))
+    patch_shape(monkeypatch, "_BAND_NORM",
+                integrand=lambda *args: events.append("make") or make(*args))
     monkeypatch.setattr(B, "sample_integral",
                         lambda *args: events.append("integrate") or integrate(*args))
     run(scenario_from_dict(_cor_3_5_file(2.0)))

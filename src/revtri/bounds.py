@@ -83,6 +83,11 @@ LIST_KINDS = (NUMBERS, PROFILES)
 #: hypotheses exactly up to rounding; a tight tolerance catches construction bugs.
 DEFAULT_HYP_TOL = 1e-9
 
+#: The absolute error of a rounded product in gradual underflow, twice |eta| in
+#: fl(x y) = x y (1 + delta) + eta, |eta| <= 2^-1075; a sum of subnormals is exact (Higham,
+#: *Accuracy and Stability of Numerical Algorithms*, section 2.1).
+_UNDERFLOW = 2.0 ** -1074
+
 #: Upper guard for ball radii: the coefficient blows up as rho -> 1,
 #: so near-degenerate radii are rejected instead of overflowing.
 RHO_GUARD = 1.0 - 1e-9
@@ -762,7 +767,10 @@ def evaluate(f: GridFunction, est: DefectEstimate, reference: Reference, params:
     hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = _outcome(c, spec, params)
     lhs, rhs = float(lhs), float(rhs)
     scale = abs(lhs) + abs(rhs) + est.norm_integral + est.integral_norm
-    err_budget = float(err_budget) + ROUNDOFF * scale
+    # a relative roundoff floor, and an absolute one for products that underflow: per node,
+    # the sums behind lhs and rhs (the norms, 2d real coordinates, a profile) take 2d + 2
+    underflow = _UNDERFLOW * f.grid.n_nodes * (f.d + 1)
+    err_budget = float(err_budget) + ROUNDOFF * scale + underflow
     margin = rhs - lhs
     if not all(map(math.isfinite, (lhs, rhs, margin, err_budget))):
         # Python floats overflow to inf without numpy's floating-point errors

@@ -177,6 +177,25 @@ def test_a_huge_interval_is_judged_on_finite_numbers_or_rejected(golden, name):
     assert all(map(math.isfinite, numbers)), numbers
 
 
+#: Equality cases of the fixture and the length of a subnormal interval they hold on:
+#: the budget's absolute term covers the products that underflow.
+SUBNORMAL_INTERVALS = {
+    "extremal-THM_2_1-real": 1e-310,
+    "extremal-THM_2_1-complex": 1e-310,
+    "family-extremal-n3": 1e-310,
+    "extremal-COR_2_3-real": 1e-320,
+    "extremal-COR_2_3-complex": 1e-320,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBNORMAL_INTERVALS))
+def test_an_equality_case_on_a_subnormal_interval_holds(golden, name):
+    data = json.loads(golden[name]["scenario"])
+    data["interval"] = [0.0, SUBNORMAL_INTERVALS[name]]
+    report = run(scenario_from_dict(data, source=name))
+    assert [r.verdict for r in report.results] == ["holds"]
+
+
 def _json_leaves(path: str, old, new, out: list) -> None:
     """Append (path, old, new) for each leaf where two JSON values differ; a differing key
     set, length or type is one leaf."""

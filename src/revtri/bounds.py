@@ -253,7 +253,7 @@ def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
 
 
 def _box_residuals(f: GridFunction, e: np.ndarray, m, M, proj=None) -> np.ndarray:
-    """How far f(t) = x + iy lies outside the box m e, M e of e = alpha + i beta."""
+    """How far f(t) lies outside the box [m, M] alpha x i [m, M] beta, e = alpha + i beta."""
     z, alpha, beta = f.values[:, 0], e[0].real, e[0].imag
     x, y = z.real, z.imag
     return np.maximum(np.maximum(np.maximum(m * alpha - x, x - M * alpha), m * beta - y),
@@ -399,10 +399,8 @@ class _Shape:
     directed: bool = True
 
 
-# ||f(t)|| - Re<f(t), e> - k(t)
 _DOMINANCE = _Shape("dominance", lambda f, e, k, proj: f.norms() - proj() - k,
                     check_dominance, integrand=lambda k: k, terms=("dominance_integral",))
-# ||f(t)|| - K Re<f(t), e>
 _SCALED_DOMINANCE = _Shape("dominance_scaled", lambda f, e, K, proj: f.norms() - K * proj(),
                            check_scaled_dominance)
 _BALL = _Shape("ball", _ball_residuals, check_ball, coefficient=ball_coefficient,
@@ -521,7 +519,7 @@ def _direction(c: _Context):
 def _outcome(c: _Context, spec: "BoundSpec", params: BoundParams):
     """(hypothesis, lhs, rhs, err, rhs_terms, diagnostics) of one row: its shape, then its
     right-hand-side form; a row with a direction reports the split projection too."""
-    args = tuple(getattr(params, q.field) for q in spec.params)
+    args = [getattr(params, q.field) for q in spec.params]
     directed = spec.reference == REF_DIRECTION and spec.shape.directed
     direction = _direction(c) if directed else None
     hyp = _hypothesis(c, spec, args, direction)
@@ -532,7 +530,7 @@ def _outcome(c: _Context, spec: "BoundSpec", params: BoundParams):
     return hyp, lhs, rhs, err, terms, diags
 
 
-def _hypothesis(c: _Context, spec: "BoundSpec", args: tuple, direction=None):
+def _hypothesis(c: _Context, spec: "BoundSpec", args: list, direction=None):
     """The row's shape checked against its reference vector, or member by member against a
     family, each member reading its column of the one (N+1, n) projection table; a member's
     profile is named by its file key with the index for ``i``, its number stays a float."""
@@ -552,7 +550,7 @@ def _hypothesis(c: _Context, spec: "BoundSpec", args: tuple, direction=None):
 # right-hand-side forms: rhs(context, spec, parameter values, direction)
 #   -> (lhs, rhs, err, rhs_terms, diagnostics)
 
-def _integral(c: _Context, spec: "BoundSpec", args: tuple, direction):
+def _integral(c: _Context, spec: "BoundSpec", args: list, direction):
     """defect <= s * int g for the shape's integrand g and scale s."""
     shape = spec.shape
     if spec.reference == REF_FAMILY:
@@ -562,7 +560,7 @@ def _integral(c: _Context, spec: "BoundSpec", args: tuple, direction):
     return c.est.value, shape.scale * g.value, err, {shape.terms[0]: g.value}, {}
 
 
-def _projection(c: _Context, spec: "BoundSpec", args: tuple, direction, printed=False):
+def _projection(c: _Context, spec: "BoundSpec", args: list, direction, printed=False):
     """defect <= coeff * Re<int f, e> and its weak form coeff * ||int f||, or along a
     direction the split projection; ``printed``: a family's weak form as printed too."""
     shape = spec.shape
@@ -581,7 +579,7 @@ def _projection(c: _Context, spec: "BoundSpec", args: tuple, direction, printed=
     return c.est.value, coeff * proj, err, {"coefficient": coeff, **terms}, diags
 
 
-def _ratio(c: _Context, spec: "BoundSpec", args: tuple, direction):
+def _ratio(c: _Context, spec: "BoundSpec", args: list, direction):
     """factor * int ||f|| <= ||int f|| for the shape's factor."""
     factor = spec.shape.factor(*args)
     name, reported = spec.shape.terms
@@ -590,14 +588,14 @@ def _ratio(c: _Context, spec: "BoundSpec", args: tuple, direction):
             {name: factor, reported: getattr(c.est, reported)}, {})
 
 
-def _mult_a(c: _Context, spec: "BoundSpec", args: tuple, direction):
+def _mult_a(c: _Context, spec: "BoundSpec", args: list, direction):
     (K,), est = args, c.est
     return (est.norm_integral, K * est.integral_norm,
             K * est.integral_err + est.norm_integral_err,
             {"K": K, "integral_norm": est.integral_norm}, {})
 
 
-def _mult_c(c: _Context, spec: "BoundSpec", args: tuple, direction):
+def _mult_c(c: _Context, spec: "BoundSpec", args: list, direction):
     # The certified bound is the corrected additive form
     #   defect <= (sqrt(M)-sqrt(m))^2/(M+m) * int ||f|| dt,
     # the only additive form derivable from the multiplicative one; the
@@ -633,7 +631,7 @@ def _family_projections(c: _Context) -> np.ndarray:
     return c.f.projections(c.ref.family.matrix())
 
 
-def _integral_extra(c: _Context, shape: _Shape, args: tuple):
+def _integral_extra(c: _Context, shape: _Shape, args: list):
     """extra = sum_i int g_i / ((1/s) n), each g_i integrated as it is made."""
     parts = [sample_integral(c.f.grid, shape.integrand(*(p.values for p in member)), c.rule)
              for member in zip(*args)]
@@ -769,7 +767,8 @@ def evaluate(f: GridFunction, est: DefectEstimate, reference: Reference, params:
     scale = abs(lhs) + abs(rhs) + est.norm_integral + est.integral_norm
     # a relative roundoff floor, and an absolute one for products that underflow: per node,
     # the sums behind lhs and rhs (the norms, 2d real coordinates, a profile) take 2d + 2
-    underflow = _UNDERFLOW * f.grid.n_nodes * (f.d + 1)
+    n_nodes, d = f.values.shape
+    underflow = _UNDERFLOW * n_nodes * (d + 1)
     err_budget = float(err_budget) + ROUNDOFF * scale + underflow
     margin = rhs - lhs
     if not all(map(math.isfinite, (lhs, rhs, margin, err_budget))):

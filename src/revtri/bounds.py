@@ -266,7 +266,7 @@ def _box_residuals(f: GridFunction, e: np.ndarray, m, M, proj=None) -> np.ndarra
 def _shape_report(shape: "_Shape", f: GridFunction, e, values, tau_hyp: float):
     """The report of ``shape``'s kernel on f against the coordinates e."""
     return _report(shape.condition_id, partial(shape.kernel, f, e, *values,
-                                               proj=lambda: f.projections(e)), tau_hyp)
+                                               proj=partial(f.projections, e)), tau_hyp)
 
 
 def _unit_check(shape: "_Shape", f: GridFunction, e: HVector, tau_hyp: float, tau_on: float,

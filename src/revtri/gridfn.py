@@ -170,8 +170,11 @@ def row_norms(x: np.ndarray, c: np.ndarray | None = None,
         v = x[..., j]
         if c is not None:
             v = v - (c[j] if s is None else s * c[j])
-        square = v.conj() if v.dtype.kind == "c" else v.copy()   # a real conj() is a view
-        square *= v
+        if v.size == 1:   # numpy's in-place product of one complex entry rounds otherwise
+            square = v.conj() * v
+        else:
+            square = v.conj() if v.dtype.kind == "c" else v.copy()   # a real conj() is a view
+            square *= v
         total += square.real
         del v, square   # at most one column's temporaries are alive
     norms = np.sqrt(total, out=total)

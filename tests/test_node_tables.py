@@ -136,6 +136,7 @@ def _matrices(draw) -> np.ndarray:
 @given(x=_matrices())
 @example(x=np.array([[1.2e154, 1.2e154, 1e200]]))   # numpy: multiply; row_norms: add
 @example(x=np.array([[1e-160, 5e-324], [0.0, -1e-170]]))   # every square underflows
+@example(x=np.array([[5.294643744808353e+153 + 1e154j]]))   # a one-entry complex product
 def test_row_norms_are_numpy_bit_for_bit(x):
     got = _outcome(row_norms, x)
     assert got == _outcome(_rescaled(_column_norms), x)

@@ -377,7 +377,7 @@ def _family_check(kernels, condition_id: str, tau_hyp: float) -> HypothesisRepor
 # --------------------------------------------------------------------------
 # hypothesis shapes
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Shape:
     """A node-wise hypothesis, once for every bound that assumes it: its residual
     ``kernel``, reported as ``condition_id``; ``check(f, e, *params, tau_hyp=, tau_on=)``
@@ -386,7 +386,8 @@ class _Shape:
     ``scale`` s of defect <= s int g (a family divides by 1/s), the ``coefficient`` of
     defect <= c * projection, or the ``factor`` of factor * int ||f|| <= ||int f||.
     ``terms`` names the integral, or the factor and the estimate beside it, in
-    ``rhs_terms``; ``directed`` is False for the hypothesis that reads no reference."""
+    ``rhs_terms``; ``directed`` is False for the hypothesis that reads no reference.  Shapes
+    compare by identity: with a reference kind, one keys a fuzz generator and a recipe."""
 
     condition_id: str
     kernel: Callable
@@ -523,11 +524,15 @@ def _outcome(c: _Context, spec: "BoundSpec", params: BoundParams):
     directed = spec.reference == REF_DIRECTION and spec.shape.directed
     direction = _direction(c) if directed else None
     hyp = _hypothesis(c, spec, args, direction)
-    lhs, rhs, err, terms, diags = spec.rhs(c, spec, args, direction)
+    lhs, rhs, err, terms, diags, mult = spec.rhs(c, spec, args, direction)
     if direction is not None:
         _, split, _, split_diags = direction
         terms, diags = {**terms, "split_projection": split}, {**diags, **split_diags}
-    return hyp, lhs, rhs, err, terms, diags
+    # an absolute error term for products that underflow: per node, the sums behind lhs and
+    # rhs (the norms, 2d real coordinates, a profile) take 2d + 2, and the row's multiplier
+    # scales the errors of the sums it multiplies
+    n_nodes, d = c.f.values.shape
+    return hyp, lhs, rhs, err + _UNDERFLOW * n_nodes * (d + 1) * max(1.0, mult), terms, diags
 
 
 def _hypothesis(c: _Context, spec: "BoundSpec", args: list, direction=None):
@@ -548,7 +553,8 @@ def _hypothesis(c: _Context, spec: "BoundSpec", args: list, direction=None):
 
 
 # right-hand-side forms: rhs(context, spec, parameter values, direction)
-#   -> (lhs, rhs, err, rhs_terms, diagnostics)
+#   -> (lhs, rhs, err, rhs_terms, diagnostics, multiplier); the multiplier is the constant
+#   that scales the integrals of the side it stands on (a scale, coefficient, factor or K)
 
 def _integral(c: _Context, spec: "BoundSpec", args: list, direction):
     """defect <= s * int g for the shape's integrand g and scale s."""
@@ -557,7 +563,7 @@ def _integral(c: _Context, spec: "BoundSpec", args: list, direction):
         return _integral_extra(c, shape, args)
     g = sample_integral(c.f.grid, shape.integrand(*(p.values for p in args)), c.rule)
     err = shape.scale * g.err_est + c.est.norm_integral_err + c.est.integral_err
-    return c.est.value, shape.scale * g.value, err, {shape.terms[0]: g.value}, {}
+    return c.est.value, shape.scale * g.value, err, {shape.terms[0]: g.value}, {}, shape.scale
 
 
 def _projection(c: _Context, spec: "BoundSpec", args: list, direction, printed=False):
@@ -576,7 +582,7 @@ def _projection(c: _Context, spec: "BoundSpec", args: list, direction, printed=F
     else:
         (_, proj, proj_err, _), terms, diags = direction, {}, {}
     err = coeff * proj_err + c.est.norm_integral_err + c.est.integral_err
-    return c.est.value, coeff * proj, err, {"coefficient": coeff, **terms}, diags
+    return c.est.value, coeff * proj, err, {"coefficient": coeff, **terms}, diags, coeff
 
 
 def _ratio(c: _Context, spec: "BoundSpec", args: list, direction):
@@ -585,14 +591,14 @@ def _ratio(c: _Context, spec: "BoundSpec", args: list, direction):
     name, reported = spec.shape.terms
     err = c.est.integral_err + factor * c.est.norm_integral_err
     return (factor * c.est.norm_integral, c.est.integral_norm, err,
-            {name: factor, reported: getattr(c.est, reported)}, {})
+            {name: factor, reported: getattr(c.est, reported)}, {}, factor)
 
 
 def _mult_a(c: _Context, spec: "BoundSpec", args: list, direction):
     (K,), est = args, c.est
     return (est.norm_integral, K * est.integral_norm,
             K * est.integral_err + est.norm_integral_err,
-            {"K": K, "integral_norm": est.integral_norm}, {})
+            {"K": K, "integral_norm": est.integral_norm}, {}, K)
 
 
 def _mult_c(c: _Context, spec: "BoundSpec", args: list, direction):
@@ -612,18 +618,18 @@ def _mult_c(c: _Context, spec: "BoundSpec", args: list, direction):
             {"mult_factor": mult_factor, "mult_lhs": mult_factor * est.norm_integral,
              "mult_rhs": est.integral_norm,
              "mult_margin": est.integral_norm - mult_factor * est.norm_integral,
-             "printed_rhs": printed_rhs, "printed_margin": printed_rhs - est.value})
+             "printed_rhs": printed_rhs, "printed_margin": printed_rhs - est.value}, coeff)
 
 
 # family bounds: int ||f|| <= ||int f|| / sqrt(n) + extra
 
 def _family_bound(c: _Context, extra: float, extra_err: float, terms: dict,
-                  diags: dict | None = None):
+                  diags: dict | None = None, mult: float = 1.0):
     n = c.ref.family.n
     family_term = c.est.integral_norm / math.sqrt(n)
     err = c.est.integral_err / math.sqrt(n) + extra_err + c.est.norm_integral_err
     return (c.est.norm_integral, family_term + extra, err,
-            {"family_term": family_term, **terms, "extra": extra}, diags or {})
+            {"family_term": family_term, **terms, "extra": extra}, diags or {}, mult)
 
 
 def _family_projections(c: _Context) -> np.ndarray:
@@ -655,7 +661,7 @@ def _projection_extra(c: _Context, coeffs: np.ndarray, printed: bool):
     if printed:
         diags["printed_weak_rhs"] = (c.est.integral_norm / math.sqrt(n)
                                      * (1.0 + math.sqrt(float(np.mean(coeffs)))))
-    return _family_bound(c, extra, extra_err, terms, diags)
+    return _family_bound(c, extra, extra_err, terms, diags, float(coeffs.max()))
 
 
 # --------------------------------------------------------------------------
@@ -765,11 +771,7 @@ def evaluate(f: GridFunction, est: DefectEstimate, reference: Reference, params:
     hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = _outcome(c, spec, params)
     lhs, rhs = float(lhs), float(rhs)
     scale = abs(lhs) + abs(rhs) + est.norm_integral + est.integral_norm
-    # a relative roundoff floor, and an absolute one for products that underflow: per node,
-    # the sums behind lhs and rhs (the norms, 2d real coordinates, a profile) take 2d + 2
-    n_nodes, d = f.values.shape
-    underflow = _UNDERFLOW * n_nodes * (d + 1)
-    err_budget = float(err_budget) + ROUNDOFF * scale + underflow
+    err_budget = float(err_budget) + ROUNDOFF * scale   # a relative roundoff floor
     margin = rhs - lhs
     if not all(map(math.isfinite, (lhs, rhs, margin, err_budget))):
         # Python floats overflow to inf without numpy's floating-point errors

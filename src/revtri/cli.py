@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bounds as B
 from .errors import RevtriError
-from .extremal import RECIPES, extremal_scenario
+from .extremal import RECIPES, extremal_scenario, recipe_of
 from .fuzz import fuzz
 from .hilbert import COMPLEX, REAL
 from .scenario import (
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
     p_ext = sub.add_parser("extremal", help="build and certify an equality-case scenario")
-    p_ext.add_argument("--bound", required=True, choices=sorted(RECIPES))
+    p_ext.add_argument("--bound", required=True, choices=sorted(filter(recipe_of, B.BOUNDS)))
     for key, kind in _RECIPE_FLAGS.items():
         p_ext.add_argument("--" + key.replace("_", "-"), type=kind)
     p_ext.add_argument("--dim", type=int, default=None, help="dimension d (default the recipe's)")
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.set_defaults(func=_cmd_extremal)
 
     p_sweep = sub.add_parser("sweep", help="tabulate a bound across a parameter range")
-    p_sweep.add_argument("--bound", required=True, choices=sorted(filter(_sweepable, RECIPES)))
+    p_sweep.add_argument("--bound", required=True, choices=sorted(filter(_sweepable, B.BOUNDS)))
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--from", type=float, required=True)
     p_sweep.add_argument("--to", type=float, required=True)

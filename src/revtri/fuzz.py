@@ -122,12 +122,8 @@ def _bounded_path(rng, grid: Grid, d: int, field: str):
 def _smooth_scalar(rng, grid: Grid, lo: float, hi: float):
     """Smooth real samples ranging inside [lo, hi]."""
     raw = _trig_path(rng, grid, 1, REAL)[:, 0]
-    top = float(np.max(np.abs(raw)))
-    if top == 0.0:
-        raw = np.zeros(grid.n_nodes)
-    else:
-        raw = raw / top
-    return lo + (hi - lo) * (raw + 1.0) / 2.0
+    top = float(np.max(np.abs(raw))) or 1.0   # a zero path stays zero
+    return lo + (hi - lo) * (raw / top + 1.0) / 2.0
 
 
 def _unit_vector(rng, field: str, d: int) -> HVector:
@@ -150,8 +146,8 @@ def _samples_profile(grid: Grid, values) -> ScalarProfile:
 
 
 # --------------------------------------------------------------------------
-# per-bound generators; each returns (f, reference, params), the constants read from the
-# node tables of f, which run() then reuses
+# generators, one per (hypothesis shape, reference kind); each returns (f, reference,
+# params), the constants read from the node tables of f, which run() then reuses
 
 def _gen_dominance(rng, grid, field, d, n_family):
     e = _unit_vector(rng, field, d)
@@ -331,25 +327,25 @@ def _gen_complex_box(rng, grid, field, d, n_family):
         m_profile=k, M_profile=K)
 
 
+#: The generator of every (hypothesis shape, reference kind) a ``BOUNDS`` row has.
 GENERATORS = {
-    B.THM_2_1: _gen_dominance,
-    B.COR_2_2: _gen_ball,
-    B.COR_2_3: _gen_band,
-    B.COR_2_4: _gen_ball_profile,
-    B.COR_2_5: _gen_band_profiles,
-    B.MULT_A: _gen_scaled_dominance,
-    B.MULT_B: _gen_ball,
-    B.MULT_C: _gen_band,
-    B.KARAMATA: _gen_arg_cone,
-    B.THM_3_1: _gen_family_dominance,
-    B.COR_3_2: _gen_family_ball,
-    B.COR_3_3: _gen_family_band,
-    B.COR_3_4: _gen_family_ball_profiles,
-    B.COR_3_5: _gen_family_band_profiles,
-    B.PROP_4_1: partial(_gen_ball, kind=REF_DIRECTION),
-    B.PROP_4_2: partial(_gen_band, kind=REF_DIRECTION),
-    B.PROP_4_3: _gen_complex_box,
+    (B._DOMINANCE, REF_UNIT): _gen_dominance,
+    (B._BALL, REF_UNIT): _gen_ball,
+    (B._BAND_INNER, REF_UNIT): _gen_band,
+    (B._BALL_PROFILE, REF_UNIT): _gen_ball_profile,
+    (B._BAND_NORM, REF_UNIT): _gen_band_profiles,
+    (B._SCALED_DOMINANCE, REF_UNIT): _gen_scaled_dominance,
+    (B._ARG_CONE, REF_DIRECTION): _gen_arg_cone,
+    (B._DOMINANCE, REF_FAMILY): _gen_family_dominance,
+    (B._BALL, REF_FAMILY): _gen_family_ball,
+    (B._BAND_INNER, REF_FAMILY): _gen_family_band,
+    (B._BALL_PROFILE, REF_FAMILY): _gen_family_ball_profiles,
+    (B._BAND_NORM, REF_FAMILY): _gen_family_band_profiles,
+    (B._BALL, REF_DIRECTION): partial(_gen_ball, kind=REF_DIRECTION),
+    (B._BAND_INNER, REF_DIRECTION): partial(_gen_band, kind=REF_DIRECTION),
+    (B._BOX, REF_DIRECTION): _gen_complex_box,
 }
+
 
 def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
                       field: str = REAL, n_family: int = 3,
@@ -361,14 +357,15 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
 def _generate(streams, bound_id: str, seed: int, trial: int, d: int, field: str,
               n_family: int, n_panels: int) -> Scenario:
     """:func:`generate_scenario`, drawing from ``streams(seed, trial)``, a Generator that
-    gives the stream of ``trial_rng(seed, trial)``."""
-    if bound_id not in GENERATORS:
+    gives the stream of ``trial_rng(seed, trial)``; the bound's row keys its generator."""
+    spec = B.BOUNDS.get(bound_id)
+    if spec is None:
         raise InputError(f"unknown bound id {bound_id!r}")
-    if B.BOUNDS[bound_id].reference == REF_DIRECTION:
+    if spec.reference == REF_DIRECTION:
         field, d = COMPLEX, 1
     if d < 1:
         raise InputError(f"dimension d must be at least 1, got {d}")
-    if bound_id in B.FAMILY_BOUNDS:
+    if spec.reference == REF_FAMILY:
         if n_family < 1:
             raise InputError(f"n_family must be at least 1, got {n_family}")
         if n_family > d:
@@ -377,14 +374,14 @@ def _generate(streams, bound_id: str, seed: int, trial: int, d: int, field: str,
     grid = Grid(0.0, 1.0, n_panels)
     if not _describable(grid.n_nodes, d):
         raise InputError("dimension d is too large for numpy to describe an (N+1, d) array")
-    f, reference, params = GENERATORS[bound_id](rng, grid, field, d, n_family)
+    f, reference, params = GENERATORS[spec.shape, spec.reference](rng, grid, field, d, n_family)
     provenance = {
         "generator": f"fuzz:{bound_id}",
         "seed": int(seed),
         "trial": int(trial),
         "d": int(d),
         "field": field,
-        "n_family": int(n_family) if bound_id in B.FAMILY_BOUNDS else None,
+        "n_family": int(n_family) if spec.reference == REF_FAMILY else None,
     }
     scenario = Scenario(
         id=f"fuzz-{bound_id}-s{seed}-t{trial}",

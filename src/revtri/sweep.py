@@ -9,7 +9,7 @@ import numpy as np
 
 from . import bounds as B
 from .errors import InputError, RevtriError
-from .extremal import RECIPES, extremal_scenario
+from .extremal import extremal_scenario, recipe_of
 from .scenario import Scenario, run
 
 CSV_HEADER = "parameter,value,lhs,rhs,margin,extremal_gap"
@@ -30,13 +30,13 @@ class SweepRow:
 
 def _sweepable(bound_id: str) -> bool:
     """Whether ``bound_id`` has a recipe that reads every parameter of the bound's file entry."""
-    return bound_id in RECIPES and all(
-        q.key in RECIPES[bound_id].defaults for q in B.BOUNDS[bound_id].params)
+    recipe = recipe_of(bound_id)
+    return recipe is not None and all(q.key in recipe.defaults for q in B.BOUNDS[bound_id].params)
 
 
 def _base_params(bound_id: str, base: Scenario | None) -> dict:
     """Recipe parameters; a profile of the base scenario contributes its first node value."""
-    params = dict(RECIPES[bound_id].defaults)
+    params = dict(recipe_of(bound_id).defaults)
     for entry in base.bounds if base is not None else ():
         if entry.bound_id == bound_id:
             for q in B.BOUNDS[bound_id].params:

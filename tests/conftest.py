@@ -7,7 +7,8 @@ import pytest
 
 from revtri import COMPLEX, Grid, HVector, extremal_scenario
 from revtri import bounds as B
-from revtri.extremal import RECIPES
+from revtri.extremal import RECIPES, recipe_of
+from revtri.fuzz import GENERATORS
 
 
 @pytest.fixture
@@ -33,7 +34,8 @@ def cone_recipe(bound_id: str, params: dict, interval: tuple = (0.0, 1.0)) -> tu
     :func:`extremal_scenario` puts them in the cone spec, the defect from the row's closed
     form over the parameters merged with its defaults, times the interval's length."""
     spec = extremal_scenario(bound_id, params, interval=interval).function.params
-    rate = RECIPES[bound_id].solve(**{**RECIPES[bound_id].defaults, **params})[2]
+    recipe = recipe_of(bound_id)
+    rate = recipe.solve(**{**recipe.defaults, **params})[2]
     return spec["alpha"], spec["beta"], rate * (interval[1] - interval[0])
 
 
@@ -57,12 +59,25 @@ def random_unit(rng, field: str, d: int) -> HVector:
     return HVector(field, v.coords / np.linalg.norm(v.coords))
 
 
+def table_key(bound_id: str) -> tuple:
+    """The (hypothesis shape, reference kind) that keys ``bound_id``'s fuzz generator and
+    equality recipe."""
+    spec = B.BOUNDS[bound_id]
+    return spec.shape, spec.reference
+
+
 def patch_shape(monkeypatch, name: str, **changes) -> None:
     """Replace the hypothesis shape ``bounds.<name>`` by a copy with ``changes``, in the
-    module, whose checkers read it, and in every ``BOUNDS`` row that has it."""
+    module, whose checkers read it, in every ``BOUNDS`` row that has it, and in the keys of
+    ``fuzz.GENERATORS`` and ``extremal.RECIPES``, so its bounds keep their generators and
+    recipes."""
     old = getattr(B, name)
     new = dataclasses.replace(old, **changes)
     monkeypatch.setattr(B, name, new)
     for bound_id, spec in B.BOUNDS.items():
         if spec.shape is old:
             monkeypatch.setitem(B.BOUNDS, bound_id, dataclasses.replace(spec, shape=new))
+    for table in (GENERATORS, RECIPES):
+        for shape, kind in [key for key in table if key[0] is old]:
+            monkeypatch.setitem(table, (new, kind), table[shape, kind])
+            monkeypatch.delitem(table, (shape, kind))

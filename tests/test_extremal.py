@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -32,9 +33,13 @@ from revtri import (
 from revtri import extremal, gridfn
 from revtri.bounds import BOUNDS, HOLDS
 from revtri.cli import build_parser, main
-from revtri.extremal import RECIPES
+from revtri.extremal import RECIPES, recipe_of
+from revtri.fuzz import GENERATORS
 from revtri.sweep import _base_params, _sweepable, sweep
 from .conftest import cone_recipe, family_extremal, unit_extremal
+
+#: The bounds whose (hypothesis shape, reference kind) has a recipe.
+RECIPE_BOUNDS = sorted(filter(recipe_of, BOUNDS))
 
 # ---------------------------------------------------------------------------
 # independent oracles: solve the node-wise equality conditions numerically.
@@ -173,10 +178,11 @@ def _bound_choices(command: str) -> list[str]:
 
 
 def test_recipe_bounds_sweep_defaults_and_cli_flags_come_from_recipes():
-    cones = {bound_id for bound_id, recipe in RECIPES.items() if recipe.solve is not None}
-    assert cones == {"THM_2_1", "COR_2_2", "COR_2_3", "COR_2_4", "COR_2_5"}
-    assert set(RECIPES) - cones == {"THM_3_1"}
-    for bound_id, recipe in RECIPES.items():
+    cones = {bound_id for bound_id in RECIPE_BOUNDS if recipe_of(bound_id).solve is not None}
+    assert cones == {"THM_2_1", "COR_2_2", "COR_2_3", "COR_2_4", "COR_2_5", "MULT_B", "MULT_C"}
+    assert set(RECIPE_BOUNDS) - cones == {"THM_3_1"}
+    for bound_id in RECIPE_BOUNDS:
+        recipe = recipe_of(bound_id)
         assert _base_params(bound_id, None) == recipe.defaults
         # a bound is swept when its recipe reads every key of its file entry: the cones
         assert _sweepable(bound_id) == (bound_id in cones) == (
@@ -188,14 +194,30 @@ def test_recipe_bounds_sweep_defaults_and_cli_flags_come_from_recipes():
     assert _extremal_options() - set(flags) == {
         "-h", "--help", "--bound", "--dim", "--field", "--interval", "--panels", "--out",
         "--scenario-out"}
-    assert _bound_choices("extremal") == sorted(RECIPES)
+    assert _bound_choices("extremal") == RECIPE_BOUNDS
     assert _bound_choices("sweep") == sorted(cones)
     # the flags take no argparse defaults: an absent flag is an absent key
     args = build_parser().parse_args(["extremal", "--bound", "THM_3_1", "--n-family", "3"])
     assert (args.n_family, args.c) == (3, None)
 
 
-@pytest.mark.parametrize("bound_id", sorted(RECIPES))
+def test_generators_and_recipes_are_keyed_by_shape_and_reference_kind():
+    pairs = {(spec.shape, spec.reference) for spec in BOUNDS.values()}
+    assert len(pairs) == len(GENERATORS) == 15 and set(GENERATORS) == pairs
+    assert len(RECIPES) == 6 and set(RECIPES) <= pairs
+    # one recipe serves each bound of its pair: the ball cone COR_2_2 and MULT_B, the band
+    # cone COR_2_3 and MULT_C
+    assert len(RECIPE_BOUNDS) == 8
+    assert recipe_of("MULT_B") is recipe_of("COR_2_2")
+    assert recipe_of("MULT_C") is recipe_of("COR_2_3")
+    assert recipe_of("PROP_4_1") is recipe_of("COR_3_2") is recipe_of("nope") is None
+    # shapes compare by identity: a copy with the same fields keys nothing
+    spec = BOUNDS["COR_2_2"]
+    assert (spec.shape, spec.reference) in RECIPES
+    assert (dataclasses.replace(spec.shape), spec.reference) not in RECIPES
+
+
+@pytest.mark.parametrize("bound_id", RECIPE_BOUNDS)
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_extremal_scenario_merges_its_parameters_once(bound_id, field, monkeypatch):
     calls = []
@@ -205,12 +227,12 @@ def test_extremal_scenario_merges_its_parameters_once(bound_id, field, monkeypat
         calls.append(args[0])
         return merge(*args)
     monkeypatch.setattr(extremal, "_recipe_values", counting)
-    extremal_scenario(bound_id, RECIPES[bound_id].defaults, field=field)
+    extremal_scenario(bound_id, recipe_of(bound_id).defaults, field=field)
     assert calls == [bound_id]
 
 
 def test_thm21_alpha_defaults_to_the_recipe_default():
-    default = {"k": 0.5, "alpha": RECIPES["THM_2_1"].defaults["alpha"]}
+    default = {"k": 0.5, "alpha": recipe_of("THM_2_1").defaults["alpha"]}
     assert cone_recipe("THM_2_1", {"k": 0.5}) == cone_recipe("THM_2_1", default)
     assert scenario_to_dict(extremal_scenario("THM_2_1", {"k": 0.5})) == scenario_to_dict(
         extremal_scenario("THM_2_1", default))
@@ -390,11 +412,11 @@ def test_extremal_scenario_names_the_keys_it_does_not_read():
         extremal_scenario("THM_3_1", {"r": 0.5})
 
 
-@pytest.mark.parametrize("bound_id", sorted(filter(_sweepable, RECIPES)))
+@pytest.mark.parametrize("bound_id", sorted(filter(_sweepable, BOUNDS)))
 def test_sweep_passes_every_recipe_default_with_the_swept_value(bound_id):
     # sweep builds each step from {**defaults, param: value}: every key is one the recipe reads
     for q in BOUNDS[bound_id].params:
-        value = RECIPES[bound_id].defaults[q.key]
+        value = recipe_of(bound_id).defaults[q.key]
         rows, warnings = sweep(bound_id, q.key, value, value, 1)
         assert warnings == []
         assert [row.verdict for row in rows] == [HOLDS]

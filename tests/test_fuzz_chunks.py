@@ -24,6 +24,7 @@ from revtri.hilbert import COMPLEX, REAL, HVector, vector_norm
 from revtri.quadrature import defect, integrate_trials
 from revtri.scenario import BoundEntry, Scenario, Tolerances, report_to_csv, report_to_json
 
+from .conftest import table_key
 from .test_copy_free import _frame, _peak_bytes
 
 F = importlib.import_module("revtri.fuzz")   # the package's name ``fuzz`` is the function
@@ -102,7 +103,8 @@ def test_the_pass_keeps_what_defect_and_norms_compute():
 def _overflowing(monkeypatch, bound_id: str, bad_trial: int, generation_error: int | None = None):
     """Patch ``bound_id``'s generator: the ``bad_trial``-th call returns f scaled by 1e200,
     whose squared norms overflow, and the ``generation_error``-th call raises."""
-    original = F.GENERATORS[bound_id]
+    key = table_key(bound_id)
+    original = F.GENERATORS[key]
     calls = []
 
     def generator(rng, grid, field, d, n_family):
@@ -114,7 +116,7 @@ def _overflowing(monkeypatch, bound_id: str, bad_trial: int, generation_error: i
         if k == bad_trial:
             f = GridFunction(grid, field, f.values * 1e200)
         return f, reference, params
-    monkeypatch.setitem(F.GENERATORS, bound_id, generator)
+    monkeypatch.setitem(F.GENERATORS, key, generator)
     return calls
 
 

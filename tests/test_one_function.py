@@ -29,6 +29,8 @@ from revtri.scenario import (
 )
 from revtri.sweep import SweepRow, _base_params, sweep, sweep_to_csv
 
+from .conftest import table_key
+
 DATA = Path(__file__).parent / "data"
 
 #: Bounds whose generator reads node norms, projections or distances of f.
@@ -45,13 +47,13 @@ TRIAL = {"seed": 31, "trial": 2, "d": 4, "n_family": 3, "n_panels": 64}
 @pytest.mark.parametrize("bound_id", sorted(B.ALL_BOUND_IDS))
 def test_scenario_carries_the_generators_function(bound_id, field, monkeypatch):
     built = []
-    generator = GENERATORS[bound_id]
+    generator = GENERATORS[table_key(bound_id)]
 
     def capturing(*args):
         out = generator(*args)
         built.append(out[0])
         return out
-    monkeypatch.setitem(GENERATORS, bound_id, capturing)
+    monkeypatch.setitem(GENERATORS, table_key(bound_id), capturing)
     scenario = generate_scenario(bound_id, field=field, **TRIAL)
     [f] = built
     assert isinstance(f, GridFunction) and scenario.f is f

@@ -748,11 +748,11 @@ def validate_params(bound_id: str, params: BoundParams, n: int | None = None) ->
                 raise ParamError(f"{p.key}[{i}]" if listed else p.key, str(exc)) from None
 
 
-def evaluate(f: GridFunction, est: DefectEstimate, reference: Reference, params: BoundParams,
-             bound_id: str, rule: str = DEFAULT_RULE, tau_hyp: float = DEFAULT_HYP_TOL,
+def evaluate(f: GridFunction, reference: Reference, params: BoundParams, bound_id: str,
+             rule: str = DEFAULT_RULE, tau_hyp: float = DEFAULT_HYP_TOL,
              tau_on: float = DEFAULT_ORTHO_TOL) -> BoundResult:
-    """Evaluate any bound given ``est = defect(f, rule)``, which callers compute once per f.
-    It reads the part of ``reference`` its kind names (KARAMATA reads none).  Bounds with
+    """Evaluate any bound on f's own integrals, ``defect(f, rule)``, kept on f.  It reads
+    the part of ``reference`` its kind names (KARAMATA reads none).  Bounds with
     a direction check their unit reference at the default orthonormality tolerance.  A
     non-finite lhs, rhs, margin or error budget raises :class:`DegeneracyError`."""
     spec = BOUNDS.get(bound_id)
@@ -767,6 +767,7 @@ def evaluate(f: GridFunction, est: DefectEstimate, reference: Reference, params:
     if spec.reference == REF_DIRECTION:
         tau_on = DEFAULT_ORTHO_TOL
     validate_params(bound_id, params, None if family is None else family.n)
+    est = defect(f, rule)
     c = _Context(f, est, reference, rule, tau_hyp, tau_on)
     hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = _outcome(c, spec, params)
     lhs, rhs = float(lhs), float(rhs)
@@ -811,8 +812,7 @@ def eval_unit_bound(f: GridFunction, e: HVector | None, params: BoundParams, bou
     ``e`` may be None only for KARAMATA, whose hypothesis is argument-based.
     """
     _require_group(bound_id, UNIT_BOUNDS, "unit-reference")
-    return evaluate(f, defect(f, rule), Reference(REF_UNIT, e=e), params, bound_id, rule,
-                    tau_hyp, tau_on)
+    return evaluate(f, Reference(REF_UNIT, e=e), params, bound_id, rule, tau_hyp, tau_on)
 
 
 def eval_family_bound(f: GridFunction, family: OrthonormalFamily, params: BoundParams,
@@ -821,8 +821,8 @@ def eval_family_bound(f: GridFunction, family: OrthonormalFamily, params: BoundP
                       tau_on: float = DEFAULT_ORTHO_TOL) -> BoundResult:
     """Evaluate an orthonormal-family bound: int||f|| <= ||int f||/sqrt(n) + extra."""
     _require_group(bound_id, FAMILY_BOUNDS, "family")
-    return evaluate(f, defect(f, rule), Reference(REF_FAMILY, family=family), params, bound_id,
-                    rule, tau_hyp, tau_on)
+    return evaluate(f, Reference(REF_FAMILY, family=family), params, bound_id, rule, tau_hyp,
+                    tau_on)
 
 
 def eval_complex_bound(f: GridFunction, alpha: float, beta: float, params: BoundParams,
@@ -835,5 +835,5 @@ def eval_complex_bound(f: GridFunction, alpha: float, beta: float, params: Bound
     roundoff; both appear in the result for cross-checking).
     """
     _require_group(prop_id, COMPLEX_BOUNDS, "complex-plane")
-    return evaluate(f, defect(f, rule), Reference(REF_DIRECTION, alpha=alpha, beta=beta), params,
-                    prop_id, rule, tau_hyp)
+    return evaluate(f, Reference(REF_DIRECTION, alpha=alpha, beta=beta), params, prop_id,
+                    rule, tau_hyp)

@@ -1,8 +1,9 @@
 """Command-line surface: check, fuzz, extremal, sweep.
 
 Exit codes: 0 all bounds hold, 1 a bound was violated, 2 a hypothesis failed,
-3 usage, input or validation error or an input too large to allocate, 141
-(128 + SIGPIPE) standard output was closed before everything was written to it.
+3 usage, input or validation error, an input too large to allocate or an output file
+that cannot be written, 70 (EX_SOFTWARE) an internal error, printed with its traceback,
+141 (128 + SIGPIPE) standard output was closed before everything was written to it.
 """
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import bounds as B
-from .errors import RevtriError
+from .errors import InputError, RevtriError
 from .extremal import RECIPES, extremal_scenario, recipe_of
 from .fuzz import fuzz
 from .hilbert import COMPLEX, REAL
@@ -34,9 +36,20 @@ from .sweep import _sweepable, sweep, sweep_to_csv
 
 #: the exit code for a closed standard output, the one a shell reports for SIGPIPE
 _EXIT_BROKEN_PIPE = 141
+#: the exit code for an exception that is a fault of the program (sysexits' EX_SOFTWARE)
+_EXIT_SOFTWARE = 70
 
 #: ``extremal --<key>`` (``_`` written ``-``) per key of every recipe, typed by its default.
 _RECIPE_FLAGS = {key: type(value) for r in RECIPES.values() for key, value in r.defaults.items()}
+
+
+@contextmanager
+def _writing(path: str):
+    """An output file that cannot be written is an input error that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write file: {exc.strerror or exc}") from None
 
 
 def _write_report(report: RunReport, out: str | None) -> None:
@@ -44,7 +57,8 @@ def _write_report(report: RunReport, out: str | None) -> None:
         return
     path = Path(out)
     text = report_to_csv(report) if path.suffix == ".csv" else report_to_json(report)
-    path.write_text(text, encoding="utf-8")
+    with _writing(out):
+        path.write_text(text, encoding="utf-8")
 
 
 def _print_report(report: RunReport) -> None:
@@ -75,7 +89,8 @@ def _cmd_fuzz(args) -> int:
         print(f"  printed-form margins: min {pf['min_margin']!r} max {pf['max_margin']!r} "
               f"negative in {pf['negative_count']} trials (diagnostic only)")
     if args.out:
-        _write_json(data, args.out)
+        with _writing(args.out):
+            _write_json(data, args.out)
     counts = {B.VIOLATED: summary.violated, B.HYPOTHESIS_FAILED: summary.hypothesis_failed}
     return EXIT_CODES[_rollup(verdict for verdict, n in counts.items() if n)]
 
@@ -93,7 +108,8 @@ def _cmd_extremal(args) -> int:
     gap = report.results[0].margin
     print(f"  equality gap {gap!r}")
     if args.scenario_out:
-        save_scenario(scenario, args.scenario_out)
+        with _writing(args.scenario_out):
+            save_scenario(scenario, args.scenario_out)
     _write_report(report, args.out)
     return exit_code(report)
 
@@ -106,7 +122,8 @@ def _cmd_sweep(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     text = sweep_to_csv(rows)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     return EXIT_CODES[_rollup(r.verdict for r in rows)]
@@ -182,6 +199,9 @@ def main(argv=None) -> int:
         # the recipe of Python's signal docs: the flush at exit writes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _EXIT_BROKEN_PIPE
+    except Exception:  # a fault of the program: its traceback, and no verdict's code
+        sys.excepthook(*sys.exc_info())
+        return _EXIT_SOFTWARE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -367,11 +367,11 @@ def load_scenario(path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(str(p), f"cannot read file: {exc}") from exc
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer over Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits or too deep
         raise ScenarioError(str(p), f"invalid JSON: {exc}") from exc
     return scenario_from_dict(data, source=p.name)
 
@@ -580,8 +580,8 @@ def run(scenario: Scenario) -> RunReport:
             results = []
             for entry in scenario.bounds:
                 stage = entry.bound_id
-                results.append(B.evaluate(f, est, scenario.reference, entry.params,
-                                          entry.bound_id, tau_hyp=tol.tau_hyp,
+                results.append(B.evaluate(f, scenario.reference, entry.params, entry.bound_id,
+                                          tau_hyp=tol.tau_hyp,
                                           tau_on=tol.tau_on).without_kernels())
     except FloatingPointError as exc:
         raise DegeneracyError(f"[{scenario.id}:{stage}] floating-point {exc}") from None

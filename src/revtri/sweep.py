@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bounds as B
-from .errors import InputError, RevtriError
+from .errors import InputError
 from .extremal import extremal_scenario, recipe_of
 from .scenario import Scenario, run
 
 CSV_HEADER = "parameter,value,lhs,rhs,margin,extremal_gap"
-
-_judgment = attrgetter("lhs", "rhs", "margin", "verdict")  # all that a row reads of a result
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,8 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
 
     A row's gap is the bound's margin on the step's extremal function, and so is its
     margin without a base scenario; with one, the margin columns come from the base
-    function on the swept bound alone, one run for all steps.  Returns (rows, warnings).
+    function on the swept bound alone, one run per step; the base is integrated once.
+    Returns (rows, warnings).
     """
     if not _sweepable(bound_id):
         raise InputError(f"no equality recipe reads every parameter of {bound_id!r}")
@@ -64,8 +62,7 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
     n_panels = base.grid.n_panels if base is not None else None
     fixed = _base_params(bound_id, base)
     warnings: list[str] = []
-    kept = []  # (value, extremal (lhs, rhs, margin, verdict)) per feasible value
-    entries = []  # the swept bound entry per feasible value, for the base run
+    rows = []
     for value in np.linspace(start, stop, steps).tolist():
         try:
             ext = extremal_scenario(bound_id, {**fixed, parameter: value}, interval=interval,
@@ -74,27 +71,14 @@ def sweep(bound_id: str, parameter: str, start: float, stop: float, steps: int,
         except InputError as exc:
             warnings.append(f"{parameter}={value!r} skipped: {exc}")
             continue
-        try:
-            kept.append((value, _judgment(run(ext).results[0])))
-        except RevtriError:
-            _base_judgments(base, entries)  # step by step, an earlier base step raised first
-            raise
+        judged = extremal = run(ext).results[0]
         if base is not None:
-            entries.append(ext.bounds[0])
-    judged = _base_judgments(base, entries) if base is not None else [j for _, j in kept]
-    rows = [SweepRow(parameter, value, lhs, rhs, margin, extremal[2], verdict)
-            for (value, extremal), (lhs, rhs, margin, verdict) in zip(kept, judged)]
+            swept = replace(base, bounds=ext.bounds)
+            vars(swept)["f"] = base.f  # materialized and integrated once for every step
+            judged = run(swept).results[0]
+        rows.append(SweepRow(parameter, value, judged.lhs, judged.rhs, judged.margin,
+                             extremal.margin, judged.verdict))
     return rows, warnings
-
-
-def _base_judgments(base: Scenario, entries: list) -> list:
-    """One run of the base function on the swept bound entries of the steps so far."""
-    if not entries:
-        return []
-    swept = Scenario(base.id, base.field, base.d, base.grid, base.function, base.reference,
-                     tuple(entries), base.tolerances)
-    vars(swept)["f"] = base.f  # the function is unchanged: materialized and integrated once
-    return [_judgment(r) for r in run(swept).results]
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:

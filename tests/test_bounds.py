@@ -26,7 +26,6 @@ from revtri import (
     check_dominance,
     check_orthonormal,
     check_scaled_dominance,
-    defect,
     eval_complex_bound,
     eval_family_bound,
     eval_unit_bound,
@@ -507,7 +506,7 @@ def test_split_projection_integrates_the_parts_of_a_jump(n_panels):
     mid = n_panels // 2
     values = np.repeat([[a + b], [a - b]], (mid + 1, n_panels - mid), axis=0)
     f = GridFunction(grid, COMPLEX, values, {mid: np.array([a - b])})
-    res = evaluate(f, defect(f), Reference(REF_DIRECTION, alpha=e.real, beta=e.imag),
+    res = evaluate(f, Reference(REF_DIRECTION, alpha=e.real, beta=e.imag),
                    BoundParams(rho=rho), "PROP_4_1")
     assert res.verdict == HOLDS and res.hypothesis.holds
     assert res.err_budget < 1e-12

@@ -1,9 +1,11 @@
 """Inputs that once escaped the CLI as tracebacks: each is an input error, so the CLI
 exits 3 with one ``error:`` line.  So do usage errors, which argparse would exit with 2,
-the code of a failed hypothesis, and inputs too large to allocate.  Checks on inputs are
-real errors, never ``assert`` statements, which ``python -O`` strips.  A closed standard
-output is not a verdict: the CLI exits 141 (128 + SIGPIPE) without a traceback.  Matrix
-products sit only in listed functions, and the CLI names no bound."""
+the code of a failed hypothesis, inputs too large to allocate, files that cannot be read
+and output files that cannot be written.  An internal error exits 70 with its traceback,
+never 1, the code of a violated bound.  Checks on inputs are real errors, never
+``assert`` statements, which ``python -O`` strips.  A closed standard output is not a
+verdict: the CLI exits 141 (128 + SIGPIPE) without a traceback.  Matrix products sit
+only in listed functions, and the CLI names no bound."""
 
 from __future__ import annotations
 
@@ -153,6 +155,98 @@ def test_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _io_cases(tmp_path) -> dict:
+    """name -> (argv, the file its one error line names).  Each once ended in a traceback
+    and exit 1: an input file that is not UTF-8 or is nested past Python's recursion
+    limit, and an output file in a directory that does not exist."""
+    latin, deep, out = tmp_path / "latin.json", tmp_path / "deep.json", tmp_path / "no" / "o"
+    latin.write_bytes(b'{"id": "x\xff"}')
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    mult_b = ["extremal", "--bound", "MULT_B", "--rho", "0.6"]
+    sweep = ["sweep", "--bound", "COR_2_3", "--param", "M", "--from", "4", "--to", "5",
+             "--steps", "2"]
+    return {
+        "check utf8": (["check", str(latin)], latin),
+        "sweep --base utf8": ([*sweep, "--base", str(latin)], latin),
+        "check deep": (["check", str(deep)], deep),
+        "check --out": (["check", str(DATA / "cor23_extremal.json"), "--out", str(out)], out),
+        "extremal --out": ([*mult_b, "--out", str(out)], out),
+        "extremal --scenario-out": ([*mult_b, "--scenario-out", str(out)], out),
+        "fuzz --out": (["fuzz", "--bound", "COR_2_2", "--trials", "2", "--seed", "1",
+                        "--out", str(out)], out),
+        "sweep --out": ([*sweep, "--out", str(out)], out),
+    }
+
+
+IO_CASES = ["check utf8", "sweep --base utf8", "check deep", "check --out", "extremal --out",
+            "extremal --scenario-out", "fuzz --out", "sweep --out"]
+
+
+@pytest.mark.parametrize("name", IO_CASES)
+def test_unreadable_input_or_unwritable_output_exits_3_from_the_shell(name, tmp_path):
+    argv, path = _io_cases(tmp_path)[name]
+    proc = subprocess.run([sys.executable, "-m", "revtri", *argv], capture_output=True,
+                          env=_env(), text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), proc.stderr
+
+
+def test_an_internal_error_exits_70_with_its_traceback():
+    # a fault of the program is neither a verdict nor an input error
+    code = ("import revtri.cli as cli\n"
+            "def broken(args):\n"
+            "    raise ZeroDivisionError('forced')\n"
+            "cli._cmd_check = broken\n"
+            "raise SystemExit(cli.main(['check', 'any.json']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_env(),
+                          text=True, timeout=120)
+    assert proc.returncode == 70, proc.stderr
+    assert proc.stderr.startswith("Traceback")
+    assert proc.stderr.splitlines()[-1] == "ZeroDivisionError: forced"
+
+
+def _input_check_files() -> dict:
+    """Files that break one input check each, with the end of their one error line."""
+    cor23 = json.loads((DATA / "cor23_extremal.json").read_text(encoding="utf-8"))
+    ball = json.loads((DATA / "ball_hypothesis_fail.json").read_text(encoding="utf-8"))
+    return {
+        "list": ([1], ".json: scenario must be a JSON object"),
+        "function": (dict(cor23, function=5), ".json.function: function must be an object"),
+        "profile": (dict(cor23, bounds=[{"bound_id": "THM_2_1", "params": {"k": "x"}}]),
+                    ".json.bounds[0].params.k: profile spec must be a number or a one-key "
+                    "mapping, got 'x'"),
+        "ball": (dict(ball, function=dict(ball["function"], u=[0.0, 1.0, 0.0],
+                                          v=[0.0, 1.0, 0.0])),
+                 ".json.function: ball_perturbation directions must be orthonormal with e "
+                 "(worst Gram residual 1.000e+00)"),
+    }
+
+
+@pytest.mark.parametrize("name", ["list", "function", "profile", "ball"])
+def test_input_check_of_a_file_exits_3(name, tmp_path, capsys):
+    data, message = _input_check_files()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {name}{message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extremal", "--bound", "COR_2_5", "--m", "4", "--M", "1"],
+     "COR_2_5 recipe needs 0 <= m <= M with M > 0, got 4.0, 1.0"),
+    (["sweep", "--bound", "COR_2_2", "--param", "m", "--from", "0", "--to", "1",
+      "--steps", "2"], "COR_2_2 sweeps over ('rho',), not 'm'"),
+    (["sweep", "--bound", "COR_2_2", "--param", "rho", "--from", "0.1", "--to", "0.5",
+      "--steps", "0"], "steps must be >= 1"),
+], ids=["extremal range", "sweep parameter", "sweep steps"])
+def test_input_check_of_a_flag_exits_3(argv, message, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def _bound_names(tree) -> list[int]:

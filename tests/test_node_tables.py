@@ -529,7 +529,7 @@ def _count_evaluate(monkeypatch) -> list:
     original = B.evaluate
 
     def counting(*args, **kwargs):
-        calls.append(args[4] if len(args) > 4 else kwargs["bound_id"])
+        calls.append(args[3] if len(args) > 3 else kwargs["bound_id"])
         return original(*args, **kwargs)
     monkeypatch.setattr(B, "evaluate", counting)
     return calls

@@ -1,18 +1,19 @@
 """Each function is built once: a fuzz generator takes its constants from the node tables
 of the trial's GridFunction and the scenario carries that function into ``run()``, and a
-sweep over a base scenario evaluates every step in one run of the base function.  Reports,
+sweep over a base scenario materializes and integrates the base function once.  Reports,
 scenario dumps and sweep tables are those of a function materialized afresh per use."""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
 from revtri import bounds as B
-from revtri import scenario as S
+from revtri import quadrature as Q
 from revtri.cli import main
 from revtri.errors import DegeneracyError
 from revtri.extremal import extremal_scenario
@@ -111,6 +112,25 @@ def test_default_orthogonality_tolerance_is_the_hilbert_one():
 
 
 # --------------------------------------------------------------------------
+# a bound is judged on the integrals of its own f
+
+def test_a_bound_reads_the_integrals_of_its_own_function():
+    # the M = 4 cone is COR_2_3's equality case; on the integrals of the M = 9 cone it
+    # would be violated by 0.75 with its hypothesis held
+    assert "est" not in inspect.signature(B.evaluate).parameters
+    scenario = extremal_scenario(B.COR_2_3, {"m": 1.0, "M": 4.0})
+    other = extremal_scenario(B.COR_2_3, {"m": 1.0, "M": 9.0})
+    Q.defect(other.f)
+    f, e, params = scenario.f, scenario.reference.e, scenario.bounds[0].params
+    results = [B.evaluate(f, scenario.reference, params, B.COR_2_3),
+               B.eval_unit_bound(f, e, params, B.COR_2_3), run(scenario).results[0]]
+    for r in results:
+        assert r.verdict == B.HOLDS and r.hypothesis.holds
+        assert abs(r.margin) <= r.err_budget
+        assert r.diagnostics["defect"] == Q.defect(f).value != Q.defect(other.f).value
+
+
+# --------------------------------------------------------------------------
 # a base sweep runs its function once
 
 def _step_by_step(bound_id: str, parameter: str, values, base) -> str:
@@ -129,16 +149,16 @@ def _step_by_step(bound_id: str, parameter: str, values, base) -> str:
 def test_base_sweep_integrates_the_base_function_once(monkeypatch):
     base = load_scenario(DATA / "cor23_extremal.json")
     integrated = []
-    original = S.defect
+    original = Q._defects
 
-    def counting(f, *args, **kwargs):
-        integrated.append(f)
-        return original(f, *args, **kwargs)
-    monkeypatch.setattr(S, "defect", counting)
+    def counting(field, grid, values, *args, **kwargs):
+        integrated.append(values)
+        return original(field, grid, values, *args, **kwargs)
+    monkeypatch.setattr(Q, "_defects", counting)
     rows, warnings = sweep(B.COR_2_3, "M", 3.0, 6.0, 4, base=base)
     assert not warnings and len(rows) == 4
-    assert sum(f is base.f for f in integrated) == 1
-    monkeypatch.setattr(S, "defect", original)
+    assert sum(values is base.f.values for values in integrated) == 1
+    monkeypatch.setattr(Q, "_defects", original)
     assert sweep_to_csv(rows) == _step_by_step(B.COR_2_3, "M", [r.value for r in rows], base)
 
 

@@ -18,7 +18,6 @@ from revtri.cli import main
 from revtri.errors import InputError, ParamError
 from revtri.gridfn import profile_of
 from revtri.hilbert import check_orthonormal
-from revtri.quadrature import defect
 from revtri.scenario import BoundEntry, scenario_from_dict, scenario_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -238,7 +237,7 @@ def test_evaluate_rejects_a_reference_or_id_that_does_not_fit(bound_id, referenc
     ref = (scenario.reference if reference == "unit" else
            B.Reference(B.REF_FAMILY, family=check_orthonormal([e])))
     with pytest.raises(InputError, match=message):
-        B.evaluate(scenario.f, defect(scenario.f), ref, scenario.bounds[0].params, bound_id)
+        B.evaluate(scenario.f, ref, scenario.bounds[0].params, bound_id)
 
 
 def test_non_finite_samples_checked_once(tmp_path, capsys):

@@ -21,7 +21,6 @@ from revtri.errors import DegeneracyError, InputError
 from revtri.fuzz import fuzz, generate_scenario
 from revtri.gridfn import Grid, GridFunction, ScalarProfile
 from revtri.hilbert import COMPLEX, REAL, HVector, check_orthonormal
-from revtri.quadrature import defect
 from revtri.scenario import _NODE_BLOCK, run, scenario_from_dict
 from revtri.sweep import sweep, sweep_to_csv
 
@@ -66,8 +65,7 @@ def evaluate_bounds(scenario) -> list[B.BoundResult]:
     scenario's f as ``run()`` evaluates it, under its floating-point guard."""
     f, tol = scenario.f, scenario.tolerances
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        est = defect(f)
-        return [B.evaluate(f, est, scenario.reference, entry.params, entry.bound_id,
+        return [B.evaluate(f, scenario.reference, entry.params, entry.bound_id,
                            tau_hyp=tol.tau_hyp, tau_on=tol.tau_on)
                 for entry in scenario.bounds]
 
@@ -142,7 +140,7 @@ def test_family_bounds_recompute_the_old_residuals(field):
     f = _function(rng, field, 4)
     members = [HVector(field, v) for v in _frame(rng, field, 4, 3)]
     family = check_orthonormal(tuple(members))
-    ref, est = B.Reference(B.REF_FAMILY, family=family), defect(f)
+    ref = B.Reference(B.REF_FAMILY, family=family)
     norms, proj = f.norms(), f.projections(family.matrix())
     ks = tuple(_profile(rng, 1.0, 2.0) for _ in members)
     rhos, ms, Ms = (0.9, 0.5, 0.7), (0.2, 0.3, 0.1), (2.0, 3.0, 2.5)
@@ -164,7 +162,7 @@ def test_family_bounds_recompute_the_old_residuals(field):
           for e, m, M in zip(members, lows, highs)]),
     ]
     for bound_id, params, residuals in cases:
-        hyp = B.evaluate(f, est, ref, params, bound_id).hypothesis
+        hyp = B.evaluate(f, ref, params, bound_id).hypothesis
         _assert_profiles(hyp, _old_family(residuals))
 
 

@@ -16,14 +16,15 @@ Bound identifiers (part of the scenario file contract):
 :data:`BOUNDS` declares each bound once (reference kind, parameters, hypothesis shape,
 right-hand-side form); parsing, serialization, validation, evaluation, recipes and
 sweeps read it.  Each of the eight hypothesis shapes is declared once too: its residual
-kernel, its checker, and what it gives a right-hand side (an integrand and scale, a
-coefficient or a factor).  A family bound applies its shape to each member.
+kernel and what it gives a right-hand side (an integrand and scale, a coefficient or a
+factor).  Evaluation and the public ``check_*`` functions judge a shape through one private
+checker; a family bound applies its shape to each member.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from functools import partial
 from typing import Callable
 
@@ -260,31 +261,48 @@ def _box_residuals(f: GridFunction, e: np.ndarray, m, M, proj=None) -> np.ndarra
                       y - M * beta)
 
 
+def _complex_samples(f: GridFunction) -> np.ndarray:
+    if f.field != COMPLEX or f.d != 1:
+        raise InputError("this check needs a d=1 complex grid function")
+    return f.values[:, 0]
+
+
+def _arg_residuals(f: GridFunction, e, theta, proj=None) -> np.ndarray:
+    """|arg f(t)| - theta for a d=1 complex f that vanishes at no node."""
+    z = _complex_samples(f)
+    if np.any(z == 0.0):
+        j = int(np.argmax(z == 0.0))
+        raise DegeneracyError(f"argument undefined: f vanishes at node {j}")
+    return np.abs(np.angle(z)) - theta
+
+
 # --------------------------------------------------------------------------
 # hypothesis checkers
 
-def _shape_report(shape: "_Shape", f: GridFunction, e, values, tau_hyp: float):
-    """The report of ``shape``'s kernel on f against the coordinates e."""
-    return _report(shape.condition_id, partial(shape.kernel, f, e, *values,
-                                               proj=partial(f.projections, e)), tau_hyp)
-
-
-def _unit_check(shape: "_Shape", f: GridFunction, e: HVector, tau_hyp: float, tau_on: float,
-                require=lambda *values: None, **params) -> HypothesisReport:
-    """``shape`` against the unit reference e; ``require`` judges ``params``' node values."""
-    if e.field != f.field or e.d != f.d:
-        raise InputError("reference vector field/dimension mismatch")
-    require_unit(e, "reference vector", tau_on)
-    values = [_profile_on(f, p, name) for name, p in params.items()]
+def _check(shape: "_Shape", f: GridFunction, e: HVector | None, params, tau_hyp: float,
+           tau_on: float = DEFAULT_ORTHO_TOL, require=lambda *values: None) -> HypothesisReport:
+    """``shape`` on f against the unit reference e, if it reads one; ``require`` judges the
+    node values of ``params``.  The shape it implies is checked after it, on the same
+    arguments, as its one sub-report."""
+    if shape.directed:
+        if e.field != f.field or e.d != f.d:
+            raise InputError("reference vector field/dimension mismatch")
+        require_unit(e, "reference vector", tau_on)
+    values = [_profile_on(f, p, name) for name, p in zip(shape.names, params)]
     require(*values)
-    return _shape_report(shape, f, e.coords, values, tau_hyp)
+    coords = e.coords if shape.directed else None
+    kernel = partial(shape.kernel, f, coords, *values, proj=partial(f.projections, coords))
+    residuals = kernel()
+    implied = (None if shape.implies is None
+               else [_check(shape.implies, f, e, params, tau_hyp, tau_on)])
+    return _report(shape.condition_id, kernel, tau_hyp, residuals, implied)
 
 
 def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
                     tau_hyp: float = DEFAULT_HYP_TOL,
                     tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| - Re<f(t), e> <= k(t) at every node."""
-    return _unit_check(_DOMINANCE, f, e, tau_hyp, tau_on, k=k)
+    return _check(_DOMINANCE, f, e, (k,), tau_hyp, tau_on)
 
 
 def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
@@ -292,14 +310,14 @@ def check_scaled_dominance(f: GridFunction, e: HVector, K: float,
                            tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t)|| <= K * Re<f(t), e> at every node (multiplicative hypothesis)."""
     require_K(K)
-    return _unit_check(_SCALED_DOMINANCE, f, e, tau_hyp, tau_on, K=K)
+    return _check(_SCALED_DOMINANCE, f, e, (K,), tau_hyp, tau_on)
 
 
 def check_ball(f: GridFunction, e: HVector, radius: ScalarProfile | float,
                tau_hyp: float = DEFAULT_HYP_TOL,
                tau_on: float = DEFAULT_ORTHO_TOL) -> HypothesisReport:
     """||f(t) - e|| <= radius(t) at every node; a number is a constant radius."""
-    return _unit_check(_BALL, f, e, tau_hyp, tau_on, radius=radius)
+    return _check(_BALL, f, e, (radius,), tau_hyp, tau_on)
 
 
 def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
@@ -316,41 +334,26 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
     if form not in ("inner", "norm"):
         raise InputError(f"band form must be 'inner' or 'norm', got {form!r}")
     shape = _BAND_INNER if form == "inner" else _BAND_NORM
-    return _unit_check(shape, f, e, tau_hyp, tau_on, require_band_profiles, m=m, M=M)
-
-
-def _complex_samples(f: GridFunction) -> np.ndarray:
-    if f.field != COMPLEX or f.d != 1:
-        raise InputError("this check needs a d=1 complex grid function")
-    return f.values[:, 0]
+    return _check(shape, f, e, (m, M), tau_hyp, tau_on, require_band_profiles)
 
 
 def check_box_complex(f: GridFunction, alpha: float, beta: float,
                       m: ScalarProfile, M: ScalarProfile,
                       tau_hyp: float = DEFAULT_HYP_TOL) -> HypothesisReport:
-    """Rectangle condition m*alpha <= Re f <= M*alpha, m*beta <= Im f <= M*beta.
-
-    A sufficient condition for the band containment around e = alpha + i beta;
-    on success the implied band check is also run and attached as a sub-report.
-    """
+    """Rectangle condition m*alpha <= Re f <= M*alpha, m*beta <= Im f <= M*beta, a
+    sufficient condition for the band containment around e = alpha + i beta, which is
+    judged too and attached as the sub-report."""
     require_direction(alpha, beta)
     _complex_samples(f)
-    e = HVector(COMPLEX, [complex(alpha, beta)])
-    box = _shape_report(_BOX, f, e.coords, [_profile_on(f, m, "m"), _profile_on(f, M, "M")],
-                        tau_hyp)
-    band = check_band(f, e, m, M, form="inner", tau_hyp=tau_hyp)
-    return replace(box, holds=box.holds and band.holds, sub_reports=(band,))
+    return _check(_BOX, f, HVector(COMPLEX, [complex(alpha, beta)]), (m, M), tau_hyp,
+                  require=require_band_profiles)
 
 
 def check_arg(f: GridFunction, theta: float,
               tau_hyp: float = DEFAULT_HYP_TOL) -> HypothesisReport:
     """|arg f(t)| <= theta at every node, theta in (0, pi/2)."""
     require_theta(theta)
-    z = _complex_samples(f)
-    if np.any(z == 0.0):
-        j = int(np.argmax(z == 0.0))
-        raise DegeneracyError(f"argument undefined: f vanishes at node {j}")
-    return _shape_report(_ARG_CONE, f, None, [_profile_on(f, theta, "theta")], tau_hyp)
+    return _check(_ARG_CONE, f, None, (theta,), tau_hyp)
 
 
 def _running_max(kernels, visit=lambda i, kernel, residuals: None) -> np.ndarray:
@@ -379,19 +382,19 @@ def _family_check(kernels, condition_id: str, tau_hyp: float) -> HypothesisRepor
 
 @dataclass(frozen=True, eq=False)
 class _Shape:
-    """A node-wise hypothesis, once for every bound that assumes it: its residual
-    ``kernel``, reported as ``condition_id``; ``check(f, e, *params, tau_hyp=, tau_on=)``
-    against one reference vector e (a family applies ``kernel`` to each member); and what
-    it gives a right-hand side: the ``integrand`` g of its parameters' node values and the
-    ``scale`` s of defect <= s int g (a family divides by 1/s), the ``coefficient`` of
-    defect <= c * projection, or the ``factor`` of factor * int ||f|| <= ||int f||.
-    ``terms`` names the integral, or the factor and the estimate beside it, in
-    ``rhs_terms``; ``directed`` is False for the hypothesis that reads no reference.  Shapes
-    compare by identity: with a reference kind, one keys a fuzz generator and a recipe."""
+    """A node-wise hypothesis as data, once for every bound that assumes it: its residual
+    ``kernel``, reported as ``condition_id``, its parameters' ``names`` in errors, the
+    shape it ``implies`` (see :func:`_check`), and what it gives a right-hand side: the
+    ``integrand`` g and ``scale`` s of defect <= s int g (a family divides by 1/s), the
+    ``coefficient`` c of defect <= c * projection or the ``factor`` of factor * int ||f||
+    <= ||int f||, with the ``terms`` naming them in ``rhs_terms``.  ``directed`` is False
+    for the hypothesis that reads no reference.  Shapes compare by identity: with a
+    reference kind, one keys a fuzz generator and a recipe."""
 
     condition_id: str
     kernel: Callable
-    check: Callable
+    names: tuple[str, ...]
+    implies: "_Shape | None" = None
     integrand: Callable | None = None
     scale: float = 1.0
     coefficient: Callable | None = None
@@ -400,27 +403,23 @@ class _Shape:
     directed: bool = True
 
 
-_DOMINANCE = _Shape("dominance", lambda f, e, k, proj: f.norms() - proj() - k,
-                    check_dominance, integrand=lambda k: k, terms=("dominance_integral",))
+_DOMINANCE = _Shape("dominance", lambda f, e, k, proj: f.norms() - proj() - k, ("k",),
+                    integrand=lambda k: k, terms=("dominance_integral",))
 _SCALED_DOMINANCE = _Shape("dominance_scaled", lambda f, e, K, proj: f.norms() - K * proj(),
-                           check_scaled_dominance)
-_BALL = _Shape("ball", _ball_residuals, check_ball, coefficient=ball_coefficient,
+                           ("K",))
+_BALL = _Shape("ball", _ball_residuals, ("radius",), coefficient=ball_coefficient,
                factor=lambda rho: math.sqrt(1.0 - rho * rho), terms=("factor", "integral_norm"))
-_BALL_PROFILE = _Shape("ball", _ball_residuals, check_ball, integrand=lambda r: r ** 2,
+_BALL_PROFILE = _Shape("ball", _ball_residuals, ("radius",), integrand=lambda r: r ** 2,
                        scale=0.5, terms=("r_squared_integral",))
 # -Re<M(t)e - f(t), f(t) - m(t)e>
 _BAND_INNER = _Shape("band_inner",
                      lambda f, e, m, M, proj: np.square(f.norms()) + m * M - (M + m) * proj(),
-                     check_band, coefficient=band_coefficient)
-_BAND_NORM = _Shape("band_norm", _band_norm_residuals, partial(check_band, form="norm"),
+                     ("m", "M"), coefficient=band_coefficient)
+_BAND_NORM = _Shape("band_norm", _band_norm_residuals, ("m", "M"),
                     integrand=band_gap_integrand, scale=0.25, terms=("band_gap_integral",))
-# |arg f(t)| - theta for a d=1 complex f
-_ARG_CONE = _Shape("arg_cone", lambda f, e, theta, proj: np.abs(np.angle(f.values[:, 0])) - theta,
-                   lambda f, e, theta, tau_hyp, tau_on: check_arg(f, theta, tau_hyp),
-                   factor=math.cos, terms=("cos_theta", "norm_integral"), directed=False)
-_BOX = _Shape("box", _box_residuals,
-              lambda f, e, m, M, tau_hyp, tau_on: check_box_complex(
-                  f, e.coords[0].real, e.coords[0].imag, m, M, tau_hyp),
+_ARG_CONE = _Shape("arg_cone", _arg_residuals, ("theta",), factor=math.cos,
+                   terms=("cos_theta", "norm_integral"), directed=False)
+_BOX = _Shape("box", _box_residuals, ("m", "M"), implies=_BAND_INNER,
               integrand=band_gap_integrand, scale=0.25, terms=("band_gap_integral",))
 
 
@@ -542,7 +541,7 @@ def _hypothesis(c: _Context, spec: "BoundSpec", args: list, direction=None):
     shape = spec.shape
     if spec.reference != REF_FAMILY:
         e = c.ref.e if direction is None else direction[0]
-        return shape.check(c.f, e, *args, tau_hyp=c.tau_hyp, tau_on=c.tau_on)
+        return _check(shape, c.f, e, args, c.tau_hyp, c.tau_on)
     kernels = []
     for i, (e, *member) in enumerate(zip(c.ref.family.members, *args)):
         values = [p if q.kind == NUMBERS else _profile_on(c.f, p, q.key.replace("_i", f"_{i}"))
@@ -559,21 +558,15 @@ def _hypothesis(c: _Context, spec: "BoundSpec", args: list, direction=None):
 def _integral(c: _Context, spec: "BoundSpec", args: list, direction):
     """defect <= s * int g for the shape's integrand g and scale s."""
     shape = spec.shape
-    if spec.reference == REF_FAMILY:
-        return _integral_extra(c, shape, args)
     g = sample_integral(c.f.grid, shape.integrand(*(p.values for p in args)), c.rule)
     err = shape.scale * g.err_est + c.est.norm_integral_err + c.est.integral_err
     return c.est.value, shape.scale * g.value, err, {shape.terms[0]: g.value}, {}, shape.scale
 
 
-def _projection(c: _Context, spec: "BoundSpec", args: list, direction, printed=False):
+def _projection(c: _Context, spec: "BoundSpec", args: list, direction):
     """defect <= coeff * Re<int f, e> and its weak form coeff * ||int f||, or along a
-    direction the split projection; ``printed``: a family's weak form as printed too."""
-    shape = spec.shape
-    if spec.reference == REF_FAMILY:
-        return _projection_extra(c, np.array([shape.coefficient(*m) for m in zip(*args)]),
-                                 printed)
-    coeff = shape.coefficient(*args)
+    direction the split projection."""
+    coeff = spec.shape.coefficient(*args)
     if direction is None:
         proj = float(inner(c.est.integral, c.ref.e).real)
         weak = coeff * c.est.integral_norm
@@ -637,8 +630,9 @@ def _family_projections(c: _Context) -> np.ndarray:
     return c.f.projections(c.ref.family.matrix())
 
 
-def _integral_extra(c: _Context, shape: _Shape, args: list):
+def _integral_extra(c: _Context, spec: "BoundSpec", args: list, direction):
     """extra = sum_i int g_i / ((1/s) n), each g_i integrated as it is made."""
+    shape = spec.shape
     parts = [sample_integral(c.f.grid, shape.integrand(*(p.values for p in member)), c.rule)
              for member in zip(*args)]
     scale = (1.0 / shape.scale) * c.ref.family.n
@@ -648,12 +642,14 @@ def _integral_extra(c: _Context, shape: _Shape, args: list):
     return _family_bound(c, extra, extra_err, terms)
 
 
-def _projection_extra(c: _Context, coeffs: np.ndarray, printed: bool):
-    """extra = Re<int f, (1/n) sum_i c_i e_i>; weak form with the rms coefficient."""
+def _projection_extra(c: _Context, spec: "BoundSpec", args: list, direction, printed=False):
+    """extra = Re<int f, (1/n) sum_i c_i e_i>; weak form with the rms coefficient, and as
+    printed if ``printed``."""
+    coeffs = np.array([spec.shape.coefficient(*member) for member in zip(*args)])
     n = c.ref.family.n
-    direction = (coeffs[:, None] * c.ref.family.matrix()).sum(axis=0) / n
-    extra = float(np.dot(c.est.integral.coords, np.conjugate(direction)).real)
-    extra_err = vector_norm(direction) * c.est.integral_err
+    combined = (coeffs[:, None] * c.ref.family.matrix()).sum(axis=0) / n
+    extra = float(np.dot(c.est.integral.coords, np.conjugate(combined)).real)
+    extra_err = vector_norm(combined) * c.est.integral_err
     weak = c.est.integral_norm / math.sqrt(n) * (1.0 + math.sqrt(float(np.mean(coeffs**2))))
     terms = {"projection_extra": extra, "weak_rhs": weak}
     terms.update((f"coefficient_{i}", float(v)) for i, v in enumerate(coeffs))
@@ -708,16 +704,16 @@ BOUNDS: dict[str, BoundSpec] = {
     KARAMATA: BoundSpec(REF_DIRECTION, (Param("theta", "theta", NUMBER, require_theta),),
                         _ARG_CONE, _ratio),
     THM_3_1: BoundSpec(REF_FAMILY, (Param("M_i", "dominance_profiles", PROFILES),),
-                       _DOMINANCE, _integral),
+                       _DOMINANCE, _integral_extra),
     COR_3_2: BoundSpec(REF_FAMILY, (Param("rho_i", "rhos", NUMBERS, require_radius),), _BALL,
-                       partial(_projection, printed=True)),
+                       partial(_projection_extra, printed=True)),
     COR_3_3: BoundSpec(REF_FAMILY, (Param("m_i", "ms", NUMBERS, require_band, upper="Ms"),
-                                    Param("M_i", "Ms", NUMBERS)), _BAND_INNER, _projection),
+                                    Param("M_i", "Ms", NUMBERS)), _BAND_INNER, _projection_extra),
     COR_3_4: BoundSpec(REF_FAMILY, (Param("r_i", "r_profiles", PROFILES),), _BALL_PROFILE,
-                       _integral),
+                       _integral_extra),
     COR_3_5: BoundSpec(REF_FAMILY, (
         Param("m_i", "m_profiles", PROFILES, require_band_profiles, upper="M_profiles"),
-        Param("M_i", "M_profiles", PROFILES)), _BAND_NORM, _integral),
+        Param("M_i", "M_profiles", PROFILES)), _BAND_NORM, _integral_extra),
     PROP_4_1: BoundSpec(REF_DIRECTION, _RHO, _BALL, _projection),
     PROP_4_2: BoundSpec(REF_DIRECTION, _BAND, _BAND_INNER, _projection),
     PROP_4_3: BoundSpec(REF_DIRECTION, (

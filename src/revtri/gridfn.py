@@ -18,7 +18,7 @@ from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
-from .errors import InfeasibilityError, InputError
+from .errors import InfeasibilityError, InputError, quoted
 from .hilbert import (
     COMPLEX,
     REAL,
@@ -283,7 +283,7 @@ def _profile_numbers(kind: str, args, shape: tuple[int, ...]) -> np.ndarray:
     for i, value in enumerate(args if shape else [args]):
         if not is_number(value):
             where = f" entry {i}" if shape else ""
-            raise InputError(f"{kind} profile{where} must be a number, got {value!r}")
+            raise InputError(f"{kind} profile{where} must be a number, got {quoted(value)}")
     try:  # numbers of other types (np.float64), or an integer beyond the float range
         return np.array(args, dtype=np.float64)
     except OverflowError:
@@ -302,7 +302,7 @@ def profile_of(spec, grid: Grid, nonnegative: bool = True) -> ScalarProfile:
     if is_number(spec):
         spec = {"constant": spec}
     if not isinstance(spec, Mapping) or len(spec) != 1:
-        raise InputError(f"profile spec must be a number or a one-key mapping, got {spec!r}")
+        raise InputError(f"profile spec must be a number or a one-key mapping, got {quoted(spec)}")
     kind, args = next(iter(spec.items()))
     if kind == "constant":
         values = np.full(grid.n_nodes, _profile_numbers(kind, args, ()).item())
@@ -315,7 +315,7 @@ def profile_of(spec, grid: Grid, nonnegative: bool = True) -> ScalarProfile:
     elif kind == "samples":
         values = _profile_numbers(kind, args, (grid.n_nodes,))
     else:
-        raise InputError(f"unknown profile kind {kind!r}")
+        raise InputError(f"unknown profile kind {quoted(kind)}")
     if not np.isfinite(values).all():
         raise InputError(f"{kind} profile values must be finite")
     return ScalarProfile(grid, _frozen(values), nonnegative)
@@ -352,7 +352,7 @@ class GridFunction:
 
     def __post_init__(self):
         if self.field not in _DTYPES:
-            raise InputError(f"unknown field {self.field!r}")
+            raise InputError(f"unknown field {quoted(self.field)}")
         raw = np.asarray(self.values)
         if self.field == REAL and np.iscomplexobj(raw):
             if np.any(raw.imag != 0.0):
@@ -452,7 +452,8 @@ class FunctionSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InputError(
-                f"unknown function variant {self.variant!r}; expected one of {tuple(VARIANTS)}"
+                f"unknown function variant {quoted(self.variant)}; "
+                f"expected one of {tuple(VARIANTS)}"
             )
 
     @classmethod

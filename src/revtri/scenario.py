@@ -36,7 +36,7 @@ from .bounds import (
     VIOLATED,
     Reference,
 )
-from .errors import DegeneracyError, ParamError, RevtriError, ScenarioError
+from .errors import DegeneracyError, ParamError, RevtriError, ScenarioError, quoted
 from .gridfn import (
     NUMBER,
     PROFILE,
@@ -123,7 +123,7 @@ def _at(path: str, fn, *args):
 def _number(data, path: str) -> float:
     """A JSON number, finite or not; callers check finiteness."""
     if not is_number(data):
-        _fail(path, f"expected a number, got {data!r}")
+        _fail(path, f"expected a number, got {quoted(data)}")
     try:
         return float(data)
     except OverflowError:
@@ -146,14 +146,14 @@ def _parse_scalar_entry(field: str, entry, path: str) -> complex:
     if field == REAL:
         return complex(_number(entry, path), 0.0)
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        _fail(path, f"complex coordinate must be an [re, im] pair, got {entry!r}")
+        _fail(path, f"complex coordinate must be an [re, im] pair, got {quoted(entry)}")
     return complex(_number(entry[0], path + "[0]"), _number(entry[1], path + "[1]"))
 
 
 def _walk_row(field: str, data, d: int, path: str) -> np.ndarray:
     """One row of ``d`` coordinates, entry by entry; locates the first malformed entry."""
     if not isinstance(data, (list, tuple)):
-        _fail(path, f"expected a coordinate list, got {data!r}")
+        _fail(path, f"expected a coordinate list, got {quoted(data)}")
     if len(data) != d:
         _fail(path, f"expected {d} coordinates, got {len(data)}")
     coords = [_parse_scalar_entry(field, entry, f"{path}[{i}]") for i, entry in enumerate(data)]
@@ -223,7 +223,7 @@ _REFERENCE_KINDS = {REF_UNIT: VECTOR, REF_FAMILY: VECTORS, REF_DIRECTION: B.NUMB
 def _check_keys(data: Mapping, allowed, required, path: str) -> None:
     extra = set(data) - set(allowed)
     if extra:
-        _fail(path, f"unknown keys {sorted(extra)}; allowed: {sorted(allowed)}")
+        _fail(path, f"unknown keys {quoted(sorted(extra))}; allowed: {sorted(allowed)}")
     missing = set(required) - set(data)
     if missing:
         _fail(path, f"missing keys {sorted(missing)}")
@@ -235,7 +235,7 @@ def _parse_function(data, grid: Grid, field: str, d: int, path: str) -> Function
     variant = data.get("variant")
     spec = VARIANTS.get(variant) if isinstance(variant, str) else None
     if spec is None:
-        _fail(f"{path}.variant", f"unknown function variant {variant!r}")
+        _fail(f"{path}.variant", f"unknown function variant {quoted(variant)}")
     required = set(spec.keys) - set(spec.optional)
     _check_keys(data, {"variant", *spec.keys}, {"variant", *required}, path)
     return FunctionSpec(variant, {
@@ -250,7 +250,7 @@ def _parse_reference(data, grid: Grid, field: str, d: int, tau_on: float,
               f"{REF_UNIT!r}, {REF_FAMILY!r}, {REF_DIRECTION!r}")
     kind, raw = next(iter(data.items()))
     if kind not in _REFERENCE_KINDS:
-        _fail(path, f"unknown reference kind {kind!r}")
+        _fail(path, f"unknown reference kind {quoted(kind)}")
     where = f"{path}.{kind}"
     value = _PARSERS[_REFERENCE_KINDS[kind]](raw, where, grid, field, d)
     if kind == REF_UNIT:
@@ -272,7 +272,7 @@ def _parse_bound_entry(data, grid: Grid, reference: Reference, field: str, d: in
     bound_id = data["bound_id"]
     spec = B.BOUNDS.get(bound_id) if isinstance(bound_id, str) else None
     if spec is None:
-        _fail(f"{path}.bound_id", f"unknown bound id {bound_id!r}")
+        _fail(f"{path}.bound_id", f"unknown bound id {quoted(bound_id)}")
     raw = data["params"]
     if not isinstance(raw, Mapping):
         _fail(f"{path}.params", "params must be an object")
@@ -321,10 +321,10 @@ def _parse_scenario(data, source: str) -> Scenario:
         _fail(f"{source}.id", "must be a nonempty string")
     field = data["field"]
     if field not in (REAL, COMPLEX):
-        _fail(f"{source}.field", f"must be {REAL!r} or {COMPLEX!r}, got {field!r}")
+        _fail(f"{source}.field", f"must be {REAL!r} or {COMPLEX!r}, got {quoted(field)}")
     d = data["d"]
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        _fail(f"{source}.d", f"must be a positive integer, got {d!r}")
+        _fail(f"{source}.d", f"must be a positive integer, got {quoted(d)}")
     interval = data["interval"]
     if not isinstance(interval, (list, tuple)) or len(interval) != 2:
         _fail(f"{source}.interval", "expected [a, b]")
@@ -332,7 +332,7 @@ def _parse_scenario(data, source: str) -> Scenario:
     b = _get_number(interval[1], f"{source}.interval[1]")
     n_panels = data["N"]
     if isinstance(n_panels, bool) or not isinstance(n_panels, int):
-        _fail(f"{source}.N", f"must be an integer, got {n_panels!r}")
+        _fail(f"{source}.N", f"must be an integer, got {quoted(n_panels)}")
     try:
         grid = Grid(a, b, n_panels)
     except RevtriError as exc:

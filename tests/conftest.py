@@ -70,7 +70,7 @@ def patch_shape(monkeypatch, name: str, **changes) -> None:
     """Replace the hypothesis shape ``bounds.<name>`` by a copy with ``changes``, in the
     module, whose checkers read it, in every ``BOUNDS`` row that has it, and in the keys of
     ``fuzz.GENERATORS`` and ``extremal.RECIPES``, so its bounds keep their generators and
-    recipes."""
+    recipes.  A shape that implies it (the box implies ``_BAND_INNER``) keeps the old one."""
     old = getattr(B, name)
     new = dataclasses.replace(old, **changes)
     monkeypatch.setattr(B, name, new)

@@ -2,10 +2,11 @@
 exits 3 with one ``error:`` line.  So do usage errors, which argparse would exit with 2,
 the code of a failed hypothesis, inputs too large to allocate, files that cannot be read
 and output files that cannot be written.  An internal error exits 70 with its traceback,
-never 1, the code of a violated bound.  Checks on inputs are real errors, never
-``assert`` statements, which ``python -O`` strips.  A closed standard output is not a
-verdict: the CLI exits 141 (128 + SIGPIPE) without a traceback.  Matrix products sit
-only in listed functions, and the CLI names no bound."""
+never 1, the code of a violated bound.  An error line quotes at most 80 characters of a
+bad value.  Checks on inputs are real errors, never ``assert`` statements, which
+``python -O`` strips.  A closed standard output is not a verdict: the CLI exits 141
+(128 + SIGPIPE) without a traceback.  Matrix products sit only in listed functions, and
+the CLI names no bound."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import pytest
 import revtri
 from revtri.bounds import ALL_BOUND_IDS
 from revtri.cli import main
+from revtri.errors import QUOTE_LIMIT, quoted
 
 SRC = Path(revtri.__file__).resolve().parent
 DATA = Path(__file__).parent / "data"
@@ -133,6 +135,57 @@ def test_an_infinite_budget_exits_3(tmp_path, capsys):
     assert lines[0].startswith("error: [dominance-tau-edge:THM_2_1] THM_2_1 is not judged on "
                                "non-finite numbers: lhs=5.000000000000002e+307, "
                                "rhs=4.999999994999999e+307"), lines[0]
+
+
+#: A bad value of this many entries or characters, which the error line quotes only in part.
+HUGE = 10 ** 5
+
+#: Where a huge bad value sits in ``cor23_extremal.json`` (a key path), and the value.
+HUGE_VALUES = {
+    "N": (("N",), [0.5] * HUGE),
+    "params.m": (("bounds", 0, "params", "m"), "m" * HUGE),
+    "d": (("d",), [2] * HUGE),
+    "variant": (("function", "variant"), "v" * HUGE),
+    "bound_id": (("bounds", 0, "bound_id"), "B" * HUGE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_VALUES))
+def test_a_huge_bad_value_gives_a_short_error_line(name, tmp_path, capsys):
+    """The error line quotes about 80 characters of the value: at the parent of this
+    change it quoted all of it, 100,061 to 500,047 bytes."""
+    data = json.loads((DATA / "cor23_extremal.json").read_text(encoding="utf-8"))
+    (*parents, last), value = HUGE_VALUES[name]
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, captured.err[:300]
+    assert lines[0].startswith("error: ") and lines[0].endswith("..."), lines[0]
+    assert len(captured.err.encode("utf-8")) < 300, captured.err
+
+
+@pytest.mark.parametrize("value", [
+    None, True, 0.5, -0.0, float("nan"), 10 ** 50, "", "it's", 'say "x"', "x" * 78, [],
+    (), (1,), (1, 2.5), {}, {"b": 1, "a": [1, (2,)]}, [[[]]], ["\x00" * 15], list(range(22)),
+])
+def test_quoted_keeps_a_repr_that_fits(value):
+    assert len(repr(value)) <= QUOTE_LIMIT
+    assert quoted(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", [
+    "x" * 79, "\x00" * 30, list(range(27)), [0.5] * HUGE, "y" * HUGE, {"k" * 50: "v" * 50},
+    (("a" * 40,) * 3,), 10 ** 100,
+])
+def test_quoted_cuts_a_long_repr_after_80_characters(value):
+    assert len(repr(value)) > QUOTE_LIMIT
+    assert quoted(value) == repr(value)[:QUOTE_LIMIT] + "..."
 
 
 @pytest.mark.parametrize("command", ["check", "sweep"])

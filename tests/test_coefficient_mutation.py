@@ -31,10 +31,10 @@ def _mutate(monkeypatch, bound_id: str, scale: float) -> str:
     spec = B.BOUNDS[bound_id]
     shape = spec.shape
     name = next(key for key, value in vars(B).items() if value is shape)
-    if spec.rhs is B._integral:
+    if spec.rhs in (B._integral, B._integral_extra):
         patch_shape(monkeypatch, name, scale=shape.scale * scale)
         return "scale"
-    if spec.rhs is B._projection:
+    if spec.rhs in (B._projection, B._projection_extra):
         patch_shape(monkeypatch, name, coefficient=lambda *v: shape.coefficient(*v) * scale)
         return "coefficient"
     if spec.rhs is B._ratio:

@@ -39,7 +39,7 @@ from revtri.scenario import (
     run,
     scenario_from_dict,
 )
-from .conftest import cone_recipe, patch_shape
+from .conftest import cone_recipe
 from .test_node_tables import PAIRWISE_COLUMNS, _column_norms, _numpy_norms
 from .test_residual_kernels import evaluate_bounds
 
@@ -269,14 +269,16 @@ def test_builds_equal_the_broadcast_formulas(d, field):
 SCALAR_BOUNDS = (B.COR_2_2, B.COR_2_3, B.MULT_B, B.MULT_C, B.PROP_4_1, B.PROP_4_2)
 
 
-def _profile_ball(f, e, rho, tau_hyp, tau_on):
-    return B.check_ball(f, e, ScalarProfile.constant(f.grid, rho), tau_hyp, tau_on)
+def _constant_profiles(monkeypatch) -> None:
+    """Hand every hypothesis the node values of a number's constant profile in place of
+    the number's 0-d array."""
+    profile_on = B._profile_on
 
-
-def _profile_band(f, e, m, M, tau_hyp, tau_on):
-    m, M = ScalarProfile.constant(f.grid, m), ScalarProfile.constant(f.grid, M)
-    return B.check_band(f, e, m, M, "inner", tau_hyp, tau_on)
-
+    def constant_profile_on(f, p, name):
+        if not isinstance(p, ScalarProfile):
+            p = ScalarProfile.constant(f.grid, p)
+        return profile_on(f, p, name)
+    monkeypatch.setattr(B, "_profile_on", constant_profile_on)
 
 
 def _texts(scenario) -> str:
@@ -293,8 +295,7 @@ def test_scalar_constants_give_the_constant_profile_reports(bound_id, monkeypatc
                  for n in (512, 8192) for trial in (0, 1)]
     texts = [_texts(make()) for make in scenarios]
     with monkeypatch.context() as patched:
-        patch_shape(patched, "_BALL", check=_profile_ball)
-        patch_shape(patched, "_BAND_INNER", check=_profile_band)
+        _constant_profiles(patched)
         assert [_texts(make()) for make in scenarios] == texts
 
 
@@ -321,7 +322,7 @@ def test_scalar_band_constants_raise_as_profiles_do(params, monkeypatch):
             return str(exc)
     expected = outcome()
     with monkeypatch.context() as patched:
-        patch_shape(patched, "_BAND_INNER", check=_profile_band)
+        _constant_profiles(patched)
         assert outcome() == expected
 
 

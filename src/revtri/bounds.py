@@ -17,8 +17,9 @@ Bound identifiers (part of the scenario file contract):
 right-hand-side form); parsing, serialization, validation, evaluation, recipes and
 sweeps read it.  Each of the eight hypothesis shapes is declared once too: its residual
 kernel and what it gives a right-hand side (an integrand and scale, a coefficient or a
-factor).  Evaluation and the public ``check_*`` functions judge a shape through one private
-checker; a family bound applies its shape to each member.
+factor).  :func:`evaluate_trials` judges the rows of T trials, a family bound's one per
+member, in stacked groups, and :func:`evaluate` is its one-trial case; the public
+``check_*`` functions judge one trial's hypothesis through the same private checker.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError, ParamError
+from .errors import DegeneracyError, InputError, ParamError, quoted
 from .gridfn import (
+    GROUP_ENTRIES,
     NUMBER,
     PROFILE,
     GridFunction,
@@ -40,7 +42,7 @@ from .gridfn import (
     row_norms,
 )
 from .hilbert import COMPLEX, DEFAULT_ORTHO_TOL, HVector, OrthonormalFamily, inner, vector_norm
-from .quadrature import DEFAULT_RULE, ROUNDOFF, DefectEstimate, defect, sample_integral
+from .quadrature import DEFAULT_RULE, ROUNDOFF, DefectEstimate, _integrate, defect
 
 THM_2_1 = "THM_2_1"
 COR_2_2 = "COR_2_2"
@@ -208,19 +210,6 @@ class HypothesisReport:
         return tuple(i for i, r in enumerate(self.sub_reports) if not r.holds)
 
 
-def _report(condition_id: str, kernel, tol: float, residuals=None,
-            sub_reports=None) -> HypothesisReport:
-    """The report of ``kernel``'s residuals, computed here unless given."""
-    residuals = kernel() if residuals is None else residuals
-    worst_node = int(np.argmax(residuals))
-    worst = max(float(residuals[worst_node]), 0.0)
-    holds = worst <= tol
-    if sub_reports is not None:
-        holds = holds and all(r.holds for r in sub_reports)
-        sub_reports = tuple(sub_reports)
-    return HypothesisReport(condition_id, holds, worst, worst_node, kernel, tol, sub_reports)
-
-
 def _profile_on(f: GridFunction, p: ScalarProfile | float, name: str) -> np.ndarray:
     """A profile's node values, or a number as a 0-d array: numpy arithmetic on it
     gives the node values of the constant profile and raises the same errors.  A
@@ -230,33 +219,67 @@ def _profile_on(f: GridFunction, p: ScalarProfile | float, name: str) -> np.ndar
             raise InputError(f"{name} profile lives on a different grid")
         return p.values
     if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
-        raise InputError(f"{name} must be a profile or a number, got {p!r}")
+        raise InputError(f"{name} must be a profile or a number, got {quoted(p)}")
     if p < 0.0:
         raise InputError(f"{name} is negative: {p!r}")
     return np.asarray(p, dtype=np.float64)
 
 
 # --------------------------------------------------------------------------
-# residual kernels: kernel(f, e, *values, proj) gives the residual at every node for the
-# reference coordinates e and the parameters' node values (a number as a 0-d array);
-# proj() is Re<f(t), e>, read from f's node tables.  The shapes below declare the rest.
+# residual kernels: kernel(rows, *values) gives the residuals of a group of R hypothesis
+# rows, one per trial and member, as an (R, N+1) array, for the parameters' node values of
+# :func:`_params`.  The shapes below declare the rest.
 
-def _ball_residuals(f: GridFunction, e: np.ndarray, radius, proj=None) -> np.ndarray:
+class _Rows(NamedTuple):
+    """A group of hypothesis rows: row r is member ``members[r]`` of the reference
+    ``refs[r]`` (a unit vector's coordinates (d,), a family's matrix (n, d) or None) of the
+    function ``fs[r]``.  Each table stacks the rows' node tables, kept on f, as (R, N+1)."""
+
+    fs: list
+    refs: list
+    members: list
+
+    def stack(self, table) -> np.ndarray:
+        """``table(f, ref, member)`` of each row, stacked; a single row's is a view."""
+        arrays = [table(*row) for row in zip(*self)]
+        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+    def coords(self) -> np.ndarray:   # (R, d)
+        return self.stack(lambda f, r, i: r if r.ndim == 1 else r[i])
+
+    def norms(self) -> np.ndarray:
+        return self.stack(lambda f, r, i: f.norms())
+
+    def projections(self) -> np.ndarray:   # a member's read from its family's (N+1, n) table
+        return self.stack(lambda f, r, i: f.projections(r) if r.ndim == 1
+                          else f.projections(r)[:, i])
+
+    def distances(self) -> np.ndarray:
+        return self.stack(lambda f, r, i: f.distances(r if r.ndim == 1 else r[i]))
+
+    def values(self) -> np.ndarray:   # (R, N+1, d), each row's columns contiguous
+        return self.stack(lambda f, r, i: f.values.T).swapaxes(1, 2)
+
+    def samples(self) -> np.ndarray:   # of d=1 complex functions
+        return self.stack(lambda f, r, i: _complex_samples(f))
+
+
+def _ball_residuals(rows: _Rows, radius) -> np.ndarray:
     """||f(t) - e|| - radius(t)."""
-    return f.distances(e) - radius
+    return rows.distances() - radius
 
 
-def _band_norm_residuals(f: GridFunction, e: np.ndarray, m_vals: np.ndarray,
-                         M_vals: np.ndarray, proj=None) -> np.ndarray:
+def _band_norm_residuals(rows: _Rows, m: np.ndarray, M: np.ndarray) -> np.ndarray:
     """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances summed one column at a time."""
-    center = np.broadcast_to(0.5 * (M_vals + m_vals), f.values.shape[:1])
-    return row_norms(f.values, e, center) - 0.5 * (M_vals - m_vals)
+    x = rows.values()
+    center = np.broadcast_to(0.5 * (M + m), x.shape[:-1])
+    return row_norms(x, rows.coords()[:, None], center) - 0.5 * (M - m)
 
 
-def _box_residuals(f: GridFunction, e: np.ndarray, m, M, proj=None) -> np.ndarray:
+def _box_residuals(rows: _Rows, m, M) -> np.ndarray:
     """How far f(t) lies outside the box [m, M] alpha x i [m, M] beta, e = alpha + i beta."""
-    z, alpha, beta = f.values[:, 0], e[0].real, e[0].imag
-    x, y = z.real, z.imag
+    z, e = rows.samples(), rows.coords()
+    x, y, alpha, beta = z.real, z.imag, e.real, e.imag
     return np.maximum(np.maximum(np.maximum(m * alpha - x, x - M * alpha), m * beta - y),
                       y - M * beta)
 
@@ -267,35 +290,109 @@ def _complex_samples(f: GridFunction) -> np.ndarray:
     return f.values[:, 0]
 
 
-def _arg_residuals(f: GridFunction, e, theta, proj=None) -> np.ndarray:
-    """|arg f(t)| - theta for a d=1 complex f that vanishes at no node."""
-    z = _complex_samples(f)
+def _arg_residuals(rows: _Rows, theta) -> np.ndarray:
+    """|arg f(t)| - theta for d=1 complex functions that vanish at no node."""
+    z = rows.samples()
     if np.any(z == 0.0):
-        j = int(np.argmax(z == 0.0))
+        j = int(np.argmax(z == 0.0)) % z.shape[-1]   # the first row's first zero
         raise DegeneracyError(f"argument undefined: f vanishes at node {j}")
     return np.abs(np.angle(z)) - theta
 
 
 # --------------------------------------------------------------------------
-# hypothesis checkers
+# hypothesis checkers: the rows of every trial judged in stacked groups
 
-def _check(shape: "_Shape", f: GridFunction, e: HVector | None, params, tau_hyp: float,
-           tau_on: float = DEFAULT_ORTHO_TOL, require=lambda *values: None) -> HypothesisReport:
-    """``shape`` on f against the unit reference e, if it reads one; ``require`` judges the
-    node values of ``params``.  The shape it implies is checked after it, on the same
-    arguments, as its one sub-report."""
+def _groups(counts, n_nodes: int) -> list:
+    """The (trial, member) rows of trials of ``counts`` members in groups: of one trial one
+    row at a time, so a member raises its own floating-point error and one member's node
+    arrays are alive at once; of several, at most :data:`GROUP_ENTRIES` node entries."""
+    rows = [(t, i) for t, n in enumerate(counts) for i in range(n)]
+    step = 1 if len(counts) == 1 else max(1, GROUP_ENTRIES // n_nodes)
+    return [rows[lo: lo + step] for lo in range(0, len(rows), step)]
+
+
+def _params(values, group) -> list:
+    """Each parameter's node values on a group of rows, ``values[t][p][i]`` for trial t,
+    parameter p and member i: one row's as they are, more stacked as (R, N+1) or (R, 1)."""
+    columns = [[values[t][p][i] for t, i in group] for p in range(len(values[0]))]
+    return [c[0] if len(group) == 1 else np.stack(c).reshape(len(group), -1) for c in columns]
+
+
+def _residuals(shape: "_Shape", fs, refs, values, group) -> np.ndarray:
+    """``shape``'s residuals on a group of (trial, member) rows, (R, N+1)."""
+    rows = _Rows([fs[t] for t, _ in group], [refs[t] for t, _ in group], [i for _, i in group])
+    return shape.kernel(rows, *_params(values, group)).reshape(len(group), -1)
+
+
+def _slack(shape: "_Shape", f: GridFunction, ref, values, members: range) -> np.ndarray:
+    """A report's kernel: the node-wise maximum of members' residuals, one at a time."""
+    top = None
+    for i in members:
+        residuals = _residuals(shape, [f], [ref], [values], [(0, i)])[0]
+        top = residuals if top is None else np.maximum(top, residuals, out=top)
+    return top
+
+
+def _report(condition_id: str, node: int, peak: float, tol: float, kernel,
+            sub_reports=None) -> HypothesisReport:
+    """The report of residuals whose largest value ``peak`` lies at ``node``."""
+    worst = max(peak, 0.0)
+    holds = worst <= tol and (sub_reports is None or all(r.holds for r in sub_reports))
+    return HypothesisReport(condition_id, holds, worst, node, kernel, tol,
+                            None if sub_reports is None else tuple(sub_reports))
+
+
+def _hypotheses(shape: "_Shape", fs, refs, values, tau_hyp: float,
+                family: bool = False) -> list[HypothesisReport]:
+    """``shape``'s report on each trial, its rows judged in the groups of :func:`_groups`; a
+    worst node is the first of the largest residual (or NaN).  A unit row's report carries
+    the shape it implies as its sub-report; a family judges each member and their maximum."""
+    n, n_nodes = len(values[0][0]), fs[0].grid.n_nodes
+    peaks = [[] for _ in fs]
+    tops = np.full((len(fs), n_nodes), -np.inf) if family else None
+    for group in _groups([n] * len(fs), n_nodes):
+        residuals = _residuals(shape, fs, refs, values, group)
+        nodes = residuals.argmax(axis=1)
+        worst = residuals[np.arange(len(group)), nodes].tolist()
+        for k, ((t, _), node, peak) in enumerate(zip(group, nodes.tolist(), worst)):
+            peaks[t].append((node, peak))
+            if family:
+                np.maximum(tops[t], residuals[k], out=tops[t])
+        del residuals   # freed before the next group's kernel runs
+    implied = (_hypotheses(shape.implies, fs, refs, values, tau_hyp) if shape.implies
+               else [None] * len(fs))
+    cid = f"{shape.condition_id}_family" if family else shape.condition_id
+    reports = []
+    for t, (f, ref, vals, sub) in enumerate(zip(fs, refs, values, implied)):
+        subs = [_report(f"{cid}[{i}]" if family else cid, node, peak, tau_hyp,
+                        partial(_slack, shape, f, ref, vals, range(i, i + 1)),
+                        None if sub is None else [sub]) for i, (node, peak) in enumerate(peaks[t])]
+        if family:
+            node = int(tops[t].argmax())
+            subs = _report(cid, node, float(tops[t][node]), tau_hyp,
+                           partial(_slack, shape, f, ref, vals, range(n)), subs)
+        reports.append(subs if family else subs[0])
+    return reports
+
+
+def _unit_inputs(shape: "_Shape", f: GridFunction, e: HVector | None, params, tau_on: float):
+    """A unit or direction row's checks on one trial, then its reference coordinates and
+    its parameters' node values (see :func:`_params`)."""
     if shape.directed:
         if e.field != f.field or e.d != f.d:
             raise InputError("reference vector field/dimension mismatch")
         require_unit(e, "reference vector", tau_on)
-    values = [_profile_on(f, p, name) for name, p in zip(shape.names, params)]
-    require(*values)
-    coords = e.coords if shape.directed else None
-    kernel = partial(shape.kernel, f, coords, *values, proj=partial(f.projections, coords))
-    residuals = kernel()
-    implied = (None if shape.implies is None
-               else [_check(shape.implies, f, e, params, tau_hyp, tau_on)])
-    return _report(shape.condition_id, kernel, tau_hyp, residuals, implied)
+    return (e.coords if shape.directed else None,
+            [[_profile_on(f, p, name)] for name, p in zip(shape.names, params)])
+
+
+def _check(shape: "_Shape", f: GridFunction, e: HVector | None, params, tau_hyp: float,
+           tau_on: float = DEFAULT_ORTHO_TOL, require=lambda *values: None) -> HypothesisReport:
+    """``shape`` on f against the unit reference e, if it reads one; ``require`` judges the
+    node values of ``params``."""
+    ref, values = _unit_inputs(shape, f, e, params, tau_on)
+    require(*(v for v, in values))
+    return _hypotheses(shape, [f], [ref], [values], tau_hyp)[0]
 
 
 def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
@@ -332,7 +429,7 @@ def check_band(f: GridFunction, e: HVector, m: ScalarProfile | float,
     A number for m or M is a constant profile.
     """
     if form not in ("inner", "norm"):
-        raise InputError(f"band form must be 'inner' or 'norm', got {form!r}")
+        raise InputError(f"band form must be 'inner' or 'norm', got {quoted(form)}")
     shape = _BAND_INNER if form == "inner" else _BAND_NORM
     return _check(shape, f, e, (m, M), tau_hyp, tau_on, require_band_profiles)
 
@@ -356,27 +453,6 @@ def check_arg(f: GridFunction, theta: float,
     return _check(_ARG_CONE, f, None, (theta,), tau_hyp)
 
 
-def _running_max(kernels, visit=lambda i, kernel, residuals: None) -> np.ndarray:
-    """The node-wise maximum of the members' residuals, one member evaluated at a time so
-    that at most two node arrays are alive; ``visit`` sees each member's before the fold.
-    A kernel returns a fresh array, and the first member's becomes the running maximum."""
-    combined = None
-    for i, kernel in enumerate(kernels):
-        residuals = kernel()
-        visit(i, kernel, residuals)
-        combined = residuals if combined is None else np.maximum(combined, residuals, out=combined)
-        del residuals   # freed before the next member's kernel runs
-    return combined
-
-
-def _family_check(kernels, condition_id: str, tau_hyp: float) -> HypothesisReport:
-    """Each member judged on its own residuals, the family on their running maximum."""
-    subs = []
-    combined = _running_max(kernels, lambda i, kernel, residuals: subs.append(
-        _report(f"{condition_id}[{i}]", kernel, tau_hyp, residuals)))
-    return _report(condition_id, lambda: _running_max(kernels), tau_hyp, combined, subs)
-
-
 # --------------------------------------------------------------------------
 # hypothesis shapes
 
@@ -384,7 +460,7 @@ def _family_check(kernels, condition_id: str, tau_hyp: float) -> HypothesisRepor
 class _Shape:
     """A node-wise hypothesis as data, once for every bound that assumes it: its residual
     ``kernel``, reported as ``condition_id``, its parameters' ``names`` in errors, the
-    shape it ``implies`` (see :func:`_check`), and what it gives a right-hand side: the
+    shape it ``implies`` (see :func:`_hypotheses`), and what it gives a right-hand side: the
     ``integrand`` g and ``scale`` s of defect <= s int g (a family divides by 1/s), the
     ``coefficient`` c of defect <= c * projection or the ``factor`` of factor * int ||f||
     <= ||int f||, with the ``terms`` naming them in ``rhs_terms``.  ``directed`` is False
@@ -403,17 +479,18 @@ class _Shape:
     directed: bool = True
 
 
-_DOMINANCE = _Shape("dominance", lambda f, e, k, proj: f.norms() - proj() - k, ("k",),
+_DOMINANCE = _Shape("dominance", lambda rows, k: rows.norms() - rows.projections() - k, ("k",),
                     integrand=lambda k: k, terms=("dominance_integral",))
-_SCALED_DOMINANCE = _Shape("dominance_scaled", lambda f, e, K, proj: f.norms() - K * proj(),
-                           ("K",))
+_SCALED_DOMINANCE = _Shape("dominance_scaled",
+                           lambda rows, K: rows.norms() - K * rows.projections(), ("K",))
 _BALL = _Shape("ball", _ball_residuals, ("radius",), coefficient=ball_coefficient,
                factor=lambda rho: math.sqrt(1.0 - rho * rho), terms=("factor", "integral_norm"))
 _BALL_PROFILE = _Shape("ball", _ball_residuals, ("radius",), integrand=lambda r: r ** 2,
                        scale=0.5, terms=("r_squared_integral",))
 # -Re<M(t)e - f(t), f(t) - m(t)e>
 _BAND_INNER = _Shape("band_inner",
-                     lambda f, e, m, M, proj: np.square(f.norms()) + m * M - (M + m) * proj(),
+                     lambda rows, m, M: (np.square(rows.norms()) + m * M
+                                         - (M + m) * rows.projections()),
                      ("m", "M"), coefficient=band_coefficient)
 _BAND_NORM = _Shape("band_norm", _band_norm_residuals, ("m", "M"),
                     integrand=band_gap_integrand, scale=0.25, terms=("band_gap_integral",))
@@ -486,69 +563,58 @@ class Reference:
     beta: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class _Context:
-    """One evaluation's inputs; ``est`` holds the integrals every bound shares."""
+class _Context(NamedTuple):
+    """One trial's f, integrals and reference, its row's ``direction`` (see :func:`_direction`),
+    hypothesis report and integrands' integrals ``parts``, (value, error) per member."""
 
     f: GridFunction
     est: DefectEstimate
     ref: Reference
-    rule: str
-    tau_hyp: float
-    tau_on: float
+    direction: tuple | None
+    hyp: HypothesisReport
+    parts: list
 
 
-def _direction(c: _Context):
-    """e = alpha + i beta, the split projection alpha int Re f + beta int Im f with
-    its error, and the diagnostics comparing it with Re<int f, e>.  The integrals of
-    Re f and Im f, each with its part of every jump of f, are computed once per f and rule."""
-    alpha, beta = c.ref.alpha, c.ref.beta
+def _direction(f: GridFunction, ref: Reference, est: DefectEstimate, rule: str):
+    """e = alpha + i beta, the split projection alpha int Re f + beta int Im f with its
+    error, and the diagnostics comparing it with Re<int f, e>.  The integrals of Re f and
+    Im f, with their parts of each jump of f, come from one pass, once per f and rule."""
+    alpha, beta = ref.alpha, ref.beta
     require_direction(alpha, beta)
-    z = _complex_samples(c.f)
+    z = _complex_samples(f)
     e = HVector(COMPLEX, [complex(alpha, beta)])
-    jumps = c.f.jumps or {}
-    re_int, im_int = c.f.cached(("part_integrals", c.rule), lambda: tuple(
-        sample_integral(c.f.grid, part(z), c.rule, {j: part(v[0]) for j, v in jumps.items()})
-        for part in (np.real, np.imag)))
-    split = alpha * re_int.value + beta * im_int.value
-    split_err = alpha * re_int.err_est + beta * im_int.err_est
-    proj = float(inner(c.est.integral, e).real)
-    return e, split, split_err, {"projection": proj, "split_gap": split - proj}
+
+    def parts():
+        jumps = {j: np.array([v[0].real, v[0].imag]) for j, v in (f.jumps or {}).items()}
+        value, diff = _integrate(f.grid, np.stack([z.real, z.imag], axis=1), jumps, rule)
+        return value.tolist(), np.abs(diff).tolist()   # |v|: the norm of a one-entry v
+    (re, im), (re_err, im_err) = f.cached(("part_integrals", rule), parts)
+    split = alpha * re + beta * im
+    proj = float(inner(est.integral, e).real)
+    return e, split, alpha * re_err + beta * im_err, {"projection": proj,
+                                                      "split_gap": split - proj}
 
 
-def _outcome(c: _Context, spec: "BoundSpec", params: BoundParams):
-    """(hypothesis, lhs, rhs, err, rhs_terms, diagnostics) of one row: its shape, then its
-    right-hand-side form; a row with a direction reports the split projection too."""
-    args = [getattr(params, q.field) for q in spec.params]
-    directed = spec.reference == REF_DIRECTION and spec.shape.directed
-    direction = _direction(c) if directed else None
-    hyp = _hypothesis(c, spec, args, direction)
-    lhs, rhs, err, terms, diags, mult = spec.rhs(c, spec, args, direction)
-    if direction is not None:
-        _, split, _, split_diags = direction
-        terms, diags = {**terms, "split_projection": split}, {**diags, **split_diags}
-    # an absolute error term for products that underflow: per node, the sums behind lhs and
-    # rhs (the norms, 2d real coordinates, a profile) take 2d + 2, and the row's multiplier
-    # scales the errors of the sums it multiplies
-    n_nodes, d = c.f.values.shape
-    return hyp, lhs, rhs, err + _UNDERFLOW * n_nodes * (d + 1) * max(1.0, mult), terms, diags
+def _integrand_integrals(shape: _Shape, grid, values, rule: str) -> list:
+    """Per trial, the integral (value, error) of the shape's integrand g of each member, the
+    rows made and integrated in the groups of :func:`_groups`."""
+    out = [[] for _ in values]
+    for group in _groups([len(trial[0]) for trial in values], grid.n_nodes):
+        g = shape.integrand(*_params(values, group)).reshape(len(group), -1)
+        full, diff = _integrate(grid, g.T, None, rule)
+        for (t, _), value, err in zip(group, full.tolist(), np.abs(diff).tolist()):
+            out[t].append((value, err))
+    return out
 
 
-def _hypothesis(c: _Context, spec: "BoundSpec", args: list, direction=None):
-    """The row's shape checked against its reference vector, or member by member against a
-    family, each member reading its column of the one (N+1, n) projection table; a member's
-    profile is named by its file key with the index for ``i``, its number stays a float."""
-    shape = spec.shape
-    if spec.reference != REF_FAMILY:
-        e = c.ref.e if direction is None else direction[0]
-        return _check(shape, c.f, e, args, c.tau_hyp, c.tau_on)
-    kernels = []
-    for i, (e, *member) in enumerate(zip(c.ref.family.members, *args)):
-        values = [p if q.kind == NUMBERS else _profile_on(c.f, p, q.key.replace("_i", f"_{i}"))
-                  for p, q in zip(member, spec.params)]
-        kernels.append(partial(shape.kernel, c.f, e.coords, *values,
-                               proj=lambda i=i: _family_projections(c)[:, i]))
-    return _family_check(kernels, f"{shape.condition_id}_family", c.tau_hyp)
+def _family_inputs(spec: "BoundSpec", f: GridFunction, family: OrthonormalFamily, args):
+    """A family row's reference matrix and its parameters' node values (see :func:`_params`):
+    a member's profile is named by its file key with the index for ``i``, its number stays
+    a float."""
+    return family.matrix(), [
+        [p if q.kind == NUMBERS else _profile_on(f, p, q.key.replace("_i", f"_{i}"))
+         for i, p in enumerate(column)]
+        for q, column in zip(spec.params, args)]
 
 
 # right-hand-side forms: rhs(context, spec, parameter values, direction)
@@ -557,10 +623,9 @@ def _hypothesis(c: _Context, spec: "BoundSpec", args: list, direction=None):
 
 def _integral(c: _Context, spec: "BoundSpec", args: list, direction):
     """defect <= s * int g for the shape's integrand g and scale s."""
-    shape = spec.shape
-    g = sample_integral(c.f.grid, shape.integrand(*(p.values for p in args)), c.rule)
-    err = shape.scale * g.err_est + c.est.norm_integral_err + c.est.integral_err
-    return c.est.value, shape.scale * g.value, err, {shape.terms[0]: g.value}, {}, shape.scale
+    shape, ((g, g_err),) = spec.shape, c.parts
+    err = shape.scale * g_err + c.est.norm_integral_err + c.est.integral_err
+    return c.est.value, shape.scale * g, err, {shape.terms[0]: g}, {}, shape.scale
 
 
 def _projection(c: _Context, spec: "BoundSpec", args: list, direction):
@@ -625,20 +690,13 @@ def _family_bound(c: _Context, extra: float, extra_err: float, terms: dict,
             {"family_term": family_term, **terms, "extra": extra}, diags or {}, mult)
 
 
-def _family_projections(c: _Context) -> np.ndarray:
-    """Re<f(t), e_i> for every node and member as one (N+1, n) product."""
-    return c.f.projections(c.ref.family.matrix())
-
-
 def _integral_extra(c: _Context, spec: "BoundSpec", args: list, direction):
-    """extra = sum_i int g_i / ((1/s) n), each g_i integrated as it is made."""
+    """extra = sum_i int g_i / ((1/s) n)."""
     shape = spec.shape
-    parts = [sample_integral(c.f.grid, shape.integrand(*(p.values for p in member)), c.rule)
-             for member in zip(*args)]
     scale = (1.0 / shape.scale) * c.ref.family.n
-    extra = sum(part.value for part in parts) / scale
-    extra_err = sum(part.err_est for part in parts) / scale
-    terms = {f"{shape.terms[0]}_{i}": part.value for i, part in enumerate(parts)}
+    extra = sum(value for value, _ in c.parts) / scale
+    extra_err = sum(err for _, err in c.parts) / scale
+    terms = {f"{shape.terms[0]}_{i}": value for i, (value, _) in enumerate(c.parts)}
     return _family_bound(c, extra, extra_err, terms)
 
 
@@ -750,22 +808,68 @@ def evaluate(f: GridFunction, reference: Reference, params: BoundParams, bound_i
     """Evaluate any bound on f's own integrals, ``defect(f, rule)``, kept on f.  It reads
     the part of ``reference`` its kind names (KARAMATA reads none).  Bounds with
     a direction check their unit reference at the default orthonormality tolerance.  A
-    non-finite lhs, rhs, margin or error budget raises :class:`DegeneracyError`."""
+    non-finite lhs, rhs, margin or error budget raises :class:`DegeneracyError`.  This is
+    the one-trial case of :func:`evaluate_trials`."""
+    return evaluate_trials([(f, reference, params)], bound_id, rule, tau_hyp, tau_on)[0]
+
+
+def evaluate_trials(trials, bound_id: str, rule: str = DEFAULT_RULE,
+                    tau_hyp: float = DEFAULT_HYP_TOL,
+                    tau_on: float = DEFAULT_ORTHO_TOL) -> list[BoundResult]:
+    """:func:`evaluate` of one bound on each trial (f, reference, params), the functions of
+    one grid, field and d (and no jumps if several): every check runs on every trial, then
+    the hypotheses and integrands are judged on stacked rows.  Only a single trial raises
+    its own first error: a caller that needs it judges the trials one at a time."""
     spec = BOUNDS.get(bound_id)
     if spec is None:
-        raise InputError(f"unknown bound id {bound_id!r}")
-    if spec.reference == REF_UNIT and reference.e is None:
-        raise InputError(f"{bound_id} needs a unit reference vector")
-    family = reference.family
-    if spec.reference == REF_FAMILY and (family is None or family.field != f.field
-                                         or family.d != f.d):
-        raise InputError(f"{bound_id} needs a family with the field and dimension of f")
+        raise InputError(f"unknown bound id {quoted(bound_id)}")
     if spec.reference == REF_DIRECTION:
         tau_on = DEFAULT_ORTHO_TOL
-    validate_params(bound_id, params, None if family is None else family.n)
-    est = defect(f, rule)
-    c = _Context(f, est, reference, rule, tau_hyp, tau_on)
-    hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = _outcome(c, spec, params)
+    shape, family_row = spec.shape, spec.reference == REF_FAMILY
+    fs, refs, ests = [f for f, _, _ in trials], [ref for _, ref, _ in trials], []
+    for f, reference, params in trials:
+        family = reference.family
+        if spec.reference == REF_UNIT and reference.e is None:
+            raise InputError(f"{bound_id} needs a unit reference vector")
+        if family_row and (family is None or family.field != f.field or family.d != f.d):
+            raise InputError(f"{bound_id} needs a family with the field and dimension of f")
+        validate_params(bound_id, params, None if family is None else family.n)
+        ests.append(defect(f, rule))
+    directed = spec.reference == REF_DIRECTION and shape.directed
+    directions = [_direction(f, ref, est, rule) if directed else None
+                  for f, ref, est in zip(fs, refs, ests)]
+    args = [[getattr(params, q.field) for q in spec.params] for _, _, params in trials]
+    coords, values = zip(*(
+        _family_inputs(spec, f, ref.family, a) if family_row else _unit_inputs(
+            shape, f, ref.e if direction is None else direction[0], a, tau_on)
+        for f, ref, a, direction in zip(fs, refs, args, directions)))
+    hyps = _hypotheses(shape, fs, coords, values, tau_hyp, family_row)
+    parts = (_integrand_integrals(shape, fs[0].grid, values, rule) if shape.integrand
+             else [[]] * len(fs))
+    return [_result(_Context(*row), spec, a, bound_id)
+            for row, a in zip(zip(fs, ests, refs, directions, hyps, parts), args)]
+
+
+def _outcome(c: _Context, spec: "BoundSpec", args: list):
+    """(hypothesis, lhs, rhs, err, rhs_terms, diagnostics) of one row: its shape's report,
+    then its right-hand-side form; a row with a direction reports the split projection too."""
+    direction = c.direction
+    lhs, rhs, err, terms, diags, mult = spec.rhs(c, spec, args, direction)
+    if direction is not None:
+        _, split, _, split_diags = direction
+        terms, diags = {**terms, "split_projection": split}, {**diags, **split_diags}
+    # an absolute error term for products that underflow: per node, the sums behind lhs and
+    # rhs (the norms, 2d real coordinates, a profile) take 2d + 2, and the row's multiplier
+    # scales the errors of the sums it multiplies
+    n_nodes, d = c.f.values.shape
+    return c.hyp, lhs, rhs, err + _UNDERFLOW * n_nodes * (d + 1) * max(1.0, mult), terms, diags
+
+
+def _result(c: _Context, spec: "BoundSpec", args: list, bound_id: str) -> BoundResult:
+    """One trial's result from its row's outcome: the error budget, the verdict and the
+    diagnostics."""
+    est = c.est
+    hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = _outcome(c, spec, args)
     lhs, rhs = float(lhs), float(rhs)
     scale = abs(lhs) + abs(rhs) + est.norm_integral + est.integral_norm
     err_budget = float(err_budget) + ROUNDOFF * scale   # a relative roundoff floor
@@ -774,29 +878,19 @@ def evaluate(f: GridFunction, reference: Reference, params: BoundParams, bound_i
         # Python floats overflow to inf without numpy's floating-point errors
         raise DegeneracyError(f"{bound_id} is not judged on non-finite numbers: lhs={lhs!r}, "
                               f"rhs={rhs!r}, margin={margin!r}, err_budget={err_budget!r}")
-    if not hyp.holds:
-        verdict = HYPOTHESIS_FAILED
-    elif margin >= -err_budget:
-        verdict = HOLDS
-    else:
-        verdict = VIOLATED
-    diagnostics = {
-        "defect": est.value,
-        "defect_err": est.norm_integral_err + est.integral_err,
-        "norm_integral": est.norm_integral,
-        "integral_norm": est.integral_norm,
-        **extra_diags,
-    }
-    return BoundResult(
-        bound_id, lhs, rhs, {k: float(v) for k, v in rhs_terms.items()},
-        float(margin), hyp, err_budget, verdict,
-        {k: float(v) for k, v in diagnostics.items()},
-    )
+    verdict = (HYPOTHESIS_FAILED if not hyp.holds else HOLDS if margin >= -err_budget
+               else VIOLATED)
+    diagnostics = {"defect": est.value, "defect_err": est.norm_integral_err + est.integral_err,
+                   "norm_integral": est.norm_integral, "integral_norm": est.integral_norm,
+                   **extra_diags}
+    return BoundResult(bound_id, lhs, rhs, {k: float(v) for k, v in rhs_terms.items()},
+                       float(margin), hyp, err_budget, verdict,
+                       {k: float(v) for k, v in diagnostics.items()})
 
 
 def _require_group(bound_id: str, group: tuple, what: str) -> None:
     if bound_id not in group:
-        raise InputError(f"{bound_id!r} is not a {what} bound id")
+        raise InputError(f"{quoted(bound_id)} is not a {what} bound id")
 
 
 def eval_unit_bound(f: GridFunction, e: HVector | None, params: BoundParams, bound_id: str,

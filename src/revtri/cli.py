@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import bounds as B
-from .errors import InputError, RevtriError
+from .errors import InputError, RevtriError, quoted
 from .extremal import RECIPES, extremal_scenario, recipe_of
 from .fuzz import fuzz
 from .hilbert import COMPLEX, REAL
@@ -130,11 +130,24 @@ def _cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 3, as input errors: argparse's own 2 means "a hypothesis failed"."""
+    """Usage errors exit 3, as input errors: argparse's own 2 means "a hypothesis failed".
+    A bad argument is quoted as argparse quotes it, cut to :data:`errors.QUOTE_LIMIT`."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+    def _get_value(self, action, arg_string):
+        try:
+            return super()._get_value(action, arg_string)
+        except argparse.ArgumentError:
+            raise argparse.ArgumentError(action, f"invalid {action.type.__name__} value: "
+                                                 f"{quoted(arg_string)}") from None
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {quoted(value)} (choose from "
+                                                 f"{', '.join(map(repr, action.choices))})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,11 +19,11 @@ import numpy as np
 
 from . import bounds as B
 from .bounds import BoundParams, VIOLATED
-from .errors import InputError
+from .errors import InputError, quoted
 from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, _describable,
                      grid_nodes, row_norms)
-from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, orthonormalize, vector_norm
-from .quadrature import integrate_trials
+from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, _orthonormal_rows, vector_norm
+from .quadrature import defect, integrate_trials
 from .scenario import (
     BoundEntry,
     REF_DIRECTION,
@@ -34,6 +34,7 @@ from .scenario import (
     Scenario,
     Tolerances,
     _plain,
+    _rollup,
     _scenario_tree,
     run,
 )
@@ -132,8 +133,7 @@ def _unit_vector(rng, field: str, d: int) -> HVector:
 
 
 def _orthofamily(rng, field: str, d: int, n: int) -> OrthonormalFamily:
-    mat = _coeffs(rng, (n, d), field)
-    return orthonormalize(tuple(HVector(field, row) for row in mat))
+    return _orthonormal_rows(field, _coeffs(rng, (n, d), field))
 
 
 def _direction(rng) -> tuple[float, float]:
@@ -360,7 +360,7 @@ def _generate(streams, bound_id: str, seed: int, trial: int, d: int, field: str,
     gives the stream of ``trial_rng(seed, trial)``; the bound's row keys its generator."""
     spec = B.BOUNDS.get(bound_id)
     if spec is None:
-        raise InputError(f"unknown bound id {bound_id!r}")
+        raise InputError(f"unknown bound id {quoted(bound_id)}")
     if spec.reference == REF_DIRECTION:
         field, d = COMPLEX, 1
     if d < 1:
@@ -458,9 +458,9 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
     """Run ``trials`` hypothesis-by-construction scenarios against one bound.
 
     Trials are generated in chunks of at most :data:`CHUNK_ENTRIES` node values (and at
-    least one trial), each chunk integrated in one pass (:func:`integrate_trials`), then
-    judged in trial order by ``run()``.  If generating a trial raises, the trials before
-    it are judged first, so the error of an earlier trial wins."""
+    least one trial), each chunk integrated and judged in one pass (see :func:`_judge`).
+    If generating a trial raises, the trials before it are judged first, so the error of
+    an earlier trial wins."""
     if trials < 1:
         raise InputError("need at least one trial")
     summary = FuzzSummary(bound_id, trials, seed,
@@ -484,36 +484,54 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
 
 
 def _judge(summary: FuzzSummary, chunk: list[tuple[int, Scenario]]) -> None:
-    """Integrate the chunk's functions in one pass, then run and tally each trial."""
-    if chunk:
-        integrate_trials([scenario.f for _, scenario in chunk])
-    for trial, scenario in chunk:
-        report = run(scenario)
-        result = report.results[0]
-        if result.verdict == B.HOLDS:
-            summary.holds += 1
-        elif result.verdict == VIOLATED:
-            summary.violated += 1
-        else:
-            summary.hypothesis_failed += 1
-        if result.margin < summary.worst_margin:
-            summary.worst_margin = result.margin
-            summary.worst_margin_trial = trial
-        defect_slack = report.defect.value + report.defect.err_est
-        summary.min_defect_slack = min(summary.min_defect_slack, defect_slack)
-        gap = _chain_gap(result)
-        if gap is not None and gap > 0.0:
-            summary.chain_violations += 1
-        if "printed_margin" in result.diagnostics:
-            summary.printed_form_margins.append(result.diagnostics["printed_margin"])
-        bad = result.verdict == VIOLATED or (
-            result.margin < -_COUNTEREXAMPLE_SLACK * result.err_budget)
-        if bad and len(summary.counterexamples) < MAX_COUNTEREXAMPLE_DUMPS:
-            summary.counterexamples.append({
-                "trial": trial,
-                "margin": result.margin,
-                "err_budget": result.err_budget,
-                "scenario": _scenario_tree(scenario),
-            })
-        if summary.reports is not None:
-            summary.reports.append(report)
+    """Integrate the chunk's trials in one pass and judge them in one pass under run()'s
+    floating-point guard, then tally each.  If judging raises, the trials are judged again
+    one at a time by ``run()``, so that the earliest trial's own error raises."""
+    if not chunk:
+        return
+    scenarios = [scenario for _, scenario in chunk]
+    integrate_trials([scenario.f for scenario in scenarios])
+    tol = scenarios[0].tolerances
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            results = B.evaluate_trials(
+                [(s.f, s.reference, s.bounds[0].params) for s in scenarios],
+                summary.bound_id, tau_hyp=tol.tau_hyp, tau_on=tol.tau_on)
+        reports = [RunReport(s.id, (r.without_kernels(),), defect(s.f), _rollup([r.verdict]),
+                             s.provenance) for s, r in zip(scenarios, results)]
+    except Exception:
+        reports = [run(scenario) for scenario in scenarios]
+    for (trial, scenario), report in zip(chunk, reports):
+        _tally(summary, trial, scenario, report)
+
+
+def _tally(summary: FuzzSummary, trial: int, scenario: Scenario, report: RunReport) -> None:
+    """Count one judged trial into ``summary``."""
+    result = report.results[0]
+    if result.verdict == B.HOLDS:
+        summary.holds += 1
+    elif result.verdict == VIOLATED:
+        summary.violated += 1
+    else:
+        summary.hypothesis_failed += 1
+    if result.margin < summary.worst_margin:
+        summary.worst_margin = result.margin
+        summary.worst_margin_trial = trial
+    defect_slack = report.defect.value + report.defect.err_est
+    summary.min_defect_slack = min(summary.min_defect_slack, defect_slack)
+    gap = _chain_gap(result)
+    if gap is not None and gap > 0.0:
+        summary.chain_violations += 1
+    if "printed_margin" in result.diagnostics:
+        summary.printed_form_margins.append(result.diagnostics["printed_margin"])
+    bad = result.verdict == VIOLATED or (
+        result.margin < -_COUNTEREXAMPLE_SLACK * result.err_budget)
+    if bad and len(summary.counterexamples) < MAX_COUNTEREXAMPLE_DUMPS:
+        summary.counterexamples.append({
+            "trial": trial,
+            "margin": result.margin,
+            "err_budget": result.err_budget,
+            "scenario": _scenario_tree(scenario),
+        })
+    if summary.reports is not None:
+        summary.reports.append(report)

@@ -153,8 +153,8 @@ def row_norms(x: np.ndarray, c: np.ndarray | None = None,
               s: np.ndarray | None = None) -> np.ndarray:
     """The norms of the rows of an (N+1, d) array x; with a (d,) center c the norms of
     the rows x(t) - c, and with per-node scales s as well, of the rows x(t) - s(t) c.
-    An array of more axes holds its coordinates on the last one, like the
-    (T, N+1, d) view of T stacked functions: each function gets its own norms.
+    An array of more axes holds its coordinates on the last one, like the (T, N+1, d)
+    view of T stacked functions: each gets its own norms, and of a (T, 1, d) c its center.
 
     Each column is squared with numpy's formula, ``(v.conj() * v).real`` for complex
     data and ``v * v`` for real, and added to a running sum of the nodes in column
@@ -169,7 +169,7 @@ def row_norms(x: np.ndarray, c: np.ndarray | None = None,
     for j in range(x.shape[-1]):
         v = x[..., j]
         if c is not None:
-            v = v - (c[j] if s is None else s * c[j])
+            v = v - (c[..., j] if s is None else s * c[..., j])
         if v.size == 1:   # numpy's in-place product of one complex entry rounds otherwise
             square = v.conj() * v
         else:

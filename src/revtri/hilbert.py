@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneracyError, InfeasibilityError, InputError, OrthonormalityError
+from .errors import DegeneracyError, InfeasibilityError, InputError, OrthonormalityError, quoted
 
 REAL = "real"
 COMPLEX = "complex"
@@ -36,7 +36,7 @@ RANK_TOL = 1e-12
 
 def _coerce_coords(field: str, coords) -> np.ndarray:
     if field not in _DTYPES:
-        raise InputError(f"unknown field {field!r}; expected {REAL!r} or {COMPLEX!r}")
+        raise InputError(f"unknown field {quoted(field)}; expected {REAL!r} or {COMPLEX!r}")
     arr = np.asarray(coords)
     if field == REAL and np.iscomplexobj(arr):
         if np.any(arr.imag != 0.0):
@@ -236,7 +236,11 @@ def orthonormalize(members) -> OrthonormalFamily:
     ``DEFAULT_ORTHO_TOL``.  Raises :class:`DegeneracyError` when a pivot
     falls below ``RANK_TOL`` times the input scale (linear dependence).
     """
-    field, mat = _member_matrix(members)
+    return _orthonormal_rows(*_member_matrix(members))
+
+
+def _orthonormal_rows(field: str, mat: np.ndarray) -> OrthonormalFamily:
+    """:func:`orthonormalize` of the ``field`` vectors whose coordinates are ``mat``'s rows."""
     n, d = mat.shape
     if n > d:
         raise InfeasibilityError(f"cannot orthonormalize {n} vectors in {field}^{d}")

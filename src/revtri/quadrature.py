@@ -230,10 +230,11 @@ def _defects(field: str, grid: Grid, values: np.ndarray, norms: np.ndarray, jump
     d = values.shape[1]
     integrals = bi.T.reshape(-1, d)
     out = []
-    for ni_t, norm_err, integral, integral_norm, integral_err in zip(
-            ni.reshape(-1), _norms(ni_diff.reshape(-1, 1)), integrals, _norms(integrals),
+    # |v| is the norm of a one-entry v, as _norm gives it: sqrt(fl(v * v)) = |v|
+    for norm_value, norm_err, integral, integral_norm, integral_err in zip(
+            ni.reshape(-1).tolist(), np.abs(ni_diff).reshape(-1).tolist(), integrals,
+            _norms(integrals),
             _norms(bi_diff.T.reshape(-1, d))):
-        norm_value = float(ni_t)
         roundoff = ROUNDOFF * (abs(norm_value) + integral_norm)
         out.append(DefectEstimate(
             value=norm_value - integral_norm,
@@ -252,14 +253,20 @@ def integrate_trials(fs, rule: str = DEFAULT_RULE) -> None:
     :func:`defect` compute them, from one pass over all of them.
 
     The functions share grid, field and d and have no jumps.  Their column-major node
-    arrays are stacked as (T, d, N+1), one function is not copied.  If the pass meets
-    overflow, an invalid operation or division by zero, nothing is kept, so each
-    function's own :func:`defect` raises or warns as it would have."""
+    arrays are stacked as (T, d, N+1), one function is not copied, and node norms a
+    function keeps are not computed again.  If the pass meets overflow, an invalid
+    operation or division by zero, nothing is kept, so each function's own
+    :func:`defect` raises or warns as it would have."""
     first = fs[0]
     stack = first.values.T[None] if len(fs) == 1 else np.stack([f.values.T for f in fs])
+    kept = [f._tables.get(("norms",)) for f in fs]
+    todo = [i for i, table in enumerate(kept) if table is None]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            norms = row_norms(stack.transpose(0, 2, 1))
+            rest = stack if len(todo) == len(fs) else stack[todo]
+            for i, table in zip(todo, row_norms(rest.transpose(0, 2, 1)) if todo else ()):
+                kept[i] = table
+            norms = np.stack(kept)
             estimates = _defects(first.field, first.grid, stack.T, norms.T, None, rule)
     except FloatingPointError:
         return

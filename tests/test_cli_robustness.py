@@ -170,6 +170,60 @@ def test_a_huge_bad_value_gives_a_short_error_line(name, tmp_path, capsys):
     assert len(captured.err.encode("utf-8")) < 300, captured.err
 
 
+#: Usage errors with a bad argument in place of ARG: the argument's name and the character
+#: a huge bad argument repeats (a short one is "x").
+HUGE_ARGUMENTS = [
+    (["fuzz", "--bound", "ARG", "--trials", "1", "--seed", "1"], "--bound", "x"),
+    (["fuzz", "--bound", "THM_2_1", "--field", "ARG", "--trials", "1", "--seed", "1"],
+     "--field", "x"),
+    (["fuzz", "--bound", "THM_2_1", "--trials", "ARG", "--seed", "1"], "--trials", "9"),
+    (["extremal", "--bound", "COR_2_2", "--rho", "ARG"], "--rho", "x"),
+]
+
+
+@pytest.mark.parametrize("argv, name, char", HUGE_ARGUMENTS, ids=lambda v: str(v))
+def test_a_huge_bad_argument_gives_a_short_usage_error(argv, name, char, capsys):
+    """A usage error quotes at most 80 characters of the bad argument, and otherwise reads
+    as for a short one, with the argument's name and any list of choices: it quoted all of
+    it before, 100,388 to 100,585 bytes of stderr."""
+    def usage_error(value):
+        with pytest.raises(SystemExit) as exc:
+            main([value if a == "ARG" else a for a in argv])
+        assert exc.value.code == 3
+        return capsys.readouterr().err
+
+    short, huge = usage_error("x"), usage_error(char * HUGE)
+    line = huge.splitlines()[-1]
+    assert line.startswith(f"revtri {argv[0]}: error: argument {name}: invalid "), line
+    assert quoted(char * HUGE) in line and "Traceback" not in huge
+    assert huge == short.replace(quoted("x"), quoted(char * HUGE))
+
+
+def test_a_huge_bad_value_through_the_python_api_gives_a_short_error():
+    """A bad bound id, field or parameter given to the Python API is quoted in at most 80
+    characters: before, ``check_ball`` quoted a 10^5-character radius whole (100,044
+    characters) and ``evaluate``, ``generate_scenario`` and ``fuzz`` a bound id (100,019)."""
+    from revtri import bounds as B
+    from revtri.fuzz import fuzz, generate_scenario
+
+    huge = "x" * HUGE
+    scenario = generate_scenario("COR_2_2", 1, 0)
+    f, ref, params = scenario.f, scenario.reference, scenario.bounds[0].params
+    calls = [
+        lambda: B.check_ball(f, ref.e, huge),
+        lambda: B.evaluate(f, ref, params, huge),
+        lambda: B.eval_unit_bound(f, ref.e, params, huge),
+        lambda: generate_scenario(huge, 1, 0),
+        lambda: fuzz(huge, 1, 1),
+        lambda: generate_scenario("COR_2_2", 1, 0, field=huge),
+        lambda: fuzz("COR_2_2", 1, 1, field=huge),
+    ]
+    for call in calls:
+        with pytest.raises(revtri.InputError) as exc:
+            call()
+        assert quoted(huge) in str(exc.value) and len(str(exc.value)) < 200, str(exc.value)
+
+
 @pytest.mark.parametrize("value", [
     None, True, 0.5, -0.0, float("nan"), 10 ** 50, "", "it's", 'say "x"', "x" * 78, [],
     (), (1,), (1, 2.5), {}, {"b": 1, "a": [1, (2,)]}, [[[]]], ["\x00" * 15], list(range(22)),
@@ -337,7 +391,7 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
 #: may split such a product's sums by thread, so every new site is listed here on purpose.
 MATRIX_PRODUCT_SITES = {
     "bounds._projection_extra", "fuzz._trig_path", "hilbert.inner", "hilbert._gram",
-    "hilbert.orthonormalize", "hilbert.vector_norm",
+    "hilbert._orthonormal_rows", "hilbert.vector_norm",
 }
 _PRODUCT_CALLS = {"dot", "matmul", "einsum", "inner", "vdot"}
 

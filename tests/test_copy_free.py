@@ -378,13 +378,15 @@ def _family_context(field, scale, n=3):
     with np.errstate(all="ignore"):
         est = defect(f)
     ref = B.Reference(B.REF_FAMILY, family=family)
-    return B._Context(f, est, ref, "simpson", B.DEFAULT_HYP_TOL, 1e-10), grid, rng
+    return B._Context(f, est, ref, None, None, []), grid, rng
 
 
 def _family_hypothesis(c, bound_id, params):
     """The hypothesis report of a family row, as ``bounds.evaluate`` judges it."""
     spec = B.BOUNDS[bound_id]
-    return B._hypothesis(c, spec, tuple(getattr(params, q.field) for q in spec.params))
+    ref, values = B._family_inputs(spec, c.f, c.ref.family,
+                                   [getattr(params, q.field) for q in spec.params])
+    return B._hypotheses(spec.shape, [c.f], [ref], [values], B.DEFAULT_HYP_TOL, family=True)[0]
 
 
 def _old_family(residuals):
@@ -401,7 +403,7 @@ def test_family_kernels_equal_the_whole_expressions(scale, m, M, field):
     params = B.BoundParams(ms=ms, Ms=Ms)
 
     def old_cor_3_3():
-        q, proj = c.f.norms() ** 2, B._family_projections(c)
+        q, proj = c.f.norms() ** 2, c.f.projections(c.ref.family.matrix())
         return _old_family([q + a * b - (b + a) * proj[:, i]
                             for i, (a, b) in enumerate(zip(ms, Ms))])
     assert _outcome(_family_hypothesis, c, B.COR_3_3, params) == _outcome(old_cor_3_3)
@@ -410,7 +412,7 @@ def test_family_kernels_equal_the_whole_expressions(scale, m, M, field):
     params = B.BoundParams(dominance_profiles=ks)
 
     def old_thm_3_1():
-        norms, proj = c.f.norms(), B._family_projections(c)
+        norms, proj = c.f.norms(), c.f.projections(c.ref.family.matrix())
         return _old_family([norms - proj[:, i] - k.values for i, k in enumerate(ks)])
     assert _outcome(_family_hypothesis, c, B.THM_3_1, params) == _outcome(old_thm_3_1)
 

@@ -1,7 +1,7 @@
-"""A fuzz() call integrates its trials in chunks, one pass per chunk, and draws every
-trial from one reused generator; reports, summaries and errors are those of the
-trials run one at a time.  Also the pieces that pass relies on: numpy's vector norm
-without its wrapper, and the ball builder's and complex cone's node work."""
+"""A fuzz() call integrates and judges its trials in chunks, one pass of each per chunk,
+and draws every trial from one reused generator; reports, summaries and errors are those
+of ``run()`` on each trial alone.  Also the pieces that pass relies on: numpy's vector
+norm without its wrapper, and the ball builder's and complex cone's node work."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from revtri.scenario import BoundEntry, Scenario, Tolerances, report_to_csv, rep
 
 from .conftest import table_key
 from .test_copy_free import _frame, _peak_bytes
+from .test_hypothesis_routes import _public_check, _tree
 
 F = importlib.import_module("revtri.fuzz")   # the package's name ``fuzz`` is the function
 
@@ -43,36 +44,57 @@ def _chunk_of(bound_id: str, field: str, trials: int, monkeypatch) -> None:
     monkeypatch.setattr(F, "CHUNK_ENTRIES", trials * size)
 
 
-def _one_at_a_time(monkeypatch):
-    """fuzz() with the chunk pass switched off: each trial's run() integrates its f."""
-    monkeypatch.setattr(F, "integrate_trials", lambda fs: None)
-
-
 def _summary_text(summary) -> str:
     return json.dumps(summary.to_dict(), sort_keys=True)
+
+
+def _alone(bound_id: str, trials: int, cfg: dict):
+    """The summary of ``trials`` trials, each judged alone by ``run()``."""
+    summary = F.FuzzSummary(bound_id, trials, SEED, reports=[])
+    for trial in range(trials):
+        scenario = generate_scenario(bound_id, SEED, trial, **cfg)
+        F._tally(summary, trial, scenario, run(scenario))
+    return summary
 
 
 @pytest.mark.parametrize("bound_id", B.ALL_BOUND_IDS)
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_chunked_fuzz_gives_the_bytes_of_one_trial_at_a_time(bound_id, field, monkeypatch):
-    chunk = 3
-    _chunk_of(bound_id, field, chunk, monkeypatch)
     # every trial is dumped, so the dumps are compared too
     monkeypatch.setattr(F, "_COUNTEREXAMPLE_SLACK", -math.inf)
-    monkeypatch.setattr(F, "MAX_COUNTEREXAMPLE_DUMPS", 2 * chunk)
+    monkeypatch.setattr(F, "MAX_COUNTEREXAMPLE_DUMPS", 64)
     cfg = _config(bound_id, field)
-    for trials in (1, chunk - 1, chunk, chunk + 1):
-        chunked = fuzz_fn(bound_id, trials, SEED, keep_reports=True, **cfg)
-        assert len(chunked.counterexamples) == trials
-        for trial, report in enumerate(chunked.reports):
-            alone = run(generate_scenario(bound_id, SEED, trial, **cfg))
-            assert report_to_json(report) == report_to_json(alone), (bound_id, trials, trial)
-            assert report_to_csv(report) == report_to_csv(alone)
-        with monkeypatch.context() as m:
-            _one_at_a_time(m)
-            reference = fuzz_fn(bound_id, trials, SEED, keep_reports=True, **cfg)
-        assert _summary_text(chunked) == _summary_text(reference), (bound_id, trials)
-        assert chunked.to_dict() == reference.to_dict()
+    for chunk in (1, 2, 5, 31):   # and a second chunk of one trial
+        _chunk_of(bound_id, field, chunk, monkeypatch)
+        chunked = fuzz_fn(bound_id, chunk + 1, SEED, keep_reports=True, **cfg)
+        alone = _alone(bound_id, chunk + 1, cfg)
+        assert len(chunked.counterexamples) == chunk + 1
+        for trial, (report, want) in enumerate(zip(chunked.reports, alone.reports)):
+            assert report_to_json(report) == report_to_json(want), (bound_id, chunk, trial)
+            assert report_to_csv(report) == report_to_csv(want)
+        assert _summary_text(chunked) == _summary_text(alone), (bound_id, chunk)
+        assert chunked.to_dict() == alone.to_dict()
+
+
+@pytest.mark.parametrize("bound_id", B.ALL_BOUND_IDS)
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_a_chunk_judges_each_hypothesis_as_its_public_checker(bound_id, field):
+    """Each trial's hypothesis report from one stacked pass over 5 trials, slack profiles
+    included, is the public ``check_*`` function's, or for a family the report of
+    ``evaluate`` on the trial alone."""
+    scenarios = [generate_scenario(bound_id, SEED, t, **_config(bound_id, field))
+                 for t in range(5)]
+    tol = scenarios[0].tolerances
+    results = B.evaluate_trials([(s.f, s.reference, s.bounds[0].params) for s in scenarios],
+                                bound_id, tau_hyp=tol.tau_hyp, tau_on=tol.tau_on)
+    for s, result in zip(scenarios, results):
+        params = s.bounds[0].params
+        if bound_id in B.FAMILY_BOUNDS:
+            want = B.evaluate(s.f, s.reference, params, bound_id, tau_hyp=tol.tau_hyp,
+                              tau_on=tol.tau_on).hypothesis
+        else:
+            want = _public_check(s.f, s.reference, bound_id, params, tol)
+        assert _tree(result.hypothesis) == _tree(want), s.id
 
 
 @pytest.mark.parametrize("bound_id", B.ALL_BOUND_IDS)
@@ -103,6 +125,13 @@ def test_the_pass_keeps_what_defect_and_norms_compute():
 def _overflowing(monkeypatch, bound_id: str, bad_trial: int, generation_error: int | None = None):
     """Patch ``bound_id``'s generator: the ``bad_trial``-th call returns f scaled by 1e200,
     whose squared norms overflow, and the ``generation_error``-th call raises."""
+    return _spoiled(monkeypatch, bound_id, {bad_trial}, _SPOILS["integrals"][1],
+                    generation_error)
+
+
+def _spoiled(monkeypatch, bound_id: str, bad_calls, spoil, generation_error=None):
+    """Patch ``bound_id``'s generator: the calls counted in ``bad_calls`` return
+    ``spoil(f, reference, params)``, and the ``generation_error``-th call raises."""
     key = table_key(bound_id)
     original = F.GENERATORS[key]
     calls = []
@@ -112,43 +141,55 @@ def _overflowing(monkeypatch, bound_id: str, bad_trial: int, generation_error: i
         calls.append(k)
         if k == generation_error:
             raise InputError("generator failed")
-        f, reference, params = original(rng, grid, field, d, n_family)
-        if k == bad_trial:
-            f = GridFunction(grid, field, f.values * 1e200)
-        return f, reference, params
+        made = original(rng, grid, field, d, n_family)
+        return spoil(*made) if k in bad_calls else made
     monkeypatch.setitem(F.GENERATORS, key, generator)
     return calls
 
 
+#: Ways to spoil a trial, each with the bound it is tried on: squared norms that overflow
+#: in the integrals, a band product m M that overflows in the hypothesis, a radius out of
+#: its range.
+_SPOILS = {
+    "integrals": (B.COR_2_2, lambda f, ref, p: (GridFunction(f.grid, f.field, f.values * 1e200),
+                                                ref, p)),
+    "hypothesis": (B.COR_2_3, lambda f, ref, p: (f, ref, BoundParams(m=1e200, M=1e200))),
+    "parameter": (B.COR_2_2, lambda f, ref, p: (f, ref, BoundParams(rho=1.5))),
+}
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
-def test_an_overflowing_trial_inside_a_chunk_raises_as_alone(field, monkeypatch):
-    bound_id = B.COR_2_2
-    _chunk_of(bound_id, field, 4, monkeypatch)
+@pytest.mark.parametrize("kind", sorted(_SPOILS))
+@pytest.mark.parametrize("bad", [0, 2, 4])
+def test_a_bad_trial_inside_a_chunk_raises_its_own_error(bad, kind, field, monkeypatch):
+    """Trials ``bad`` and 4 of a chunk of 5 are spoiled: the chunk raises the error of trial
+    ``bad`` judged alone by run()."""
+    bound_id, spoil = _SPOILS[kind]
     cfg = _config(bound_id, field)
-    messages = []
-    for one_at_a_time in (False, True):
-        with monkeypatch.context() as m:
-            if one_at_a_time:
-                _one_at_a_time(m)
-            _overflowing(m, bound_id, bad_trial=2)
-            with pytest.raises(DegeneracyError) as err:
-                fuzz_fn(bound_id, 4, SEED, **cfg)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-    assert messages[0].startswith(f"[fuzz-{bound_id}-s{SEED}-t2:integrals] floating-point overflow")
+    with monkeypatch.context() as m:
+        _spoiled(m, bound_id, {0}, spoil)
+        with pytest.raises(Exception) as alone:
+            run(generate_scenario(bound_id, SEED, bad, **cfg))
+    assert f"-t{bad}:" in str(alone.value)
+    _chunk_of(bound_id, field, 5, monkeypatch)
+    _spoiled(monkeypatch, bound_id, {bad, 4}, spoil)
+    with pytest.raises(type(alone.value)) as err:
+        fuzz_fn(bound_id, 5, SEED, **cfg)
+    assert str(err.value) == str(alone.value)
 
 
 def test_trials_before_a_failed_generation_are_judged_first(monkeypatch):
     bound_id = B.COR_2_2
     _chunk_of(bound_id, REAL, 8, monkeypatch)
     cfg = _config(bound_id, REAL)
-    judged = []
-    monkeypatch.setattr(F, "run", lambda scenario: judged.append(scenario.id) or run(scenario))
+    judged, evaluate_trials = [], B.evaluate_trials
+    monkeypatch.setattr(B, "evaluate_trials", lambda trials, *args, **kwargs: judged.append(
+        len(trials)) or evaluate_trials(trials, *args, **kwargs))
     with monkeypatch.context() as m:
         _overflowing(m, bound_id, bad_trial=-1, generation_error=3)
         with pytest.raises(InputError, match="generator failed"):
             fuzz_fn(bound_id, 6, SEED, **cfg)
-    assert judged == [f"fuzz-{bound_id}-s{SEED}-t{t}" for t in range(3)]
+    assert judged == [3]   # trials 0, 1 and 2 in one pass
     # an earlier trial's error wins over the later failed generation
     with monkeypatch.context() as m:
         _overflowing(m, bound_id, bad_trial=1, generation_error=3)

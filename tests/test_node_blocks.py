@@ -96,7 +96,9 @@ def _outcome(fn, *args):
 
 
 def _band_residuals(x, e, m_vals, M_vals):
-    return B._band_norm_residuals(SimpleNamespace(values=x), e, m_vals, M_vals)
+    """The band-norm kernel on one row: the rows of x against e."""
+    rows = SimpleNamespace(values=lambda: x[None], coords=lambda: e[None])
+    return B._band_norm_residuals(rows, m_vals, M_vals)[0]
 
 
 # --------------------------------------------------------------------------

@@ -351,9 +351,10 @@ def _numpy_per_bound(monkeypatch) -> list:
                         lambda key, omega: np.sin(float.fromhex(omega) * grid_nodes(key)))
     calls = []
 
-    def counting(*args, proj=None):
-        calls.append(args)
-        return _old_band_norm_residuals(*args)
+    def counting(rows, m_vals, M_vals):   # one row at a time, as run() judges its rows
+        calls.append(rows)
+        (f,), (e,) = rows.fs, rows.coords()
+        return _old_band_norm_residuals(f, e, m_vals, M_vals)[None]
     patch_shape(monkeypatch, "_BAND_NORM", kernel=counting)
     return calls
 
@@ -493,15 +494,15 @@ def test_overflowed_table_is_not_kept():
 
 def test_part_integrals_once_per_function(monkeypatch):
     calls = []
-    original = B.sample_integral
+    original = B._integrate
 
-    def counting(grid, values, rule, jumps=None):
-        calls.append(len(values))
-        return original(grid, values, rule, jumps)
-    monkeypatch.setattr(B, "sample_integral", counting)
+    def counting(grid, values, jumps, rule):
+        calls.append(values.shape)
+        return original(grid, values, jumps, rule)
+    monkeypatch.setattr(B, "_integrate", counting)
     run(scenario_from_dict(dict(LARGE_FILES["curve-sinusoid"], N=64)))
-    # int Re f and int Im f once for PROP_4_1..4_3, and PROP_4_3's band gap integral
-    assert len(calls) == 3
+    # int Re f and int Im f in one pass for PROP_4_1..4_3, and PROP_4_3's band gap integral
+    assert calls == [(65, 2), (65, 1)]
 
 
 # --------------------------------------------------------------------------

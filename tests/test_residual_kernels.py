@@ -19,7 +19,7 @@ import pytest
 from revtri import bounds as B
 from revtri.errors import DegeneracyError, InputError
 from revtri.fuzz import fuzz, generate_scenario
-from revtri.gridfn import Grid, GridFunction, ScalarProfile
+from revtri.gridfn import Grid, GridFunction, ScalarProfile, row_norms
 from revtri.hilbert import COMPLEX, REAL, HVector, check_orthonormal
 from revtri.scenario import _NODE_BLOCK, run, scenario_from_dict
 from revtri.sweep import sweep, sweep_to_csv
@@ -84,6 +84,12 @@ def _assert_profiles(report, old: list[np.ndarray]) -> None:
                        for fld in dataclasses.fields(r))
 
 
+def _band_norm(f: GridFunction, e: np.ndarray, m_vals, M_vals) -> np.ndarray:
+    """The band-norm residuals of one member, as its kernel computed them alone."""
+    center = np.broadcast_to(0.5 * (M_vals + m_vals), f.values.shape[:1])
+    return row_norms(f.values, e, center) - 0.5 * (M_vals - m_vals)
+
+
 def _old_family(residuals: list[np.ndarray]) -> list[np.ndarray]:
     """The combined residual as the eager check folded it, then the members'."""
     combined = residuals[0].copy()
@@ -112,7 +118,7 @@ def test_unit_checks_recompute_the_old_residuals(field, profile):
     _assert_profiles(B.check_band(f, e, m, M, "inner"),
                      [np.square(norms) + m_vals * M_vals - (M_vals + m_vals) * proj])
     _assert_profiles(B.check_band(f, e, m, M, "norm"),
-                     [B._band_norm_residuals(f, e.coords, m_vals, M_vals)])
+                     [_band_norm(f, e.coords, m_vals, M_vals)])
 
 
 @pytest.mark.parametrize("profile", [True, False])
@@ -158,7 +164,7 @@ def test_family_bounds_recompute_the_old_residuals(field):
         (B.COR_3_4, B.BoundParams(r_profiles=rs),
          [f.distances(e.coords) - r.values for e, r in zip(members, rs)]),
         (B.COR_3_5, B.BoundParams(m_profiles=lows, M_profiles=highs),
-         [B._band_norm_residuals(f, e.coords, m.values, M.values)
+         [_band_norm(f, e.coords, m.values, M.values)
           for e, m, M in zip(members, lows, highs)]),
     ]
     for bound_id, params, residuals in cases:
@@ -205,14 +211,19 @@ def test_worst_node_is_the_first_nan():
     assert hyp.worst_node == 5 and math.isnan(hyp.worst_violation) and not hyp.holds
     assert np.isnan(hyp.slack_profile[[5, 9]]).all()
 
+    # a family of two members whose residuals are a and b
+    given = B._Shape("given", lambda rows, v: v.copy(), ("v",))
+
+    def family_check(a, b):
+        return B._hypotheses(given, [f], [None], [[[a, b]]], B.DEFAULT_HYP_TOL, family=True)[0]
     a, b = np.full(GRID.n_nodes, -1.0), np.full(GRID.n_nodes, -2.0)
     a[9], b[7], b[3] = np.nan, np.nan, 5.0
-    fam = B._family_check([a.copy, b.copy], "family", B.DEFAULT_HYP_TOL)
+    fam = family_check(a, b)
     assert [r.worst_node for r in _reports(fam)] == [7, 9, 7]
     assert math.isnan(fam.worst_violation) and not fam.holds
     assert fam.failing_indices == (0, 1)
     b[7] = -2.0    # a NaN in one member outranks a larger violation in another
-    fam = B._family_check([a.copy, b.copy], "family", B.DEFAULT_HYP_TOL)
+    fam = family_check(a, b)
     assert [r.worst_node for r in _reports(fam)] == [9, 9, 3]
     assert math.isnan(fam.worst_violation) and fam.sub_reports[1].worst_violation == 5.0
 
@@ -303,10 +314,10 @@ def _cor_3_5_file(M_1: float) -> dict:
 
 def test_family_member_integrals_are_taken_as_each_is_made(monkeypatch):
     events = []
-    make, integrate = B.band_gap_integrand, B.sample_integral
+    make, integrate = B.band_gap_integrand, B._integrate
     patch_shape(monkeypatch, "_BAND_NORM",
                 integrand=lambda *args: events.append("make") or make(*args))
-    monkeypatch.setattr(B, "sample_integral",
+    monkeypatch.setattr(B, "_integrate",
                         lambda *args: events.append("integrate") or integrate(*args))
     run(scenario_from_dict(_cor_3_5_file(2.0)))
     assert events == ["make", "integrate"] * 3

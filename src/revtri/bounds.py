@@ -578,7 +578,8 @@ class _Context(NamedTuple):
 def _direction(f: GridFunction, ref: Reference, est: DefectEstimate, rule: str):
     """e = alpha + i beta, the split projection alpha int Re f + beta int Im f with its
     error, and the diagnostics comparing it with Re<int f, e>.  The integrals of Re f and
-    Im f, with their parts of each jump of f, come from one pass, once per f and rule."""
+    Im f, with their parts of each jump of f, come from one pass, once per f and rule, over
+    the (N+1, 2) float view of f's samples."""
     alpha, beta = ref.alpha, ref.beta
     require_direction(alpha, beta)
     z = _complex_samples(f)
@@ -586,7 +587,9 @@ def _direction(f: GridFunction, ref: Reference, est: DefectEstimate, rule: str):
 
     def parts():
         jumps = {j: np.array([v[0].real, v[0].imag]) for j, v in (f.jumps or {}).items()}
-        value, diff = _integrate(f.grid, np.stack([z.real, z.imag], axis=1), jumps, rule)
+        pairs = (z.view(np.float64).reshape(-1, 2) if z.flags.c_contiguous   # no copy
+                 else np.stack([z.real, z.imag], axis=1))
+        value, diff = _integrate(f.grid, pairs, jumps, rule)
         return value.tolist(), np.abs(diff).tolist()   # |v|: the norm of a one-entry v
     (re, im), (re_err, im_err) = f.cached(("part_integrals", rule), parts)
     split = alpha * re + beta * im

@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="seeded hypothesis-by-construction fuzzing")
-    p_fuzz.add_argument("--bound", required=True, choices=sorted(B.ALL_BOUND_IDS))
+    p_fuzz.add_argument("--bound", required=True, choices=sorted(B.ALL_BOUND_IDS),
+                        metavar="BOUND")   # the choices are listed once, in the error
     p_fuzz.add_argument("--trials", type=int, required=True)
     p_fuzz.add_argument("--seed", type=int, required=True)
     p_fuzz.add_argument("--dim", type=int, default=4)

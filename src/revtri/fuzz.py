@@ -20,9 +20,10 @@ import numpy as np
 from . import bounds as B
 from .bounds import BoundParams, VIOLATED
 from .errors import InputError, quoted
-from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, _describable,
-                     grid_nodes, row_norms)
-from .hilbert import COMPLEX, REAL, HVector, OrthonormalFamily, _orthonormal_rows, vector_norm
+from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, _array_key,
+                     _describable, _frozen, _project, grid_nodes, row_norms)
+from .hilbert import (COMPLEX, REAL, _DTYPES, HVector, OrthonormalFamily, _orthonormal_rows,
+                      vector_norm)
 from .quadrature import defect, integrate_trials
 from .scenario import (
     BoundEntry,
@@ -80,10 +81,19 @@ def _reused_trial_rng():
 # --------------------------------------------------------------------------
 # random building blocks
 
-def _coeffs(rng, shape, field):
-    if field == COMPLEX:
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return rng.standard_normal(shape)
+def _in_field(raw):
+    """Draws whose first axis holds real and (if two) imaginary parts, as field values."""
+    return raw[0] + 1j * raw[1] if len(raw) == 2 else raw[0]
+
+
+def _coeffs(rng, field, *shape):
+    """Standard normal coefficients of ``shape`` in K, a complex one's real parts first."""
+    return _in_field(rng.standard_normal((2 if field == COMPLEX else 1, *shape)))
+
+
+#: 1/k for the modes k = 1..n of a path of n modes, as an (n, 1) column.
+_DECAY = [None] + [_frozen(1.0 / np.arange(1.0, n + 1)[:, None])
+                   for n in range(1, MAX_HARMONICS + 1)]
 
 
 @lru_cache(maxsize=GRID_CACHE)
@@ -102,38 +112,32 @@ def _trig_table(key: tuple[str, str, int]) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _trig_path(rng, grid: Grid, d: int, field: str):
-    """Band-limited path (N+1, d): random drift plus <= MAX_HARMONICS modes."""
-    n_modes = int(rng.integers(1, MAX_HARMONICS + 1))
-    decay = 1.0 / np.arange(1, n_modes + 1)
-    a = _coeffs(rng, (n_modes, d), field) * decay[:, None]
-    b = _coeffs(rng, (n_modes, d), field) * decay[:, None]
-    c0 = _coeffs(rng, (d,), field)
-    cos, sin = _trig_table(grid.key)
-    return c0[None, :] + cos[:, :n_modes] @ a + sin[:, :n_modes] @ b
+def _bounded(paths):
+    """Paths (T, N+1, d), in C order, scaled in place to a max node norm of exactly 1."""
+    tops = row_norms(paths).max(axis=1)
+    return np.divide(paths, tops[:, None, None], out=paths)   # a complex division if complex
 
 
-def _bounded_path(rng, grid: Grid, d: int, field: str):
-    """Path with max node norm exactly 1 (zero path cannot occur)."""
-    path = _trig_path(rng, grid, d, field)
-    top = float(np.max(row_norms(path)))
-    return path / top
+def _peaks(raw):
+    """The largest magnitude of each real path (T, N+1), 1.0 for a zero path."""
+    tops = np.abs(raw).max(axis=1)
+    tops[tops == 0.0] = 1.0
+    return tops[:, None]
 
 
-def _smooth_scalar(rng, grid: Grid, lo: float, hi: float):
-    """Smooth real samples ranging inside [lo, hi]."""
-    raw = _trig_path(rng, grid, 1, REAL)[:, 0]
-    top = float(np.max(np.abs(raw))) or 1.0   # a zero path stays zero
-    return lo + (hi - lo) * (raw / top + 1.0) / 2.0
+def _smooth(paths, lo: float, hi: float):
+    """Smooth real samples (T, N+1) ranging inside [lo, hi], of real paths (T, N+1, 1)."""
+    raw = paths[..., 0]
+    return lo + (hi - lo) * (raw / _peaks(raw) + 1.0) / 2.0
 
 
 def _unit_vector(rng, field: str, d: int) -> HVector:
-    v = _coeffs(rng, (d,), field)
+    v = _coeffs(rng, field, d)
     return HVector(field, v / vector_norm(v))
 
 
 def _orthofamily(rng, field: str, d: int, n: int) -> OrthonormalFamily:
-    return _orthonormal_rows(field, _coeffs(rng, (n, d), field))
+    return _orthonormal_rows(field, _coeffs(rng, field, n, d))
 
 
 def _direction(rng) -> tuple[float, float]:
@@ -141,190 +145,305 @@ def _direction(rng) -> tuple[float, float]:
     return math.cos(psi), math.sin(psi)
 
 
-def _samples_profile(grid: Grid, values) -> ScalarProfile:
-    return ScalarProfile(grid, np.maximum(np.asarray(values, dtype=np.float64), 0.0))
+def _profiles(grid: Grid, values) -> list:
+    """The nonnegative parts of ``values``, (T, N+1) or (T, n, N+1), as a profile or n of
+    them per trial, adopting the rows of one read-only array (not checked again)."""
+    profile = partial(ScalarProfile, grid, nonnegative=False)
+    return [profile(v) if v.ndim == 1 else tuple(map(profile, v))
+            for v in _frozen(np.maximum(values, 0.0))]
 
 
-# --------------------------------------------------------------------------
-# generators, one per (hypothesis shape, reference kind); each returns (f, reference,
-# params), the constants read from the node tables of f, which run() then reuses
-
-def _gen_dominance(rng, grid, field, d, n_family):
-    e = _unit_vector(rng, field, d)
-    f = GridFunction(grid, field, rng.uniform(0.5, 2.0) * _trig_path(rng, grid, d, field))
-    gap = f.norms() - f.projections(e.coords)
-    slack = rng.uniform(0.0, 0.5)
-    k = _samples_profile(grid, np.maximum(gap, 0.0) + slack)
-    return f, Reference(REF_UNIT, e=e), BoundParams(k=k)
+def _stacked(vectors) -> np.ndarray:
+    """The coordinates of each trial's vector (T, d), or of its family's members (T, n, d)."""
+    return np.stack([v.matrix() if isinstance(v, OrthonormalFamily) else v.coords
+                     for v in vectors])
 
 
-def _ball_function(rng, grid, field, d, e, rho_max=0.95):
-    """(f, rho) with f inside the ball of radius rho around e at every node."""
+class _Chunk:
+    """The trials of a chunk being generated: each draws from its own stream, and a path
+    it draws computes only its two BLAS products, into its rows of that path's stacks.
+    All other node work runs once per chunk on stacks; node tables are kept on f."""
+
+    def __init__(self, streams, seed: int, trials: range, grid: Grid, field: str, d: int,
+                 n_family: int):
+        self.streams, self.seed, self.trials = streams, seed, trials
+        self.grid, self.field, self.d, self.n_family = grid, field, d, n_family
+        self.stacks, self.failure = [], None
+
+    def draw(self, one) -> list:
+        """``one(rng)`` per trial, as columns; the chunk ends before a trial whose draws
+        raise, keeping its error (:attr:`failure`), which the first trial raises."""
+        rows = []
+        for row, trial in enumerate(self.trials):
+            self.row, self.next = row, 0
+            try:
+                rows.append(one(self.streams(self.seed, trial)))
+            except Exception as exc:
+                if not rows:
+                    raise
+                self.failure, self.trials = exc, self.trials[:row]
+                break
+        return list(zip(*rows))
+
+    def path(self, rng, d: int | None = None, field: str | None = None) -> None:
+        """Draw a path (N+1, d), random drift plus <= MAX_HARMONICS modes, into its rows."""
+        d, dtype = d or self.d, _DTYPES[field or self.field]
+        parts = 2 if dtype == np.complex128 else 1
+        n_modes = int(rng.integers(1, MAX_HARMONICS + 1))
+        raw = rng.standard_normal(parts * (2 * n_modes + 1) * d)   # a, b, c0; real parts first
+        ab = raw[:-parts * d].reshape(2, parts, n_modes, d).swapaxes(0, 1)
+        a, b = _in_field(ab) * _DECAY[n_modes]
+        c0 = _in_field(raw[-parts * d:].reshape(parts, d))
+        if self.row == 0:
+            shape = (len(self.trials), self.grid.n_nodes, d)
+            self.stacks.append((np.empty(shape, dtype), np.empty(shape, dtype),
+                                np.empty(shape[::2], dtype)))
+        cos_part, sin_part, drift = self.stacks[self.next]
+        self.next += 1
+        cos, sin = _trig_table(self.grid.key)
+        np.matmul(cos[:, :n_modes], a, out=cos_part[self.row])
+        np.matmul(sin[:, :n_modes], b, out=sin_part[self.row])
+        drift[self.row] = c0
+
+    def paths(self) -> list:
+        """Each path (T, N+1, d), drift + cos part + sin part, summed over the cos parts."""
+        t, stacks, self.stacks = len(self.trials), self.stacks, []
+        return [np.add(np.add(cos_part[:t], drift[:t, None], out=cos_part[:t]), sin_part[:t],
+                       out=cos_part[:t]) for cos_part, sin_part, drift in stacks]
+
+    def functions(self, fill) -> list:
+        """The functions whose node values ``fill(out)`` writes to one (T, d, N+1) stack (a
+        fill loops over the nodes), each adopting its row's transpose; norms are kept."""
+        self.values = np.empty((len(self.trials), self.d, self.grid.n_nodes),
+                               _DTYPES[self.field])
+        fill(self.values)
+        self.values.setflags(write=False)
+        self.fs = [GridFunction(self.grid, self.field, row.T) for row in self.values]
+        self.norms = self._keep(lambda: row_norms(self.values.transpose(0, 2, 1)), lambda table: (
+            (f, ("norms",), row) for f, row in zip(self.fs, table)))
+        return self.fs
+
+    def distances(self, refs: np.ndarray) -> np.ndarray:
+        """||f(t) - e|| (T, n, N+1) for refs (T, n, d), kept as ``f.distances(e)``."""
+        x = self.values.transpose(0, 2, 1)[:, None]
+        return self._keep(lambda: row_norms(np.broadcast_to(x, refs.shape[:2] + x.shape[2:]),
+                                            refs[:, :, None]), lambda table: (
+            (f, _array_key("distances", e), row)
+            for f, es, rows in zip(self.fs, refs, table) for e, row in zip(es, rows)))
+
+    def projections(self, refs: np.ndarray) -> np.ndarray:
+        """Re<f(t), e> (T, N+1) for refs (T, d), or (T, n, N+1) for a family's (T, n, d);
+        kept as ``f.projections(refs[t])``."""
+        columns = self.values[:, None] if refs.ndim == 3 else self.values
+        out = np.empty(refs.shape[:-1] + (self.grid.n_nodes,))
+        return self._keep(lambda: _project(columns, refs, out), lambda table: (
+            (f, _array_key("projections", r), row.T) for f, r, row in zip(self.fs, refs, table)))
+
+    def _keep(self, compute, entries) -> np.ndarray:
+        """``compute()``, its (f, key, table) ``entries`` kept as ``f.cached`` keeps one:
+        only if computed without a floating-point error, else computed again, not kept."""
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                table = compute()
+        except FloatingPointError:
+            return compute()
+        table.setflags(write=False)
+        for f, key, row in entries(table):
+            f._tables[key] = row
+        return table
+
+
+def _symmetric(chunk: _Chunk, families, c, amps, w) -> list:
+    """f = c s + amp w: c (T, N+1) times each family's unit sum s, plus bounded paths w."""
+    s = np.stack([family.sum_vector().coords / math.sqrt(family.n) for family in families])
+    w = np.multiply(_bounded(w), np.array(amps)[:, None, None], out=w).transpose(0, 2, 1)
+    return chunk.functions(lambda out: np.add(
+        np.multiply(s[:, :, None], c[:, None], out=out), w, out=out))
+
+
+def _symmetric_trials(chunk: _Chunk, amp: tuple, c_range: tuple, member) -> tuple:
+    """Each trial's family, :func:`_symmetric` function (c smooth in ``c_range``, amp in
+    ``amp``) and ``member(rng)`` per member, drawn after the paths: as (T, n, ...)."""
+    families, amps, _, _, draws = chunk.draw(lambda rng: (
+        _orthofamily(rng, chunk.field, chunk.d, chunk.n_family), rng.uniform(*amp),
+        chunk.path(rng, 1, REAL), chunk.path(rng), [member(rng) for _ in range(chunk.n_family)]))
+    c_path, w = chunk.paths()
+    fs = _symmetric(chunk, families, _smooth(c_path, *c_range), amps, w)
+    return families, fs, np.array(draws)
+
+
+def _scaled_paths(chunk: _Chunk, centers, scales) -> list:
+    """f = center + scale w for each trial's (d,) center and scale, w its bounded path."""
+    w, = chunk.paths()
+    w = np.multiply(_bounded(w), np.array(scales)[:, None, None], out=w).transpose(0, 2, 1)
+    return chunk.functions(lambda out: np.add(centers[:, :, None], w, out=out))
+
+
+def _ball_draws(chunk: _Chunk, rng, rho_max=0.95) -> tuple:
+    """rho and the scale rho eta of a path w: e + rho eta w lies in the ball B(e, rho)."""
     rho = rng.uniform(0.05, rho_max)
-    eta = rng.uniform(0.2, 0.98)
-    w = _bounded_path(rng, grid, d, field)
-    return GridFunction(grid, field, e.coords[None, :] + rho * eta * w), rho
+    return rho, rho * rng.uniform(0.2, 0.98), chunk.path(rng)
 
 
 def _reference_e(rng, field, d, kind):
-    """A unit reference e and its Reference: random in K^d, or a direction alpha + i beta."""
+    """A unit reference e and what its Reference holds: e, or (alpha, beta) of a direction."""
     if kind == REF_DIRECTION:
         alpha, beta = _direction(rng)
-        return HVector(COMPLEX, [complex(alpha, beta)]), Reference(kind, alpha=alpha, beta=beta)
+        return HVector(COMPLEX, [complex(alpha, beta)]), (alpha, beta)
     e = _unit_vector(rng, field, d)
-    return e, Reference(kind, e=e)
+    return e, e
 
 
-def _gen_ball(rng, grid, field, d, n_family, kind=REF_UNIT):
-    e, reference = _reference_e(rng, field, d, kind)
-    f, rho = _ball_function(rng, grid, field, d, e)
-    return f, reference, BoundParams(rho=rho)
+# --------------------------------------------------------------------------
+# generators, one per (hypothesis shape, reference kind): each makes a chunk's functions,
+# what their references hold and their parameters by field, the constants read from the
+# node tables of f, which run() then reuses; it keeps the tables the judge reads too
+
+def _gen_dominance(chunk):
+    es, amps, _, slacks = chunk.draw(lambda rng: (
+        _unit_vector(rng, chunk.field, chunk.d), rng.uniform(0.5, 2.0), chunk.path(rng),
+        rng.uniform(0.0, 0.5)))
+    path, = chunk.paths()
+    fs = chunk.functions(lambda out: np.multiply(np.array(amps)[:, None, None],
+                                                 path.transpose(0, 2, 1), out=out))
+    gap = chunk.norms - chunk.projections(_stacked(es))
+    return fs, es, {"k": _profiles(chunk.grid, np.maximum(gap, 0.0) + np.array(slacks)[:, None])}
 
 
-def _gen_ball_profile(rng, grid, field, d, n_family):
-    e = _unit_vector(rng, field, d)
-    amp = rng.uniform(0.1, 1.4)
-    w = _bounded_path(rng, grid, d, field)
-    f = GridFunction(grid, field, e.coords[None, :] + amp * w)
-    r = _samples_profile(grid, f.distances(e.coords) + rng.uniform(0.01, 0.3))
-    return f, Reference(REF_UNIT, e=e), BoundParams(r=r)
+def _gen_ball(chunk, kind=REF_UNIT):
+    es, refs, rhos, scales, _ = chunk.draw(lambda rng: (
+        *_reference_e(rng, chunk.field, chunk.d, kind), *_ball_draws(chunk, rng)))
+    fs = _scaled_paths(chunk, _stacked(es), scales)
+    chunk.distances(_stacked(es)[:, None])
+    return fs, refs, {"rho": rhos}
 
 
-def _band_constants(rng, p, q):
-    """(m, M) with the band condition holding at every node, for node projections ``p``
-    onto the reference and squared node norms ``q``."""
-    M = (1.0 + rng.uniform(0.05, 0.5)) * float(np.max(q / p))
-    cap = float(np.min((M * p - q) / (M - p)))
-    m = rng.uniform(0.1, 0.9) * cap
-    return m, M
+def _gen_ball_profile(chunk):
+    es, amps, _, lifts = chunk.draw(lambda rng: (
+        _unit_vector(rng, chunk.field, chunk.d), rng.uniform(0.1, 1.4), chunk.path(rng),
+        rng.uniform(0.01, 0.3)))
+    fs = _scaled_paths(chunk, _stacked(es), amps)
+    distances = chunk.distances(_stacked(es)[:, None])[:, 0]
+    return fs, es, {"r": _profiles(chunk.grid, distances + np.array(lifts)[:, None])}
 
 
-def _disk_function(rng, grid, field, d, e, m, M):
-    """f with node values sampled inside the band disk around ((M+m)/2) e."""
-    center = 0.5 * (M + m)
-    radius = 0.5 * (M - m)
-    eta = rng.uniform(0.2, 0.98)
-    w = _bounded_path(rng, grid, d, field)
-    return GridFunction(grid, field, center * e.coords[None, :] + radius * eta * w)
-
-
-def _gen_band(rng, grid, field, d, n_family, kind=REF_UNIT):
-    e, reference = _reference_e(rng, field, d, kind)
+def _band_draws(rng) -> tuple:
+    """m <= M and the scale (M-m)/2 eta of a path w: (M+m)/2 e + (M-m)/2 eta w is a band."""
     m = rng.uniform(0.05, 1.5)
     M = m + rng.uniform(0.01, 3.0)
-    return _disk_function(rng, grid, field, d, e, m, M), reference, BoundParams(m=m, M=M)
+    return m, M, 0.5 * (M - m) * rng.uniform(0.2, 0.98)
 
 
-def _gen_band_profiles(rng, grid, field, d, n_family):
-    e = _unit_vector(rng, field, d)
-    c0 = _smooth_scalar(rng, grid, 0.6, 1.6)
-    xi = _smooth_scalar(rng, grid, 0.1, 0.9)
-    R = c0 * xi
-    eta = rng.uniform(0.2, 0.98)
-    w = _bounded_path(rng, grid, d, field)
-    f = GridFunction(grid, field, c0[:, None] * e.coords[None, :] + (R * eta)[:, None] * w)
-    m = _samples_profile(grid, c0 - R)
-    M = _samples_profile(grid, c0 + R)
-    return f, Reference(REF_UNIT, e=e), BoundParams(m_profile=m, M_profile=M)
+def _gen_band(chunk, kind=REF_UNIT):
+    es, refs, ms, Ms, scales, _ = chunk.draw(lambda rng: (
+        *_reference_e(rng, chunk.field, chunk.d, kind), *_band_draws(rng), chunk.path(rng)))
+    centers = 0.5 * (np.array(Ms) + np.array(ms))
+    fs = _scaled_paths(chunk, centers[:, None] * _stacked(es), scales)
+    chunk.projections(_stacked(es))
+    return fs, refs, {"m": ms, "M": Ms}
 
 
-def _gen_scaled_dominance(rng, grid, field, d, n_family):
-    e = _unit_vector(rng, field, d)
-    f, _ = _ball_function(rng, grid, field, d, e, rho_max=0.9)
-    K = float(np.max(f.norms() / f.projections(e.coords))) * (1.0 + rng.uniform(0.0, 0.5))
-    return f, Reference(REF_UNIT, e=e), BoundParams(K=max(K, 1.0))
+def _gen_band_profiles(chunk):
+    es, _, _, etas, _ = chunk.draw(lambda rng: (
+        _unit_vector(rng, chunk.field, chunk.d), chunk.path(rng, 1, REAL),
+        chunk.path(rng, 1, REAL), rng.uniform(0.2, 0.98), chunk.path(rng)))
+    c_path, xi_path, w = chunk.paths()
+    c0 = _smooth(c_path, 0.6, 1.6)
+    R = c0 * _smooth(xi_path, 0.1, 0.9)
+    w = _bounded(w).transpose(0, 2, 1)
+    fs = chunk.functions(lambda out: np.add(
+        np.multiply(_stacked(es)[:, :, None], c0[:, None], out=out),
+        (R * np.array(etas)[:, None])[:, None] * w, out=out))
+    return fs, es, {"m_profile": _profiles(chunk.grid, c0 - R),
+                    "M_profile": _profiles(chunk.grid, c0 + R)}
 
 
-def _gen_arg_cone(rng, grid, field, d, n_family):
-    theta = rng.uniform(0.15, math.pi / 2.0 - 0.05)
-    r = _smooth_scalar(rng, grid, 0.2, 2.0)
-    raw = _trig_path(rng, grid, 1, REAL)[:, 0]
-    top = float(np.max(np.abs(raw))) or 1.0
-    phi = theta * rng.uniform(0.2, 0.95) * raw / top
-    f = GridFunction(grid, field, (r * np.exp(1j * phi))[:, None])
-    alpha, beta = _direction(rng)
-    return f, Reference(REF_DIRECTION, alpha=alpha, beta=beta), BoundParams(theta=theta)
+def _gen_scaled_dominance(chunk):
+    es, _, scales, _, lifts = chunk.draw(lambda rng: (
+        _unit_vector(rng, chunk.field, chunk.d), *_ball_draws(chunk, rng, rho_max=0.9),
+        rng.uniform(0.0, 0.5)))
+    fs = _scaled_paths(chunk, _stacked(es), scales)
+    Ks = (chunk.norms / chunk.projections(_stacked(es))).max(axis=1) * (1.0 + np.array(lifts))
+    return fs, es, {"K": [max(K, 1.0) for K in Ks.tolist()]}
 
 
-def _symmetric_base(rng, grid, field, d, family, c_lo, c_hi, amp):
-    s_unit = family.sum_vector().coords / math.sqrt(family.n)
-    c = _smooth_scalar(rng, grid, c_lo, c_hi)
-    w = _bounded_path(rng, grid, d, field)
-    return GridFunction(grid, field, c[:, None] * s_unit[None, :] + amp * w)
+def _gen_arg_cone(chunk):
+    thetas, _, _, shares, directions = chunk.draw(lambda rng: (
+        rng.uniform(0.15, math.pi / 2.0 - 0.05), chunk.path(rng, 1, REAL),
+        chunk.path(rng, 1, REAL), rng.uniform(0.2, 0.95), _direction(rng)))
+    r_path, phi_path = chunk.paths()
+    r, raw = _smooth(r_path, 0.2, 2.0), phi_path[..., 0]
+    phi = (np.array(thetas) * np.array(shares))[:, None] * raw / _peaks(raw)
+    fs = chunk.functions(lambda out: np.multiply(r, np.exp(1j * phi), out=out[:, 0]))
+    return fs, directions, {"theta": thetas}
 
 
-def _gen_family_dominance(rng, grid, field, d, n_family):
-    family = _orthofamily(rng, field, d, n_family)
-    f = _symmetric_base(rng, grid, field, d, family, 0.5, 1.5, rng.uniform(0.0, 0.5))
-    norms, proj = f.norms(), f.projections(family.matrix())
-    profiles = tuple(
-        _samples_profile(grid, np.maximum(norms - proj[:, i], 0.0) + rng.uniform(0.0, 0.4))
-        for i in range(n_family)
-    )
-    return f, Reference(REF_FAMILY, family=family), BoundParams(dominance_profiles=profiles)
+def _gen_family_dominance(chunk):
+    families, fs, lifts = _symmetric_trials(chunk, (0.0, 0.5), (0.5, 1.5),
+                                            lambda rng: rng.uniform(0.0, 0.4))
+    gap = chunk.norms[:, None] - chunk.projections(_stacked(families))
+    profiles = _profiles(chunk.grid, np.maximum(gap, 0.0) + lifts[:, :, None])
+    return fs, families, {"dominance_profiles": profiles}
 
 
-def _gen_family_ball(rng, grid, field, d, n_family):
-    family = _orthofamily(rng, field, d, n_family)
-    n = family.n
-    center_dist = math.sqrt(1.0 - 1.0 / n)
-    room = 1.0 - center_dist
-    s_unit = family.sum_vector().coords / math.sqrt(n)
-    gamma = rng.uniform(0.0, 0.25 * room) * _smooth_scalar(rng, grid, -1.0, 1.0)
-    eps = rng.uniform(0.0, 0.25 * room)
-    w = _bounded_path(rng, grid, d, field)
-    f = GridFunction(grid, field,
-                     (1.0 / math.sqrt(n) + gamma)[:, None] * s_unit[None, :] + eps * w)
-    rhos = []
-    for e in family.members:
-        top = float(np.max(f.distances(e.coords)))
-        rhos.append(top + rng.uniform(0.05, 0.9) * (1.0 - top))
-    return f, Reference(REF_FAMILY, family=family), BoundParams(rhos=tuple(rhos))
+def _gen_family_ball(chunk):
+    n = chunk.n_family
+    room = 1.0 - math.sqrt(1.0 - 1.0 / n)
+    families, gammas, _, eps, _, lifts = chunk.draw(lambda rng: (
+        _orthofamily(rng, chunk.field, chunk.d, n), rng.uniform(0.0, 0.25 * room),
+        chunk.path(rng, 1, REAL), rng.uniform(0.0, 0.25 * room), chunk.path(rng),
+        [rng.uniform(0.05, 0.9) for _ in range(n)]))
+    gamma_path, w = chunk.paths()
+    c = 1.0 / math.sqrt(n) + np.array(gammas)[:, None] * _smooth(gamma_path, -1.0, 1.0)
+    fs = _symmetric(chunk, families, c, eps, w)
+    tops = chunk.distances(_stacked(families)).max(axis=2)
+    return fs, families, {"rhos": list(map(tuple, tops + np.array(lifts) * (1.0 - tops)))}
 
 
-def _gen_family_band(rng, grid, field, d, n_family):
-    family = _orthofamily(rng, field, d, n_family)
-    amp = rng.uniform(0.02, 0.4 * 0.8 / math.sqrt(n_family))
-    f = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
-    q, proj = f.norms() ** 2, f.projections(family.matrix())
-    ms, Ms = zip(*(_band_constants(rng, p, q) for p in proj.T))
-    return f, Reference(REF_FAMILY, family=family), BoundParams(ms=ms, Ms=Ms)
+def _band_amp(chunk: _Chunk) -> tuple:
+    return 0.02, 0.4 * 0.8 / math.sqrt(chunk.n_family)
 
 
-def _gen_family_ball_profiles(rng, grid, field, d, n_family):
-    family = _orthofamily(rng, field, d, n_family)
-    f = _symmetric_base(rng, grid, field, d, family, 0.5, 1.5, rng.uniform(0.0, 0.5))
-    profiles = [_samples_profile(grid, f.distances(e.coords) + rng.uniform(0.01, 0.5))
-                for e in family.members]
-    return f, Reference(REF_FAMILY, family=family), BoundParams(r_profiles=tuple(profiles))
+def _gen_family_band(chunk):
+    families, fs, u = _symmetric_trials(chunk, _band_amp(chunk), (0.8, 1.5), lambda rng: (
+        rng.uniform(0.05, 0.5), rng.uniform(0.1, 0.9)))
+    q, p = chunk.norms[:, None] ** 2, chunk.projections(_stacked(families))
+    Ms = (1.0 + u[..., 0]) * (q / p).max(axis=2)
+    caps = ((Ms[..., None] * p - q) / (Ms[..., None] - p)).min(axis=2)
+    return fs, families, {"ms": list(map(tuple, u[..., 1] * caps)), "Ms": list(map(tuple, Ms))}
 
 
-def _gen_family_band_profiles(rng, grid, field, d, n_family):
-    family = _orthofamily(rng, field, d, n_family)
-    amp = rng.uniform(0.02, 0.4 * 0.8 / math.sqrt(n_family))
-    f = _symmetric_base(rng, grid, field, d, family, 0.8, 1.5, amp)
-    q, proj = f.norms() ** 2, f.projections(family.matrix())
-    m_profiles, M_profiles = [], []
-    for p in proj.T:
-        c0 = (1.0 + rng.uniform(0.05, 0.6)) * q / (2.0 * p)
-        dist = np.sqrt(np.maximum(q - 2.0 * c0 * p + c0 * c0, 0.0))
-        R = dist + rng.uniform(0.05, 0.9) * (c0 - dist)
-        m_profiles.append(_samples_profile(grid, c0 - R))
-        M_profiles.append(_samples_profile(grid, c0 + R))
-    return f, Reference(REF_FAMILY, family=family), BoundParams(
-        m_profiles=tuple(m_profiles), M_profiles=tuple(M_profiles))
+def _gen_family_ball_profiles(chunk):
+    families, fs, lifts = _symmetric_trials(chunk, (0.0, 0.5), (0.5, 1.5),
+                                            lambda rng: rng.uniform(0.01, 0.5))
+    distances = chunk.distances(_stacked(families))
+    return fs, families, {"r_profiles": _profiles(chunk.grid, distances + lifts[:, :, None])}
 
 
-def _gen_complex_box(rng, grid, field, d, n_family):
-    alpha, beta = _direction(rng)
-    base_re = _smooth_scalar(rng, grid, 0.3, 2.0)
-    base_im = _smooth_scalar(rng, grid, 0.3, 2.0)
-    f = GridFunction(grid, field, (alpha * base_re + 1j * beta * base_im)[:, None])
-    kappa = rng.uniform(0.02, 0.4)
-    k = _samples_profile(grid, np.minimum(base_re, base_im) * (1.0 - kappa))
-    K = _samples_profile(grid, np.maximum(base_re, base_im) * (1.0 + kappa))
-    return f, Reference(REF_DIRECTION, alpha=alpha, beta=beta), BoundParams(
-        m_profile=k, M_profile=K)
+def _gen_family_band_profiles(chunk):
+    families, fs, u = _symmetric_trials(chunk, _band_amp(chunk), (0.8, 1.5), lambda rng: (
+        rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.9)))
+    q, p = chunk.norms[:, None] ** 2, chunk.projections(_stacked(families))
+    c0 = (1.0 + u[..., 0, None]) * q / (2.0 * p)
+    dist = np.sqrt(np.maximum(q - 2.0 * c0 * p + c0 * c0, 0.0))
+    R = dist + u[..., 1, None] * (c0 - dist)
+    return fs, families, {"m_profiles": _profiles(chunk.grid, c0 - R),
+                          "M_profiles": _profiles(chunk.grid, c0 + R)}
+
+
+def _gen_complex_box(chunk):
+    directions, _, _, kappas = chunk.draw(lambda rng: (
+        _direction(rng), chunk.path(rng, 1, REAL), chunk.path(rng, 1, REAL),
+        rng.uniform(0.02, 0.4)))
+    re_path, im_path = chunk.paths()
+    base_re, base_im = _smooth(re_path, 0.3, 2.0), _smooth(im_path, 0.3, 2.0)
+    alpha, beta = np.array(directions).T[:, :, None]
+    fs = chunk.functions(lambda out: np.add(alpha * base_re, 1j * beta * base_im, out=out[:, 0]))
+    chunk.projections(np.array([[complex(a, b)] for a, b in directions]))
+    kappa = np.array(kappas)[:, None]
+    return fs, directions, {
+        "m_profile": _profiles(chunk.grid, np.minimum(base_re, base_im) * (1.0 - kappa)),
+        "M_profile": _profiles(chunk.grid, np.maximum(base_re, base_im) * (1.0 + kappa))}
 
 
 #: The generator of every (hypothesis shape, reference kind) a ``BOUNDS`` row has.
@@ -347,17 +466,23 @@ GENERATORS = {
 }
 
 
+#: A generator's reference of each kind, from what it holds: e, a family, (alpha, beta).
+_REFERENCES = {REF_UNIT: lambda e: Reference(REF_UNIT, e=e),
+               REF_FAMILY: lambda family: Reference(REF_FAMILY, family=family),
+               REF_DIRECTION: lambda ab: Reference(REF_DIRECTION, alpha=ab[0], beta=ab[1])}
+
+
 def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
                       field: str = REAL, n_family: int = 3,
                       n_panels: int = 512) -> Scenario:
-    """Deterministic hypothesis-satisfying scenario for (seed, trial) on [0, 1]."""
-    return _generate(trial_rng, bound_id, seed, trial, d, field, n_family, n_panels)
+    """Deterministic hypothesis-satisfying scenario for (seed, trial) on [0, 1]: a chunk of
+    one trial (see :func:`fuzz`)."""
+    setup = _setup(bound_id, d, field, n_family, n_panels)
+    return _generate(trial_rng, seed, range(trial, trial + 1), *setup)[0][0]
 
 
-def _generate(streams, bound_id: str, seed: int, trial: int, d: int, field: str,
-              n_family: int, n_panels: int) -> Scenario:
-    """:func:`generate_scenario`, drawing from ``streams(seed, trial)``, a Generator that
-    gives the stream of ``trial_rng(seed, trial)``; the bound's row keys its generator."""
+def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> tuple:
+    """The checked (bound id, grid, field, d, n_family) of a bound's trials."""
     spec = B.BOUNDS.get(bound_id)
     if spec is None:
         raise InputError(f"unknown bound id {quoted(bound_id)}")
@@ -370,30 +495,32 @@ def _generate(streams, bound_id: str, seed: int, trial: int, d: int, field: str,
             raise InputError(f"n_family must be at least 1, got {n_family}")
         if n_family > d:
             raise InputError(f"family of {n_family} needs d >= {n_family}")
-    rng = streams(seed, trial)
     grid = Grid(0.0, 1.0, n_panels)
     if not _describable(grid.n_nodes, d):
         raise InputError("dimension d is too large for numpy to describe an (N+1, d) array")
-    f, reference, params = GENERATORS[spec.shape, spec.reference](rng, grid, field, d, n_family)
-    provenance = {
-        "generator": f"fuzz:{bound_id}",
-        "seed": int(seed),
-        "trial": int(trial),
-        "d": int(d),
-        "field": field,
-        "n_family": int(n_family) if spec.reference == REF_FAMILY else None,
-    }
-    scenario = Scenario(
-        id=f"fuzz-{bound_id}-s{seed}-t{trial}",
-        field=field, d=d, grid=grid,
-        function=FunctionSpec.samples(f.values),
-        reference=reference,
-        bounds=(BoundEntry(bound_id, params),),
-        tolerances=Tolerances(),
-        provenance=provenance,
-    )
-    vars(scenario)["f"] = f  # fills the cache of Scenario.f: run() reuses the generated f
-    return scenario
+    return bound_id, grid, field, d, n_family
+
+
+def _generate(streams, seed: int, trials: range, bound_id: str, grid: Grid, field: str,
+              d: int, n_family: int) -> tuple[list[Scenario], Exception | None]:
+    """The scenarios of ``trials`` as one chunk, drawn from ``streams(seed, trial)`` (the
+    stream of ``trial_rng(seed, trial)``), and the error that ended the chunk early or None."""
+    spec = B.BOUNDS[bound_id]
+    chunk = _Chunk(streams, seed, trials, grid, field, d, n_family)
+    fs, refs, params = GENERATORS[spec.shape, spec.reference](chunk)
+    scenarios = []
+    for trial, f, ref, *values in zip(chunk.trials, fs, refs, *params.values()):
+        provenance = {"generator": f"fuzz:{bound_id}", "seed": int(seed), "trial": int(trial),
+                      "d": int(d), "field": field,
+                      "n_family": int(n_family) if spec.reference == REF_FAMILY else None}
+        scenario = Scenario(
+            id=f"fuzz-{bound_id}-s{seed}-t{trial}", field=field, d=d, grid=grid,
+            function=FunctionSpec.samples(f.values), reference=_REFERENCES[spec.reference](ref),
+            bounds=(BoundEntry(bound_id, BoundParams(**dict(zip(params, values)))),),
+            tolerances=Tolerances(), provenance=provenance)
+        vars(scenario)["f"] = f  # fills the cache of Scenario.f: run() reuses the generated f
+        scenarios.append(scenario)
+    return scenarios, chunk.failure
 
 
 @dataclass
@@ -458,28 +585,21 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
     """Run ``trials`` hypothesis-by-construction scenarios against one bound.
 
     Trials are generated in chunks of at most :data:`CHUNK_ENTRIES` node values (and at
-    least one trial), each chunk integrated and judged in one pass (see :func:`_judge`).
-    If generating a trial raises, the trials before it are judged first, so the error of
-    an earlier trial wins."""
+    least one trial), each chunk generated, integrated and judged in one pass (see
+    :class:`_Chunk` and :func:`_judge`).  If a trial's draws raise, the trials before it
+    are judged first, so the error of an earlier trial wins."""
     if trials < 1:
         raise InputError("need at least one trial")
     summary = FuzzSummary(bound_id, trials, seed,
                           reports=[] if keep_reports else None)
+    setup = _setup(bound_id, d, field, n_family, n_panels)
+    size = max(1, CHUNK_ENTRIES // (setup[1].n_nodes * setup[3]))
     streams = _reused_trial_rng()
-    chunk, failure = [], None
-    for trial in range(trials):
-        try:
-            scenario = _generate(streams, bound_id, seed, trial, d, field, n_family, n_panels)
-        except Exception as exc:  # raised once the trials before it are judged
-            failure = exc
-            break
-        if chunk and (len(chunk) + 1) * scenario.f.values.size > CHUNK_ENTRIES:
-            _judge(summary, chunk)
-            chunk = []
-        chunk.append((trial, scenario))
-    _judge(summary, chunk)
-    if failure is not None:
-        raise failure
+    for lo in range(0, trials, size):
+        scenarios, failure = _generate(streams, seed, range(lo, min(lo + size, trials)), *setup)
+        _judge(summary, list(zip(range(lo, trials), scenarios)))
+        if failure is not None:
+            raise failure
     return summary
 
 

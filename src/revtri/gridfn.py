@@ -425,21 +425,30 @@ class GridFunction:
         the first group of columns (at most :data:`GROUP_ENTRIES` terms) in that order;
         only when the columns exceed one group does a running sum take the rest."""
         def table():
-            rows = np.conjugate(np.atleast_2d(refs))
-            columns = self.values.T
-            n = self.grid.n_nodes
-            step = max(1, GROUP_ENTRIES // n)
-            total = np.empty((len(rows), n))
+            rows = np.atleast_2d(refs)
+            total = np.empty((len(rows), self.grid.n_nodes))
             for out, e in zip(total, rows):
-                for lo in range(0, len(e), step):
-                    terms = (e[lo: lo + step, None] * columns[lo: lo + step]).real
-                    if lo == 0:
-                        np.add.reduce(terms, axis=0, initial=0.0, out=out)
-                    else:
-                        for t in terms:
-                            out += t
+                _project(self.values.T, e, out)
             return total[0] if refs.ndim == 1 else total.T
         return self.cached(_array_key("projections", refs), table)
+
+
+def _project(columns: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Re<f(t), e> per node into ``out`` (..., N+1), for the coordinate columns (..., d,
+    N+1) of functions and references e (..., d), which broadcast: stacked functions and
+    references take one call, with the bits of each alone, as a group of columns holds at
+    most :data:`GROUP_ENTRIES` terms of them all.  See :meth:`GridFunction.projections`
+    for the summation order."""
+    e = np.conjugate(e)
+    step = max(1, GROUP_ENTRIES // out.size)
+    for lo in range(0, e.shape[-1], step):
+        terms = (e[..., lo: lo + step, None] * columns[..., lo: lo + step, :]).real
+        if lo == 0:
+            np.add.reduce(terms, axis=-2, initial=0.0, out=out)
+        else:
+            for k in range(terms.shape[-2]):
+                out += terms[..., k, :]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -199,6 +199,21 @@ def test_a_huge_bad_argument_gives_a_short_usage_error(argv, name, char, capsys)
     assert huge == short.replace(quoted("x"), quoted(char * HUGE))
 
 
+def test_a_bad_fuzz_bound_lists_the_bound_ids_once(capsys):
+    """``fuzz --bound`` shows the metavar BOUND in its usage line, so a bad id's error lists
+    the 17 ids once, in its list of choices: before, the usage line listed them too (586
+    bytes of stderr for a one-character id)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--bound", "x", "--trials", "1", "--seed", "1"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "--bound BOUND" in err.splitlines()[0], err
+    choices = ", ".join(map(repr, sorted(ALL_BOUND_IDS)))
+    assert err.splitlines()[-1].endswith(f"invalid choice: 'x' (choose from {choices})")
+    assert all(err.count(bound_id) == 1 for bound_id in ALL_BOUND_IDS), err
+    assert len(err.encode("utf-8")) < 450, len(err)
+
+
 def test_a_huge_bad_value_through_the_python_api_gives_a_short_error():
     """A bad bound id, field or parameter given to the Python API is quoted in at most 80
     characters: before, ``check_ball`` quoted a 10^5-character radius whole (100,044
@@ -390,7 +405,7 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
 #: ``np.einsum``, ``np.inner``, ``np.vdot``, or the ``.dot`` method of any object).  BLAS
 #: may split such a product's sums by thread, so every new site is listed here on purpose.
 MATRIX_PRODUCT_SITES = {
-    "bounds._projection_extra", "fuzz._trig_path", "hilbert.inner", "hilbert._gram",
+    "bounds._projection_extra", "fuzz._Chunk.path", "hilbert.inner", "hilbert._gram",
     "hilbert._orthonormal_rows", "hilbert.vector_norm",
 }
 _PRODUCT_CALLS = {"dot", "matmul", "einsum", "inner", "vdot"}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -11,8 +12,10 @@ from revtri import bounds as B
 from revtri.bounds import FAMILY_BOUNDS
 from revtri.cli import main
 from revtri.fuzz import MAX_COUNTEREXAMPLE_DUMPS
-from revtri.gridfn import GridFunction
+from revtri import gridfn
 from revtri.scenario import scenario_from_dict
+
+F = importlib.import_module("revtri.fuzz")   # the package's name ``fuzz`` is the function
 
 
 def test_trial_rng_is_counter_based():
@@ -41,20 +44,20 @@ def test_largest_64_bit_seed_still_runs():
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_projection_product_per_family_trial(bound_id, field, n, monkeypatch):
-    # the generator fits its constants to the (N+1, n) table run() judges: one product
+    # the generator fits its constants to the (N+1, n) table run() judges: one product,
+    # taken for the trial's chunk and kept on f
     products = []
-    cached = GridFunction.cached
+    project = gridfn._project
 
-    def counting(self, key, compute):
-        def counted():
-            products.append(key[0])
-            return compute()
-        return cached(self, key, counted if key[0] == "projections" else compute)
-    monkeypatch.setattr(GridFunction, "cached", counting)
+    def counting(*args):
+        products.append(args[1].shape)
+        return project(*args)
+    monkeypatch.setattr(gridfn, "_project", counting)
+    monkeypatch.setattr(F, "_project", counting)
     for trial in range(3):
         products.clear()
         run(generate_scenario(bound_id, seed=77, trial=trial, d=4, field=field, n_family=n))
-        assert products == ["projections"]
+        assert products == [(1, n, 4)]
 
 
 def test_trials_are_order_independent():

@@ -108,6 +108,38 @@ def test_a_chunk_of_the_benchmark_size_gives_the_same_reports(bound_id):
         assert report_to_json(report) == report_to_json(alone)
 
 
+@pytest.mark.parametrize("bound_id", B.ALL_BOUND_IDS)
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_the_judge_computes_no_node_table(bound_id, field, monkeypatch):
+    """A chunk generator keeps every node table (norms, distances, projections) its bound's
+    hypothesis reads, computed for the chunk in one call, so the judge's rows look them up
+    and compute none: before, COR_2_2, MULT_B and PROP_4_1 computed their distances and
+    COR_2_3, MULT_C, PROP_4_2 and PROP_4_3 their projections one trial at a time."""
+    computed, inside, looked_up = [], [], []
+    cached = GridFunction.cached
+
+    def watched(self, key, compute):
+        def counted():
+            if inside:
+                computed.append(key)
+            return compute()
+        return cached(self, key, counted)
+    monkeypatch.setattr(GridFunction, "cached", watched)
+    for name in ("norms", "projections", "distances"):
+        def lookup(rows, table=getattr(B._Rows, name)):
+            inside.append(table)
+            looked_up.append(table)
+            try:
+                return table(rows)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(B._Rows, name, lookup)
+    summary = fuzz_fn(bound_id, 5, SEED, **_config(bound_id, field))
+    assert summary.holds == 5
+    assert computed == [], computed
+    assert looked_up or bound_id in (B.COR_2_5, B.COR_3_5, B.KARAMATA)
+
+
 def test_the_pass_keeps_what_defect_and_norms_compute():
     fs = [generate_scenario(B.COR_3_3, 5, t, d=4, field=COMPLEX).f for t in range(4)]
     fresh = [GridFunction(f.grid, f.field, f.values) for f in fs]
@@ -130,19 +162,31 @@ def _overflowing(monkeypatch, bound_id: str, bad_trial: int, generation_error: i
 
 
 def _spoiled(monkeypatch, bound_id: str, bad_calls, spoil, generation_error=None):
-    """Patch ``bound_id``'s generator: the calls counted in ``bad_calls`` return
-    ``spoil(f, reference, params)``, and the ``generation_error``-th call raises."""
+    """Patch ``bound_id``'s chunk generator: the trials counted in ``bad_calls``, in the
+    order they are drawn, come out as ``spoil(f, params)`` gives their function and
+    parameters, and the draws of the ``generation_error``-th trial raise."""
     key = table_key(bound_id)
     original = F.GENERATORS[key]
     calls = []
 
-    def generator(rng, grid, field, d, n_family):
-        k = len(calls)
-        calls.append(k)
-        if k == generation_error:
-            raise InputError("generator failed")
-        made = original(rng, grid, field, d, n_family)
-        return spoil(*made) if k in bad_calls else made
+    def generator(chunk):
+        streams, first = chunk.streams, len(calls)
+
+        def stream(seed, trial):
+            k = len(calls)
+            calls.append(k)
+            if k == generation_error:
+                raise InputError("generator failed")
+            return streams(seed, trial)
+        chunk.streams = stream
+        fs, refs, params = original(chunk)
+        fs, params = list(fs), {name: list(column) for name, column in params.items()}
+        for i in range(len(fs)):
+            if first + i in bad_calls:
+                fs[i], spoilt = spoil(fs[i], {name: params[name][i] for name in params})
+                for name, value in spoilt.items():
+                    params[name][i] = value
+        return fs, refs, params
     monkeypatch.setitem(F.GENERATORS, key, generator)
     return calls
 
@@ -151,10 +195,9 @@ def _spoiled(monkeypatch, bound_id: str, bad_calls, spoil, generation_error=None
 #: in the integrals, a band product m M that overflows in the hypothesis, a radius out of
 #: its range.
 _SPOILS = {
-    "integrals": (B.COR_2_2, lambda f, ref, p: (GridFunction(f.grid, f.field, f.values * 1e200),
-                                                ref, p)),
-    "hypothesis": (B.COR_2_3, lambda f, ref, p: (f, ref, BoundParams(m=1e200, M=1e200))),
-    "parameter": (B.COR_2_2, lambda f, ref, p: (f, ref, BoundParams(rho=1.5))),
+    "integrals": (B.COR_2_2, lambda f, p: (GridFunction(f.grid, f.field, f.values * 1e200), p)),
+    "hypothesis": (B.COR_2_3, lambda f, p: (f, dict(p, m=1e200, M=1e200))),
+    "parameter": (B.COR_2_2, lambda f, p: (f, dict(p, rho=1.5))),
 }
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from revtri import bounds as B
-from revtri.fuzz import MAX_HARMONICS, _trig_path, _trig_table, fuzz, trial_rng
+from revtri.fuzz import MAX_HARMONICS, _Chunk, _trig_table, fuzz, trial_rng
 from revtri.gridfn import GRID_CACHE, Grid, grid_nodes
 from revtri.hilbert import COMPLEX, REAL
 from revtri.quadrature import RULES, SIMPSON, TRAPEZOID, _panel_weights, panel_weights
@@ -102,10 +102,13 @@ def test_trig_columns_and_products_match_direct_formula(n_panels, n_modes, rng):
 @pytest.mark.parametrize("field", (REAL, COMPLEX))
 @pytest.mark.parametrize("interval", INTERVALS)
 def test_trig_path_matches_old_path(interval, field):
+    # the paths of 40 trials drawn as one chunk, each with the bits of its own
     grid = Grid(interval[0], interval[1], 64)
-    for trial in range(40):
-        for d in (1, 4, 8):
-            got = _trig_path(trial_rng(7, trial), grid, d, field)
+    for d in (1, 4, 8):
+        chunk = _Chunk(trial_rng, 7, range(40), grid, field, d, 1)
+        chunk.draw(lambda rng: (chunk.path(rng),))
+        paths, = chunk.paths()
+        for trial, got in enumerate(paths):
             assert _same_bits(got, _old_trig_path(trial_rng(7, trial), grid, d, field))
 
 

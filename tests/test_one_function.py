@@ -50,9 +50,9 @@ def test_scenario_carries_the_generators_function(bound_id, field, monkeypatch):
     built = []
     generator = GENERATORS[table_key(bound_id)]
 
-    def capturing(*args):
-        out = generator(*args)
-        built.append(out[0])
+    def capturing(chunk):   # generate_scenario is a chunk of one trial
+        out = generator(chunk)
+        built.extend(out[0])
         return out
     monkeypatch.setitem(GENERATORS, table_key(bound_id), capturing)
     scenario = generate_scenario(bound_id, field=field, **TRIAL)
@@ -82,12 +82,14 @@ def test_no_node_table_is_computed_twice_in_a_trial(bound_id, field, monkeypatch
         return original(self, key, counted)
     monkeypatch.setattr(GridFunction, "cached", counting)
     scenario = generate_scenario(bound_id, field=field, **TRIAL)
+    kept = set(scenario.f._tables)   # the generator keeps its chunk's tables on f
     stage[0] = "run"
     run(scenario)
     keys = [key for _, key in computed]
     assert len(keys) == len(set(keys)), keys
-    if bound_id in GEOMETRY_BOUNDS:
-        assert any(where == "generate" for where, _ in computed)
+    assert not kept & set(keys), kept & set(keys)
+    if bound_id in GEOMETRY_BOUNDS:   # it read node tables of f besides the norms
+        assert kept - {("norms",)}
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -176,8 +176,8 @@ class HypothesisReport:
     Family checks aggregate per-index reports in ``sub_reports``.  The residuals are not
     kept: ``kernel`` computes them from f and the profiles, and :attr:`slack_profile`
     calls it on every access, at the cost of one kernel evaluation (one per member for a
-    family), returning a fresh array of the same bytes.  A report without a kernel, as
-    ``run()`` returns them (see :meth:`without_kernels`), holds numbers only.
+    family), returning a fresh array of the same bytes.  Only ``evaluate`` and ``check_*``
+    attach kernels: a report of ``run()`` or ``fuzz()`` holds numbers only.
     """
 
     condition_id: str
@@ -194,14 +194,6 @@ class HypothesisReport:
             raise InputError(f"the {self.condition_id} report keeps no residuals: evaluate "
                              "the bound on the scenario's function for its slack profile")
         return self.kernel()
-
-    def without_kernels(self) -> "HypothesisReport":
-        """This report and its sub-reports without their kernels, which hold f and the
-        profiles alive."""
-        subs = self.sub_reports
-        return HypothesisReport(self.condition_id, self.holds, self.worst_violation,
-                                self.worst_node, None, self.tol,
-                                None if subs is None else tuple(s.without_kernels() for s in subs))
 
     @property
     def failing_indices(self) -> tuple[int, ...]:
@@ -226,42 +218,71 @@ def _profile_on(f: GridFunction, p: ScalarProfile | float, name: str) -> np.ndar
 
 
 # --------------------------------------------------------------------------
-# residual kernels: kernel(rows, *values) gives the residuals of a group of R hypothesis
-# rows, one per trial and member, as an (R, N+1) array, for the parameters' node values of
-# :func:`_params`.  The shapes below declare the rest.
+# residual kernels: kernel(rows, *values) gives the residuals of a group of hypothesis rows
+# as a (Tg, ng, N+1) array, for the parameters' values on the group (see :func:`_take`).
+# The shapes below declare the rest.
+
+#: How :class:`_Stacks` reads a table it was not handed, from each trial's function f and
+#: reference coordinates r: as the trial's rows, one per member of a family.
+_OWN_TABLES = {
+    "values": lambda f, r: [f.values.T],
+    "norms": lambda f, r: [f.norms()],
+    "coords": lambda f, r: list(np.atleast_2d(r)),
+    "projections": lambda f, r: list(np.atleast_2d(f.projections(r).T)),   # a family's (N+1, n)
+    "distances": lambda f, r: [f.distances(e) for e in np.atleast_2d(r)],
+}
+
+
+class _Stacks:
+    """The node tables and parameter values ``params`` of T trials of one bound, by trial,
+    then by member of a family: a fuzz chunk's stacks, or one trial's own rows, listed by
+    member, each table read from f (see :data:`_OWN_TABLES`) when a kernel first asks."""
+
+    def __init__(self, fs, refs, params, **stacks):
+        self.fs, self.refs, self.params = fs, refs, params
+        vars(self).update(stacks)
+
+    def __getattr__(self, name: str):   # only called for a table not read yet
+        if name not in _OWN_TABLES:
+            raise AttributeError(name)
+        table = vars(self)[name] = [_OWN_TABLES[name](f, r) for f, r in zip(self.fs, self.refs)]
+        return table
+
+
+def _take(table, trials: slice, members: slice) -> np.ndarray:
+    """The rows of ``members`` of ``trials`` in a table of :class:`_Stacks`, a view (Tg, ng,
+    ...) of a stack or of one trial's listed row; a listed number stays as it was given."""
+    if isinstance(table, np.ndarray):
+        return table[trials, members]
+    row, = table[0][members]
+    return row[None, None] if np.ndim(row) else row
+
 
 class _Rows(NamedTuple):
-    """A group of hypothesis rows: row r is member ``members[r]`` of the reference
-    ``refs[r]`` (a unit vector's coordinates (d,), a family's matrix (n, d) or None) of the
-    function ``fs[r]``.  Each table stacks the rows' node tables, kept on f, as (R, N+1)."""
+    """The hypothesis rows ``members`` of ``trials`` of ``stacks``, read as (Tg, ng or 1, ...)."""
 
-    fs: list
-    refs: list
-    members: list
+    stacks: _Stacks
+    trials: slice
+    members: slice
 
-    def stack(self, table) -> np.ndarray:
-        """``table(f, ref, member)`` of each row, stacked; a single row's is a view."""
-        arrays = [table(*row) for row in zip(*self)]
-        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-    def coords(self) -> np.ndarray:   # (R, d)
-        return self.stack(lambda f, r, i: r if r.ndim == 1 else r[i])
+    def coords(self) -> np.ndarray:   # (Tg, ng, d)
+        return _take(self.stacks.coords, self.trials, self.members)
 
     def norms(self) -> np.ndarray:
-        return self.stack(lambda f, r, i: f.norms())
+        return _take(self.stacks.norms, self.trials, slice(None))
 
-    def projections(self) -> np.ndarray:   # a member's read from its family's (N+1, n) table
-        return self.stack(lambda f, r, i: f.projections(r) if r.ndim == 1
-                          else f.projections(r)[:, i])
+    def projections(self) -> np.ndarray:
+        return _take(self.stacks.projections, self.trials, self.members)
 
     def distances(self) -> np.ndarray:
-        return self.stack(lambda f, r, i: f.distances(r if r.ndim == 1 else r[i]))
+        return _take(self.stacks.distances, self.trials, self.members)
 
-    def values(self) -> np.ndarray:   # (R, N+1, d), each row's columns contiguous
-        return self.stack(lambda f, r, i: f.values.T).swapaxes(1, 2)
+    def values(self) -> np.ndarray:   # (Tg, 1, N+1, d), each row's columns contiguous
+        return _take(self.stacks.values, self.trials, slice(None)).swapaxes(-1, -2)
 
     def samples(self) -> np.ndarray:   # of d=1 complex functions
-        return self.stack(lambda f, r, i: _complex_samples(f))
+        _complex_samples(self.stacks.fs[0])
+        return _take(self.stacks.values, self.trials, slice(None))[:, :, 0]
 
 
 def _ball_residuals(rows: _Rows, radius) -> np.ndarray:
@@ -271,9 +292,10 @@ def _ball_residuals(rows: _Rows, radius) -> np.ndarray:
 
 def _band_norm_residuals(rows: _Rows, m: np.ndarray, M: np.ndarray) -> np.ndarray:
     """||f(t) - (M+m)/2 e|| - (M-m)/2, the distances summed one column at a time."""
-    x = rows.values()
-    center = np.broadcast_to(0.5 * (M + m), x.shape[:-1])
-    return row_norms(x, rows.coords()[:, None], center) - 0.5 * (M - m)
+    x, center = rows.values(), 0.5 * (M + m)
+    shape = np.broadcast_shapes(x.shape[:-1], np.shape(center))
+    return row_norms(np.broadcast_to(x, shape + x.shape[-1:]), rows.coords()[..., None, :],
+                     np.broadcast_to(center, shape)) - 0.5 * (M - m)
 
 
 def _box_residuals(rows: _Rows, m, M) -> np.ndarray:
@@ -302,33 +324,27 @@ def _arg_residuals(rows: _Rows, theta) -> np.ndarray:
 # --------------------------------------------------------------------------
 # hypothesis checkers: the rows of every trial judged in stacked groups
 
-def _groups(counts, n_nodes: int) -> list:
-    """The (trial, member) rows of trials of ``counts`` members in groups: of one trial one
-    row at a time, so a member raises its own floating-point error and one member's node
-    arrays are alive at once; of several, at most :data:`GROUP_ENTRIES` node entries."""
-    rows = [(t, i) for t, n in enumerate(counts) for i in range(n)]
-    step = 1 if len(counts) == 1 else max(1, GROUP_ENTRIES // n_nodes)
-    return [rows[lo: lo + step] for lo in range(0, len(rows), step)]
+def _groups(n_trials: int, n: int, n_nodes: int) -> list[tuple[slice, slice]]:
+    """The rows of T trials of n members in groups (trials, members): of one trial one member
+    at a time, so a member raises its own floating-point error and one member's node arrays
+    are alive at once; of several, whole trials of at most :data:`GROUP_ENTRIES` entries."""
+    if n_trials == 1:
+        return [(slice(0, 1), slice(i, i + 1)) for i in range(n)]
+    step = max(1, GROUP_ENTRIES // (n * n_nodes))
+    return [(slice(lo, lo + step), slice(None)) for lo in range(0, n_trials, step)]
 
 
-def _params(values, group) -> list:
-    """Each parameter's node values on a group of rows, ``values[t][p][i]`` for trial t,
-    parameter p and member i: one row's as they are, more stacked as (R, N+1) or (R, 1)."""
-    columns = [[values[t][p][i] for t, i in group] for p in range(len(values[0]))]
-    return [c[0] if len(group) == 1 else np.stack(c).reshape(len(group), -1) for c in columns]
+def _residuals(shape: "_Shape", stacks: _Stacks, trials: slice, members: slice) -> np.ndarray:
+    """``shape``'s residuals on a group of rows, (Tg, ng, N+1)."""
+    return shape.kernel(_Rows(stacks, trials, members),
+                        *(_take(p, trials, members) for p in stacks.params))
 
 
-def _residuals(shape: "_Shape", fs, refs, values, group) -> np.ndarray:
-    """``shape``'s residuals on a group of (trial, member) rows, (R, N+1)."""
-    rows = _Rows([fs[t] for t, _ in group], [refs[t] for t, _ in group], [i for _, i in group])
-    return shape.kernel(rows, *_params(values, group)).reshape(len(group), -1)
-
-
-def _slack(shape: "_Shape", f: GridFunction, ref, values, members: range) -> np.ndarray:
-    """A report's kernel: the node-wise maximum of members' residuals, one at a time."""
+def _slack(shape: "_Shape", stacks: _Stacks, t: int, members: range) -> np.ndarray:
+    """A report's kernel: the node-wise maximum of trial t's members' residuals."""
     top = None
     for i in members:
-        residuals = _residuals(shape, [f], [ref], [values], [(0, i)])[0]
+        residuals = _residuals(shape, stacks, slice(t, t + 1), slice(i, i + 1))[0, 0]
         top = residuals if top is None else np.maximum(top, residuals, out=top)
     return top
 
@@ -342,57 +358,63 @@ def _report(condition_id: str, node: int, peak: float, tol: float, kernel,
                             None if sub_reports is None else tuple(sub_reports))
 
 
-def _hypotheses(shape: "_Shape", fs, refs, values, tau_hyp: float,
-                family: bool = False) -> list[HypothesisReport]:
+def _hypotheses(shape: "_Shape", stacks: _Stacks, tau_hyp: float, family: bool = False,
+                kernels: bool = False) -> list[HypothesisReport]:
     """``shape``'s report on each trial, its rows judged in the groups of :func:`_groups`; a
     worst node is the first of the largest residual (or NaN).  A unit row's report carries
-    the shape it implies as its sub-report; a family judges each member and their maximum."""
-    n, n_nodes = len(values[0][0]), fs[0].grid.n_nodes
-    peaks = [[] for _ in fs]
-    tops = np.full((len(fs), n_nodes), -np.inf) if family else None
-    for group in _groups([n] * len(fs), n_nodes):
-        residuals = _residuals(shape, fs, refs, values, group)
-        nodes = residuals.argmax(axis=1)
-        worst = residuals[np.arange(len(group)), nodes].tolist()
-        for k, ((t, _), node, peak) in enumerate(zip(group, nodes.tolist(), worst)):
-            peaks[t].append((node, peak))
-            if family:
-                np.maximum(tops[t], residuals[k], out=tops[t])
+    the shape it implies as its sub-report; a family judges each member and their maximum.
+    Only with ``kernels`` does a report get one (see :func:`_slack`)."""
+    n_trials, n, n_nodes = len(stacks.fs), len(stacks.params[0][0]), stacks.fs[0].grid.n_nodes
+    nodes, peaks = np.empty((n_trials, n), np.intp), np.empty((n_trials, n))
+    tops = np.full((n_trials, n_nodes), -np.inf) if family else None
+    for trials, members in _groups(n_trials, n, n_nodes):
+        residuals = _residuals(shape, stacks, trials, members)
+        worst = nodes[trials, members] = residuals.argmax(axis=2)
+        peaks[trials, members] = np.take_along_axis(residuals, worst[..., None], 2)[..., 0]
+        if family:
+            np.maximum(tops[trials], residuals.max(axis=1), out=tops[trials])
         del residuals   # freed before the next group's kernel runs
-    implied = (_hypotheses(shape.implies, fs, refs, values, tau_hyp) if shape.implies
-               else [None] * len(fs))
+    implied = (_hypotheses(shape.implies, stacks, tau_hyp, kernels=kernels) if shape.implies
+               else [None] * n_trials)
     cid = f"{shape.condition_id}_family" if family else shape.condition_id
+
+    def kernel(t: int, members: range):
+        return partial(_slack, shape, stacks, t, members) if kernels else None
     reports = []
-    for t, (f, ref, vals, sub) in enumerate(zip(fs, refs, values, implied)):
+    for t, (sub, t_nodes, t_peaks) in enumerate(zip(implied, nodes.tolist(), peaks.tolist())):
         subs = [_report(f"{cid}[{i}]" if family else cid, node, peak, tau_hyp,
-                        partial(_slack, shape, f, ref, vals, range(i, i + 1)),
-                        None if sub is None else [sub]) for i, (node, peak) in enumerate(peaks[t])]
+                        kernel(t, range(i, i + 1)), None if sub is None else [sub])
+                for i, (node, peak) in enumerate(zip(t_nodes, t_peaks))]
         if family:
             node = int(tops[t].argmax())
-            subs = _report(cid, node, float(tops[t][node]), tau_hyp,
-                           partial(_slack, shape, f, ref, vals, range(n)), subs)
-        reports.append(subs if family else subs[0])
+            subs = [_report(cid, node, float(tops[t][node]), tau_hyp, kernel(t, range(n)), subs)]
+        reports.append(subs[0])
     return reports
 
 
-def _unit_inputs(shape: "_Shape", f: GridFunction, e: HVector | None, params, tau_on: float):
-    """A unit or direction row's checks on one trial, then its reference coordinates and
-    its parameters' node values (see :func:`_params`)."""
-    if shape.directed:
-        if e.field != f.field or e.d != f.d:
-            raise InputError("reference vector field/dimension mismatch")
-        require_unit(e, "reference vector", tau_on)
-    return (e.coords if shape.directed else None,
-            [[_profile_on(f, p, name)] for name, p in zip(shape.names, params)])
+def _unit_reference(shape: "_Shape", f: GridFunction, e: HVector | None, tau_on: float):
+    """A unit or direction row's reference checks on one trial, then its coordinates."""
+    if not shape.directed:
+        return None
+    if e.field != f.field or e.d != f.d:
+        raise InputError("reference vector field/dimension mismatch")
+    require_unit(e, "reference vector", tau_on)
+    return e.coords
+
+
+def _unit_stacks(shape: "_Shape", f: GridFunction, ref, params) -> _Stacks:
+    """One unit or direction trial's :class:`_Stacks`, for its reference coordinates."""
+    return _Stacks([f], [ref], [[[_profile_on(f, p, name)]]
+                                for name, p in zip(shape.names, params)])
 
 
 def _check(shape: "_Shape", f: GridFunction, e: HVector | None, params, tau_hyp: float,
            tau_on: float = DEFAULT_ORTHO_TOL, require=lambda *values: None) -> HypothesisReport:
     """``shape`` on f against the unit reference e, if it reads one; ``require`` judges the
     node values of ``params``."""
-    ref, values = _unit_inputs(shape, f, e, params, tau_on)
-    require(*(v for v, in values))
-    return _hypotheses(shape, [f], [ref], [values], tau_hyp)[0]
+    stacks = _unit_stacks(shape, f, _unit_reference(shape, f, e, tau_on), params)
+    require(*(column[0][0] for column in stacks.params))
+    return _hypotheses(shape, stacks, tau_hyp, kernels=True)[0]
 
 
 def check_dominance(f: GridFunction, e: HVector, k: ScalarProfile,
@@ -539,13 +561,6 @@ class BoundResult:
     verdict: str
     diagnostics: dict[str, float] = dc_field(default_factory=dict)
 
-    def without_kernels(self) -> "BoundResult":
-        """This result with its hypothesis report :meth:`~HypothesisReport.without_kernels`:
-        numbers and strings only."""
-        return BoundResult(self.bound_id, self.lhs, self.rhs, self.rhs_terms, self.margin,
-                           self.hypothesis.without_kernels(), self.err_budget, self.verdict,
-                           self.diagnostics)
-
 
 # --------------------------------------------------------------------------
 # evaluation: a row's hypothesis, then its right-hand-side form
@@ -598,26 +613,24 @@ def _direction(f: GridFunction, ref: Reference, est: DefectEstimate, rule: str):
                                                       "split_gap": split - proj}
 
 
-def _integrand_integrals(shape: _Shape, grid, values, rule: str) -> list:
+def _integrand_integrals(shape: _Shape, stacks: _Stacks, rule: str) -> list:
     """Per trial, the integral (value, error) of the shape's integrand g of each member, the
     rows made and integrated in the groups of :func:`_groups`."""
-    out = [[] for _ in values]
-    for group in _groups([len(trial[0]) for trial in values], grid.n_nodes):
-        g = shape.integrand(*_params(values, group)).reshape(len(group), -1)
-        full, diff = _integrate(grid, g.T, None, rule)
-        for (t, _), value, err in zip(group, full.tolist(), np.abs(diff).tolist()):
-            out[t].append((value, err))
-    return out
+    grid, n_trials, n = stacks.fs[0].grid, len(stacks.fs), len(stacks.params[0][0])
+    pairs = []   # by trial, then member
+    for trials, members in _groups(n_trials, n, grid.n_nodes):
+        g = shape.integrand(*(_take(p, trials, members) for p in stacks.params))
+        full, diff = _integrate(grid, g.reshape(-1, grid.n_nodes).T, None, rule)
+        pairs += zip(full.tolist(), np.abs(diff).tolist())
+    return [pairs[t * n: (t + 1) * n] for t in range(n_trials)]
 
 
-def _family_inputs(spec: "BoundSpec", f: GridFunction, family: OrthonormalFamily, args):
-    """A family row's reference matrix and its parameters' node values (see :func:`_params`):
-    a member's profile is named by its file key with the index for ``i``, its number stays
-    a float."""
-    return family.matrix(), [
+def _family_stacks(spec: "BoundSpec", f: GridFunction, family: OrthonormalFamily, args) -> _Stacks:
+    """One family trial's :class:`_Stacks`: a member's profile is named by its file key with
+    the index for ``i``, its number stays a float."""
+    return _Stacks([f], [family.matrix()], [[
         [p if q.kind == NUMBERS else _profile_on(f, p, q.key.replace("_i", f"_{i}"))
-         for i, p in enumerate(column)]
-        for q, column in zip(spec.params, args)]
+         for i, p in enumerate(column)]] for q, column in zip(spec.params, args)])
 
 
 # right-hand-side forms: rhs(context, spec, parameter values, direction)
@@ -812,17 +825,21 @@ def evaluate(f: GridFunction, reference: Reference, params: BoundParams, bound_i
     the part of ``reference`` its kind names (KARAMATA reads none).  Bounds with
     a direction check their unit reference at the default orthonormality tolerance.  A
     non-finite lhs, rhs, margin or error budget raises :class:`DegeneracyError`.  This is
-    the one-trial case of :func:`evaluate_trials`."""
-    return evaluate_trials([(f, reference, params)], bound_id, rule, tau_hyp, tau_on)[0]
+    the one-trial case of :func:`evaluate_trials`, its hypothesis reports with kernels."""
+    return evaluate_trials([(f, reference, params)], bound_id, rule, tau_hyp, tau_on,
+                           kernels=True)[0]
 
 
 def evaluate_trials(trials, bound_id: str, rule: str = DEFAULT_RULE,
-                    tau_hyp: float = DEFAULT_HYP_TOL,
-                    tau_on: float = DEFAULT_ORTHO_TOL) -> list[BoundResult]:
-    """:func:`evaluate` of one bound on each trial (f, reference, params), the functions of
-    one grid, field and d (and no jumps if several): every check runs on every trial, then
-    the hypotheses and integrands are judged on stacked rows.  Only a single trial raises
-    its own first error: a caller that needs it judges the trials one at a time."""
+                    tau_hyp: float = DEFAULT_HYP_TOL, tau_on: float = DEFAULT_ORTHO_TOL,
+                    stacks: dict | None = None, kernels: bool = False) -> list[BoundResult]:
+    """:func:`evaluate` of one bound on each trial (f, reference, params): every check runs
+    on every trial, then the hypotheses and integrands are judged in stacked groups of rows.
+    Several trials are judged together only from ``stacks``, a fuzz chunk's (see
+    :func:`_chunk_stacks`), where an error need not be the first trial's own; without them,
+    one at a time.  Only with ``kernels`` do the hypothesis reports carry kernels."""
+    if stacks is None and len(trials) > 1:
+        return [evaluate_trials([trial], bound_id, rule, tau_hyp, tau_on)[0] for trial in trials]
     spec = BOUNDS.get(bound_id)
     if spec is None:
         raise InputError(f"unknown bound id {quoted(bound_id)}")
@@ -836,21 +853,41 @@ def evaluate_trials(trials, bound_id: str, rule: str = DEFAULT_RULE,
             raise InputError(f"{bound_id} needs a unit reference vector")
         if family_row and (family is None or family.field != f.field or family.d != f.d):
             raise InputError(f"{bound_id} needs a family with the field and dimension of f")
-        validate_params(bound_id, params, None if family is None else family.n)
+        if stacks is None:
+            validate_params(bound_id, params, None if family is None else family.n)
         ests.append(defect(f, rule))
     directed = spec.reference == REF_DIRECTION and shape.directed
     directions = [_direction(f, ref, est, rule) if directed else None
                   for f, ref, est in zip(fs, refs, ests)]
     args = [[getattr(params, q.field) for q in spec.params] for _, _, params in trials]
-    coords, values = zip(*(
-        _family_inputs(spec, f, ref.family, a) if family_row else _unit_inputs(
-            shape, f, ref.e if direction is None else direction[0], a, tau_on)
-        for f, ref, a, direction in zip(fs, refs, args, directions)))
-    hyps = _hypotheses(shape, fs, coords, values, tau_hyp, family_row)
-    parts = (_integrand_integrals(shape, fs[0].grid, values, rule) if shape.integrand
-             else [[]] * len(fs))
+    coords = [None if family_row else _unit_reference(
+        shape, f, ref.e if direction is None else direction[0], tau_on)
+        for f, ref, direction in zip(fs, refs, directions)]
+    tables = (_chunk_stacks(spec, fs, args, stacks) if stacks is not None
+              else _family_stacks(spec, fs[0], refs[0].family, args[0]) if family_row
+              else _unit_stacks(shape, fs[0], coords[0], args[0]))   # of the one trial
+    hyps = _hypotheses(shape, tables, tau_hyp, family_row, kernels)
+    parts = _integrand_integrals(shape, tables, rule) if shape.integrand else [[]] * len(fs)
     return [_result(_Context(*row), spec, a, bound_id)
             for row, a in zip(zip(fs, ests, refs, directions, hyps, parts), args)]
+
+
+def _chunk_stacks(spec: "BoundSpec", fs, args: list, given: dict) -> _Stacks:
+    """The :class:`_Stacks` of a fuzz chunk's trials from its ``given`` stacks by table name
+    and profile field and a number's from ``args``, once each range rule of
+    :func:`validate_params` holds: a profile's on its stack, a number's value by value."""
+    tables = {name: stack.reshape(len(stack), -1, stack.shape[-1])   # a view
+              for name, stack in given.items()}
+    tables["values"] = given["values"][:, None]
+    values = {q.field: tables.pop(q.field) if q.kind in (PROFILE, PROFILES) else np.reshape(
+        np.array([a[j] for a in args], dtype=np.float64), (len(args), -1, 1))
+        for j, q in enumerate(spec.params)}
+    for q in (q for q in spec.params if q.rule is not None):
+        columns = [values[name] for name in (q.field, q.upper) if name]
+        for row in ([columns] if q.kind in (PROFILE, PROFILES)
+                    else zip(*(column.ravel().tolist() for column in columns))):
+            q.rule(*row)
+    return _Stacks(fs, None, list(values.values()), **tables)
 
 
 def _outcome(c: _Context, spec: "BoundSpec", args: list):

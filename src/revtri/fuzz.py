@@ -12,6 +12,7 @@ bound margins.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import bounds as B
 from .bounds import BoundParams, VIOLATED
-from .errors import InputError, quoted
+from .errors import InputError, RevtriError, quoted
 from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, _array_key,
                      _describable, _frozen, _project, grid_nodes, row_norms)
 from .hilbert import (COMPLEX, REAL, _DTYPES, HVector, OrthonormalFamily, _orthonormal_rows,
@@ -52,30 +53,32 @@ CHUNK_ENTRIES = 2 ** 16
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, order-free stream for one trial (Philox counter block of 64-bit words)."""
-    if not (0 <= seed < 2 ** 64 and 0 <= trial < 2 ** 64):
-        raise InputError(f"seed and trial must lie in [0, 2**64), got {seed!r} and {trial!r}")
+    _require_stream(seed, trial)
     counter = np.array([0, 0, 0, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
 
 
-def _reused_trial_rng():
-    """A function (seed, trial) -> ``trial_rng(seed, trial)`` for calls that share one
-    seed.  It builds one generator, and for each later trial sets its bit generator's
-    state to the fresh state with the counter [0, 0, 0, trial]: a Philox is counter-based,
-    so that is the stream a new one would give, without building one (which gathers
-    entropy for a seed sequence it does not use)."""
-    rng = fresh = None
+def _require_stream(seed: int, trial: int) -> None:
+    if not (0 <= seed < 2 ** 64 and 0 <= trial < 2 ** 64):
+        raise InputError(f"seed and trial must lie in [0, 2**64), got {seed!r} and {trial!r}")
 
-    def stream(seed: int, trial: int) -> np.random.Generator:
-        nonlocal rng, fresh
-        if rng is None:
-            rng = trial_rng(seed, trial)
-            fresh = rng.bit_generator.state
-        else:
-            fresh["state"]["counter"][3] = trial
-            rng.bit_generator.state = fresh
-        return rng
-    return stream
+
+_THREAD = threading.local()
+
+
+def _reused_trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The stream of ``trial_rng(seed, trial)`` from this thread's one generator, kept across
+    calls, set to a fresh state with the key [seed, 0] and the counter [0, 0, 0, trial]: a
+    Philox is counter-based, so that is the stream a new one would give, without building
+    one (which gathers entropy for a seed sequence it does not use)."""
+    _require_stream(seed, trial)
+    if not hasattr(_THREAD, "fresh"):
+        _THREAD.rng = trial_rng(seed, trial)
+        _THREAD.fresh = _THREAD.rng.bit_generator.state
+    _THREAD.fresh["state"]["key"][:] = seed, 0
+    _THREAD.fresh["state"]["counter"][3] = trial
+    _THREAD.rng.bit_generator.state = _THREAD.fresh
+    return _THREAD.rng
 
 
 # --------------------------------------------------------------------------
@@ -145,30 +148,17 @@ def _direction(rng) -> tuple[float, float]:
     return math.cos(psi), math.sin(psi)
 
 
-def _profiles(grid: Grid, values) -> list:
-    """The nonnegative parts of ``values``, (T, N+1) or (T, n, N+1), as a profile or n of
-    them per trial, adopting the rows of one read-only array (not checked again)."""
-    profile = partial(ScalarProfile, grid, nonnegative=False)
-    return [profile(v) if v.ndim == 1 else tuple(map(profile, v))
-            for v in _frozen(np.maximum(values, 0.0))]
-
-
-def _stacked(vectors) -> np.ndarray:
-    """The coordinates of each trial's vector (T, d), or of its family's members (T, n, d)."""
-    return np.stack([v.matrix() if isinstance(v, OrthonormalFamily) else v.coords
-                     for v in vectors])
-
-
 class _Chunk:
     """The trials of a chunk being generated: each draws from its own stream, and a path
     it draws computes only its two BLAS products, into its rows of that path's stacks.
-    All other node work runs once per chunk on stacks; node tables are kept on f."""
+    All other node work runs once per chunk on stacks, kept on f and, for the judge, in
+    :attr:`tables` (see :meth:`given`)."""
 
     def __init__(self, streams, seed: int, trials: range, grid: Grid, field: str, d: int,
                  n_family: int):
         self.streams, self.seed, self.trials = streams, seed, trials
         self.grid, self.field, self.d, self.n_family = grid, field, d, n_family
-        self.stacks, self.failure = [], None
+        self.stacks, self.failure, self.tables, self.made, self.kept = [], None, {}, {}, True
 
     def draw(self, one) -> list:
         """``one(rng)`` per trial, as columns; the chunk ends before a trial whose draws
@@ -218,36 +208,65 @@ class _Chunk:
                                _DTYPES[self.field])
         fill(self.values)
         self.values.setflags(write=False)
+        self.tables["values"] = self.values
         self.fs = [GridFunction(self.grid, self.field, row.T) for row in self.values]
-        self.norms = self._keep(lambda: row_norms(self.values.transpose(0, 2, 1)), lambda table: (
-            (f, ("norms",), row) for f, row in zip(self.fs, table)))
+        self.norms = self._keep("norms", lambda: row_norms(self.values.transpose(0, 2, 1)),
+                                lambda table: ((f, ("norms",), row)
+                                               for f, row in zip(self.fs, table)))
         return self.fs
+
+    def references(self, vectors) -> np.ndarray:
+        """The coordinates of each trial's vector (T, d), or of its family's members (T, n, d)."""
+        refs = self.tables["coords"] = np.stack([
+            v.matrix() if isinstance(v, OrthonormalFamily) else v.coords for v in vectors])
+        return refs
 
     def distances(self, refs: np.ndarray) -> np.ndarray:
         """||f(t) - e|| (T, n, N+1) for refs (T, n, d), kept as ``f.distances(e)``."""
         x = self.values.transpose(0, 2, 1)[:, None]
-        return self._keep(lambda: row_norms(np.broadcast_to(x, refs.shape[:2] + x.shape[2:]),
-                                            refs[:, :, None]), lambda table: (
-            (f, _array_key("distances", e), row)
-            for f, es, rows in zip(self.fs, refs, table) for e, row in zip(es, rows)))
+        return self._keep("distances", lambda: row_norms(
+            np.broadcast_to(x, refs.shape[:2] + x.shape[2:]), refs[:, :, None]), lambda table: (
+                (f, _array_key("distances", e), row)
+                for f, es, rows in zip(self.fs, refs, table) for e, row in zip(es, rows)))
 
     def projections(self, refs: np.ndarray) -> np.ndarray:
         """Re<f(t), e> (T, N+1) for refs (T, d), or (T, n, N+1) for a family's (T, n, d);
         kept as ``f.projections(refs[t])``."""
         columns = self.values[:, None] if refs.ndim == 3 else self.values
         out = np.empty(refs.shape[:-1] + (self.grid.n_nodes,))
-        return self._keep(lambda: _project(columns, refs, out), lambda table: (
+        return self._keep("projections", lambda: _project(columns, refs, out), lambda table: (
             (f, _array_key("projections", r), row.T) for f, r, row in zip(self.fs, refs, table)))
 
-    def _keep(self, compute, entries) -> np.ndarray:
-        """``compute()``, its (f, key, table) ``entries`` kept as ``f.cached`` keeps one:
-        only if computed without a floating-point error, else computed again, not kept."""
+    def profiles(self, **values) -> dict:
+        """The nonnegative parts of each of ``values``, (T, N+1) or (T, n, N+1), as the
+        profile parameter it names, a profile or n of them per trial, adopting the rows of
+        one read-only stack (not checked again), which :attr:`tables` keeps by that name."""
+        profile = partial(ScalarProfile, self.grid, nonnegative=False)
+        for field, value in values.items():
+            stack = self.tables[field] = _frozen(np.maximum(value, 0.0))
+            self.made[field] = [profile(v) if v.ndim == 1 else tuple(map(profile, v))
+                                for v in stack]
+        return {field: self.made[field] for field in values}
+
+    def given(self, fs, params: dict) -> dict | None:
+        """:attr:`tables` for the judge (see ``bounds.evaluate_trials``) if all were kept and
+        ``fs`` and the profiles are the chunk's own (a caller may swap one), else None."""
+        pairs = [(fs, self.fs), *((params[field], made) for field, made in self.made.items())]
+        return self.tables if self.kept and all(
+            a is b for x, y in pairs for a, b in zip(x, y)) else None
+
+    def _keep(self, name: str, compute, entries) -> np.ndarray:
+        """``compute()``, kept as ``name`` in :attr:`tables` and its (f, key, table) ``entries``
+        as ``f.cached`` keeps one, if computed without a floating-point error, else computed
+        again, not kept."""
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 table = compute()
         except FloatingPointError:
+            self.kept = False
             return compute()
         table.setflags(write=False)
+        self.tables[name] = table
         for f, key, row in entries(table):
             f._tables[key] = row
         return table
@@ -306,15 +325,16 @@ def _gen_dominance(chunk):
     path, = chunk.paths()
     fs = chunk.functions(lambda out: np.multiply(np.array(amps)[:, None, None],
                                                  path.transpose(0, 2, 1), out=out))
-    gap = chunk.norms - chunk.projections(_stacked(es))
-    return fs, es, {"k": _profiles(chunk.grid, np.maximum(gap, 0.0) + np.array(slacks)[:, None])}
+    gap = chunk.norms - chunk.projections(chunk.references(es))
+    return fs, es, chunk.profiles(k=np.maximum(gap, 0.0) + np.array(slacks)[:, None])
 
 
 def _gen_ball(chunk, kind=REF_UNIT):
     es, refs, rhos, scales, _ = chunk.draw(lambda rng: (
         *_reference_e(rng, chunk.field, chunk.d, kind), *_ball_draws(chunk, rng)))
-    fs = _scaled_paths(chunk, _stacked(es), scales)
-    chunk.distances(_stacked(es)[:, None])
+    centers = chunk.references(es)
+    fs = _scaled_paths(chunk, centers, scales)
+    chunk.distances(centers[:, None])
     return fs, refs, {"rho": rhos}
 
 
@@ -322,9 +342,10 @@ def _gen_ball_profile(chunk):
     es, amps, _, lifts = chunk.draw(lambda rng: (
         _unit_vector(rng, chunk.field, chunk.d), rng.uniform(0.1, 1.4), chunk.path(rng),
         rng.uniform(0.01, 0.3)))
-    fs = _scaled_paths(chunk, _stacked(es), amps)
-    distances = chunk.distances(_stacked(es)[:, None])[:, 0]
-    return fs, es, {"r": _profiles(chunk.grid, distances + np.array(lifts)[:, None])}
+    centers = chunk.references(es)
+    fs = _scaled_paths(chunk, centers, amps)
+    distances = chunk.distances(centers[:, None])[:, 0]
+    return fs, es, chunk.profiles(r=distances + np.array(lifts)[:, None])
 
 
 def _band_draws(rng) -> tuple:
@@ -337,9 +358,9 @@ def _band_draws(rng) -> tuple:
 def _gen_band(chunk, kind=REF_UNIT):
     es, refs, ms, Ms, scales, _ = chunk.draw(lambda rng: (
         *_reference_e(rng, chunk.field, chunk.d, kind), *_band_draws(rng), chunk.path(rng)))
-    centers = 0.5 * (np.array(Ms) + np.array(ms))
-    fs = _scaled_paths(chunk, centers[:, None] * _stacked(es), scales)
-    chunk.projections(_stacked(es))
+    centers, units = 0.5 * (np.array(Ms) + np.array(ms)), chunk.references(es)
+    fs = _scaled_paths(chunk, centers[:, None] * units, scales)
+    chunk.projections(units)
     return fs, refs, {"m": ms, "M": Ms}
 
 
@@ -352,18 +373,18 @@ def _gen_band_profiles(chunk):
     R = c0 * _smooth(xi_path, 0.1, 0.9)
     w = _bounded(w).transpose(0, 2, 1)
     fs = chunk.functions(lambda out: np.add(
-        np.multiply(_stacked(es)[:, :, None], c0[:, None], out=out),
+        np.multiply(chunk.references(es)[:, :, None], c0[:, None], out=out),
         (R * np.array(etas)[:, None])[:, None] * w, out=out))
-    return fs, es, {"m_profile": _profiles(chunk.grid, c0 - R),
-                    "M_profile": _profiles(chunk.grid, c0 + R)}
+    return fs, es, chunk.profiles(m_profile=c0 - R, M_profile=c0 + R)
 
 
 def _gen_scaled_dominance(chunk):
     es, _, scales, _, lifts = chunk.draw(lambda rng: (
         _unit_vector(rng, chunk.field, chunk.d), *_ball_draws(chunk, rng, rho_max=0.9),
         rng.uniform(0.0, 0.5)))
-    fs = _scaled_paths(chunk, _stacked(es), scales)
-    Ks = (chunk.norms / chunk.projections(_stacked(es))).max(axis=1) * (1.0 + np.array(lifts))
+    units = chunk.references(es)
+    fs = _scaled_paths(chunk, units, scales)
+    Ks = (chunk.norms / chunk.projections(units)).max(axis=1) * (1.0 + np.array(lifts))
     return fs, es, {"K": [max(K, 1.0) for K in Ks.tolist()]}
 
 
@@ -381,9 +402,9 @@ def _gen_arg_cone(chunk):
 def _gen_family_dominance(chunk):
     families, fs, lifts = _symmetric_trials(chunk, (0.0, 0.5), (0.5, 1.5),
                                             lambda rng: rng.uniform(0.0, 0.4))
-    gap = chunk.norms[:, None] - chunk.projections(_stacked(families))
-    profiles = _profiles(chunk.grid, np.maximum(gap, 0.0) + lifts[:, :, None])
-    return fs, families, {"dominance_profiles": profiles}
+    gap = chunk.norms[:, None] - chunk.projections(chunk.references(families))
+    return fs, families, chunk.profiles(dominance_profiles=np.maximum(gap, 0.0)
+                                        + lifts[:, :, None])
 
 
 def _gen_family_ball(chunk):
@@ -396,7 +417,7 @@ def _gen_family_ball(chunk):
     gamma_path, w = chunk.paths()
     c = 1.0 / math.sqrt(n) + np.array(gammas)[:, None] * _smooth(gamma_path, -1.0, 1.0)
     fs = _symmetric(chunk, families, c, eps, w)
-    tops = chunk.distances(_stacked(families)).max(axis=2)
+    tops = chunk.distances(chunk.references(families)).max(axis=2)
     return fs, families, {"rhos": list(map(tuple, tops + np.array(lifts) * (1.0 - tops)))}
 
 
@@ -407,7 +428,7 @@ def _band_amp(chunk: _Chunk) -> tuple:
 def _gen_family_band(chunk):
     families, fs, u = _symmetric_trials(chunk, _band_amp(chunk), (0.8, 1.5), lambda rng: (
         rng.uniform(0.05, 0.5), rng.uniform(0.1, 0.9)))
-    q, p = chunk.norms[:, None] ** 2, chunk.projections(_stacked(families))
+    q, p = chunk.norms[:, None] ** 2, chunk.projections(chunk.references(families))
     Ms = (1.0 + u[..., 0]) * (q / p).max(axis=2)
     caps = ((Ms[..., None] * p - q) / (Ms[..., None] - p)).min(axis=2)
     return fs, families, {"ms": list(map(tuple, u[..., 1] * caps)), "Ms": list(map(tuple, Ms))}
@@ -416,19 +437,18 @@ def _gen_family_band(chunk):
 def _gen_family_ball_profiles(chunk):
     families, fs, lifts = _symmetric_trials(chunk, (0.0, 0.5), (0.5, 1.5),
                                             lambda rng: rng.uniform(0.01, 0.5))
-    distances = chunk.distances(_stacked(families))
-    return fs, families, {"r_profiles": _profiles(chunk.grid, distances + lifts[:, :, None])}
+    distances = chunk.distances(chunk.references(families))
+    return fs, families, chunk.profiles(r_profiles=distances + lifts[:, :, None])
 
 
 def _gen_family_band_profiles(chunk):
     families, fs, u = _symmetric_trials(chunk, _band_amp(chunk), (0.8, 1.5), lambda rng: (
         rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.9)))
-    q, p = chunk.norms[:, None] ** 2, chunk.projections(_stacked(families))
+    q, p = chunk.norms[:, None] ** 2, chunk.projections(chunk.references(families))
     c0 = (1.0 + u[..., 0, None]) * q / (2.0 * p)
     dist = np.sqrt(np.maximum(q - 2.0 * c0 * p + c0 * c0, 0.0))
     R = dist + u[..., 1, None] * (c0 - dist)
-    return fs, families, {"m_profiles": _profiles(chunk.grid, c0 - R),
-                          "M_profiles": _profiles(chunk.grid, c0 + R)}
+    return fs, families, chunk.profiles(m_profiles=c0 - R, M_profiles=c0 + R)
 
 
 def _gen_complex_box(chunk):
@@ -439,11 +459,12 @@ def _gen_complex_box(chunk):
     base_re, base_im = _smooth(re_path, 0.3, 2.0), _smooth(im_path, 0.3, 2.0)
     alpha, beta = np.array(directions).T[:, :, None]
     fs = chunk.functions(lambda out: np.add(alpha * base_re, 1j * beta * base_im, out=out[:, 0]))
-    chunk.projections(np.array([[complex(a, b)] for a, b in directions]))
+    refs = chunk.tables["coords"] = np.array([[complex(a, b)] for a, b in directions])
+    chunk.projections(refs)
     kappa = np.array(kappas)[:, None]
-    return fs, directions, {
-        "m_profile": _profiles(chunk.grid, np.minimum(base_re, base_im) * (1.0 - kappa)),
-        "M_profile": _profiles(chunk.grid, np.maximum(base_re, base_im) * (1.0 + kappa))}
+    return fs, directions, chunk.profiles(
+        m_profile=np.minimum(base_re, base_im) * (1.0 - kappa),
+        M_profile=np.maximum(base_re, base_im) * (1.0 + kappa))
 
 
 #: The generator of every (hypothesis shape, reference kind) a ``BOUNDS`` row has.
@@ -502,9 +523,10 @@ def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> t
 
 
 def _generate(streams, seed: int, trials: range, bound_id: str, grid: Grid, field: str,
-              d: int, n_family: int) -> tuple[list[Scenario], Exception | None]:
+              d: int, n_family: int) -> tuple[list[Scenario], dict | None, Exception | None]:
     """The scenarios of ``trials`` as one chunk, drawn from ``streams(seed, trial)`` (the
-    stream of ``trial_rng(seed, trial)``), and the error that ended the chunk early or None."""
+    stream of ``trial_rng(seed, trial)``), its :meth:`_Chunk.given` stacks for the judge and
+    the error that ended the chunk early or None."""
     spec = B.BOUNDS[bound_id]
     chunk = _Chunk(streams, seed, trials, grid, field, d, n_family)
     fs, refs, params = GENERATORS[spec.shape, spec.reference](chunk)
@@ -520,7 +542,7 @@ def _generate(streams, seed: int, trials: range, bound_id: str, grid: Grid, fiel
             tolerances=Tolerances(), provenance=provenance)
         vars(scenario)["f"] = f  # fills the cache of Scenario.f: run() reuses the generated f
         scenarios.append(scenario)
-    return scenarios, chunk.failure
+    return scenarios, chunk.given(fs, params), chunk.failure
 
 
 @dataclass
@@ -594,34 +616,35 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
                           reports=[] if keep_reports else None)
     setup = _setup(bound_id, d, field, n_family, n_panels)
     size = max(1, CHUNK_ENTRIES // (setup[1].n_nodes * setup[3]))
-    streams = _reused_trial_rng()
+    streams = _reused_trial_rng
     for lo in range(0, trials, size):
-        scenarios, failure = _generate(streams, seed, range(lo, min(lo + size, trials)), *setup)
-        _judge(summary, list(zip(range(lo, trials), scenarios)))
+        scenarios, stacks, failure = _generate(streams, seed, range(lo, min(lo + size, trials)),
+                                               *setup)
+        _judge(summary, list(zip(range(lo, trials), scenarios)), stacks)
         if failure is not None:
             raise failure
     return summary
 
 
-def _judge(summary: FuzzSummary, chunk: list[tuple[int, Scenario]]) -> None:
+def _judge(summary: FuzzSummary, chunk: list[tuple[int, Scenario]], stacks: dict | None) -> None:
     """Integrate the chunk's trials in one pass and judge them in one pass under run()'s
-    floating-point guard, then tally each.  If judging raises, the trials are judged again
+    floating-point guard, both reading the ``stacks`` the chunk built, then tally each.
+    Without stacks, or if judging raises an error a trial can raise, the trials are judged
     one at a time by ``run()``, so that the earliest trial's own error raises."""
-    if not chunk:
-        return
-    scenarios = [scenario for _, scenario in chunk]
-    integrate_trials([scenario.f for scenario in scenarios])
-    tol = scenarios[0].tolerances
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            results = B.evaluate_trials(
-                [(s.f, s.reference, s.bounds[0].params) for s in scenarios],
-                summary.bound_id, tau_hyp=tol.tau_hyp, tau_on=tol.tau_on)
-        reports = [RunReport(s.id, (r.without_kernels(),), defect(s.f), _rollup([r.verdict]),
-                             s.provenance) for s, r in zip(scenarios, results)]
-    except Exception:
-        reports = [run(scenario) for scenario in scenarios]
-    for (trial, scenario), report in zip(chunk, reports):
+    scenarios, reports = [scenario for _, scenario in chunk], None
+    if stacks is not None:
+        integrate_trials([s.f for s in scenarios], stacks["values"], stacks["norms"])
+        tol = scenarios[0].tolerances
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                results = B.evaluate_trials(
+                    [(s.f, s.reference, s.bounds[0].params) for s in scenarios],
+                    summary.bound_id, tau_hyp=tol.tau_hyp, tau_on=tol.tau_on, stacks=stacks)
+            reports = [RunReport(s.id, (r,), defect(s.f), _rollup([r.verdict]), s.provenance)
+                       for s, r in zip(scenarios, results)]
+        except (RevtriError, FloatingPointError):
+            pass
+    for (trial, scenario), report in zip(chunk, reports or [run(s) for s in scenarios]):
         _tally(summary, trial, scenario, report)
 
 

@@ -248,42 +248,17 @@ def _defects(field: str, grid: Grid, values: np.ndarray, norms: np.ndarray, jump
     return out
 
 
-def _stacked(fs) -> np.ndarray:
-    """The functions' node arrays as (T, d, N+1): the stack whose rows they are, as a fuzz
-    chunk builds them, else a stacked copy."""
-    rows, base = [f.values.T for f in fs], fs[0].values.base
-    if base is not None and base.flags.c_contiguous and base.shape == (len(fs), *rows[0].shape) \
-            and all(r.base is base and _address(r) == _address(b) for r, b in zip(rows, base)):
-        return base
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
-
-
-def _address(arr: np.ndarray) -> int:
-    return arr.ctypes.data
-
-
-def integrate_trials(fs, rule: str = DEFAULT_RULE) -> None:
-    """Keep on each function of ``fs`` its node norms and its defect, as ``f.norms()`` and
-    :func:`defect` compute them, from one pass over all of them.
-
-    The functions share grid, field and d and have no jumps.  Their column-major node
-    arrays are read as (T, d, N+1), without a copy if they are the rows of one such stack
-    (see :func:`_stacked`) or one function.  Node norms a function keeps are not computed
-    again.  If the pass meets overflow, an invalid operation or division by zero, nothing
-    is kept, so each function's own :func:`defect` raises or warns as it would have."""
+def integrate_trials(fs, values: np.ndarray, norms: np.ndarray, rule: str = DEFAULT_RULE) -> None:
+    """Keep on each function of ``fs`` its defect, as :func:`defect` computes it, from one
+    pass over the jump-free rows of a fuzz chunk's ``values`` (T, d, N+1), whose node norms
+    ``norms`` (T, N+1) they keep.  If the pass meets overflow, an invalid operation or
+    division by zero, no defect is kept, so each function's own :func:`defect` raises or
+    warns as it would have."""
     first = fs[0]
-    stack = _stacked(fs)
-    kept = [f._tables.get(("norms",)) for f in fs]
-    todo = [i for i, table in enumerate(kept) if table is None]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            rest = stack if len(todo) == len(fs) else stack[todo]
-            for i, table in zip(todo, row_norms(rest.transpose(0, 2, 1)) if todo else ()):
-                kept[i] = table
-            norms = np.stack(kept)
-            estimates = _defects(first.field, first.grid, stack.T, norms.T, None, rule)
+            estimates = _defects(first.field, first.grid, values.T, norms.T, None, rule)
     except FloatingPointError:
         return
-    for f, f_norms, est in zip(fs, norms, estimates):
-        f.cached(("norms",), lambda: f_norms)
+    for f, est in zip(fs, estimates):
         f.cached(("defect", rule), lambda: est)

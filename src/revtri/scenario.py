@@ -568,8 +568,9 @@ def run(scenario: Scenario) -> RunReport:
     f is materialized (if the scenario has not built it yet) and integrated once for
     every bound and the report.  Overflow, invalid operations and division by zero
     raise :class:`DegeneracyError`.  The report holds numbers and strings only: its
-    hypothesis reports keep no kernel, so a held report does not keep f, its node tables
-    or the profiles alive; ``bounds.evaluate`` on ``scenario.f`` gives the slack profiles."""
+    hypothesis reports are judged without kernels, so a held report does not keep f, its
+    node tables or the profiles alive; ``bounds.evaluate`` on ``scenario.f`` gives the slack
+    profiles."""
     tol = scenario.tolerances
     stage = "function"
     try:
@@ -580,9 +581,9 @@ def run(scenario: Scenario) -> RunReport:
             results = []
             for entry in scenario.bounds:
                 stage = entry.bound_id
-                results.append(B.evaluate(f, scenario.reference, entry.params, entry.bound_id,
-                                          tau_hyp=tol.tau_hyp,
-                                          tau_on=tol.tau_on).without_kernels())
+                results += B.evaluate_trials([(f, scenario.reference, entry.params)],
+                                             entry.bound_id, tau_hyp=tol.tau_hyp,
+                                             tau_on=tol.tau_on)
     except FloatingPointError as exc:
         raise DegeneracyError(f"[{scenario.id}:{stage}] floating-point {exc}") from None
     except RevtriError as exc:

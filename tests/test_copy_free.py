@@ -384,9 +384,9 @@ def _family_context(field, scale, n=3):
 def _family_hypothesis(c, bound_id, params):
     """The hypothesis report of a family row, as ``bounds.evaluate`` judges it."""
     spec = B.BOUNDS[bound_id]
-    ref, values = B._family_inputs(spec, c.f, c.ref.family,
-                                   [getattr(params, q.field) for q in spec.params])
-    return B._hypotheses(spec.shape, [c.f], [ref], [values], B.DEFAULT_HYP_TOL, family=True)[0]
+    stacks = B._family_stacks(spec, c.f, c.ref.family,
+                              [getattr(params, q.field) for q in spec.params])
+    return B._hypotheses(spec.shape, stacks, B.DEFAULT_HYP_TOL, family=True, kernels=True)[0]
 
 
 def _old_family(residuals):

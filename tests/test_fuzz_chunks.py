@@ -8,8 +8,10 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import threading
 
 import numpy as np
+import numpy._core._internal as np_internal
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from revtri.scenario import BoundEntry, Scenario, Tolerances, report_to_csv, rep
 from .conftest import table_key
 from .test_copy_free import _frame, _peak_bytes
 from .test_hypothesis_routes import _public_check, _tree
+from .test_residual_kernels import _reports
 
 F = importlib.import_module("revtri.fuzz")   # the package's name ``fuzz`` is the function
 
@@ -42,6 +45,16 @@ def _chunk_of(bound_id: str, field: str, trials: int, monkeypatch) -> None:
     """Set CHUNK_ENTRIES so that a chunk of ``bound_id``'s trials holds ``trials`` trials."""
     size = generate_scenario(bound_id, SEED, 0, **_config(bound_id, field)).f.values.size
     monkeypatch.setattr(F, "CHUNK_ENTRIES", trials * size)
+
+
+def _generated(bound_id: str, field: str, trials: int = 5) -> tuple:
+    """The scenarios of ``trials`` trials generated as one chunk, as a fuzz call makes them,
+    and the stacks the chunk hands its judge."""
+    cfg = _config(bound_id, field)
+    setup = F._setup(bound_id, cfg["d"], field, cfg["n_family"], cfg["n_panels"])
+    scenarios, stacks, failure = F._generate(F._reused_trial_rng, SEED, range(trials), *setup)
+    assert failure is None and stacks is not None
+    return scenarios, stacks
 
 
 def _summary_text(summary) -> str:
@@ -76,17 +89,22 @@ def test_chunked_fuzz_gives_the_bytes_of_one_trial_at_a_time(bound_id, field, mo
         assert chunked.to_dict() == alone.to_dict()
 
 
+def _kernel_free(tree):
+    """A report's :func:`_tree` as a report without kernels gives it."""
+    *numbers, _, subs = tree
+    return (*numbers, True, None if subs is None else [_kernel_free(s) for s in subs])
+
+
 @pytest.mark.parametrize("bound_id", B.ALL_BOUND_IDS)
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_a_chunk_judges_each_hypothesis_as_its_public_checker(bound_id, field):
-    """Each trial's hypothesis report from one stacked pass over 5 trials, slack profiles
-    included, is the public ``check_*`` function's, or for a family the report of
-    ``evaluate`` on the trial alone."""
-    scenarios = [generate_scenario(bound_id, SEED, t, **_config(bound_id, field))
-                 for t in range(5)]
+    """Each trial's hypothesis report from one stacked pass over a chunk of 5 trials, read
+    from the chunk's stacks, is the public ``check_*`` function's, or for a family the report
+    of ``evaluate`` on the trial alone, but without kernels: only those two attach them."""
+    scenarios, stacks = _generated(bound_id, field)
     tol = scenarios[0].tolerances
     results = B.evaluate_trials([(s.f, s.reference, s.bounds[0].params) for s in scenarios],
-                                bound_id, tau_hyp=tol.tau_hyp, tau_on=tol.tau_on)
+                                bound_id, tau_hyp=tol.tau_hyp, tau_on=tol.tau_on, stacks=stacks)
     for s, result in zip(scenarios, results):
         params = s.bounds[0].params
         if bound_id in B.FAMILY_BOUNDS:
@@ -94,7 +112,19 @@ def test_a_chunk_judges_each_hypothesis_as_its_public_checker(bound_id, field):
                               tau_on=tol.tau_on).hypothesis
         else:
             want = _public_check(s.f, s.reference, bound_id, params, tol)
-        assert _tree(result.hypothesis) == _tree(want), s.id
+        assert _tree(result.hypothesis, slack=False) == _kernel_free(_tree(want)), s.id
+
+
+@pytest.mark.parametrize("bound_id", [B.COR_2_2, B.THM_3_1, B.PROP_4_3])
+def test_trials_without_stacks_are_judged_one_at_a_time(bound_id):
+    scenarios, _ = _generated(bound_id, REAL, trials=3)
+    trials = [(s.f, s.reference, s.bounds[0].params) for s in scenarios]
+    results = B.evaluate_trials(trials, bound_id)
+    assert len(results) == 3
+    for trial, result in zip(trials, results):
+        want, = B.evaluate_trials([trial], bound_id)
+        assert (result.lhs, result.rhs, result.verdict) == (want.lhs, want.rhs, want.verdict)
+        assert _tree(result.hypothesis, slack=False) == _tree(want.hypothesis, slack=False)
 
 
 @pytest.mark.parametrize("bound_id", B.ALL_BOUND_IDS)
@@ -141,17 +171,18 @@ def test_the_judge_computes_no_node_table(bound_id, field, monkeypatch):
 
 
 def test_the_pass_keeps_what_defect_and_norms_compute():
-    fs = [generate_scenario(B.COR_3_3, 5, t, d=4, field=COMPLEX).f for t in range(4)]
-    fresh = [GridFunction(f.grid, f.field, f.values) for f in fs]
-    integrate_trials(fresh)
-    for f, g in zip(fs, fresh):
-        want, got = defect(f), g._tables[("defect", "simpson")]
+    scenarios, stacks = _generated(B.COR_3_3, COMPLEX, trials=4)
+    fs = [s.f for s in scenarios]
+    integrate_trials(fs, stacks["values"], stacks["norms"])
+    for f in fs:
+        fresh = GridFunction(f.grid, f.field, f.values.copy())
+        want, got = defect(fresh), f._tables[("defect", "simpson")]
         for name in ("value", "err_est", "norm_integral", "norm_integral_err",
                      "integral_norm", "integral_err"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
         assert got.integral.coords.tobytes() == want.integral.coords.tobytes()
-        assert g._tables[("norms",)].tobytes() == f.norms().tobytes()
-        assert defect(g) is got
+        assert f._tables[("norms",)].tobytes() == fresh.norms().tobytes()
+        assert defect(f) is got
 
 
 def _overflowing(monkeypatch, bound_id: str, bad_trial: int, generation_error: int | None = None):
@@ -241,14 +272,90 @@ def test_trials_before_a_failed_generation_are_judged_first(monkeypatch):
 
 
 def test_the_reused_generator_gives_the_streams_of_trial_rng():
-    seed = 2 ** 64 - 5
-    stream = F._reused_trial_rng()
-    for trial in (0, 1, 2 ** 64 - 1, 1, 0):
+    """The thread's generator, kept across fuzz() calls, gives each (seed, trial) the stream
+    of trial_rng: re-keyed by the seed too, so that a second seed is not read from the first
+    seed's key."""
+    stream, first = F._reused_trial_rng, F._reused_trial_rng(7, 0)
+    fuzz_fn(B.COR_2_2, 3, 7, **_config(B.COR_2_2, REAL))   # an earlier call drew from it
+    assert stream(7, 0) is first
+    cases = [(2 ** 64 - 5, trial) for trial in (0, 1, 2 ** 64 - 1, 1, 0)]
+    for seed, trial in cases + [(1, 0), (2, 0), (7, 2), (1, 0), (0, 2 ** 64 - 1)]:
         rng, fresh = stream(seed, trial), trial_rng(seed, trial)
         for draw in (lambda g: g.integers(1, 9), lambda g: g.standard_normal(5),
                      lambda g: g.integers(0, 2 ** 32, dtype=np.uint32),   # half a word left
                      lambda g: g.uniform(0.1, 0.9, 3)):
-            assert np.asarray(draw(rng)).tobytes() == np.asarray(draw(fresh)).tobytes(), trial
+            assert np.asarray(draw(rng)).tobytes() == np.asarray(draw(fresh)).tobytes(), \
+                (seed, trial)
+    with pytest.raises(InputError, match=r"seed and trial must lie in \[0, 2\*\*64\)"):
+        stream(2 ** 64, 0)
+    other = []
+    thread = threading.Thread(target=lambda: other.append(stream(7, 0)))
+    thread.start()
+    thread.join()
+    assert other[0] is not first   # one generator per thread
+
+
+def _watched(monkeypatch, forbidden: dict) -> list:
+    """Make each call in ``forbidden`` (name -> (owner, attribute)) raise while ``fuzz._judge``
+    runs, and record the ``stacks`` each ``evaluate_trials`` call is given."""
+    judging, given = [], []
+    for name, (owner, attr) in forbidden.items():
+        def call(*args, _name=name, _original=getattr(owner, attr), **kwargs):
+            if judging:
+                raise AssertionError(f"{_name} called while a chunk is judged")
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, call)
+    judge, evaluate_trials = F._judge, B.evaluate_trials
+
+    def judged(*args):
+        judging.append(True)
+        try:
+            return judge(*args)
+        finally:
+            judging.pop()
+
+    def recorded(*args, **kwargs):
+        given.append(kwargs.get("stacks"))
+        return evaluate_trials(*args, **kwargs)
+    monkeypatch.setattr(F, "_judge", judged)
+    monkeypatch.setattr(B, "evaluate_trials", recorded)
+    return given
+
+
+def _raising(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("bound_id", B.ALL_BOUND_IDS)
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_the_judge_reads_the_chunk_stacks_and_attaches_no_kernel(bound_id, field, monkeypatch):
+    """A 5-trial fuzz call judges its chunk from the stacks the chunk built: while it is
+    judged, nothing is stacked and no array address is read, and neither the fuzz call
+    nor run() attaches a kernel, which only ``evaluate`` and ``check_*`` do."""
+    given = _watched(monkeypatch, {"np.stack": (np, "stack"),
+                                   "an address lookup": (np_internal._ctypes, "__init__")})
+    monkeypatch.setattr(F, "run", _raising)   # no trial is judged again alone
+    monkeypatch.setattr(B, "_slack", _raising)   # no kernel is evaluated, and none is kept
+    summary = fuzz_fn(bound_id, 5, SEED, keep_reports=True, **_config(bound_id, field))
+    assert summary.holds == 5 and len(given) == 1 and given[0] is not None
+    assert {"values", "norms"} <= set(given[0])
+    for report in summary.reports:
+        assert all(r.kernel is None for r in _reports(report.results[0].hypothesis))
+    report = run(generate_scenario(bound_id, SEED, 0, **_config(bound_id, field)))
+    assert all(r.kernel is None for r in _reports(report.results[0].hypothesis))
+
+
+@pytest.mark.parametrize("bound_id", B.ALL_BOUND_IDS)
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_a_bug_in_the_stacked_pass_is_not_swallowed(bound_id, field, monkeypatch):
+    """The judge falls back to run() only on the errors a trial can raise: an error of the
+    stacked pass itself propagates instead of being judged again on the slow path."""
+    cfg = _config(bound_id, field)
+    monkeypatch.setattr(F, "run", _raising)
+    assert fuzz_fn(bound_id, 5, SEED, **cfg).holds == 5   # every trial judged in one pass
+    monkeypatch.setattr(B, "_take", lambda *args: [][0])
+    with pytest.raises(IndexError):
+        fuzz_fn(bound_id, 5, SEED, **cfg)
 
 
 def _bits(x: float) -> bytes:

@@ -52,12 +52,13 @@ def _public_check(f, reference, bound_id, p, tol) -> B.HypothesisReport:
     return calls[bound_id]()
 
 
-def _tree(report: B.HypothesisReport):
-    """Every field of the report and of its sub-reports, the slack profile as bytes."""
+def _tree(report: B.HypothesisReport, slack: bool = True):
+    """Every field of the report and of its sub-reports, the slack profile as bytes (unless
+    ``slack`` is False: then whether the report has no kernel)."""
     subs = report.sub_reports
     return (report.condition_id, report.holds, report.worst_violation, report.worst_node,
-            report.tol, report.slack_profile.tobytes(),
-            None if subs is None else [_tree(s) for s in subs])
+            report.tol, report.slack_profile.tobytes() if slack else report.kernel is None,
+            None if subs is None else [_tree(s, slack) for s in subs])
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

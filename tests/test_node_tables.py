@@ -174,14 +174,16 @@ def test_stacked_functions_rescale_tiny_norms_one_at_a_time():
     scales = (0, -1060, None, -600, 0)
     fs = [GridFunction(grid, REAL, np.zeros_like(base) if k is None else np.ldexp(base, k))
           for k in scales]
-    integrate_trials(fs)
-    for f, k in zip(fs, scales):
+    values = np.stack([f.values.T for f in fs])
+    norms = row_norms(values.transpose(0, 2, 1))   # as a fuzz chunk computes them
+    integrate_trials(fs, values, norms)
+    for f, k, got in zip(fs, scales, norms):
         want = _rescaled(_numpy_norms)(f.values)
-        assert f.norms().tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
         if k == 0:
             assert want.tobytes() == _numpy_norms(f.values).tobytes()
         elif k is not None:
-            assert (f.norms() > 0.0).all()
+            assert (got > 0.0).all()
             est = defect(f)
             assert est.value >= -est.err_est
 
@@ -353,8 +355,8 @@ def _numpy_per_bound(monkeypatch) -> list:
 
     def counting(rows, m_vals, M_vals):   # one row at a time, as run() judges its rows
         calls.append(rows)
-        (f,), (e,) = rows.fs, rows.coords()
-        return _old_band_norm_residuals(f, e, m_vals, M_vals)[None]
+        (f,), ((e,),) = rows.stacks.fs, rows.coords()
+        return _old_band_norm_residuals(f, e, m_vals[0, 0], M_vals[0, 0])[None, None]
     patch_shape(monkeypatch, "_BAND_NORM", kernel=counting)
     return calls
 
@@ -526,13 +528,14 @@ def test_sin_table_once_per_grid_and_omega():
 # sweeps evaluate the swept bound only
 
 def _count_evaluate(monkeypatch) -> list:
+    """The bound id of each evaluation, as run() judges its bounds: one trial at a time."""
     calls = []
-    original = B.evaluate
+    original = B.evaluate_trials
 
     def counting(*args, **kwargs):
-        calls.append(args[3] if len(args) > 3 else kwargs["bound_id"])
+        calls.append(args[1] if len(args) > 1 else kwargs["bound_id"])
         return original(*args, **kwargs)
-    monkeypatch.setattr(B, "evaluate", counting)
+    monkeypatch.setattr(B, "evaluate_trials", counting)
     return calls
 
 

@@ -215,7 +215,8 @@ def test_worst_node_is_the_first_nan():
     given = B._Shape("given", lambda rows, v: v.copy(), ("v",))
 
     def family_check(a, b):
-        return B._hypotheses(given, [f], [None], [[[a, b]]], B.DEFAULT_HYP_TOL, family=True)[0]
+        return B._hypotheses(given, B._Stacks([f], [None], [[[a, b]]]), B.DEFAULT_HYP_TOL,
+                             family=True, kernels=True)[0]
     a, b = np.full(GRID.n_nodes, -1.0), np.full(GRID.n_nodes, -2.0)
     a[9], b[7], b[3] = np.nan, np.nan, 5.0
     fam = family_check(a, b)

@@ -251,11 +251,11 @@ class _Stacks:
 
 def _take(table, trials: slice, members: slice) -> np.ndarray:
     """The rows of ``members`` of ``trials`` in a table of :class:`_Stacks`, a view (Tg, ng,
-    ...) of a stack or of one trial's listed row; a listed number stays as it was given."""
+    ...) of a stack or of one trial's listed row (a number as a 0-d array)."""
     if isinstance(table, np.ndarray):
         return table[trials, members]
     row, = table[0][members]
-    return row[None, None] if np.ndim(row) else row
+    return row[None, None] if row.ndim else row
 
 
 class _Rows(NamedTuple):
@@ -371,8 +371,8 @@ def _hypotheses(shape: "_Shape", stacks: _Stacks, tau_hyp: float, family: bool =
         residuals = _residuals(shape, stacks, trials, members)
         worst = nodes[trials, members] = residuals.argmax(axis=2)
         peaks[trials, members] = np.take_along_axis(residuals, worst[..., None], 2)[..., 0]
-        if family:
-            np.maximum(tops[trials], residuals.max(axis=1), out=tops[trials])
+        for i in range(residuals.shape[1] if family else 0):   # member by member, in place
+            np.maximum(tops[trials], residuals[:, i], out=tops[trials])
         del residuals   # freed before the next group's kernel runs
     implied = (_hypotheses(shape.implies, stacks, tau_hyp, kernels=kernels) if shape.implies
                else [None] * n_trials)
@@ -402,17 +402,21 @@ def _unit_reference(shape: "_Shape", f: GridFunction, e: HVector | None, tau_on:
     return e.coords
 
 
-def _unit_stacks(shape: "_Shape", f: GridFunction, ref, params) -> _Stacks:
-    """One unit or direction trial's :class:`_Stacks`, for its reference coordinates."""
-    return _Stacks([f], [ref], [[[_profile_on(f, p, name)]]
-                                for name, p in zip(shape.names, params)])
+def _trial_stacks(f: GridFunction, ref, names, columns) -> _Stacks:
+    """One trial's :class:`_Stacks`, for its reference coordinates ``ref``: each parameter's
+    values by member in ``columns``, through :func:`_profile_on`; member i of a parameter
+    named ``x_i`` in ``names`` is named ``x_<i>`` in errors."""
+    return _Stacks([f], [ref], [[[_profile_on(f, p, name.replace("_i", f"_{i}"))
+                                  for i, p in enumerate(column)]]
+                                for name, column in zip(names, columns)])
 
 
 def _check(shape: "_Shape", f: GridFunction, e: HVector | None, params, tau_hyp: float,
            tau_on: float = DEFAULT_ORTHO_TOL, require=lambda *values: None) -> HypothesisReport:
     """``shape`` on f against the unit reference e, if it reads one; ``require`` judges the
     node values of ``params``."""
-    stacks = _unit_stacks(shape, f, _unit_reference(shape, f, e, tau_on), params)
+    stacks = _trial_stacks(f, _unit_reference(shape, f, e, tau_on), shape.names,
+                           [[p] for p in params])
     require(*(column[0][0] for column in stacks.params))
     return _hypotheses(shape, stacks, tau_hyp, kernels=True)[0]
 
@@ -602,8 +606,7 @@ def _direction(f: GridFunction, ref: Reference, est: DefectEstimate, rule: str):
 
     def parts():
         jumps = {j: np.array([v[0].real, v[0].imag]) for j, v in (f.jumps or {}).items()}
-        pairs = (z.view(np.float64).reshape(-1, 2) if z.flags.c_contiguous   # no copy
-                 else np.stack([z.real, z.imag], axis=1))
+        pairs = z.view(np.float64).reshape(-1, 2)   # no copy: f's columns are contiguous
         value, diff = _integrate(f.grid, pairs, jumps, rule)
         return value.tolist(), np.abs(diff).tolist()   # |v|: the norm of a one-entry v
     (re, im), (re_err, im_err) = f.cached(("part_integrals", rule), parts)
@@ -615,22 +618,15 @@ def _direction(f: GridFunction, ref: Reference, est: DefectEstimate, rule: str):
 
 def _integrand_integrals(shape: _Shape, stacks: _Stacks, rule: str) -> list:
     """Per trial, the integral (value, error) of the shape's integrand g of each member, the
-    rows made and integrated in the groups of :func:`_groups`."""
+    rows made and integrated in the groups of :func:`_groups` (a g of numbers broadcast)."""
     grid, n_trials, n = stacks.fs[0].grid, len(stacks.fs), len(stacks.params[0][0])
     pairs = []   # by trial, then member
     for trials, members in _groups(n_trials, n, grid.n_nodes):
         g = shape.integrand(*(_take(p, trials, members) for p in stacks.params))
+        g = np.broadcast_to(g, (*g.shape[:-1], grid.n_nodes))
         full, diff = _integrate(grid, g.reshape(-1, grid.n_nodes).T, None, rule)
         pairs += zip(full.tolist(), np.abs(diff).tolist())
     return [pairs[t * n: (t + 1) * n] for t in range(n_trials)]
-
-
-def _family_stacks(spec: "BoundSpec", f: GridFunction, family: OrthonormalFamily, args) -> _Stacks:
-    """One family trial's :class:`_Stacks`: a member's profile is named by its file key with
-    the index for ``i``, its number stays a float."""
-    return _Stacks([f], [family.matrix()], [[
-        [p if q.kind == NUMBERS else _profile_on(f, p, q.key.replace("_i", f"_{i}"))
-         for i, p in enumerate(column)]] for q, column in zip(spec.params, args)])
 
 
 # right-hand-side forms: rhs(context, spec, parameter values, direction)
@@ -864,8 +860,9 @@ def evaluate_trials(trials, bound_id: str, rule: str = DEFAULT_RULE,
         shape, f, ref.e if direction is None else direction[0], tau_on)
         for f, ref, direction in zip(fs, refs, directions)]
     tables = (_chunk_stacks(spec, fs, args, stacks) if stacks is not None
-              else _family_stacks(spec, fs[0], refs[0].family, args[0]) if family_row
-              else _unit_stacks(shape, fs[0], coords[0], args[0]))   # of the one trial
+              else _trial_stacks(fs[0], refs[0].family.matrix(), [q.key for q in spec.params],
+                                 args[0]) if family_row
+              else _trial_stacks(fs[0], coords[0], shape.names, [[p] for p in args[0]]))
     hyps = _hypotheses(shape, tables, tau_hyp, family_row, kernels)
     parts = _integrand_integrals(shape, tables, rule) if shape.integrand else [[]] * len(fs)
     return [_result(_Context(*row), spec, a, bound_id)
@@ -890,41 +887,35 @@ def _chunk_stacks(spec: "BoundSpec", fs, args: list, given: dict) -> _Stacks:
     return _Stacks(fs, None, list(values.values()), **tables)
 
 
-def _outcome(c: _Context, spec: "BoundSpec", args: list):
-    """(hypothesis, lhs, rhs, err, rhs_terms, diagnostics) of one row: its shape's report,
-    then its right-hand-side form; a row with a direction reports the split projection too."""
-    direction = c.direction
-    lhs, rhs, err, terms, diags, mult = spec.rhs(c, spec, args, direction)
+def _result(c: _Context, spec: "BoundSpec", args: list, bound_id: str) -> BoundResult:
+    """One trial's result: its row's right-hand-side form (with the split projection of a
+    row with a direction), then the error budget, the verdict and the diagnostics."""
+    est, direction = c.est, c.direction
+    lhs, rhs, err, rhs_terms, extra_diags, mult = spec.rhs(c, spec, args, direction)
     if direction is not None:
         _, split, _, split_diags = direction
-        terms, diags = {**terms, "split_projection": split}, {**diags, **split_diags}
+        rhs_terms, extra_diags = ({**rhs_terms, "split_projection": split},
+                                  {**extra_diags, **split_diags})
     # an absolute error term for products that underflow: per node, the sums behind lhs and
     # rhs (the norms, 2d real coordinates, a profile) take 2d + 2, and the row's multiplier
     # scales the errors of the sums it multiplies
     n_nodes, d = c.f.values.shape
-    return c.hyp, lhs, rhs, err + _UNDERFLOW * n_nodes * (d + 1) * max(1.0, mult), terms, diags
-
-
-def _result(c: _Context, spec: "BoundSpec", args: list, bound_id: str) -> BoundResult:
-    """One trial's result from its row's outcome: the error budget, the verdict and the
-    diagnostics."""
-    est = c.est
-    hyp, lhs, rhs, err_budget, rhs_terms, extra_diags = _outcome(c, spec, args)
+    err += _UNDERFLOW * n_nodes * (d + 1) * max(1.0, mult)
     lhs, rhs = float(lhs), float(rhs)
     scale = abs(lhs) + abs(rhs) + est.norm_integral + est.integral_norm
-    err_budget = float(err_budget) + ROUNDOFF * scale   # a relative roundoff floor
+    err_budget = float(err) + ROUNDOFF * scale   # a relative roundoff floor
     margin = rhs - lhs
     if not all(map(math.isfinite, (lhs, rhs, margin, err_budget))):
         # Python floats overflow to inf without numpy's floating-point errors
         raise DegeneracyError(f"{bound_id} is not judged on non-finite numbers: lhs={lhs!r}, "
                               f"rhs={rhs!r}, margin={margin!r}, err_budget={err_budget!r}")
-    verdict = (HYPOTHESIS_FAILED if not hyp.holds else HOLDS if margin >= -err_budget
+    verdict = (HYPOTHESIS_FAILED if not c.hyp.holds else HOLDS if margin >= -err_budget
                else VIOLATED)
     diagnostics = {"defect": est.value, "defect_err": est.norm_integral_err + est.integral_err,
                    "norm_integral": est.norm_integral, "integral_norm": est.integral_norm,
                    **extra_diags}
     return BoundResult(bound_id, lhs, rhs, {k: float(v) for k, v in rhs_terms.items()},
-                       float(margin), hyp, err_budget, verdict,
+                       float(margin), c.hyp, err_budget, verdict,
                        {k: float(v) for k, v in diagnostics.items()})
 
 

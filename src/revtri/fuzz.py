@@ -21,8 +21,8 @@ import numpy as np
 from . import bounds as B
 from .bounds import BoundParams, VIOLATED
 from .errors import InputError, RevtriError, quoted
-from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, _array_key,
-                     _describable, _frozen, _project, grid_nodes, row_norms)
+from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, _describable,
+                     _frozen, _project, grid_nodes, row_norms)
 from .hilbert import (COMPLEX, REAL, _DTYPES, HVector, OrthonormalFamily, _orthonormal_rows,
                       vector_norm)
 from .quadrature import defect, integrate_trials
@@ -149,14 +149,13 @@ def _direction(rng) -> tuple[float, float]:
 
 
 class _Chunk:
-    """The trials of a chunk being generated: each draws from its own stream, and a path
-    it draws computes only its two BLAS products, into its rows of that path's stacks.
-    All other node work runs once per chunk on stacks, kept on f and, for the judge, in
-    :attr:`tables` (see :meth:`given`)."""
+    """The trials of a chunk being generated: each draws from its own stream (see
+    :func:`_reused_trial_rng`), and a path it draws computes only its two BLAS products,
+    into its rows of that path's stacks.  All other node work runs once per chunk on
+    stacks, kept for the judge in :attr:`tables` only (see :meth:`given`)."""
 
-    def __init__(self, streams, seed: int, trials: range, grid: Grid, field: str, d: int,
-                 n_family: int):
-        self.streams, self.seed, self.trials = streams, seed, trials
+    def __init__(self, seed: int, trials: range, grid: Grid, field: str, d: int, n_family: int):
+        self.seed, self.trials = seed, trials
         self.grid, self.field, self.d, self.n_family = grid, field, d, n_family
         self.stacks, self.failure, self.tables, self.made, self.kept = [], None, {}, {}, True
 
@@ -167,7 +166,7 @@ class _Chunk:
         for row, trial in enumerate(self.trials):
             self.row, self.next = row, 0
             try:
-                rows.append(one(self.streams(self.seed, trial)))
+                rows.append(one(_reused_trial_rng(self.seed, trial)))
             except Exception as exc:
                 if not rows:
                     raise
@@ -210,9 +209,7 @@ class _Chunk:
         self.values.setflags(write=False)
         self.tables["values"] = self.values
         self.fs = [GridFunction(self.grid, self.field, row.T) for row in self.values]
-        self.norms = self._keep("norms", lambda: row_norms(self.values.transpose(0, 2, 1)),
-                                lambda table: ((f, ("norms",), row)
-                                               for f, row in zip(self.fs, table)))
+        self.norms = self._keep("norms", lambda: row_norms(self.values.transpose(0, 2, 1)))
         return self.fs
 
     def references(self, vectors) -> np.ndarray:
@@ -222,20 +219,17 @@ class _Chunk:
         return refs
 
     def distances(self, refs: np.ndarray) -> np.ndarray:
-        """||f(t) - e|| (T, n, N+1) for refs (T, n, d), kept as ``f.distances(e)``."""
+        """||f(t) - e|| (T, n, N+1) for refs (T, n, d), each row ``f.distances(e)``'s bits."""
         x = self.values.transpose(0, 2, 1)[:, None]
         return self._keep("distances", lambda: row_norms(
-            np.broadcast_to(x, refs.shape[:2] + x.shape[2:]), refs[:, :, None]), lambda table: (
-                (f, _array_key("distances", e), row)
-                for f, es, rows in zip(self.fs, refs, table) for e, row in zip(es, rows)))
+            np.broadcast_to(x, refs.shape[:2] + x.shape[2:]), refs[:, :, None]))
 
     def projections(self, refs: np.ndarray) -> np.ndarray:
-        """Re<f(t), e> (T, N+1) for refs (T, d), or (T, n, N+1) for a family's (T, n, d);
-        kept as ``f.projections(refs[t])``."""
+        """Re<f(t), e> (T, N+1) for refs (T, d), or (T, n, N+1) for a family's (T, n, d),
+        each trial's the bits of ``f.projections(refs[t])`` (transposed for a family)."""
         columns = self.values[:, None] if refs.ndim == 3 else self.values
         out = np.empty(refs.shape[:-1] + (self.grid.n_nodes,))
-        return self._keep("projections", lambda: _project(columns, refs, out), lambda table: (
-            (f, _array_key("projections", r), row.T) for f, r, row in zip(self.fs, refs, table)))
+        return self._keep("projections", lambda: _project(columns, refs, out))
 
     def profiles(self, **values) -> dict:
         """The nonnegative parts of each of ``values``, (T, N+1) or (T, n, N+1), as the
@@ -255,10 +249,9 @@ class _Chunk:
         return self.tables if self.kept and all(
             a is b for x, y in pairs for a, b in zip(x, y)) else None
 
-    def _keep(self, name: str, compute, entries) -> np.ndarray:
-        """``compute()``, kept as ``name`` in :attr:`tables` and its (f, key, table) ``entries``
-        as ``f.cached`` keeps one, if computed without a floating-point error, else computed
-        again, not kept."""
+    def _keep(self, name: str, compute) -> np.ndarray:
+        """``compute()``, kept as ``name`` in :attr:`tables` if computed without a
+        floating-point error, else computed again, not kept, as ``f.cached`` keeps one."""
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 table = compute()
@@ -267,8 +260,6 @@ class _Chunk:
             return compute()
         table.setflags(write=False)
         self.tables[name] = table
-        for f, key, row in entries(table):
-            f._tables[key] = row
         return table
 
 
@@ -316,7 +307,7 @@ def _reference_e(rng, field, d, kind):
 # --------------------------------------------------------------------------
 # generators, one per (hypothesis shape, reference kind): each makes a chunk's functions,
 # what their references hold and their parameters by field, the constants read from the
-# node tables of f, which run() then reuses; it keeps the tables the judge reads too
+# chunk's node tables, which it keeps for the judge
 
 def _gen_dominance(chunk):
     es, amps, _, slacks = chunk.draw(lambda rng: (
@@ -499,7 +490,7 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
     """Deterministic hypothesis-satisfying scenario for (seed, trial) on [0, 1]: a chunk of
     one trial (see :func:`fuzz`)."""
     setup = _setup(bound_id, d, field, n_family, n_panels)
-    return _generate(trial_rng, seed, range(trial, trial + 1), *setup)[0][0]
+    return _generate(seed, range(trial, trial + 1), *setup)[0][0]
 
 
 def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> tuple:
@@ -522,13 +513,13 @@ def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> t
     return bound_id, grid, field, d, n_family
 
 
-def _generate(streams, seed: int, trials: range, bound_id: str, grid: Grid, field: str,
-              d: int, n_family: int) -> tuple[list[Scenario], dict | None, Exception | None]:
-    """The scenarios of ``trials`` as one chunk, drawn from ``streams(seed, trial)`` (the
-    stream of ``trial_rng(seed, trial)``), its :meth:`_Chunk.given` stacks for the judge and
-    the error that ended the chunk early or None."""
+def _generate(seed: int, trials: range, bound_id: str, grid: Grid, field: str, d: int,
+              n_family: int) -> tuple[list[Scenario], dict | None, Exception | None]:
+    """The scenarios of ``trials`` as one chunk, each drawn from the stream of
+    ``trial_rng(seed, trial)``, its :meth:`_Chunk.given` stacks for the judge and the error
+    that ended the chunk early or None."""
     spec = B.BOUNDS[bound_id]
-    chunk = _Chunk(streams, seed, trials, grid, field, d, n_family)
+    chunk = _Chunk(seed, trials, grid, field, d, n_family)
     fs, refs, params = GENERATORS[spec.shape, spec.reference](chunk)
     scenarios = []
     for trial, f, ref, *values in zip(chunk.trials, fs, refs, *params.values()):
@@ -616,10 +607,8 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
                           reports=[] if keep_reports else None)
     setup = _setup(bound_id, d, field, n_family, n_panels)
     size = max(1, CHUNK_ENTRIES // (setup[1].n_nodes * setup[3]))
-    streams = _reused_trial_rng
     for lo in range(0, trials, size):
-        scenarios, stacks, failure = _generate(streams, seed, range(lo, min(lo + size, trials)),
-                                               *setup)
+        scenarios, stacks, failure = _generate(seed, range(lo, min(lo + size, trials)), *setup)
         _judge(summary, list(zip(range(lo, trials), scenarios)), stacks)
         if failure is not None:
             raise failure
@@ -627,16 +616,16 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
 
 
 def _judge(summary: FuzzSummary, chunk: list[tuple[int, Scenario]], stacks: dict | None) -> None:
-    """Integrate the chunk's trials in one pass and judge them in one pass under run()'s
-    floating-point guard, both reading the ``stacks`` the chunk built, then tally each.
-    Without stacks, or if judging raises an error a trial can raise, the trials are judged
-    one at a time by ``run()``, so that the earliest trial's own error raises."""
+    """Integrate the chunk's trials in one pass and judge them in one pass, both under run()'s
+    floating-point guard and reading the ``stacks`` the chunk built, then tally each.
+    Without stacks, or if either pass raises an error a trial can raise, the trials are
+    judged one at a time by ``run()``, so that the earliest trial's own error raises."""
     scenarios, reports = [scenario for _, scenario in chunk], None
     if stacks is not None:
-        integrate_trials([s.f for s in scenarios], stacks["values"], stacks["norms"])
         tol = scenarios[0].tolerances
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
+                integrate_trials([s.f for s in scenarios], stacks["values"], stacks["norms"])
                 results = B.evaluate_trials(
                     [(s.f, s.reference, s.bounds[0].params) for s in scenarios],
                     summary.bound_id, tau_hyp=tol.tau_hyp, tau_on=tol.tau_on, stacks=stacks)

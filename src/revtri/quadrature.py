@@ -251,14 +251,9 @@ def _defects(field: str, grid: Grid, values: np.ndarray, norms: np.ndarray, jump
 def integrate_trials(fs, values: np.ndarray, norms: np.ndarray, rule: str = DEFAULT_RULE) -> None:
     """Keep on each function of ``fs`` its defect, as :func:`defect` computes it, from one
     pass over the jump-free rows of a fuzz chunk's ``values`` (T, d, N+1), whose node norms
-    ``norms`` (T, N+1) they keep.  If the pass meets overflow, an invalid operation or
-    division by zero, no defect is kept, so each function's own :func:`defect` raises or
-    warns as it would have."""
+    are ``norms`` (T, N+1).  It sets no floating-point guard of its own: fuzz's judge runs
+    it under ``run()``'s, so that a pass meeting an error keeps nothing."""
     first = fs[0]
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            estimates = _defects(first.field, first.grid, values.T, norms.T, None, rule)
-    except FloatingPointError:
-        return
+    estimates = _defects(first.field, first.grid, values.T, norms.T, None, rule)
     for f, est in zip(fs, estimates):
         f.cached(("defect", rule), lambda: est)

@@ -384,8 +384,8 @@ def _family_context(field, scale, n=3):
 def _family_hypothesis(c, bound_id, params):
     """The hypothesis report of a family row, as ``bounds.evaluate`` judges it."""
     spec = B.BOUNDS[bound_id]
-    stacks = B._family_stacks(spec, c.f, c.ref.family,
-                              [getattr(params, q.field) for q in spec.params])
+    stacks = B._trial_stacks(c.f, c.ref.family.matrix(), [q.key for q in spec.params],
+                             [getattr(params, q.field) for q in spec.params])
     return B._hypotheses(spec.shape, stacks, B.DEFAULT_HYP_TOL, family=True, kernels=True)[0]
 
 
@@ -402,10 +402,10 @@ def test_family_kernels_equal_the_whole_expressions(scale, m, M, field):
     Ms = (M, M, 2.0 * M if M < 1e308 else M)
     params = B.BoundParams(ms=ms, Ms=Ms)
 
-    def old_cor_3_3():
+    def old_cor_3_3():   # a member's numbers as numpy numbers, as for a unit row
         q, proj = c.f.norms() ** 2, c.f.projections(c.ref.family.matrix())
         return _old_family([q + a * b - (b + a) * proj[:, i]
-                            for i, (a, b) in enumerate(zip(ms, Ms))])
+                            for i, (a, b) in enumerate(zip(map(_values, ms), map(_values, Ms)))])
     assert _outcome(_family_hypothesis, c, B.COR_3_3, params) == _outcome(old_cor_3_3)
 
     ks = tuple(ScalarProfile(grid, M * rng.uniform(0.5, 1.0, grid.n_nodes)) for _ in range(3))

@@ -44,8 +44,8 @@ def test_largest_64_bit_seed_still_runs():
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_projection_product_per_family_trial(bound_id, field, n, monkeypatch):
-    # the generator fits its constants to the (N+1, n) table run() judges: one product,
-    # taken for the trial's chunk and kept on f
+    # the generator fits its constants to the (N+1, n) table the judge reads: one product
+    # per chunk, kept in the chunk
     products = []
     project = gridfn._project
 
@@ -56,8 +56,11 @@ def test_one_projection_product_per_family_trial(bound_id, field, n, monkeypatch
     monkeypatch.setattr(F, "_project", counting)
     for trial in range(3):
         products.clear()
-        run(generate_scenario(bound_id, seed=77, trial=trial, d=4, field=field, n_family=n))
+        generate_scenario(bound_id, seed=77, trial=trial, d=4, field=field, n_family=n)
         assert products == [(1, n, 4)]
+    products.clear()
+    assert fuzz(bound_id, 3, seed=77, d=4, field=field, n_family=n).holds == 3
+    assert products == [(3, n, 4)]
 
 
 def test_trials_are_order_independent():
@@ -131,11 +134,19 @@ def test_mult_c_printed_margins_collected():
 
 
 def _patched(monkeypatch, bound_id: str, change):
-    """Pass the outcome of ``bound_id``'s row (hypothesis, lhs, rhs, err, rhs_terms,
-    diagnostics) through ``change``."""
-    spec, outcome = B.BOUNDS[bound_id], B._outcome
-    monkeypatch.setattr(B, "_outcome", lambda c, s, p: (
-        change(*outcome(c, s, p)) if s is spec else outcome(c, s, p)))
+    """Pass the outcome of ``bound_id``'s row (its hypothesis report, then its right-hand-side
+    form's lhs, rhs, err, rhs_terms and diagnostics) through ``change`` before its result is
+    built from them."""
+    spec, result = B.BOUNDS[bound_id], B._result
+
+    def patched(c, s, args, bid):
+        if s is not spec:
+            return result(c, s, args, bid)
+        *outcome, mult = s.rhs(c, s, args, c.direction)
+        hyp, *changed = change(c.hyp, *outcome)
+        form = dataclasses.replace(s, rhs=lambda *_: (*changed, mult))
+        return result(c._replace(hyp=hyp), form, args, bid)
+    monkeypatch.setattr(B, "_result", patched)
 
 
 def _halved_rhs(hyp, lhs, rhs, err, terms, diags):

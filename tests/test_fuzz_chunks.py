@@ -52,7 +52,7 @@ def _generated(bound_id: str, field: str, trials: int = 5) -> tuple:
     and the stacks the chunk hands its judge."""
     cfg = _config(bound_id, field)
     setup = F._setup(bound_id, cfg["d"], field, cfg["n_family"], cfg["n_panels"])
-    scenarios, stacks, failure = F._generate(F._reused_trial_rng, SEED, range(trials), *setup)
+    scenarios, stacks, failure = F._generate(SEED, range(trials), *setup)
     assert failure is None and stacks is not None
     return scenarios, stacks
 
@@ -171,18 +171,21 @@ def test_the_judge_computes_no_node_table(bound_id, field, monkeypatch):
 
 
 def test_the_pass_keeps_what_defect_and_norms_compute():
+    """The pass keeps on each f the defect a fresh function computes, from the chunk's norms,
+    which are the fresh function's own; the chunk's tables stay in the chunk."""
     scenarios, stacks = _generated(B.COR_3_3, COMPLEX, trials=4)
     fs = [s.f for s in scenarios]
+    assert not any(f._tables for f in fs)
     integrate_trials(fs, stacks["values"], stacks["norms"])
-    for f in fs:
+    for f, norms in zip(fs, stacks["norms"]):
         fresh = GridFunction(f.grid, f.field, f.values.copy())
         want, got = defect(fresh), f._tables[("defect", "simpson")]
         for name in ("value", "err_est", "norm_integral", "norm_integral_err",
                      "integral_norm", "integral_err"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
         assert got.integral.coords.tobytes() == want.integral.coords.tobytes()
-        assert f._tables[("norms",)].tobytes() == fresh.norms().tobytes()
-        assert defect(f) is got
+        assert norms.tobytes() == fresh.norms().tobytes()
+        assert defect(f) is got and list(f._tables) == [("defect", "simpson")]
 
 
 def _overflowing(monkeypatch, bound_id: str, bad_trial: int, generation_error: int | None = None):
@@ -197,19 +200,19 @@ def _spoiled(monkeypatch, bound_id: str, bad_calls, spoil, generation_error=None
     order they are drawn, come out as ``spoil(f, params)`` gives their function and
     parameters, and the draws of the ``generation_error``-th trial raise."""
     key = table_key(bound_id)
-    original = F.GENERATORS[key]
+    original, streams = F.GENERATORS[key], F._reused_trial_rng
     calls = []
 
-    def generator(chunk):
-        streams, first = chunk.streams, len(calls)
+    def stream(seed, trial):
+        k = len(calls)
+        calls.append(k)
+        if k == generation_error:
+            raise InputError("generator failed")
+        return streams(seed, trial)
+    monkeypatch.setattr(F, "_reused_trial_rng", stream)
 
-        def stream(seed, trial):
-            k = len(calls)
-            calls.append(k)
-            if k == generation_error:
-                raise InputError("generator failed")
-            return streams(seed, trial)
-        chunk.streams = stream
+    def generator(chunk):
+        first = len(calls)
         fs, refs, params = original(chunk)
         fs, params = list(fs), {name: list(column) for name, column in params.items()}
         for i in range(len(fs)):

@@ -105,7 +105,7 @@ def test_trig_path_matches_old_path(interval, field):
     # the paths of 40 trials drawn as one chunk, each with the bits of its own
     grid = Grid(interval[0], interval[1], 64)
     for d in (1, 4, 8):
-        chunk = _Chunk(trial_rng, 7, range(40), grid, field, d, 1)
+        chunk = _Chunk(7, range(40), grid, field, d, 1)
         chunk.draw(lambda rng: (chunk.path(rng),))
         paths, = chunk.paths()
         for trial, got in enumerate(paths):

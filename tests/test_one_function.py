@@ -1,5 +1,5 @@
 """Each function is built once: a fuzz generator takes its constants from the node tables
-of the trial's GridFunction and the scenario carries that function into ``run()``, and a
+of the trial's chunk and the scenario carries the chunk's function into ``run()``, and a
 sweep over a base scenario materializes and integrates the base function once.  Reports,
 scenario dumps and sweep tables are those of a function materialized afresh per use."""
 
@@ -81,15 +81,19 @@ def test_no_node_table_is_computed_twice_in_a_trial(bound_id, field, monkeypatch
             return compute()
         return original(self, key, counted)
     monkeypatch.setattr(GridFunction, "cached", counting)
+    chunks = []
+    generator = GENERATORS[table_key(bound_id)]
+    monkeypatch.setitem(GENERATORS, table_key(bound_id),
+                        lambda chunk: chunks.append(chunk) or generator(chunk))
     scenario = generate_scenario(bound_id, field=field, **TRIAL)
-    kept = set(scenario.f._tables)   # the generator keeps its chunk's tables on f
+    # the generator computes its node tables on its chunk's stacks, none on f
+    assert computed == [] and not scenario.f._tables
     stage[0] = "run"
     run(scenario)
     keys = [key for _, key in computed]
     assert len(keys) == len(set(keys)), keys
-    assert not kept & set(keys), kept & set(keys)
-    if bound_id in GEOMETRY_BOUNDS:   # it read node tables of f besides the norms
-        assert kept - {("norms",)}
+    if bound_id in GEOMETRY_BOUNDS:   # it read node tables besides the norms
+        assert set(chunks[0].tables) - {"values", "norms", "coords"}
 
 
 @pytest.mark.parametrize("argv, message", [

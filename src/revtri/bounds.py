@@ -369,25 +369,26 @@ def _hypotheses(shape: "_Shape", stacks: _Stacks, tau_hyp: float, family: bool =
     tops = np.full((n_trials, n_nodes), -np.inf) if family else None
     for trials, members in _groups(n_trials, n, n_nodes):
         residuals = _residuals(shape, stacks, trials, members)
+        tg, ng = residuals.shape[:2]
         worst = nodes[trials, members] = residuals.argmax(axis=2)
-        peaks[trials, members] = np.take_along_axis(residuals, worst[..., None], 2)[..., 0]
-        for i in range(residuals.shape[1] if family else 0):   # member by member, in place
+        peaks[trials, members] = residuals[np.arange(tg)[:, None], np.arange(ng), worst]
+        for i in range(ng if family else 0):   # member by member, in place
             np.maximum(tops[trials], residuals[:, i], out=tops[trials])
         del residuals   # freed before the next group's kernel runs
     implied = (_hypotheses(shape.implies, stacks, tau_hyp, kernels=kernels) if shape.implies
                else [None] * n_trials)
     cid = f"{shape.condition_id}_family" if family else shape.condition_id
-
-    def kernel(t: int, members: range):
-        return partial(_slack, shape, stacks, t, members) if kernels else None
     reports = []
     for t, (sub, t_nodes, t_peaks) in enumerate(zip(implied, nodes.tolist(), peaks.tolist())):
         subs = [_report(f"{cid}[{i}]" if family else cid, node, peak, tau_hyp,
-                        kernel(t, range(i, i + 1)), None if sub is None else [sub])
+                        partial(_slack, shape, stacks, t, range(i, i + 1)) if kernels else None,
+                        None if sub is None else [sub])
                 for i, (node, peak) in enumerate(zip(t_nodes, t_peaks))]
         if family:
             node = int(tops[t].argmax())
-            subs = [_report(cid, node, float(tops[t][node]), tau_hyp, kernel(t, range(n)), subs)]
+            subs = [_report(cid, node, float(tops[t][node]), tau_hyp,
+                            partial(_slack, shape, stacks, t, range(n)) if kernels else None,
+                            subs)]
         reports.append(subs[0])
     return reports
 

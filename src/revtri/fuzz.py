@@ -15,6 +15,7 @@ import math
 import threading
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .errors import InputError, RevtriError, quoted
 from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile, _describable,
                      _frozen, _project, grid_nodes, row_norms)
 from .hilbert import (COMPLEX, REAL, _DTYPES, HVector, OrthonormalFamily, _orthonormal_rows,
-                      vector_norm)
-from .quadrature import defect, integrate_trials
+                      _vector, vector_norm)
+from .quadrature import integrate_trials
 from .scenario import (
     BoundEntry,
     REF_DIRECTION,
@@ -109,10 +110,13 @@ def _trig_table(key: tuple[str, str, int]) -> tuple[np.ndarray, np.ndarray]:
     a, b = float.fromhex(key[0]), float.fromhex(key[1])
     t = (grid_nodes(key) - a) / (b - a)
     phases = 2.0 * math.pi * np.outer(t, np.arange(1, MAX_HARMONICS + 1))
-    cos, sin = np.cos(phases), np.sin(phases)
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return cos, sin
+    return _frozen(np.cos(phases)), _frozen(np.sin(phases))
+
+
+@lru_cache(maxsize=GRID_CACHE)
+def _complex_trig_table(key: tuple[str, str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_trig_table` cast once to complex, as a complex path's products cast it."""
+    return tuple(_frozen(table.astype(np.complex128)) for table in _trig_table(key))
 
 
 def _bounded(paths):
@@ -136,7 +140,7 @@ def _smooth(paths, lo: float, hi: float):
 
 def _unit_vector(rng, field: str, d: int) -> HVector:
     v = _coeffs(rng, field, d)
-    return HVector(field, v / vector_norm(v))
+    return _vector(field, _frozen(v / vector_norm(v)))
 
 
 def _orthofamily(rng, field: str, d: int, n: int) -> OrthonormalFamily:
@@ -189,7 +193,7 @@ class _Chunk:
                                 np.empty(shape[::2], dtype)))
         cos_part, sin_part, drift = self.stacks[self.next]
         self.next += 1
-        cos, sin = _trig_table(self.grid.key)
+        cos, sin = (_complex_trig_table if parts == 2 else _trig_table)(self.grid.key)
         np.matmul(cos[:, :n_modes], a, out=cos_part[self.row])
         np.matmul(sin[:, :n_modes], b, out=sin_part[self.row])
         drift[self.row] = c0
@@ -214,7 +218,7 @@ class _Chunk:
 
     def references(self, vectors) -> np.ndarray:
         """The coordinates of each trial's vector (T, d), or of its family's members (T, n, d)."""
-        refs = self.tables["coords"] = np.stack([
+        refs = self.tables["coords"] = np.array([
             v.matrix() if isinstance(v, OrthonormalFamily) else v.coords for v in vectors])
         return refs
 
@@ -265,7 +269,7 @@ class _Chunk:
 
 def _symmetric(chunk: _Chunk, families, c, amps, w) -> list:
     """f = c s + amp w: c (T, N+1) times each family's unit sum s, plus bounded paths w."""
-    s = np.stack([family.sum_vector().coords / math.sqrt(family.n) for family in families])
+    s = np.array([family.matrix().sum(axis=0) / math.sqrt(family.n) for family in families])
     w = np.multiply(_bounded(w), np.array(amps)[:, None, None], out=w).transpose(0, 2, 1)
     return chunk.functions(lambda out: np.add(
         np.multiply(s[:, :, None], c[:, None], out=out), w, out=out))
@@ -489,8 +493,17 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
                       n_panels: int = 512) -> Scenario:
     """Deterministic hypothesis-satisfying scenario for (seed, trial) on [0, 1]: a chunk of
     one trial (see :func:`fuzz`)."""
+    _require_integers(seed=seed, trial=trial, d=d, n_family=n_family, n_panels=n_panels)
     setup = _setup(bound_id, d, field, n_family, n_panels)
-    return _generate(seed, range(trial, trial + 1), *setup)[0][0]
+    return _scenario(bound_id, _generate(seed, range(trial, trial + 1), *setup)[0][0])
+
+
+def _require_integers(**values) -> None:
+    """Each of ``values`` is an integer, a Python or numpy one but not a bool: a float seed
+    would draw the stream of its integer part under another trial id."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {quoted(value)}")
 
 
 def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> tuple:
@@ -500,6 +513,8 @@ def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> t
         raise InputError(f"unknown bound id {quoted(bound_id)}")
     if spec.reference == REF_DIRECTION:
         field, d = COMPLEX, 1
+    if field not in _DTYPES:
+        raise InputError(f"unknown field {quoted(field)}; expected {REAL!r} or {COMPLEX!r}")
     if d < 1:
         raise InputError(f"dimension d must be at least 1, got {d}")
     if spec.reference == REF_FAMILY:
@@ -510,30 +525,45 @@ def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> t
     grid = Grid(0.0, 1.0, n_panels)
     if not _describable(grid.n_nodes, d):
         raise InputError("dimension d is too large for numpy to describe an (N+1, d) array")
-    return bound_id, grid, field, d, n_family
+    return bound_id, grid, field, int(d), int(n_family)
+
+
+class _Trial(NamedTuple):
+    """A generated trial, as the judge reads it; :func:`_scenario` makes its Scenario."""
+
+    id: str
+    f: GridFunction
+    reference: Reference
+    params: BoundParams
+    provenance: dict
+
+
+def _scenario(bound_id: str, trial: _Trial) -> Scenario:
+    """The Scenario of a generated trial, sharing its f: ``run()`` reuses the generated f."""
+    f = trial.f
+    scenario = Scenario(trial.id, f.field, f.d, f.grid, FunctionSpec.samples(f.values),
+                        trial.reference, (BoundEntry(bound_id, trial.params),), Tolerances(),
+                        trial.provenance)
+    vars(scenario)["f"] = f  # fills the cache of Scenario.f
+    return scenario
 
 
 def _generate(seed: int, trials: range, bound_id: str, grid: Grid, field: str, d: int,
-              n_family: int) -> tuple[list[Scenario], dict | None, Exception | None]:
-    """The scenarios of ``trials`` as one chunk, each drawn from the stream of
-    ``trial_rng(seed, trial)``, its :meth:`_Chunk.given` stacks for the judge and the error
-    that ended the chunk early or None."""
+              n_family: int) -> tuple[list[_Trial], dict | None, Exception | None]:
+    """The :class:`_Trial` of each of ``trials``, generated as one chunk, each drawn from the
+    stream of ``trial_rng(seed, trial)``, its :meth:`_Chunk.given` stacks for the judge and
+    the error that ended the chunk early or None."""
     spec = B.BOUNDS[bound_id]
     chunk = _Chunk(seed, trials, grid, field, d, n_family)
     fs, refs, params = GENERATORS[spec.shape, spec.reference](chunk)
-    scenarios = []
+    reference, family = _REFERENCES[spec.reference], spec.reference == REF_FAMILY
+    made = []
     for trial, f, ref, *values in zip(chunk.trials, fs, refs, *params.values()):
         provenance = {"generator": f"fuzz:{bound_id}", "seed": int(seed), "trial": int(trial),
-                      "d": int(d), "field": field,
-                      "n_family": int(n_family) if spec.reference == REF_FAMILY else None}
-        scenario = Scenario(
-            id=f"fuzz-{bound_id}-s{seed}-t{trial}", field=field, d=d, grid=grid,
-            function=FunctionSpec.samples(f.values), reference=_REFERENCES[spec.reference](ref),
-            bounds=(BoundEntry(bound_id, BoundParams(**dict(zip(params, values)))),),
-            tolerances=Tolerances(), provenance=provenance)
-        vars(scenario)["f"] = f  # fills the cache of Scenario.f: run() reuses the generated f
-        scenarios.append(scenario)
-    return scenarios, chunk.given(fs, params), chunk.failure
+                      "d": d, "field": field, "n_family": n_family if family else None}
+        made.append(_Trial(f"fuzz-{bound_id}-s{seed}-t{trial}", f, reference(ref),
+                           BoundParams(**dict(zip(params, values))), provenance))
+    return made, chunk.given(fs, params), chunk.failure
 
 
 @dataclass
@@ -601,6 +631,7 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
     least one trial), each chunk generated, integrated and judged in one pass (see
     :class:`_Chunk` and :func:`_judge`).  If a trial's draws raise, the trials before it
     are judged first, so the error of an earlier trial wins."""
+    _require_integers(trials=trials, seed=seed, d=d, n_family=n_family, n_panels=n_panels)
     if trials < 1:
         raise InputError("need at least one trial")
     summary = FuzzSummary(bound_id, trials, seed,
@@ -608,37 +639,38 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
     setup = _setup(bound_id, d, field, n_family, n_panels)
     size = max(1, CHUNK_ENTRIES // (setup[1].n_nodes * setup[3]))
     for lo in range(0, trials, size):
-        scenarios, stacks, failure = _generate(seed, range(lo, min(lo + size, trials)), *setup)
-        _judge(summary, list(zip(range(lo, trials), scenarios)), stacks)
+        made, stacks, failure = _generate(seed, range(lo, min(lo + size, trials)), *setup)
+        _judge(summary, list(zip(range(lo, trials), made)), stacks)
         if failure is not None:
             raise failure
     return summary
 
 
-def _judge(summary: FuzzSummary, chunk: list[tuple[int, Scenario]], stacks: dict | None) -> None:
+def _judge(summary: FuzzSummary, chunk: list[tuple[int, _Trial]], stacks: dict | None) -> None:
     """Integrate the chunk's trials in one pass and judge them in one pass, both under run()'s
     floating-point guard and reading the ``stacks`` the chunk built, then tally each.
     Without stacks, or if either pass raises an error a trial can raise, the trials are
-    judged one at a time by ``run()``, so that the earliest trial's own error raises."""
-    scenarios, reports = [scenario for _, scenario in chunk], None
+    judged one at a time by ``run()`` on their scenarios, so that the earliest trial's own
+    error raises.  A trial's Scenario is made only for that, or to dump it."""
+    made, reports, bound_id = [trial for _, trial in chunk], None, summary.bound_id
     if stacks is not None:
-        tol = scenarios[0].tolerances
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                integrate_trials([s.f for s in scenarios], stacks["values"], stacks["norms"])
-                results = B.evaluate_trials(
-                    [(s.f, s.reference, s.bounds[0].params) for s in scenarios],
-                    summary.bound_id, tau_hyp=tol.tau_hyp, tau_on=tol.tau_on, stacks=stacks)
-            reports = [RunReport(s.id, (r,), defect(s.f), _rollup([r.verdict]), s.provenance)
-                       for s, r in zip(scenarios, results)]
+                ests = integrate_trials([t.f for t in made], stacks["values"], stacks["norms"])
+                results = B.evaluate_trials([(t.f, t.reference, t.params) for t in made],
+                                            bound_id, stacks=stacks)
+            reports = [RunReport(t.id, (r,), est, _rollup([r.verdict]), t.provenance)
+                       for t, r, est in zip(made, results, ests)]
         except (RevtriError, FloatingPointError):
             pass
-    for (trial, scenario), report in zip(chunk, reports or [run(s) for s in scenarios]):
-        _tally(summary, trial, scenario, report)
+    for (trial, item), report in zip(chunk, reports or [run(_scenario(bound_id, t))
+                                                         for t in made]):
+        _tally(summary, trial, report, partial(_scenario, bound_id, item))
 
 
-def _tally(summary: FuzzSummary, trial: int, scenario: Scenario, report: RunReport) -> None:
-    """Count one judged trial into ``summary``."""
+def _tally(summary: FuzzSummary, trial: int, report: RunReport, scenario) -> None:
+    """Count one judged trial into ``summary``; ``scenario()`` makes the Scenario a
+    counterexample dumps."""
     result = report.results[0]
     if result.verdict == B.HOLDS:
         summary.holds += 1
@@ -663,7 +695,7 @@ def _tally(summary: FuzzSummary, trial: int, scenario: Scenario, report: RunRepo
             "trial": trial,
             "margin": result.margin,
             "err_budget": result.err_budget,
-            "scenario": _scenario_tree(scenario),
+            "scenario": _scenario_tree(scenario()),
         })
     if summary.reports is not None:
         summary.reports.append(report)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Mapping, TypeVar
 
@@ -65,7 +65,12 @@ def _describable(n_nodes: int, d: int = 1) -> bool:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [a, b] with an even number of panels ``n_panels``."""
+    """Uniform grid on [a, b] with an even number of panels ``n_panels``.
+
+    Set once, as plain attributes: ``n_nodes`` (N+1), ``step`` (the panel width) and
+    ``key``, the exact values (a, b as ``float.hex``, N) that key grid-only tables.  Grids
+    rebuilt with the same values share a key; unlike ``==`` it tells a -0.0 endpoint from
+    0.0, which ``np.linspace`` keeps in the nodes."""
 
     a: float
     b: float
@@ -78,24 +83,10 @@ class Grid:
             raise InputError(f"interval requires b > a, got [{self.a}, {self.b}]")
         if self.n_panels < 2 or self.n_panels % 2 != 0:
             raise InputError(f"panel count must be positive and even, got {self.n_panels}")
-        if not _describable(self.n_nodes):
+        if not _describable(self.n_panels + 1):
             raise InputError("panel count is too large for numpy to describe N+1 nodes")
-
-    @property
-    def step(self) -> float:
-        return (self.b - self.a) / self.n_panels
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_panels + 1
-
-    @property
-    def key(self) -> tuple[str, str, int]:
-        """The exact values (a, b as ``float.hex``, N): the cache key of grid-only tables.
-
-        Grids rebuilt with the same values share it.  Unlike ``==`` it tells a -0.0
-        endpoint from 0.0, which ``np.linspace`` keeps in the nodes."""
-        return float(self.a).hex(), float(self.b).hex(), self.n_panels
+        vars(self).update(n_nodes=self.n_panels + 1, step=(self.b - self.a) / self.n_panels,
+                          key=(float(self.a).hex(), float(self.b).hex(), self.n_panels))
 
     def nodes(self) -> np.ndarray:
         """The N+1 nodes, computed once per :attr:`key`; the array is shared and read-only."""
@@ -354,7 +345,7 @@ class GridFunction:
         if self.field not in _DTYPES:
             raise InputError(f"unknown field {quoted(self.field)}")
         raw = np.asarray(self.values)
-        if self.field == REAL and np.iscomplexobj(raw):
+        if self.field == REAL and raw.dtype.kind == "c":
             if np.any(raw.imag != 0.0):
                 raise InputError("real-field grid function given complex values")
             raw = raw.real
@@ -377,6 +368,7 @@ class GridFunction:
                 v.setflags(write=False)
                 fixed[int(j)] = v
             object.__setattr__(self, "jumps", fixed)
+        object.__setattr__(self, "_tables", {})   # see :meth:`cached`
 
     @property
     def d(self) -> int:
@@ -402,9 +394,10 @@ class GridFunction:
             tables[key] = value
         return tables[key]
 
-    @cached_property
-    def _tables(self) -> dict:
-        return {}
+    def keep(self, key: tuple, value) -> None:
+        """Keep ``value`` as :meth:`cached` would keep ``compute()``'s, for a value computed
+        elsewhere without a floating-point error."""
+        self._tables.setdefault(key, value)
 
     def norms(self) -> np.ndarray:
         """Node norms ||f(t_j)||, computed once per function; the array is read-only."""

@@ -38,7 +38,7 @@ def _coerce_coords(field: str, coords) -> np.ndarray:
     if field not in _DTYPES:
         raise InputError(f"unknown field {quoted(field)}; expected {REAL!r} or {COMPLEX!r}")
     arr = np.asarray(coords)
-    if field == REAL and np.iscomplexobj(arr):
+    if field == REAL and arr.dtype.kind == "c":
         if np.any(arr.imag != 0.0):
             raise InputError("real-field vector given coordinates with nonzero imaginary part")
         arr = arr.real
@@ -73,6 +73,14 @@ class HVector:
         return f"HVector({self.field}, {self.coords.tolist()})"
 
 
+def _vector(field: str, coords: np.ndarray) -> HVector:
+    """The HVector of ``coords``, a 1-D array of the field's dtype that nothing can write,
+    adopted without the copy and the checks of the constructor."""
+    vector = object.__new__(HVector)
+    vars(vector).update(field=field, coords=coords)
+    return vector
+
+
 def basis_vector(field: str, d: int, index: int) -> HVector:
     """The index-th standard basis vector of K^d."""
     if not 0 <= index < d:
@@ -88,7 +96,7 @@ def inner(x: HVector, y: HVector) -> complex:
     Real-field inputs yield an exact zero imaginary part.
     """
     x._check_partner(y)
-    value = np.dot(x.coords, np.conjugate(y.coords))
+    value = x.coords.dot(np.conjugate(y.coords))
     return complex(value)
 
 
@@ -146,11 +154,12 @@ def _gram(mat: np.ndarray, tol: float) -> GramReport:
     """:func:`gram_report` of the family whose members are the rows of ``mat``."""
     n = mat.shape[0]
     gram = mat @ np.conjugate(mat.T)
-    residuals = np.abs(gram - np.eye(n))
+    gram.flat[::n + 1] -= 1.0   # gram - I
+    residuals = np.abs(gram)
     flat = int(np.argmax(residuals))
     worst_pair = (flat // n, flat % n)
     worst = float(residuals[worst_pair])
-    sum_norm_gap = abs(vector_norm(mat.sum(axis=0)) - math.sqrt(n))
+    sum_norm_gap = abs(vector_norm(np.add.reduce(mat, axis=0)) - math.sqrt(n))
     ok = worst <= tol and sum_norm_gap <= n * tol
     return GramReport(ok, worst_pair, worst, sum_norm_gap, tol)
 
@@ -250,14 +259,15 @@ def _orthonormal_rows(field: str, mat: np.ndarray) -> OrthonormalFamily:
     out = mat.astype(_DTYPES[field], copy=True)
     for i in range(n):
         for j in range(i):
-            out[i] -= np.dot(out[i], np.conjugate(out[j])) * out[j]
+            out[i] -= out[i].dot(np.conjugate(out[j])) * out[j]
         pivot = vector_norm(out[i])
         if pivot < RANK_TOL * scale:
             raise DegeneracyError(
                 f"rank deficiency at member {i}: pivot {pivot:.3e} below {RANK_TOL:g} of input scale"
             )
         out[i] /= pivot
-    return _family(tuple(HVector(field, row) for row in out), out, DEFAULT_ORTHO_TOL)
+    out.setflags(write=False)   # before the members view its rows
+    return _family(tuple(_vector(field, row) for row in out), out, DEFAULT_ORTHO_TOL)
 
 
 def complete_orthonormal(base: tuple[HVector, ...], count: int) -> tuple[HVector, ...]:

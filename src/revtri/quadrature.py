@@ -20,8 +20,8 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError
-from .gridfn import GROUP_ENTRIES, Grid, GridFunction, ldexp, row_norms
-from .hilbert import HVector, vector_norm
+from .gridfn import GROUP_ENTRIES, Grid, GridFunction, _frozen, ldexp, row_norms
+from .hilbert import HVector, _vector, vector_norm
 
 TRAPEZOID = "trapezoid"
 SIMPSON = "simpson"
@@ -228,7 +228,7 @@ def _defects(field: str, grid: Grid, values: np.ndarray, norms: np.ndarray, jump
     ni, ni_diff = _integrate(grid, norms, _norm_jumps(jumps), rule)
     bi, bi_diff = _integrate(grid, values, jumps, rule)
     d = values.shape[1]
-    integrals = bi.T.reshape(-1, d)
+    integrals = _frozen(bi.T.reshape(-1, d))   # a C-ordered view of the sums, rows adopted
     out = []
     # |v| is the norm of a one-entry v, as _norm gives it: sqrt(fl(v * v)) = |v|
     for norm_value, norm_err, integral, integral_norm, integral_err in zip(
@@ -243,17 +243,19 @@ def _defects(field: str, grid: Grid, values: np.ndarray, norms: np.ndarray, jump
             norm_integral_err=norm_err,
             integral_norm=integral_norm,
             integral_err=integral_err,
-            integral=HVector(field, integral),
+            integral=_vector(field, integral),
         ))
     return out
 
 
-def integrate_trials(fs, values: np.ndarray, norms: np.ndarray, rule: str = DEFAULT_RULE) -> None:
-    """Keep on each function of ``fs`` its defect, as :func:`defect` computes it, from one
-    pass over the jump-free rows of a fuzz chunk's ``values`` (T, d, N+1), whose node norms
-    are ``norms`` (T, N+1).  It sets no floating-point guard of its own: fuzz's judge runs
-    it under ``run()``'s, so that a pass meeting an error keeps nothing."""
+def integrate_trials(fs, values: np.ndarray, norms: np.ndarray,
+                     rule: str = DEFAULT_RULE) -> list[DefectEstimate]:
+    """The defect of each function of ``fs``, as :func:`defect` computes it and kept on it,
+    from one pass over the jump-free rows of a fuzz chunk's ``values`` (T, d, N+1), whose
+    node norms are ``norms`` (T, N+1).  It sets no floating-point guard of its own: fuzz's
+    judge runs it under ``run()``'s, so that a pass meeting an error keeps nothing."""
     first = fs[0]
     estimates = _defects(first.field, first.grid, values.T, norms.T, None, rule)
     for f, est in zip(fs, estimates):
-        f.cached(("defect", rule), lambda: est)
+        f.keep(("defect", rule), est)
+    return estimates

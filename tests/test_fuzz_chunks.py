@@ -52,9 +52,9 @@ def _generated(bound_id: str, field: str, trials: int = 5) -> tuple:
     and the stacks the chunk hands its judge."""
     cfg = _config(bound_id, field)
     setup = F._setup(bound_id, cfg["d"], field, cfg["n_family"], cfg["n_panels"])
-    scenarios, stacks, failure = F._generate(SEED, range(trials), *setup)
+    made, stacks, failure = F._generate(SEED, range(trials), *setup)
     assert failure is None and stacks is not None
-    return scenarios, stacks
+    return [F._scenario(bound_id, trial) for trial in made], stacks
 
 
 def _summary_text(summary) -> str:
@@ -66,7 +66,7 @@ def _alone(bound_id: str, trials: int, cfg: dict):
     summary = F.FuzzSummary(bound_id, trials, SEED, reports=[])
     for trial in range(trials):
         scenario = generate_scenario(bound_id, SEED, trial, **cfg)
-        F._tally(summary, trial, scenario, run(scenario))
+        F._tally(summary, trial, run(scenario), lambda: scenario)
     return summary
 
 

@@ -504,17 +504,19 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
                       n_panels: int = 512) -> Scenario:
     """Deterministic hypothesis-satisfying scenario for (seed, trial) on [0, 1]: a chunk of
     one trial (see :func:`fuzz`)."""
-    _require_integers(seed=seed, trial=trial, d=d, n_family=n_family, n_panels=n_panels)
+    seed, trial, d, n_family, n_panels = _integers(seed=seed, trial=trial, d=d,
+                                                   n_family=n_family, n_panels=n_panels)
     setup = _setup(bound_id, d, field, n_family, n_panels)
     return _scenario(bound_id, _generate(seed, range(trial, trial + 1), *setup)[0][0])
 
 
-def _require_integers(**values) -> None:
-    """Each of ``values`` is an integer, a Python or numpy one but not a bool: a float seed
-    would draw the stream of its integer part under another trial id."""
+def _integers(**values) -> list[int]:
+    """``values`` as Python integers, each an integer (a numpy one too) and not a bool: a
+    float seed drew the stream of its integer part under another trial id."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise InputError(f"{name} must be an integer, got {quoted(value)}")
+    return [int(value) for value in values.values()]
 
 
 def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> tuple:
@@ -536,7 +538,7 @@ def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> t
     grid = Grid(0.0, 1.0, n_panels)
     if not _describable(grid.n_nodes, d):
         raise InputError("dimension d is too large for numpy to describe an (N+1, d) array")
-    return bound_id, grid, field, int(d), int(n_family)
+    return bound_id, grid, field, d, n_family
 
 
 class _Trial(NamedTuple):
@@ -642,7 +644,8 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
     least one trial), each chunk generated, integrated and judged in one pass (see
     :class:`_Chunk` and :func:`_judge`).  If a trial's draws raise, the trials before it
     are judged first, so the error of an earlier trial wins."""
-    _require_integers(trials=trials, seed=seed, d=d, n_family=n_family, n_panels=n_panels)
+    trials, seed, d, n_family, n_panels = _integers(trials=trials, seed=seed, d=d,
+                                                    n_family=n_family, n_panels=n_panels)
     if trials < 1:
         raise InputError("need at least one trial")
     summary = FuzzSummary(bound_id, trials, seed,

@@ -63,6 +63,20 @@ def test_one_projection_product_per_family_trial(bound_id, field, n, monkeypatch
     assert products == [(3, n, 4)]
 
 
+#: Calls of revtri code and of dataclass-generated methods in one 5-trial fuzz() call on
+#: each campaign bound, summed over the 17 (``python -m tests.fuzz_cost`` prints the mean):
+#: 10,204 before a trial's Scenario was built only on demand.
+CAMPAIGN_CALLS = 8551
+
+
+def test_a_campaign_call_makes_few_python_calls():
+    """A chunk pays its fixed Python work once, and a trial builds what only a dump or the
+    run() fallback reads on demand: the count may grow by 5% at most."""
+    from .fuzz_cost import CAMPAIGN, call_counts
+    counts = [call_counts(bound_id, 5)["revtri"] for bound_id in CAMPAIGN]
+    assert sum(counts) <= 1.05 * CAMPAIGN_CALLS, counts
+
+
 def test_trials_are_order_independent():
     # scenario for trial k does not depend on trials before it
     direct = generate_scenario("COR_2_3", seed=5, trial=17, d=4)

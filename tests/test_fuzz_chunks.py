@@ -298,6 +298,21 @@ def test_the_reused_generator_gives_the_streams_of_trial_rng():
     assert other[0] is not first   # one generator per thread
 
 
+@settings(max_examples=60, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3), seed=st.integers(0, 2 ** 64 - 1))
+def test_the_reused_generator_draws_numpys_uniform_bits(lo, width, seed):
+    """Its scalar ``uniform`` skips numpy's argument checks, not a bit of numpy's values:
+    the fuzz ranges and arbitrary ones, interleaved with other draws."""
+    ranges = [(0.05, 1.5), (0.01, 3.0), (0.2, 0.98), (0.1, math.pi / 2.0 - 0.1),
+              (0.15, math.pi / 2.0 - 0.05), (lo, lo + width)]
+    fast, numpy = F._reused_trial_rng(seed, 3), trial_rng(seed, 3)
+    for _ in range(40):
+        for a, b in ranges:
+            assert _bits(fast.uniform(a, b)) == _bits(numpy.uniform(a, b))
+        assert fast.integers(1, 9) == numpy.integers(1, 9)
+    assert fast.uniform(0.5, 0.75, 4).tobytes() == numpy.uniform(0.5, 0.75, 4).tobytes()
+
+
 def _watched(monkeypatch, forbidden: dict) -> list:
     """Make each call in ``forbidden`` (name -> (owner, attribute)) raise while ``fuzz._judge``
     runs, and record the ``stacks`` each ``evaluate_trials`` call is given."""

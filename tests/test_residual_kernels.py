@@ -229,6 +229,61 @@ def test_worst_node_is_the_first_nan():
     assert math.isnan(fam.worst_violation) and fam.sub_reports[1].worst_violation == 5.0
 
 
+#: Residual rows on 5 nodes, each with the worst node and clamped peak max(peak, 0.0) its
+#: report gives: the first of tied maxima, a -0.0 peak kept as -0.0 (it equals 0.0, so the
+#: first of the two wins, and the clamp keeps it), and the first NaN.
+_ROWS = [
+    ([-1.0, 3.0, 0.5, 3.0, -2.0], 1, 3.0),
+    ([-1.0, -0.0, -2.0, 0.0, -3.0], 1, -0.0),
+    ([1.0, np.nan, 2.0, np.nan, 4.0], 1, math.nan),
+    ([-0.0, -0.0, -3.0, -0.0, -1.0], 0, -0.0),
+    ([-4.0, -3.0, -2.0, -1.0, -1.0], 3, 0.0),
+]
+
+
+def _given_rows(rows: np.ndarray, family: bool) -> list[B.HypothesisReport]:
+    """Reports of ``_hypotheses`` on residual rows (T, n, 5): of one trial member by member,
+    of several as one stacked group, like a fuzz chunk's."""
+    f = GridFunction(Grid(0.0, 1.0, 4), REAL, np.zeros((5, 1)))
+    given = B._Shape("given", lambda rows, v: v.copy(), ("v",))
+    return B._hypotheses(given, B._Stacks([f] * len(rows), None, [rows]), B.DEFAULT_HYP_TOL,
+                         family=family)
+
+
+def _worst(report) -> tuple[int, bytes]:
+    return report.worst_node, np.float64(report.worst_violation).tobytes()
+
+
+def _bits(node: int, peak: float) -> tuple[int, bytes]:
+    return node, np.float64(peak).tobytes()
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_the_worst_node_and_peak_keep_their_bits(stacked):
+    """Ties go to the first maximum, a -0.0 peak is reported as -0.0 and the first NaN wins,
+    for trials judged one at a time and for the trials of a stacked chunk, unit rows or a
+    family's members."""
+    rows = np.array([row for row, _, _ in _ROWS])
+    want = [_bits(node, peak) for _, node, peak in _ROWS]
+    assert want[1] != _bits(1, 0.0)
+    trials = [rows[:, None]] if stacked else [rows[i:i + 1, None] for i in range(len(rows))]
+    unit = [report for t in trials for report in _given_rows(t, family=False)]
+    assert [_worst(r) for r in unit] == want
+    assert [r.holds for r in unit] == [False, True, False, True, True]
+    # the rows as the members of one family: their node-wise maximum is NaN from node 1
+    family, = _given_rows(rows[None], family=True)
+    assert [_worst(r) for r in family.sub_reports] == want
+    assert _worst(family) == _bits(1, math.nan) and family.failing_indices == (0, 2)
+    # two families of two members, one trial each or stacked: the maxima are
+    # [-0.0, -0.0, -2.0, 0.0, -1.0] (the first of the tied zeros, -0.0) and row 0's
+    pairs = [rows[[1, 3]], rows[[4, 0]]]
+    trials = [np.array(pairs)] if stacked else [pair[None] for pair in pairs]
+    families = [report for t in trials for report in _given_rows(t, family=True)]
+    assert [_worst(r) for r in families] == [_bits(0, -0.0), _bits(1, 3.0)]
+    assert [[_worst(s) for s in r.sub_reports] for r in families] == [
+        [want[1], want[3]], [want[4], want[0]]]
+
+
 # --------------------------------------------------------------------------
 # memory: residuals are not kept
 

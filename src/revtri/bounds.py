@@ -378,17 +378,17 @@ def _hypotheses(shape: "_Shape", stacks: _Stacks, tau_hyp: float, family: bool =
     implied = (_hypotheses(shape.implies, stacks, tau_hyp, kernels=kernels) if shape.implies
                else [None] * n_trials)
     cid = f"{shape.condition_id}_family" if family else shape.condition_id
+
+    def kernel(t: int, members: range):
+        return partial(_slack, shape, stacks, t, members) if kernels else None
     reports = []
     for t, (sub, t_nodes, t_peaks) in enumerate(zip(implied, nodes.tolist(), peaks.tolist())):
         subs = [_report(f"{cid}[{i}]" if family else cid, node, peak, tau_hyp,
-                        partial(_slack, shape, stacks, t, range(i, i + 1)) if kernels else None,
-                        None if sub is None else [sub])
+                        kernel(t, range(i, i + 1)), None if sub is None else [sub])
                 for i, (node, peak) in enumerate(zip(t_nodes, t_peaks))]
         if family:
             node = int(tops[t].argmax())
-            subs = [_report(cid, node, float(tops[t][node]), tau_hyp,
-                            partial(_slack, shape, stacks, t, range(n)) if kernels else None,
-                            subs)]
+            subs = [_report(cid, node, float(tops[t][node]), tau_hyp, kernel(t, range(n)), subs)]
         reports.append(subs[0])
     return reports
 
@@ -854,6 +854,11 @@ def evaluate_trials(trials, bound_id: str, rule: str = DEFAULT_RULE,
             validate_params(bound_id, params, None if family is None else family.n)
         ests.append(defect(f, rule))
     directed = spec.reference == REF_DIRECTION and shape.directed
+    if directed and stacks is not None:   # the chunk's integrals of Re f and Im f, one pass
+        pairs = stacks["values"][:, 0].view(np.float64).reshape(len(fs), -1, 2)
+        value, diff = _integrate(fs[0].grid, pairs.transpose(1, 2, 0), None, rule)
+        for f, parts in zip(fs, zip(value.T.tolist(), np.abs(diff).T.tolist())):
+            f.keep(("part_integrals", rule), parts)
     directions = [_direction(f, ref, est, rule) if directed else None
                   for f, ref, est in zip(fs, refs, ests)]
     args = [[getattr(params, q.field) for q in spec.params] for _, _, params in trials]

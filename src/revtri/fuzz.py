@@ -27,20 +27,8 @@ from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile
 from .hilbert import (COMPLEX, REAL, _DTYPES, HVector, OrthonormalFamily, _orthonormal_rows,
                       _vector, vector_norm)
 from .quadrature import integrate_trials
-from .scenario import (
-    BoundEntry,
-    REF_DIRECTION,
-    REF_FAMILY,
-    REF_UNIT,
-    Reference,
-    RunReport,
-    Scenario,
-    Tolerances,
-    _plain,
-    _rollup,
-    _scenario_tree,
-    run,
-)
+from .scenario import (REF_DIRECTION, REF_FAMILY, REF_UNIT, BoundEntry, Reference, RunReport,
+                       Scenario, Tolerances, _plain, _rollup, _scenario_tree, run)
 
 MAX_HARMONICS = 8
 MAX_COUNTEREXAMPLE_DUMPS = 5
@@ -65,9 +53,8 @@ def _require_stream(seed: int, trial: int) -> None:
 
 
 class _Stream(np.random.Generator):
-    """A generator whose scalar ``uniform(low, high)`` is numpy's formula low + (high - low)
-    * random(), from the same draw and with the same bits, without numpy's checks of its
-    arguments, which cost twice the draw."""
+    """A generator whose scalar ``uniform(low, high)`` is numpy's low + (high - low) *
+    random(), draw and bits alike, without the argument checks that cost twice the draw."""
 
     def uniform(self, low=0.0, high=1.0, size=None):
         if size is not None:
@@ -507,7 +494,7 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
     seed, trial, d, n_family, n_panels = _integers(seed=seed, trial=trial, d=d,
                                                    n_family=n_family, n_panels=n_panels)
     setup = _setup(bound_id, d, field, n_family, n_panels)
-    return _scenario(bound_id, _generate(seed, range(trial, trial + 1), *setup)[0][0])
+    return _generate(seed, range(trial, trial + 1), *setup)[0][0].scenario()
 
 
 def _integers(**values) -> list[int]:
@@ -542,23 +529,23 @@ def _setup(bound_id: str, d: int, field: str, n_family: int, n_panels: int) -> t
 
 
 class _Trial(NamedTuple):
-    """A generated trial, as the judge reads it; :func:`_scenario` makes its Scenario."""
+    """A generated trial, what the judge reads of it; :meth:`scenario` builds its Scenario."""
 
+    bound_id: str
     id: str
     f: GridFunction
     reference: Reference
     params: BoundParams
     provenance: dict
 
-
-def _scenario(bound_id: str, trial: _Trial) -> Scenario:
-    """The Scenario of a generated trial, sharing its f: ``run()`` reuses the generated f."""
-    f = trial.f
-    scenario = Scenario(trial.id, f.field, f.d, f.grid, FunctionSpec.samples(f.values),
-                        trial.reference, (BoundEntry(bound_id, trial.params),), Tolerances(),
-                        trial.provenance)
-    vars(scenario)["f"] = f  # fills the cache of Scenario.f
-    return scenario
+    def scenario(self) -> Scenario:
+        """The trial's Scenario, holding its f, which ``run()`` then reuses."""
+        f = self.f
+        scenario = Scenario(self.id, f.field, f.d, f.grid, FunctionSpec.samples(f.values),
+                            self.reference, (BoundEntry(self.bound_id, self.params),),
+                            Tolerances(), self.provenance)
+        vars(scenario)["f"] = f  # fills the cache of Scenario.f
+        return scenario
 
 
 def _generate(seed: int, trials: range, bound_id: str, grid: Grid, field: str, d: int,
@@ -574,7 +561,7 @@ def _generate(seed: int, trials: range, bound_id: str, grid: Grid, field: str, d
     for trial, f, ref, *values in zip(chunk.trials, fs, refs, *params.values()):
         provenance = {"generator": f"fuzz:{bound_id}", "seed": int(seed), "trial": int(trial),
                       "d": d, "field": field, "n_family": n_family if family else None}
-        made.append(_Trial(f"fuzz-{bound_id}-s{seed}-t{trial}", f, reference(ref),
+        made.append(_Trial(bound_id, f"fuzz-{bound_id}-s{seed}-t{trial}", f, reference(ref),
                            BoundParams(**dict(zip(params, values))), provenance))
     return made, chunk.given(fs, params), chunk.failure
 
@@ -663,28 +650,25 @@ def fuzz(bound_id: str, trials: int, seed: int, d: int = 4, field: str = REAL,
 def _judge(summary: FuzzSummary, chunk: list[tuple[int, _Trial]], stacks: dict | None) -> None:
     """Integrate the chunk's trials in one pass and judge them in one pass, both under run()'s
     floating-point guard and reading the ``stacks`` the chunk built, then tally each.
-    Without stacks, or if either pass raises an error a trial can raise, the trials are
-    judged one at a time by ``run()`` on their scenarios, so that the earliest trial's own
-    error raises.  A trial's Scenario is made only for that, or to dump it."""
-    made, reports, bound_id = [trial for _, trial in chunk], None, summary.bound_id
+    Without stacks, or if either pass raises an error a trial can raise, ``run()`` judges
+    each trial's Scenario (built only then, or to dump it), so its own error raises first."""
+    made, reports = [trial for _, trial in chunk], None
     if stacks is not None:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 ests = integrate_trials([t.f for t in made], stacks["values"], stacks["norms"])
                 results = B.evaluate_trials([(t.f, t.reference, t.params) for t in made],
-                                            bound_id, stacks=stacks)
+                                            summary.bound_id, stacks=stacks)
             reports = [RunReport(t.id, (r,), est, _rollup([r.verdict]), t.provenance)
                        for t, r, est in zip(made, results, ests)]
         except (RevtriError, FloatingPointError):
             pass
-    for (trial, item), report in zip(chunk, reports or [run(_scenario(bound_id, t))
-                                                         for t in made]):
-        _tally(summary, trial, report, partial(_scenario, bound_id, item))
+    for (trial, item), report in zip(chunk, reports or [run(t.scenario()) for t in made]):
+        _tally(summary, trial, report, item.scenario)
 
 
 def _tally(summary: FuzzSummary, trial: int, report: RunReport, scenario) -> None:
-    """Count one judged trial into ``summary``; ``scenario()`` makes the Scenario a
-    counterexample dumps."""
+    """Count one judged trial into ``summary``; a dump holds ``scenario()``."""
     result = report.results[0]
     if result.verdict == B.HOLDS:
         summary.holds += 1

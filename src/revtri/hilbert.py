@@ -154,8 +154,7 @@ def _gram(mat: np.ndarray, tol: float) -> GramReport:
     """:func:`gram_report` of the family whose members are the rows of ``mat``."""
     n = mat.shape[0]
     gram = mat @ np.conjugate(mat.T)
-    gram.flat[::n + 1] -= 1.0   # gram - I
-    residuals = np.abs(gram)
+    residuals = np.abs(gram - np.eye(n))
     flat = int(np.argmax(residuals))
     worst_pair = (flat // n, flat % n)
     worst = float(residuals[worst_pair])

@@ -54,7 +54,7 @@ def _generated(bound_id: str, field: str, trials: int = 5) -> tuple:
     setup = F._setup(bound_id, cfg["d"], field, cfg["n_family"], cfg["n_panels"])
     made, stacks, failure = F._generate(SEED, range(trials), *setup)
     assert failure is None and stacks is not None
-    return [F._scenario(bound_id, trial) for trial in made], stacks
+    return [trial.scenario() for trial in made], stacks
 
 
 def _summary_text(summary) -> str:

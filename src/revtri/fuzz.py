@@ -27,8 +27,20 @@ from .gridfn import (GRID_CACHE, FunctionSpec, Grid, GridFunction, ScalarProfile
 from .hilbert import (COMPLEX, REAL, _DTYPES, HVector, OrthonormalFamily, _orthonormal_rows,
                       _vector, vector_norm)
 from .quadrature import integrate_trials
-from .scenario import (REF_DIRECTION, REF_FAMILY, REF_UNIT, BoundEntry, Reference, RunReport,
-                       Scenario, Tolerances, _plain, _rollup, _scenario_tree, run)
+from .scenario import (
+    BoundEntry,
+    REF_DIRECTION,
+    REF_FAMILY,
+    REF_UNIT,
+    Reference,
+    RunReport,
+    Scenario,
+    Tolerances,
+    _plain,
+    _rollup,
+    _scenario_tree,
+    run,
+)
 
 MAX_HARMONICS = 8
 MAX_COUNTEREXAMPLE_DUMPS = 5
@@ -499,7 +511,7 @@ def generate_scenario(bound_id: str, seed: int, trial: int, d: int = 4,
 
 def _integers(**values) -> list[int]:
     """``values`` as Python integers, each an integer (a numpy one too) and not a bool: a
-    float seed drew the stream of its integer part under another trial id."""
+    float seed would draw the stream of its integer part under an id naming the float."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise InputError(f"{name} must be an integer, got {quoted(value)}")
@@ -559,7 +571,7 @@ def _generate(seed: int, trials: range, bound_id: str, grid: Grid, field: str, d
     reference, family = _REFERENCES[spec.reference], spec.reference == REF_FAMILY
     made = []
     for trial, f, ref, *values in zip(chunk.trials, fs, refs, *params.values()):
-        provenance = {"generator": f"fuzz:{bound_id}", "seed": int(seed), "trial": int(trial),
+        provenance = {"generator": f"fuzz:{bound_id}", "seed": seed, "trial": trial,
                       "d": d, "field": field, "n_family": n_family if family else None}
         made.append(_Trial(bound_id, f"fuzz-{bound_id}-s{seed}-t{trial}", f, reference(ref),
                            BoundParams(**dict(zip(params, values))), provenance))

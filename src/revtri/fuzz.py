@@ -120,13 +120,10 @@ def _trig_table(key: tuple[str, str, int]) -> tuple[np.ndarray, np.ndarray]:
     a, b = float.fromhex(key[0]), float.fromhex(key[1])
     t = (grid_nodes(key) - a) / (b - a)
     phases = 2.0 * math.pi * np.outer(t, np.arange(1, MAX_HARMONICS + 1))
-    return _frozen(np.cos(phases)), _frozen(np.sin(phases))
-
-
-@lru_cache(maxsize=GRID_CACHE)
-def _complex_trig_table(key: tuple[str, str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_trig_table` cast once to complex, as a complex path's products cast it."""
-    return tuple(_frozen(table.astype(np.complex128)) for table in _trig_table(key))
+    cos, sin = np.cos(phases), np.sin(phases)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
 
 
 def _bounded(paths):
@@ -203,7 +200,7 @@ class _Chunk:
                                 np.empty(shape[::2], dtype)))
         cos_part, sin_part, drift = self.stacks[self.next]
         self.next += 1
-        cos, sin = (_complex_trig_table if parts == 2 else _trig_table)(self.grid.key)
+        cos, sin = _trig_table(self.grid.key)
         np.matmul(cos[:, :n_modes], a, out=cos_part[self.row])
         np.matmul(sin[:, :n_modes], b, out=sin_part[self.row])
         drift[self.row] = c0

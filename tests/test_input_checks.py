@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from revtri import bounds as B
-from revtri.errors import DegeneracyError, InfeasibilityError, InputError
-from revtri.fuzz import generate_scenario
+from revtri.errors import DegeneracyError, InfeasibilityError, InputError, quoted
+from revtri.fuzz import fuzz, generate_scenario
 from revtri.gridfn import FunctionSpec, Grid, GridFunction, ScalarProfile, materialize
 from revtri.hilbert import (COMPLEX, REAL, HVector, basis_vector, check_orthonormal,
                             complete_orthonormal, gram_report, orthonormalize)
@@ -165,46 +165,38 @@ def test_only_gridfn_knows_the_keys_of_the_table_cache():
 #: Arguments of fuzz() and generate_scenario() that are not integers, or are bools: each
 #: raised a bare TypeError or, for a float seed or a bool trial count, drew another stream.
 NOT_INTEGERS = [
-    ("seed", 1.5), ("seed", 1.9), ("seed", True), ("seed", "1"), ("trials", 2.0),
-    ("trials", True), ("d", 4.0), ("n_family", True), ("n_family", 3.0), ("n_panels", 64.0),
-    ("n_panels", np.float64(64.0)), ("trial", 0.0), ("trial", False), ("seed", "9" * 500),
+    ("seed", 1.5), ("seed", 1.9), ("seed", True), ("seed", "1"), ("seed", "9" * 500),
+    ("trials", 2.0), ("trials", True), ("trial", 0.0), ("trial", False), ("d", 4.0),
+    ("n_family", True), ("n_family", 3.0), ("n_panels", 64.0), ("n_panels", np.float64(64.0)),
 ]
-
-
-def _call(name: str, value, bound_id: str = B.COR_3_3):
-    """fuzz() on 2 trials, or generate_scenario() for ``trial``, with ``name`` = ``value``."""
-    from revtri.fuzz import fuzz
-    args = dict(seed=1, d=4, n_family=3, n_panels=16)
-    if name == "trial":
-        return generate_scenario(bound_id, trial=value, **args)
-    return fuzz(bound_id, **{"trials": 2, **args, name: value})
+FUZZ_ARGS = dict(seed=1, d=4, n_family=3, n_panels=16)
 
 
 @pytest.mark.parametrize("name, value", NOT_INTEGERS, ids=lambda v: repr(v)[:20])
 def test_fuzz_arguments_must_be_integers(name, value):
-    from revtri.errors import quoted
-    with pytest.raises(InputError) as exc:
-        _call(name, value)
-    assert str(exc.value) == f"{name} must be an integer, got {quoted(value)}"
-    assert len(str(exc.value)) < 120
-    if name in ("seed", "d", "n_family", "n_panels"):
-        with pytest.raises(InputError):
-            generate_scenario(B.COR_3_3, trial=0, **{**dict(seed=1, d=4, n_family=3,
-                                                            n_panels=16), name: value})
+    calls = []   # fuzz() takes a trial count, generate_scenario() a trial index
+    if name != "trial":
+        calls.append(lambda: fuzz(B.COR_3_3, **{"trials": 2, **FUZZ_ARGS, name: value}))
+    if name != "trials":
+        calls.append(lambda: generate_scenario(B.COR_3_3, **{"trial": 0, **FUZZ_ARGS, name: value}))
+    for call in calls:
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == f"{name} must be an integer, got {quoted(value)}"
+        assert len(str(exc.value)) < 120
 
 
 @pytest.mark.parametrize("bound_id", [B.COR_2_2, B.COR_3_3])
 def test_integers_of_every_kind_keep_their_streams(bound_id):
     """A numpy integer gives the id, provenance and reports of the Python integer."""
-    from revtri.fuzz import fuzz
-    ints = dict(seed=5, trial=3, d=4, n_family=3, n_panels=16)
+    ints = dict(FUZZ_ARGS, seed=5, trial=3)
     for kind in (np.int64, np.uint32, np.int8):
         want, got = (generate_scenario(bound_id, **{k: t(v) for k, v in ints.items()})
                      for t in (int, kind))
         assert got.id == want.id == f"fuzz-{bound_id}-s5-t3"
         assert got.provenance == want.provenance
         assert report_to_json(run(got)) == report_to_json(run(want))
-    summaries = [fuzz(bound_id, t(2), t(5), d=t(4), n_family=t(3), n_panels=t(16),
-                      keep_reports=True) for t in (int, np.int64)]
-    assert [list(map(report_to_json, s.reports)) for s in summaries].count(
-        list(map(report_to_json, summaries[0].reports))) == 2
+    texts = [[report_to_json(r) for r in fuzz(bound_id, t(2), t(5), d=t(4), n_family=t(3),
+                                              n_panels=t(16), keep_reports=True).reports]
+             for t in (int, np.int64)]
+    assert texts[0] == texts[1]

@@ -15,6 +15,8 @@ from revtri.fuzz import MAX_COUNTEREXAMPLE_DUMPS
 from revtri import gridfn
 from revtri.scenario import scenario_from_dict
 
+from .fuzz_cost import CAMPAIGN, call_counts
+
 F = importlib.import_module("revtri.fuzz")   # the package's name ``fuzz`` is the function
 
 
@@ -63,16 +65,16 @@ def test_one_projection_product_per_family_trial(bound_id, field, n, monkeypatch
     assert products == [(3, n, 4)]
 
 
-#: Calls of revtri code and of dataclass-generated methods in one 5-trial fuzz() call on
-#: each campaign bound, summed over the 17 (``python -m tests.fuzz_cost`` prints the mean):
-#: 10,204 before a trial's Scenario was built only on demand.
+#: Calls of revtri code and of methods generated from strings (a dataclass's ``__init__``, a
+#: NamedTuple's ``__new__``) in one 5-trial fuzz() call on each campaign bound, summed over
+#: the 17 (``python -m tests.fuzz_cost`` prints the mean): 10,204 before a trial's Scenario
+#: was built only on demand.
 CAMPAIGN_CALLS = 8586
 
 
 def test_a_campaign_call_makes_few_python_calls():
     """A chunk pays its fixed Python work once, and a trial builds what only a dump or the
     run() fallback reads on demand: the count may grow by 5% at most."""
-    from .fuzz_cost import CAMPAIGN, call_counts
     counts = [call_counts(bound_id, 5)["revtri"] for bound_id in CAMPAIGN]
     assert sum(counts) <= 1.05 * CAMPAIGN_CALLS, counts
 

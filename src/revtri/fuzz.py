@@ -64,14 +64,19 @@ def _require_stream(seed: int, trial: int) -> None:
         raise InputError(f"seed and trial must lie in [0, 2**64), got {seed!r} and {trial!r}")
 
 
-class _Stream(np.random.Generator):
-    """A generator whose scalar ``uniform(low, high)`` is numpy's low + (high - low) *
-    random(), draw and bits alike, without the argument checks that cost twice the draw."""
+@lru_cache(maxsize=None)
+def _stream_type() -> type:
+    """A generator type whose scalar ``uniform(low, high)`` is numpy's low + (high - low) *
+    random(), draw and bits alike, without the argument checks that cost twice the draw.
+    Made at first use: a class body naming np.random would import it with revtri."""
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        if size is not None:
-            return super().uniform(low, high, size)
-        return low + (high - low) * self.random()
+    class _Stream(np.random.Generator):
+        def uniform(self, low=0.0, high=1.0, size=None):
+            if size is not None:
+                return super().uniform(low, high, size)
+            return low + (high - low) * self.random()
+
+    return _Stream
 
 
 _THREAD = threading.local()
@@ -84,7 +89,7 @@ def _reused_trial_rng(seed: int, trial: int) -> np.random.Generator:
     one (which gathers entropy for a seed sequence it does not use)."""
     _require_stream(seed, trial)
     if not hasattr(_THREAD, "fresh"):
-        _THREAD.rng = _Stream(trial_rng(seed, trial).bit_generator)
+        _THREAD.rng = _stream_type()(trial_rng(seed, trial).bit_generator)
         _THREAD.fresh = _THREAD.rng.bit_generator.state
     _THREAD.fresh["state"]["key"][:] = seed, 0
     _THREAD.fresh["state"]["counter"][3] = trial

@@ -8,6 +8,9 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -311,6 +314,15 @@ def test_the_reused_generator_draws_numpys_uniform_bits(lo, width, seed):
             assert _bits(fast.uniform(a, b)) == _bits(numpy.uniform(a, b))
         assert fast.integers(1, 9) == numpy.integers(1, 9)
     assert fast.uniform(0.5, 0.75, 4).tobytes() == numpy.uniform(0.5, 0.75, 4).tobytes()
+
+
+def test_importing_revtri_leaves_numpy_random_unimported():
+    """The reused generator's type is made at first use: a cold ``revtri check`` needs no
+    random numbers, and importing numpy.random costs it ~5 MB of resident memory."""
+    probe = "import sys, revtri, revtri.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def _watched(monkeypatch, forbidden: dict) -> list:
